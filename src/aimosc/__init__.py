@@ -21,7 +21,6 @@ from .exactalg import (
     RootInterval,
     ZeroPolynomial,
     isolate_real_roots,
-    poly_arith,
     poly_diff_tau,
     poly_eval,
     refine_root,
@@ -34,7 +33,6 @@ from .fh_oscillator import (
     bound_state_info,
     eigen_polynomial,
     normalization_constant,
-    reduce_dimensionless,
     residual_check,
     spectrum_closed_dimensionless,
     spectrum_closed_physical,
@@ -57,9 +55,8 @@ __all__ = [
     "aim_iterate", "aim_seed", "alpha_at", "bound_state_info",
     "converge_study", "discretize", "eigen_count_below",
     "eigen_polynomial", "eigenfunction_via_alpha", "isolate_real_roots",
-    "lowest_eigenvalues", "normalization_constant", "poly_arith",
-    "poly_diff_tau", "poly_eval", "quantization_delta",
-    "reduce_dimensionless", "refine_root", "residual_check",
+    "lowest_eigenvalues", "normalization_constant", "poly_diff_tau",
+    "poly_eval", "quantization_delta", "refine_root", "residual_check",
     "spectrum_closed_dimensionless", "spectrum_closed_physical",
     "wavefunction_eval",
 ]

@@ -20,6 +20,10 @@ from typing import Callable, Optional, Sequence
 from .exactalg import (
     BiPoly,
     RatLike,
+    _ideriv,
+    _int_scaled,
+    adaptive_simpson,
+    horner,
     isolate_real_roots,
     poly_add,
     poly_diff_tau,
@@ -128,26 +132,12 @@ def aim_iterate(state: AimState) -> AimState:
                     denom_exp=d + 1, l0=state.l0, s0=state.s0)
 
 
-def _strip_content(p: BiPoly) -> BiPoly:
-    """Divide out the rational content; make the top coefficient positive."""
-    if not p:
-        return p
-    num_gcd = 0
-    den_lcm = 1
-    for c in p.values():
-        num_gcd = math.gcd(num_gcd, c.numerator)
-        den_lcm = math.lcm(den_lcm, c.denominator)
-    scale = Fraction(den_lcm, num_gcd)
-    if p[max(p)] < 0:
-        scale = -scale
-    return {k: c * scale for k, c in p.items()}
-
-
 def quantization_delta(curr: AimState, prev: AimState, tau0: RatLike) -> DeltaPoly:
     """delta_k = l_k*s_{k-1} - l_{k-1}*s_k at the anchor tau0, in E.
 
     The denominator powers cancel in the combination, so numerators are
-    combined directly; overall rational content is stripped.
+    combined directly; overall rational content is stripped and the
+    leading coefficient made positive.
     """
     if curr.k != prev.k + 1:
         raise ValueError("states must be consecutive iterations")
@@ -158,7 +148,10 @@ def quantization_delta(curr: AimState, prev: AimState, tau0: RatLike) -> DeltaPo
     delta = poly_sub(poly_mul(lc, sp), poly_mul(lp, sc))
     if poly_is_zero(delta):
         raise DegenerateDelta(f"determinant vanishes identically at tau0={tau0}")
-    return DeltaPoly(k=curr.k, poly=_strip_content(delta))
+    ints = _int_scaled(uni_coeffs(delta))
+    sign = 1 if ints[-1] > 0 else -1
+    return DeltaPoly(k=curr.k, poly={(0, de): Fraction(sign * c)
+                                     for de, c in enumerate(ints) if c})
 
 
 @dataclass
@@ -288,7 +281,7 @@ def eigenfunction_via_alpha(state: AimState, e_n: RatLike,
     gn, gd = _deflate_poles(num, den, poles)
 
     def smooth_f(t: float) -> float:
-        return _horner(gn, t) / _horner(gd, t)
+        return horner(gn, t) / horner(gd, t)
 
     order = sorted(range(len(tau_grid)), key=lambda i: tau_grid[i])
     values = [1.0] * len(tau_grid)
@@ -327,15 +320,15 @@ def _real_poles(num: list[Fraction],
     if len(den) <= 1:
         return []
     dp: BiPoly = {(i, 0): c for i, c in enumerate(den) if c}
-    dden = [i * c for i, c in enumerate(den)][1:]
+    dden = _ideriv(den)
     out = []
     for iv in isolate_real_roots(dp):
         if iv.exact is not None:
             r = iv.exact
-            dval = _feval(dden, r)
+            dval = horner(dden, r)
             if dval == 0:
                 raise PoleOnGrid(f"pole of order > 1 at tau={r}")
-            rho_exact = _feval(num, r) / dval
+            rho_exact = horner(num, r) / dval
             if rho_exact.denominator != 1:
                 raise PoleOnGrid(f"non-integer residue {rho_exact} at tau={r}")
             if rho_exact == 0:
@@ -343,10 +336,10 @@ def _real_poles(num: list[Fraction],
             out.append((float(r), int(rho_exact), r))
         else:
             m = refine_root(dp, iv, Fraction(1, 10 ** 30))
-            dval = _feval(dden, m)
+            dval = horner(dden, m)
             if dval == 0:
                 raise PoleOnGrid(f"pole of order > 1 near tau={float(m)}")
-            rho_f = float(_feval(num, m) / dval)
+            rho_f = float(horner(num, m) / dval)
             rho = round(rho_f)
             if abs(rho_f - rho) > 1e-6:
                 raise PoleOnGrid(f"non-integer residue {rho_f} near tau={float(m)}")
@@ -390,20 +383,6 @@ def _deflate_poles(num: list[Fraction], den: list[Fraction],
     return n, d
 
 
-def _feval(coeffs: list[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def _horner(coeffs: list[float], x: float) -> float:
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
 def _pole_at(poles: list[tuple[float, int, Optional[Fraction]]], t: float,
              eps: float = 1e-12) -> Optional[tuple[float, int, Optional[Fraction]]]:
     for p in poles:
@@ -431,7 +410,7 @@ def _march(smooth_f: Callable[[float], float],
     if not cross_poles and any(lo < p[0] < hi for p in poles):
         raise PoleOnGrid(f"integration leg ({lo}, {hi}) contains a pole")
 
-    dlog = -_adaptive_gk(smooth_f, a, b, tol)
+    dlog = -adaptive_simpson(smooth_f, a, b, tol)
     dsign = 1.0
     for r, rho, _ in poles:
         ra, rb = a - r, b - r
@@ -447,46 +426,3 @@ def _march(smooth_f: Callable[[float], float],
             dsign *= -1.0
     return dlog, dsign
 
-
-# Gauss-Kronrod 7/15 pair; interior nodes only, so a leg endpoint that
-# sits on a node of f is never evaluated.
-_GK_NODES = (
-    0.0,
-    0.2077849550078985, 0.4058451513773972, 0.5860872354676911,
-    0.7415311855993944, 0.8648644233597691, 0.9491079123427585,
-    0.9914553711208126,
-)
-_GK_WK = (
-    0.2094821410847278,
-    0.2044329400752989, 0.1903505780647854, 0.1690047266392679,
-    0.1406532597155259, 0.1047900103222502, 0.0630920926299786,
-    0.0229353220105292,
-)
-# Gauss-7 weights, indexed by the shared nodes 0, 2, 4, 6
-_GK_WG = (0.4179591836734694, 0.3818300505051189,
-          0.2797053914892766, 0.1294849661688697)
-
-
-def _gk_panel(fn: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
-    c = 0.5 * (a + b)
-    h = 0.5 * (b - a)
-    f0 = fn(c)
-    kron = _GK_WK[0] * f0
-    gauss = _GK_WG[0] * f0
-    for j in range(1, 8):
-        x = h * _GK_NODES[j]
-        fj = fn(c - x) + fn(c + x)
-        kron += _GK_WK[j] * fj
-        if j % 2 == 0:
-            gauss += _GK_WG[j // 2] * fj
-    return kron * h, abs(kron - gauss) * abs(h)
-
-
-def _adaptive_gk(fn: Callable[[float], float], a: float, b: float,
-                 tol: float, depth: int = 30) -> float:
-    value, err = _gk_panel(fn, a, b)
-    if err <= tol or depth <= 0:
-        return value
-    m = 0.5 * (a + b)
-    return (_adaptive_gk(fn, a, m, tol / 2, depth - 1)
-            + _adaptive_gk(fn, m, b, tol / 2, depth - 1))

@@ -16,7 +16,7 @@ import argparse
 import dataclasses
 import json
 import sys
-from dataclasses import dataclass
+from argparse import Namespace
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
@@ -30,32 +30,6 @@ from .fh_oscillator import (
     NotNormalizable,
     SpectrumEntry,
 )
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    omega: Fraction
-    lam: Fraction
-    lam_tilde: Fraction
-    n_max: int
-    methods: tuple[str, ...]
-    k_max: int
-    tau0: Fraction
-    tol: float
-    printed_signs: bool
-    fmt: str
-    out: Optional[str]
-    grid_t: Optional[float]
-    grid_n: int
-    n: int
-    tau_min: float
-    tau_max: float
-    points: int
-    fig2_omegas: tuple[Fraction, ...]
-    lam_max: Fraction
-    lam_points: int
-    fig_lambda: Fraction
 
 
 def _parse_rat(text: str) -> Fraction:
@@ -102,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--omega", default=None, help="angular frequency, p/q")
+    common.add_argument("--omega", default="1", help="angular frequency, p/q")
     common.add_argument("--lambda", dest="lam", default=None,
                         help="mass-decay parameter, p/q")
     common.add_argument("--lambda-tilde", dest="lam_tilde", default=None,
@@ -112,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--tau0", default="0", help="quantization anchor, p/q")
     common.add_argument("--grid-T", dest="grid_t", type=float, default=None)
     common.add_argument("--grid-N", dest="grid_n", type=int, default=30000)
-    common.add_argument("--tol", type=float, default=None)
+    common.add_argument("--tol", type=float, default=1e-10)
     common.add_argument("--printed-signs", action="store_true",
                         help="use the sign convention whose first excited "
                              "level is 2*lt-1; for the discrepancy demo")
@@ -146,51 +120,39 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _resolve(args: argparse.Namespace) -> RunConfig:
-    omega = _parse_rat(args.omega) if args.omega is not None else None
+def _resolve(args: Namespace) -> Namespace:
+    """Parse the rational flags in place; fill in whichever of lambda and
+    lambda_tilde was not given."""
+    omega = _parse_rat(args.omega)
     lam = _parse_rat(args.lam) if args.lam is not None else None
     lam_tilde = _parse_rat(args.lam_tilde) if args.lam_tilde is not None else None
     if lam is not None and lam_tilde is not None:
         raise ValueError("--lambda and --lambda-tilde are mutually exclusive")
-    if omega is None:
-        omega = Fraction(1)
+    if omega <= 0:
+        raise NonpositiveFrequency(f"omega = {omega}")
     if lam_tilde is not None:
         lam = lam_tilde * omega
     elif lam is not None:
         lam_tilde = lam / omega
     else:
-        lam = Fraction(0)
-        lam_tilde = Fraction(0)
-    if omega <= 0:
-        raise NonpositiveFrequency(f"omega = {omega}")
+        lam = lam_tilde = Fraction(0)
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
     if args.n_max < 0:
         raise ValueError("--n-max must be nonnegative")
-    methods = tuple(getattr(args, "method", None) or ("closed",))
-    return RunConfig(
-        command=args.command, omega=omega, lam=lam, lam_tilde=lam_tilde,
-        n_max=args.n_max, methods=methods, k_max=args.kmax,
-        tau0=_parse_rat(args.tau0),
-        tol=args.tol if args.tol is not None else 1e-10,
-        printed_signs=args.printed_signs, fmt=args.fmt, out=args.out,
-        grid_t=args.grid_t, grid_n=args.grid_n,
-        n=getattr(args, "n", 0),
-        tau_min=getattr(args, "tau_min", -5.0),
-        tau_max=getattr(args, "tau_max", 5.0),
-        points=getattr(args, "points", 201),
-        fig2_omegas=tuple(_parse_rat(s) for s in
-                          getattr(args, "fig2_omegas", "10,12,14").split(",")),
-        lam_max=_parse_rat(getattr(args, "lam_max", "2")),
-        lam_points=getattr(args, "lam_points", 81),
-        fig_lambda=_parse_rat(getattr(args, "fig_lambda", "1")),
-    )
+    args.omega, args.lam, args.lam_tilde = omega, lam, lam_tilde
+    args.tau0 = _parse_rat(args.tau0)
+    if args.command == "figures":
+        args.fig2_omegas = [_parse_rat(w) for w in args.fig2_omegas.split(",")]
+        args.lam_max = _parse_rat(args.lam_max)
+        args.fig_lambda = _parse_rat(args.fig_lambda)
+    return args
 
 
 # ---------------------------------------------------------------------------
 # shared computation helpers
 
-def _closed_entries(cfg: RunConfig) -> list[SpectrumEntry]:
+def _closed_entries(cfg: Namespace) -> list[SpectrumEntry]:
     out = []
     for n in range(cfg.n_max + 1):
         et = fh_oscillator.spectrum_closed_dimensionless(n, cfg.lam_tilde)
@@ -215,14 +177,14 @@ def _is_marginal(n: int, lam_tilde: Fraction) -> bool:
     return et == fh_oscillator.bound_state_info(lam_tilde).threshold
 
 
-def _aim_report(cfg: RunConfig) -> aim_core.AimSpectrumReport:
+def _aim_report(cfg: Namespace) -> aim_core.AimSpectrumReport:
     seed = aim_core.aim_seed(
         *fh_oscillator.aim_inputs(cfg.lam_tilde, printed_signs=cfg.printed_signs))
-    return aim_core.aim_eigenvalues(seed, k_max=cfg.k_max, tau0=cfg.tau0,
+    return aim_core.aim_eigenvalues(seed, k_max=cfg.kmax, tau0=cfg.tau0,
                                     stab_tol=Fraction(1, 10 ** 10))
 
 
-def _aim_entries(cfg: RunConfig) -> list[SpectrumEntry]:
+def _aim_entries(cfg: Namespace) -> list[SpectrumEntry]:
     report = _aim_report(cfg)
     values = [v for v, _, _ in report.accepted]
     out = []
@@ -244,7 +206,7 @@ def _aim_entries(cfg: RunConfig) -> list[SpectrumEntry]:
     return out
 
 
-def _oracle_grid(cfg: RunConfig, params: ModelParams, n_top: int) -> sl_oracle.Grid:
+def _oracle_grid(cfg: Namespace, params: ModelParams, n_top: int) -> sl_oracle.Grid:
     if cfg.grid_t is not None:
         t_half = cfg.grid_t
     else:
@@ -252,7 +214,7 @@ def _oracle_grid(cfg: RunConfig, params: ModelParams, n_top: int) -> sl_oracle.G
     return sl_oracle.Grid(T=t_half, N=cfg.grid_n)
 
 
-def _oracle_entries(cfg: RunConfig) -> list[SpectrumEntry]:
+def _oracle_entries(cfg: Namespace) -> list[SpectrumEntry]:
     params = ModelParams(omega=cfg.omega, lam=cfg.lam)
     n_top = cfg.n_max
     if cfg.lam_tilde > 0:
@@ -282,7 +244,7 @@ def _rat_or_none(x) -> Optional[str]:
     return None
 
 
-def _entry_json(e: SpectrumEntry, cfg: RunConfig) -> dict:
+def _entry_json(e: SpectrumEntry, cfg: Namespace) -> dict:
     return {
         "n": e.n,
         "E_tilde": _rat_or_none(e.e_tilde),
@@ -295,19 +257,19 @@ def _entry_json(e: SpectrumEntry, cfg: RunConfig) -> dict:
     }
 
 
-def _params_json(cfg: RunConfig) -> dict:
+def _params_json(cfg: Namespace) -> dict:
     return {
         "omega": _rat_or_none(cfg.omega),
         "lambda": _rat_or_none(cfg.lam),
         "lambda_tilde": _rat_or_none(cfg.lam_tilde),
         "n_max": cfg.n_max,
-        "k_max": cfg.k_max,
+        "k_max": cfg.kmax,
         "tau0": _rat_or_none(cfg.tau0),
         "printed_signs": cfg.printed_signs,
     }
 
 
-def _emit_entries(entries: list[SpectrumEntry], cfg: RunConfig) -> None:
+def _emit_entries(entries: list[SpectrumEntry], cfg: Namespace) -> None:
     if cfg.fmt == "json":
         doc = {"params": _params_json(cfg),
                "entries": [_entry_json(e, cfg) for e in entries]}
@@ -332,9 +294,9 @@ def _emit_entries(entries: list[SpectrumEntry], cfg: RunConfig) -> None:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_spectrum(cfg: RunConfig) -> int:
+def cmd_spectrum(cfg: Namespace) -> int:
     entries: list[SpectrumEntry] = []
-    for method in cfg.methods:
+    for method in cfg.method or ("closed",):
         if method == "closed":
             entries.extend(_closed_entries(cfg))
         elif method == "aim":
@@ -345,13 +307,16 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(cfg: Namespace) -> int:
     checks = []
     entries = _closed_entries(cfg)
 
     if cfg.printed_signs:
         checks.append(_check_printed_signs(cfg))
     else:
+        lt = cfg.lam_tilde
+        if lt >= 1:  # the seed, the census and the eigenfunctions need lt < 1
+            raise ValueError(f"lam_tilde must lie in [0, 1), got {lt}")
         checks.append(_check_aim_exact(cfg))
         checks.append(_check_oracle(cfg))
         checks.append(_check_residuals(cfg))
@@ -365,13 +330,14 @@ def cmd_verify(cfg: RunConfig) -> int:
     return 0 if all(c["passed"] for c in checks) else 1
 
 
-def _check_aim_exact(cfg: RunConfig) -> dict:
+def _check_aim_exact(cfg: Namespace) -> dict:
     """Stable roots must contain the closed-form level, exactly, for every
-    n the iteration depth can vouch for."""
-    n_chk = min(cfg.n_max, cfg.k_max - 3)
+    n the iteration depth can vouch for; a depth that vouches for no n
+    fails."""
+    n_chk = min(cfg.n_max, cfg.kmax - 3)
     try:
         report = _aim_report(cfg)
-    except (aim_core.NoStableRoots, LambdaZeroSeed) as exc:
+    except aim_core.NoStableRoots as exc:
         return {"name": "aim_matches_closed_form", "passed": False,
                 "detail": str(exc)}
     exact_values = {v for v, _, _ in report.accepted if isinstance(v, Fraction)}
@@ -380,28 +346,32 @@ def _check_aim_exact(cfg: RunConfig) -> dict:
         et = fh_oscillator.spectrum_closed_dimensionless(n, cfg.lam_tilde)
         if et not in exact_values:
             missing.append(n)
+    if n_chk < 0:
+        verdict = "; no level covered"
+    else:
+        verdict = f"; missing n = {missing}" if missing else "; all exact"
     return {
         "name": "aim_matches_closed_form",
-        "passed": not missing,
-        "detail": f"n <= {n_chk} at k_max = {cfg.k_max}"
-                  + (f"; missing n = {missing}" if missing else "; all exact"),
+        "passed": n_chk >= 0 and not missing,
+        "detail": f"n <= {n_chk} at k_max = {cfg.kmax}" + verdict,
         "accepted": sorted(_rat_or_none(v) or repr(v) for v in exact_values),
     }
 
 
-def _check_oracle(cfg: RunConfig) -> dict:
-    """Finite-difference eigenvalues against the closed form, for levels
-    strictly below the continuum edge (edge states converge too slowly)."""
+def _check_oracle(cfg: Namespace) -> dict:
+    """Finite-difference eigenvalues against the closed form, for
+    normalizable levels strictly below the continuum edge (edge states
+    converge too slowly).  Past n ~ 1/lt - 1/2 the spectrum folds back
+    below the edge, so the filter is on n as well as on E_n; up to
+    normalizable_max_n the levels rise with n, so the kept n form a prefix,
+    and E_0 = 1 < 1/lt keeps it nonempty."""
     n_top = min(cfg.n_max, 3)
     if cfg.lam_tilde > 0:
         info = fh_oscillator.bound_state_info(cfg.lam_tilde)
-        thr = info.threshold
-        while n_top >= 0 and fh_oscillator.spectrum_closed_dimensionless(
-                n_top, cfg.lam_tilde) >= thr:
+        n_top = min(n_top, info.normalizable_max_n)
+        while fh_oscillator.spectrum_closed_dimensionless(
+                n_top, cfg.lam_tilde) >= info.threshold:
             n_top -= 1
-    if n_top < 0:
-        return {"name": "oracle_matches_closed_form", "passed": True,
-                "detail": "no strictly bound levels to check"}
     params = ModelParams(omega=cfg.omega, lam=cfg.lam)
     grid = _oracle_grid(cfg, params, n_top)
     op = sl_oracle.discretize(params, grid)
@@ -421,7 +391,7 @@ def _check_oracle(cfg: RunConfig) -> dict:
     }
 
 
-def _check_residuals(cfg: RunConfig) -> dict:
+def _check_residuals(cfg: Namespace) -> dict:
     worst = 0.0
     for n in range(min(cfg.n_max, 5) + 1):
         if not _is_bound(n, cfg.lam_tilde):
@@ -439,7 +409,7 @@ def _check_residuals(cfg: RunConfig) -> dict:
     }
 
 
-def _check_printed_signs(cfg: RunConfig) -> dict:
+def _check_printed_signs(cfg: Namespace) -> dict:
     """Flipped-sign convention demo: its own k = 1 quantization roots must
     contain 2*lt - 1 and must not contain the closed-form first excited
     level.  Passing means the discrepancy is demonstrated."""
@@ -463,12 +433,12 @@ def _check_printed_signs(cfg: RunConfig) -> dict:
     }
 
 
-def cmd_wavefunction(cfg: RunConfig) -> int:
+def cmd_wavefunction(cfg: Namespace) -> int:
+    if cfg.points < 2:
+        raise ValueError("--points must be at least 2")
     ef = fh_oscillator.eigen_polynomial(cfg.n, cfg.lam_tilde)
     norm = fh_oscillator.normalization_constant(ef, quad_tol=min(cfg.tol, 1e-8))
     ef = dataclasses.replace(ef, norm_const=norm)
-    if cfg.points < 2:
-        raise ValueError("--points must be at least 2")
     step = (cfg.tau_max - cfg.tau_min) / (cfg.points - 1)
     lines = ["tau,phi"]
     for i in range(cfg.points):
@@ -478,14 +448,14 @@ def cmd_wavefunction(cfg: RunConfig) -> int:
     return 0
 
 
-def _lambda_sweep(cfg: RunConfig) -> list[Fraction]:
+def _lambda_sweep(cfg: Namespace) -> list[Fraction]:
     if cfg.lam_points < 2:
         raise ValueError("--lam-points must be at least 2")
     step = cfg.lam_max / (cfg.lam_points - 1)
     return [i * step for i in range(cfg.lam_points)]
 
 
-def cmd_figures(cfg: RunConfig) -> int:
+def cmd_figures(cfg: Namespace) -> int:
     outdir = Path(cfg.out) if cfg.out else Path(".")
     outdir.mkdir(parents=True, exist_ok=True)
     sweep = _lambda_sweep(cfg)

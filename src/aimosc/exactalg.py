@@ -2,19 +2,23 @@
 
 Polynomials in the two symbols tau (scaled time) and E (scaled energy) are
 sparse maps from exponent pairs to rational coefficients.  All arithmetic is
-over arbitrary-precision rationals; nothing in this module ever touches
-floating point.  Root finding works on univariate restrictions: rational
-roots are identified exactly, irrational ones are isolated in rational
-intervals by Sturm-chain bisection.
+over arbitrary-precision rationals.  Root finding works on univariate
+restrictions: Sturm-chain bisection isolates every real root, and each
+isolating interval is then narrowed until it can hold at most one rational
+root, which is tested exactly; rational roots come back exact, irrational
+ones as rational brackets.
+
+Two numeric helpers shared by the other layers also live here: `horner`,
+the package's one polynomial evaluator (exact on rationals, plain floating
+point on floats), and `adaptive_simpson`, its one float quadrature.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import Callable, Dict, Iterable, Mapping, Optional, Tuple
 
-BigRat = Fraction
 BiPoly = Dict[Tuple[int, int], Fraction]
 
 RatLike = int | Fraction | str
@@ -39,54 +43,31 @@ def poly_new(terms: Mapping[Tuple[int, int], RatLike]) -> BiPoly:
     return out
 
 
-def poly_const(c: RatLike) -> BiPoly:
-    q = Fraction(c)
-    return {(0, 0): q} if q else {}
+def _collect(terms: Iterable[Tuple[Tuple[int, int], Fraction]],
+             base: Optional[BiPoly] = None) -> BiPoly:
+    """Sum (exponent pair, coefficient) terms onto a copy of base; zero
+    coefficients are dropped."""
+    out = dict(base) if base else {}
+    for key, c in terms:
+        s = out.get(key, 0) + c
+        if s:
+            out[key] = s
+        else:
+            out.pop(key, None)
+    return out
 
 
 def poly_add(a: BiPoly, b: BiPoly) -> BiPoly:
-    out = dict(a)
-    for k, c in b.items():
-        s = out.get(k, Fraction(0)) + c
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
-    return out
+    return _collect(b.items(), a)
 
 
 def poly_sub(a: BiPoly, b: BiPoly) -> BiPoly:
-    out = dict(a)
-    for k, c in b.items():
-        s = out.get(k, Fraction(0)) - c
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
-    return out
+    return _collect(((k, -c) for k, c in b.items()), a)
 
 
 def poly_mul(a: BiPoly, b: BiPoly) -> BiPoly:
-    out: BiPoly = {}
-    for (i, j), ca in a.items():
-        for (k, l), cb in b.items():
-            key = (i + k, j + l)
-            s = out.get(key, Fraction(0)) + ca * cb
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-    return out
-
-
-def poly_arith(a: BiPoly, b: BiPoly, op: str) -> BiPoly:
-    if op == "add":
-        return poly_add(a, b)
-    if op == "sub":
-        return poly_sub(a, b)
-    if op == "mul":
-        return poly_mul(a, b)
-    raise ValueError(f"unknown op {op!r}")
+    return _collect(((i + k, j + l), ca * cb)
+                    for (i, j), ca in a.items() for (k, l), cb in b.items())
 
 
 def poly_scale(a: BiPoly, c: RatLike) -> BiPoly:
@@ -118,40 +99,17 @@ def poly_eval(p: BiPoly, tau: RatLike, e: RatLike) -> Fraction:
 def poly_eval_tau(p: BiPoly, tau: RatLike) -> BiPoly:
     """Substitute tau -> rational value, leaving a univariate polynomial in E."""
     t = Fraction(tau)
-    out: BiPoly = {}
-    for (dt, de), c in p.items():
-        key = (0, de)
-        s = out.get(key, Fraction(0)) + c * t ** dt
-        if s:
-            out[key] = s
-        else:
-            out.pop(key, None)
-    return out
+    return _collect(((0, de), c * t ** dt) for (dt, de), c in p.items())
 
 
 def poly_eval_e(p: BiPoly, e: RatLike) -> BiPoly:
     """Substitute E -> rational value, leaving a univariate polynomial in tau."""
     w = Fraction(e)
-    out: BiPoly = {}
-    for (dt, de), c in p.items():
-        key = (dt, 0)
-        s = out.get(key, Fraction(0)) + c * w ** de
-        if s:
-            out[key] = s
-        else:
-            out.pop(key, None)
-    return out
+    return _collect(((dt, 0), c * w ** de) for (dt, de), c in p.items())
 
 
 def poly_is_zero(p: BiPoly) -> bool:
     return not p
-
-
-def poly_degrees(p: BiPoly) -> Tuple[int, int]:
-    """(max degree in tau, max degree in E); (-1, -1) for the zero polynomial."""
-    if not p:
-        return (-1, -1)
-    return (max(k[0] for k in p), max(k[1] for k in p))
 
 
 # ---------------------------------------------------------------------------
@@ -205,14 +163,8 @@ def _int_scaled(coeffs: Iterable[Fraction]) -> list[int]:
     return [c // g for c in ints] if g else ints
 
 
-def _ieval(p: list[int], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
-def _ideriv(p: list[int]) -> list[int]:
+def _ideriv(p: list) -> list:
+    """Ascending coefficients of the derivative."""
     return [i * c for i, c in enumerate(p)][1:]
 
 
@@ -282,7 +234,7 @@ def _sturm_chain(ip: list[int]) -> list[list[int]]:
 def _variations(chain: list[list[int]], x: Fraction) -> int:
     signs = []
     for q in chain:
-        v = _ieval(q, x)
+        v = horner(q, x)
         if v:
             signs.append(1 if v > 0 else -1)
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
@@ -315,34 +267,6 @@ def _simplest_between(a: Fraction, b: Fraction) -> Fraction:
     return ia + 1 / inner
 
 
-def _divisors(n: int, cap: int = 10 ** 6) -> list[int]:
-    """Positive divisors of |n|; empty when |n| exceeds the screening cap."""
-    n = abs(n)
-    if n == 0 or n > cap:
-        return []
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return out
-
-
-def _deflate(coeffs: list[Fraction], r: Fraction) -> list[Fraction]:
-    """Exact synthetic division by (x - r); remainder must be zero."""
-    n = len(coeffs) - 1
-    out = [Fraction(0)] * n
-    out[n - 1] = coeffs[n]
-    for i in range(n - 2, -1, -1):
-        out[i] = coeffs[i + 1] + r * out[i + 1]
-    if coeffs[0] + r * out[0]:
-        raise ArithmeticError("deflation by a non-root")
-    return out
-
-
 # ---------------------------------------------------------------------------
 # root isolation
 
@@ -371,40 +295,6 @@ class RootInterval:
         return self.high - self.low
 
 
-def _screen_rational_roots(coeffs: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    """Strip rational roots found by divisor screening.
-
-    Returns (roots found, remaining coefficient list).  Screening is a fast
-    path only: it is skipped for oversized leading/trailing coefficients and
-    completeness is restored later by exact identification on the isolated
-    intervals.
-    """
-    found: list[Fraction] = []
-    work = list(coeffs)
-    # roots at zero first
-    while work[0] == 0:
-        found.append(Fraction(0))
-        work = work[1:]
-    if len(work) <= 1:
-        return found, work
-    ints = _int_scaled(work)
-    ps = _divisors(ints[0])
-    qs = _divisors(ints[-1])
-    if not ps or not qs:
-        return found, work
-    cands = set()
-    for p in ps:
-        for q in qs:
-            cands.add(Fraction(p, q))
-            cands.add(Fraction(-p, q))
-    for r in sorted(cands):
-        while len(work) > 1 and not _ieval(ints, r):
-            found.append(r)
-            work = _deflate(work, r)
-            ints = _int_scaled(work) if len(work) > 1 else [1]
-    return found, work
-
-
 def isolate_real_roots(p: BiPoly) -> list[RootInterval]:
     """Isolate every distinct real root of a univariate polynomial.
 
@@ -416,14 +306,7 @@ def isolate_real_roots(p: BiPoly) -> list[RootInterval]:
     coeffs = uni_coeffs(p)
     if len(coeffs) == 1:
         return []
-
-    exact_roots, rest = _screen_rational_roots(coeffs)
-    out = [RootInterval(r, r, r) for r in set(exact_roots)]
-
-    if len(rest) > 1:
-        ip = _squarefree(_int_scaled(rest))
-        if len(ip) >= 2:
-            out.extend(_isolate_squarefree(ip))
+    out = _isolate_squarefree(_squarefree(_int_scaled(coeffs)))
     out.sort(key=lambda iv: iv.midpoint)
     return out
 
@@ -450,11 +333,11 @@ def _isolate_squarefree(ip: list[int]) -> list[RootInterval]:
             brackets.append((a, b))
             continue
         m = (a + b) / 2
-        if _ieval(ip, m) == 0:
+        if horner(ip, m) == 0:
             exacts.append(m)
             # carve out a punctured neighbourhood containing only this root
             d = (b - a) / 4
-            while _ieval(ip, m - d) == 0 or _ieval(ip, m + d) == 0 \
+            while horner(ip, m - d) == 0 or horner(ip, m + d) == 0 \
                     or var(m - d) - var(m + d) != 1:
                 d /= 2
             va, vl = var(a), var(m - d)
@@ -482,19 +365,28 @@ def _identify_or_bracket(ip: list[int], a: Fraction, b: Fraction, lc2: int) -> R
     least 1/lc^2; a bracket narrower than that holds at most one candidate,
     the simplest rational in it.
     """
-    sa = 1 if _ieval(ip, a) > 0 else -1
-    while (b - a) * lc2 >= 1:
+    iv = _bisect(ip, a, b, lambda w: w * lc2 >= 1)
+    if iv.exact is None:
+        cand = _simplest_between(iv.low, iv.high)
+        if horner(ip, cand) == 0:
+            return RootInterval(cand, cand, cand)
+    return iv
+
+
+def _bisect(ip: list[int], a: Fraction, b: Fraction,
+            wide: Callable[[Fraction], bool]) -> RootInterval:
+    """Halve [a, b], which brackets one sign change of ip, while wide(b - a);
+    a midpoint that is a root comes back exact."""
+    positive_at_a = horner(ip, a) > 0
+    while wide(b - a):
         m = (a + b) / 2
-        v = _ieval(ip, m)
+        v = horner(ip, m)
         if v == 0:
             return RootInterval(m, m, m)
-        if (1 if v > 0 else -1) == sa:
+        if (v > 0) == positive_at_a:
             a = m
         else:
             b = m
-    cand = _simplest_between(a, b)
-    if _ieval(ip, cand) == 0:
-        return RootInterval(cand, cand, cand)
     return RootInterval(a, b)
 
 
@@ -512,34 +404,19 @@ def refine_root(p: BiPoly, iv: RootInterval, tol: RatLike) -> Fraction:
     if not p:
         raise ZeroPolynomial("cannot refine a root of the zero polynomial")
     ip = _squarefree(_int_scaled(uni_coeffs(p)))
-    a, b = iv.low, iv.high
-    va = _ieval(ip, a)
-    if va == 0:
-        return a
-    if _ieval(ip, b) == 0:
-        return b
-    sa = 1 if va > 0 else -1
+    for end in (iv.low, iv.high):
+        if horner(ip, end) == 0:
+            return end
     lc2 = ip[-1] * ip[-1]
-    tried_exact = False
-    while b - a > tol:
-        if not tried_exact and (b - a) * lc2 < 1:
-            tried_exact = True
-            cand = _simplest_between(a, b)
-            if _ieval(ip, cand) == 0:
-                return cand
-        m = (a + b) / 2
-        v = _ieval(ip, m)
-        if v == 0:
-            return m
-        if (1 if v > 0 else -1) == sa:
-            a = m
-        else:
-            b = m
-    if not tried_exact and (b - a) * lc2 < 1:
-        cand = _simplest_between(a, b)
-        if _ieval(ip, cand) == 0:
+    # bisect to tol, testing the one rational candidate as soon as the
+    # bracket is narrower than 1/lc^2 (see _identify_or_bracket)
+    iv = _bisect(ip, iv.low, iv.high, lambda w: w > tol and w * lc2 >= 1)
+    if iv.exact is None and iv.width * lc2 < 1:
+        cand = _simplest_between(iv.low, iv.high)
+        if horner(ip, cand) == 0:
             return cand
-    return (a + b) / 2
+        iv = _bisect(ip, iv.low, iv.high, lambda w: w > tol)
+    return iv.midpoint
 
 
 def uni_reduce(num: list[Fraction], den: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
@@ -570,3 +447,42 @@ def sturm_count(p: BiPoly) -> int:
     chain = _sturm_chain(ip)
     bound = _cauchy_bound(ip)
     return _variations(chain, -bound) - _variations(chain, bound)
+
+
+# ---------------------------------------------------------------------------
+# evaluation and quadrature shared with the floating-point layers
+
+def horner(coeffs, x):
+    """Value at x of the polynomial with ascending coefficients `coeffs`.
+
+    Exact when x and the coefficients are rational; with floats it performs
+    the float operations of the textbook loop, in the same order.
+    """
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def adaptive_simpson(fn: Callable[[float], float], a: float, b: float,
+                     tol: float, depth: int = 50) -> float:
+    """Integral of fn over [a, b] to about tol, by recursive Simpson
+    bisection with the Richardson correction."""
+    m = 0.5 * (a + b)
+    fa, fm, fb = fn(a), fn(m), fn(b)
+    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+    return _simpson_rec(fn, a, b, fa, fm, fb, whole, tol, depth)
+
+
+def _simpson_rec(fn: Callable[[float], float], a: float, b: float,
+                 fa: float, fm: float, fb: float, whole: float,
+                 tol: float, depth: int) -> float:
+    m = 0.5 * (a + b)
+    lm, rm = 0.5 * (a + m), 0.5 * (m + b)
+    flm, frm = fn(lm), fn(rm)
+    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+    if depth <= 0 or abs(left + right - whole) <= 15.0 * tol:
+        return left + right + (left + right - whole) / 15.0
+    return (_simpson_rec(fn, a, m, fa, flm, fm, left, tol / 2, depth - 1)
+            + _simpson_rec(fn, m, b, fm, frm, fb, right, tol / 2, depth - 1))

@@ -21,11 +21,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .exactalg import (
     BiPoly,
     RatLike,
+    adaptive_simpson,
+    horner,
     poly_add,
     poly_diff_tau,
     poly_is_zero,
@@ -54,11 +56,10 @@ class NotNormalizable(ValueError):
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Physical inputs; hbar = c = m0 = 1 unless natural_units is cleared."""
+    """Physical inputs in natural units (hbar = c = 1); m0 defaults to 1."""
     omega: Fraction
     lam: Fraction
     m0: Fraction = Fraction(1)
-    natural_units: bool = True
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "omega", Fraction(self.omega))
@@ -90,34 +91,9 @@ class SpectrumEntry:
 
 
 @dataclass(frozen=True)
-class ScalingMaps:
-    """Dimensionless reduction maps.  Energy maps are exact on rationals;
-    time maps go through a float sqrt(omega)."""
-    omega: Fraction
-
-    def tau_from_t(self, t: float) -> float:
-        return math.sqrt(float(self.omega)) * t
-
-    def t_from_tau(self, tau: float) -> float:
-        return tau / math.sqrt(float(self.omega))
-
-    def e_tilde_from_e(self, e: RatLike) -> Fraction:
-        return 2 * Fraction(e) / self.omega
-
-    def e_from_e_tilde(self, e_tilde: RatLike) -> Fraction:
-        return Fraction(e_tilde) * self.omega / 2
-
-
-@dataclass(frozen=True)
 class BoundStateInfo:
     threshold: Fraction       # continuum edge in E_tilde units
     normalizable_max_n: int   # largest n with a square-integrable state
-
-
-def reduce_dimensionless(p: ModelParams) -> tuple[Fraction, ScalingMaps]:
-    if p.omega <= 0:
-        raise NonpositiveFrequency(f"omega = {p.omega}")
-    return p.lam_tilde, ScalingMaps(omega=p.omega)
 
 
 def aim_inputs(lam_tilde: RatLike, printed_signs: bool = False
@@ -234,13 +210,6 @@ def eigen_polynomial(n: int, lam_tilde: RatLike) -> EigenFunction:
                          envelope_exponent=exponent)
 
 
-def _f_eval(ef: EigenFunction, tau: float) -> float:
-    acc = 0.0
-    for c in reversed(ef.coeffs):
-        acc = acc * tau + float(c)
-    return acc
-
-
 def _log_envelope(ef: EigenFunction, tau: float) -> float:
     if ef.envelope_exponent is None:
         return -0.5 * tau * tau
@@ -250,7 +219,8 @@ def _log_envelope(ef: EigenFunction, tau: float) -> float:
 
 def wavefunction_eval(ef: EigenFunction, tau: float) -> float:
     n_const = ef.norm_const if ef.norm_const is not None else 1.0
-    return n_const * math.exp(_log_envelope(ef, tau)) * _f_eval(ef, tau)
+    f = horner([float(c) for c in ef.coeffs], tau)
+    return n_const * math.exp(_log_envelope(ef, tau)) * f
 
 
 def normalization_constant(ef: EigenFunction, quad_tol: float = 1e-10) -> float:
@@ -268,7 +238,8 @@ def normalization_constant(ef: EigenFunction, quad_tol: float = 1e-10) -> float:
             raise NotNormalizable(
                 f"n = {ef.n} exceeds normalizable_max_n = {info.normalizable_max_n}"
                 f" at lam_tilde = {lt}")
-    coeff_sum = sum(abs(float(c)) for c in ef.coeffs)
+    fc = [float(c) for c in ef.coeffs]
+    coeff_sum = sum(abs(c) for c in fc)
     log_goal = math.log(quad_tol / 4)
 
     def log_tail(x: float) -> float:
@@ -290,7 +261,7 @@ def normalization_constant(ef: EigenFunction, quad_tol: float = 1e-10) -> float:
         raise NotNormalizable("tail bound did not converge")
 
     def integrand(t: float) -> float:
-        f = _f_eval(ef, t)
+        f = horner(fc, t)
         return f * f * math.exp(2 * _log_envelope(ef, t))
 
     # dyadic segments so a slow power tail cannot hide the central hump
@@ -302,7 +273,7 @@ def normalization_constant(ef: EigenFunction, quad_tol: float = 1e-10) -> float:
         edge *= 2.0
     cuts.append(x)
     seg_tol = quad_tol / (4 * len(cuts))
-    half = sum(_adaptive_simpson(integrand, a, b, seg_tol)
+    half = sum(adaptive_simpson(integrand, a, b, seg_tol)
                for a, b in zip(cuts, cuts[1:]))
     total = 2.0 * half
     if total <= 0:
@@ -349,9 +320,10 @@ def _full_ode_residual(ef: EigenFunction, tau: float) -> float:
     """
     lt = float(ef.lam_tilde)
     e = float(ef.e_tilde)
-    f = _f_eval(ef, tau)
-    fp = _poly_deriv_eval(ef.coeffs, tau, 1)
-    fpp = _poly_deriv_eval(ef.coeffs, tau, 2)
+    fc = [float(c) for c in ef.coeffs]
+    f = horner(fc, tau)
+    fp = horner([j * fc[j] for j in range(1, len(fc))], tau)
+    fpp = horner([j * (j - 1) * fc[j] for j in range(2, len(fc))], tau)
     if ef.envelope_exponent is None:
         env = math.exp(-0.5 * tau * tau)
         phi = env * f
@@ -367,34 +339,3 @@ def _full_ode_residual(ef: EigenFunction, tau: float) -> float:
                             + ((1 + lt) * tau * tau - 1) * f)
     return u * phipp + 2 * lt * tau * phip + (e - tau * tau / u) * phi
 
-
-def _poly_deriv_eval(coeffs: Sequence[Fraction], tau: float, order: int) -> float:
-    acc = 0.0
-    for j in range(len(coeffs) - 1, order - 1, -1):
-        mult = 1.0
-        for i in range(order):
-            mult *= j - i
-        acc = acc * tau + mult * float(coeffs[j])
-    return acc
-
-
-def _adaptive_simpson(fn: Callable[[float], float], a: float, b: float,
-                      tol: float, depth: int = 50) -> float:
-    m = 0.5 * (a + b)
-    fa, fm, fb = fn(a), fn(m), fn(b)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _simpson_rec(fn, a, b, fa, fm, fb, whole, tol, depth)
-
-
-def _simpson_rec(fn: Callable[[float], float], a: float, b: float,
-                 fa: float, fm: float, fb: float, whole: float,
-                 tol: float, depth: int) -> float:
-    m = 0.5 * (a + b)
-    lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-    flm, frm = fn(lm), fn(rm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    if depth <= 0 or abs(left + right - whole) <= 15.0 * tol:
-        return left + right + (left + right - whole) / 15.0
-    return (_simpson_rec(fn, a, m, fa, flm, fm, left, tol / 2, depth - 1)
-            + _simpson_rec(fn, m, b, fm, frm, fb, right, tol / 2, depth - 1))

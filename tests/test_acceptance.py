@@ -21,7 +21,7 @@ from aimosc.aim_core import (
     isolate_real_roots,
     quantization_delta,
 )
-from aimosc.exactalg import poly_eval, poly_is_zero
+from aimosc.exactalg import horner, poly_eval, poly_is_zero
 from aimosc.fh_oscillator import (
     ModelParams,
     NotNormalizable,
@@ -31,7 +31,6 @@ from aimosc.fh_oscillator import (
     normalization_constant,
     residual_check,
     spectrum_closed_dimensionless,
-    _f_eval,
 )
 from aimosc.sl_oracle import (
     Grid,
@@ -188,7 +187,7 @@ def test_criterion_07_alpha_route_matches_series(capsys):
         e = spectrum_closed_dimensionless(n, lt)
         vals = eigenfunction_via_alpha(state, e, grid)
         ef = eigen_polynomial(n, lt)
-        ref = [_f_eval(ef, t) for t in grid]
+        ref = [horner([float(c) for c in ef.coeffs], t) for t in grid]
         scale_at = max(range(101), key=lambda i: abs(ref[i]))
         s = vals[scale_at] / ref[scale_at]
         peak = abs(ref[scale_at])

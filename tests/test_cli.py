@@ -1,6 +1,7 @@
 """Command-line surface: formats, exit codes, figure data files."""
 import importlib
 import json
+import math
 import shutil
 import subprocess
 import time
@@ -123,6 +124,29 @@ class TestVerify:
         by_name = {c["name"]: c["passed"] for c in doc["checks"]}
         assert by_name["oracle_matches_closed_form"] is False
         assert by_name["aim_matches_closed_form"] is True
+
+    def test_folded_spectrum_levels_not_compared(self, capsys):
+        # past n ~ 1/lt - 1/2 the levels fall back below the edge; those
+        # unbound levels must not be held against continuum oracle values
+        values = sorted({F(p, q) for q in range(1, 11) for p in range(q)
+                         if F(p, q) >= F(3, 8)})
+        assert len(values) == 20
+        for lt in values:
+            code, out, _ = run(capsys, ["verify", "--lambda-tilde", str(lt),
+                                        "--grid-N", "4000", "--kmax", "4"])
+            assert code == 0, lt
+            oracle = json.loads(out)["checks"][1]
+            max_n = math.ceil(1 / lt - F(1, 2)) - 1  # largest n < 1/lt - 1/2
+            assert len(oracle["deltas"]) <= min(4, max_n + 1)
+
+    def test_zero_coverage_fails(self, capsys):
+        code, out, _ = run(capsys, ["verify", "--lambda-tilde", "1/10",
+                                    "--kmax", "2", "--grid-N", "500"])
+        assert code == 1
+        check = json.loads(out)["checks"][0]
+        assert check["name"] == "aim_matches_closed_form"
+        assert check["passed"] is False
+        assert "no level covered" in check["detail"]
 
     def test_printed_signs_demonstrates_discrepancy(self, capsys):
         code, out, _ = run(capsys, ["verify", "--lambda-tilde", "1/10",
@@ -257,6 +281,18 @@ class TestExitCodes:
     def test_point_count_guard(self, capsys):
         code, _, _ = run(capsys, ["wavefunction", "--points", "1"])
         assert code == 2
+
+    def test_point_count_checked_before_normalization(self, capsys):
+        code, _, err = run(capsys, ["wavefunction", "--lambda-tilde", "1/4",
+                                    "--n", "4", "--points", "1"])
+        assert code == 2
+        assert "--points" in err
+
+    def test_zero_omega_with_lambda(self, capsys):
+        code, _, err = run(capsys, ["spectrum", "--omega", "0",
+                                    "--lambda", "1"])
+        assert code == 2
+        assert "omega = 0" in err
 
 
 def test_console_script_installed(capsys):

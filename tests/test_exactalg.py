@@ -8,10 +8,12 @@ from aimosc.exactalg import (
     RootInterval,
     ZeroPolynomial,
     isolate_real_roots,
-    poly_arith,
+    poly_add,
     poly_diff_tau,
     poly_eval,
+    poly_mul,
     poly_new,
+    poly_sub,
     refine_root,
     sturm_count,
     uni_coeffs,
@@ -35,45 +37,40 @@ def bipolys(draw, max_terms=6, max_deg=4):
 def poly_from_roots(roots):
     acc = poly_new({(0, 0): 1})
     for r in roots:
-        acc = poly_arith(acc, poly_new({(0, 1): 1, (0, 0): -F(r)}), "mul")
+        acc = poly_mul(acc, poly_new({(0, 1): 1, (0, 0): -F(r)}))
     return acc
 
 
 class TestRingLaws:
     @given(bipolys(), bipolys())
     def test_add_commutes(self, p, q):
-        assert poly_arith(p, q, "add") == poly_arith(q, p, "add")
+        assert poly_add(p, q) == poly_add(q, p)
 
     @given(bipolys(), bipolys(), bipolys())
     @settings(max_examples=60)
     def test_mul_distributes(self, p, q, r):
-        left = poly_arith(p, poly_arith(q, r, "add"), "mul")
-        right = poly_arith(poly_arith(p, q, "mul"),
-                           poly_arith(p, r, "mul"), "add")
+        left = poly_mul(p, poly_add(q, r))
+        right = poly_add(poly_mul(p, q), poly_mul(p, r))
         assert left == right
 
     @given(bipolys(), bipolys())
     def test_sub_then_add_roundtrips(self, p, q):
-        assert poly_arith(poly_arith(p, q, "sub"), q, "add") == p
+        assert poly_add(poly_sub(p, q), q) == p
 
     @given(bipolys(), bipolys(), rationals, rationals)
     @settings(max_examples=60)
     def test_eval_is_ring_homomorphism(self, p, q, tau, e):
         pe, qe = poly_eval(p, tau, e), poly_eval(q, tau, e)
-        assert poly_eval(poly_arith(p, q, "mul"), tau, e) == pe * qe
-        assert poly_eval(poly_arith(p, q, "add"), tau, e) == pe + qe
+        assert poly_eval(poly_mul(p, q), tau, e) == pe * qe
+        assert poly_eval(poly_add(p, q), tau, e) == pe + qe
 
     @given(bipolys(), bipolys())
     @settings(max_examples=60)
     def test_diff_product_rule(self, p, q):
-        lhs = poly_diff_tau(poly_arith(p, q, "mul"))
-        rhs = poly_arith(poly_arith(poly_diff_tau(p), q, "mul"),
-                         poly_arith(p, poly_diff_tau(q), "mul"), "add")
+        lhs = poly_diff_tau(poly_mul(p, q))
+        rhs = poly_add(poly_mul(poly_diff_tau(p), q),
+                       poly_mul(p, poly_diff_tau(q)))
         assert lhs == rhs
-
-    def test_unknown_op_rejected(self):
-        with pytest.raises(ValueError):
-            poly_arith(poly_new({}), poly_new({}), "pow")
 
 
 class TestIsolation:
@@ -104,10 +101,30 @@ class TestIsolation:
             assert poly_eval(p, 0, iv.low) * poly_eval(p, 0, iv.high) < 0
 
     def test_mixed_exact_and_irrational(self):
-        p = poly_arith(poly_new({(0, 2): 1, (0, 0): -2}),
-                       poly_from_roots([1]), "mul")
+        p = poly_mul(poly_new({(0, 2): 1, (0, 0): -2}),
+                     poly_from_roots([1]))
         ivs = isolate_real_roots(p)
         assert [iv.exact for iv in ivs] == [None, F(1), None]
+
+    @given(st.lists(st.fractions(min_value=-3, max_value=3,
+                                 max_denominator=10 ** 9).filter(
+                                     lambda r: r.denominator > 10 ** 6),
+                    min_size=1, max_size=3, unique=True))
+    @settings(max_examples=25, deadline=None)
+    def test_large_denominator_rationals_with_irrationals(self, roots):
+        # denominators past any divisor-screening range, times x^2 - 2
+        p = poly_mul(poly_from_roots(roots),
+                     poly_new({(0, 2): 1, (0, 0): -2}))
+        ivs = isolate_real_roots(p)
+        assert sorted(iv.exact for iv in ivs if iv.exact is not None) \
+            == sorted(roots)
+        brackets = [iv for iv in ivs if iv.exact is None]
+        assert len(brackets) == 2
+        assert brackets[0].high < 0 < brackets[1].low
+        for iv in brackets:  # each holds one of -sqrt(2), sqrt(2)
+            assert (iv.low ** 2 - 2) * (iv.high ** 2 - 2) < 0
+            assert poly_eval(p, 0, iv.low) * poly_eval(p, 0, iv.high) < 0
+        assert len(ivs) == sturm_count(p)
 
     def test_repeated_roots_reported_once(self):
         p = poly_from_roots([2, 2, 2, -1])
@@ -148,8 +165,8 @@ class TestRefine:
 
 class TestSturmCount:
     def test_counts_distinct_real_roots(self):
-        p = poly_arith(poly_new({(0, 2): 1, (0, 0): -2}),
-                       poly_from_roots([1]), "mul")
+        p = poly_mul(poly_new({(0, 2): 1, (0, 0): -2}),
+                     poly_from_roots([1]))
         assert sturm_count(p) == 3
         assert sturm_count(poly_new({(0, 2): 1, (0, 0): 1})) == 0
         assert sturm_count(poly_from_roots([2, 2, 5])) == 2

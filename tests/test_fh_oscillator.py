@@ -6,7 +6,12 @@ from fractions import Fraction as F
 from hypothesis import given
 from hypothesis import strategies as st
 
-from aimosc.exactalg import poly_is_zero, poly_new, sturm_count
+from aimosc.exactalg import (
+    adaptive_simpson,
+    poly_is_zero,
+    poly_new,
+    sturm_count,
+)
 from aimosc.fh_oscillator import (
     BoundStateInfo,
     EigenFunction,
@@ -15,21 +20,17 @@ from aimosc.fh_oscillator import (
     NonpositiveFrequency,
     NoThreshold,
     NotNormalizable,
-    ScalingMaps,
     SpectrumEntry,
     aim_inputs,
     bound_state_info,
     eigen_polynomial,
     normalization_constant,
-    reduce_dimensionless,
     residual_check,
     spectrum_closed_dimensionless,
     spectrum_closed_physical,
     wavefunction_eval,
 )
-from aimosc.fh_oscillator import _adaptive_simpson
 
-rational = st.fractions(min_value=-100, max_value=100, max_denominator=50)
 lam_tildes = st.fractions(min_value=0, max_value=F(39, 40), max_denominator=40)
 
 
@@ -56,28 +57,6 @@ class TestModelParams:
         with pytest.raises(ValueError):
             SpectrumEntry(n=-1, e_tilde=F(1), e_phys=F(1, 2),
                           bound=True, source="aim")
-
-
-class TestReduction:
-    def test_reduce_returns_ratio_and_maps(self):
-        lt, maps = reduce_dimensionless(ModelParams(omega=10, lam=F(5, 2)))
-        assert lt == F(1, 4)
-        assert maps.omega == F(10)
-
-    def test_energy_maps_are_exact_inverses(self):
-        maps = ScalingMaps(omega=F(7))
-        assert maps.e_tilde_from_e(F(21, 2)) == F(3)
-        assert maps.e_from_e_tilde(F(3)) == F(21, 2)
-
-    @given(rational)
-    def test_energy_round_trip(self, x):
-        maps = ScalingMaps(omega=F(7, 3))
-        assert maps.e_from_e_tilde(maps.e_tilde_from_e(x)) == x
-
-    def test_time_maps_invert(self):
-        maps = ScalingMaps(omega=F(10))
-        assert abs(maps.t_from_tau(maps.tau_from_t(1.7)) - 1.7) < 1e-14
-        assert abs(maps.tau_from_t(1.0) - math.sqrt(10.0)) < 1e-15
 
 
 class TestAimInputs:
@@ -124,9 +103,8 @@ class TestClosedSpectrum:
     @given(st.integers(min_value=0, max_value=40), lam_tildes,
            st.fractions(min_value=F(1, 10), max_value=30, max_denominator=20))
     def test_physical_consistent_with_reduction(self, n, lt, omega):
-        # two independent formulas joined by the exact energy map
-        maps = ScalingMaps(omega=omega)
-        via_reduction = maps.e_from_e_tilde(spectrum_closed_dimensionless(n, lt))
+        # two independent formulas joined by the exact map E = E_tilde*omega/2
+        via_reduction = spectrum_closed_dimensionless(n, lt) * omega / 2
         assert via_reduction == spectrum_closed_physical(n, omega, lt * omega)
 
     @given(st.integers(min_value=0, max_value=40), lam_tildes)
@@ -269,7 +247,7 @@ class TestNormalization:
                                envelope_exponent=ef.envelope_exponent,
                                norm_const=c)
             total = 2.0 * sum(
-                _adaptive_simpson(lambda t: wavefunction_eval(ef, t) ** 2,
+                adaptive_simpson(lambda t: wavefunction_eval(ef, t) ** 2,
                                   a, b, 1e-10)
                 for a, b in ((0.0, 8.0), (8.0, 16.0), (16.0, 32.0),
                              (32.0, 64.0)))
@@ -289,7 +267,7 @@ class TestNormalization:
                 if (m + n) % 2:
                     continue  # odd product integrates to zero identically
                 overlap = 2.0 * sum(
-                    _adaptive_simpson(
+                    adaptive_simpson(
                         lambda t: wavefunction_eval(efs[m], t)
                         * wavefunction_eval(efs[n], t),
                         a, b, 1e-10)
