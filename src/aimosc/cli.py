@@ -86,7 +86,10 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--tau0", default="0", help="quantization anchor, p/q")
     common.add_argument("--grid-T", dest="grid_t", type=float, default=None)
     common.add_argument("--grid-N", dest="grid_n", type=int, default=30000)
-    common.add_argument("--tol", type=float, default=1e-10)
+    common.add_argument("--tol", type=float, default=None,
+                        help="verify: gate on |oracle - closed form| "
+                             "(default 1e-2); otherwise the bisection and "
+                             "quadrature tolerance (default 1e-10)")
     common.add_argument("--printed-signs", action="store_true",
                         help="use the sign convention whose first excited "
                              "level is 2*lt-1; for the discrepancy demo")
@@ -142,6 +145,8 @@ def _resolve(args: Namespace) -> Namespace:
         raise ValueError("--n-max must be nonnegative")
     args.omega, args.lam, args.lam_tilde = omega, lam, lam_tilde
     args.tau0 = _parse_rat(args.tau0)
+    if args.tol is None:
+        args.tol = 1e-2 if args.command == "verify" else 1e-10
     if args.command == "figures":
         args.fig2_omegas = [_parse_rat(w) for w in args.fig2_omegas.split(",")]
         args.lam_max = _parse_rat(args.lam_max)
@@ -206,32 +211,37 @@ def _aim_entries(cfg: Namespace) -> list[SpectrumEntry]:
     return out
 
 
-def _oracle_grid(cfg: Namespace, params: ModelParams, n_top: int) -> sl_oracle.Grid:
+def _oracle_levels(cfg: Namespace, n_cap: int, tol: float, below_edge: bool = False
+                   ) -> tuple[Optional[sl_oracle.Grid], tuple[float, ...]]:
+    """Oracle energies of n = 0..n_top, bisected to tol, and their grid.
+
+    n_top is the largest n <= n_cap whose state is normalizable and, with
+    below_edge, whose level lies strictly below the continuum edge.  When
+    no n qualifies there is no grid and no energy."""
+    n_top = n_cap
+    if cfg.lam_tilde > 0:
+        info = fh_oscillator.bound_state_info(cfg.lam_tilde)
+        n_top = min(n_top, info.normalizable_max_n)
+        while below_edge and fh_oscillator.spectrum_closed_dimensionless(
+                n_top, cfg.lam_tilde) >= info.threshold:
+            n_top -= 1
+    if n_top < 0:
+        return None, ()
+    params = ModelParams(omega=cfg.omega, lam=cfg.lam)
     if cfg.grid_t is not None:
         t_half = cfg.grid_t
     else:
         t_half = max(15.0, sl_oracle.suggest_domain(params, max(n_top, 1)))
-    return sl_oracle.Grid(T=t_half, N=cfg.grid_n)
+    grid = sl_oracle.Grid(T=t_half, N=cfg.grid_n)
+    op = sl_oracle.discretize(params, grid)
+    return grid, sl_oracle.lowest_eigenvalues(op, n_top + 1, tol).eigenvalues
 
 
 def _oracle_entries(cfg: Namespace) -> list[SpectrumEntry]:
-    params = ModelParams(omega=cfg.omega, lam=cfg.lam)
-    n_top = cfg.n_max
-    if cfg.lam_tilde > 0:
-        info = fh_oscillator.bound_state_info(cfg.lam_tilde)
-        n_top = min(n_top, info.normalizable_max_n)
-    if n_top < 0:
-        return []
-    grid = _oracle_grid(cfg, params, n_top)
-    op = sl_oracle.discretize(params, grid)
-    tol = cfg.tol if cfg.tol < 1e-6 else 1e-9
-    res = sl_oracle.lowest_eigenvalues(op, n_top + 1, tol)
-    out = []
-    for n, e in enumerate(res.eigenvalues):
-        out.append(SpectrumEntry(
-            n=n, e_tilde=2.0 * e / float(cfg.omega), e_phys=e,
-            bound=_is_bound(n, cfg.lam_tilde), source="oracle"))
-    return out
+    _, levels = _oracle_levels(cfg, cfg.n_max, cfg.tol)
+    return [SpectrumEntry(n=n, e_tilde=2.0 * e / float(cfg.omega), e_phys=e,
+                          bound=_is_bound(n, cfg.lam_tilde), source="oracle")
+            for n, e in enumerate(levels)]
 
 
 # ---------------------------------------------------------------------------
@@ -365,28 +375,15 @@ def _check_oracle(cfg: Namespace) -> dict:
     below the edge, so the filter is on n as well as on E_n; up to
     normalizable_max_n the levels rise with n, so the kept n form a prefix,
     and E_0 = 1 < 1/lt keeps it nonempty."""
-    n_top = min(cfg.n_max, 3)
-    if cfg.lam_tilde > 0:
-        info = fh_oscillator.bound_state_info(cfg.lam_tilde)
-        n_top = min(n_top, info.normalizable_max_n)
-        while fh_oscillator.spectrum_closed_dimensionless(
-                n_top, cfg.lam_tilde) >= info.threshold:
-            n_top -= 1
-    params = ModelParams(omega=cfg.omega, lam=cfg.lam)
-    grid = _oracle_grid(cfg, params, n_top)
-    op = sl_oracle.discretize(params, grid)
-    res = sl_oracle.lowest_eigenvalues(op, n_top + 1, 1e-9)
-    tol = cfg.tol if cfg.tol > 1e-9 else 1e-2
-    deltas = []
-    for n, e in enumerate(res.eigenvalues):
-        target = float(fh_oscillator.spectrum_closed_physical(
-            n, cfg.omega, cfg.lam))
-        deltas.append(abs(e - target))
+    grid, levels = _oracle_levels(cfg, min(cfg.n_max, 3), 1e-9,
+                                  below_edge=True)
+    deltas = [abs(e - float(fh_oscillator.spectrum_closed_physical(
+        n, cfg.omega, cfg.lam))) for n, e in enumerate(levels)]
     return {
         "name": "oracle_matches_closed_form",
-        "passed": max(deltas) <= tol,
+        "passed": max(deltas) <= cfg.tol,
         "detail": f"T = {grid.T:g}, N = {grid.N}, max |delta| = "
-                  f"{max(deltas):.3e}, tol = {tol:g}",
+                  f"{max(deltas):.3e}, tol = {cfg.tol:g}",
         "deltas": deltas,
     }
 
@@ -456,9 +453,9 @@ def _lambda_sweep(cfg: Namespace) -> list[Fraction]:
 
 
 def cmd_figures(cfg: Namespace) -> int:
+    sweep = _lambda_sweep(cfg)
     outdir = Path(cfg.out) if cfg.out else Path(".")
     outdir.mkdir(parents=True, exist_ok=True)
-    sweep = _lambda_sweep(cfg)
 
     lines = ["lambda,n,E"]
     for n in range(4):

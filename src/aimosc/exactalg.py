@@ -3,10 +3,11 @@
 Polynomials in the two symbols tau (scaled time) and E (scaled energy) are
 sparse maps from exponent pairs to rational coefficients.  All arithmetic is
 over arbitrary-precision rationals.  Root finding works on univariate
-restrictions: Sturm-chain bisection isolates every real root, and each
-isolating interval is then narrowed until it can hold at most one rational
-root, which is tested exactly; rational roots come back exact, irrational
-ones as rational brackets.
+restrictions: the continued-fraction form of Descartes' method isolates
+every real root in integer arithmetic, hitting each rational root exactly
+and returning each irrational one as a rational bracket whose ends are not
+roots; `refine_root` narrows such a bracket by exact bisection.
+`sturm_count` counts the roots independently, with a Sturm chain.
 
 Two numeric helpers shared by the other layers also live here: `horner`,
 the package's one polynomial evaluator (exact on rationals, plain floating
@@ -232,39 +233,13 @@ def _sturm_chain(ip: list[int]) -> list[list[int]]:
 
 
 def _variations(chain: list[list[int]], x: Fraction) -> int:
-    signs = []
-    for q in chain:
-        v = horner(q, x)
-        if v:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+    return _sign_changes([horner(q, x) for q in chain])
 
 
 def _cauchy_bound(ip: list[int]) -> Fraction:
     lead = abs(ip[-1])
     rest = max((abs(c) for c in ip[:-1]), default=0)
     return Fraction(rest, lead) + 1
-
-
-def _simplest_between(a: Fraction, b: Fraction) -> Fraction:
-    """The smallest-denominator rational in the open interval (a, b)."""
-    if not a < b:
-        raise ValueError("empty interval")
-    if a < 0 < b:
-        return Fraction(0)
-    if b <= 0:
-        return -_simplest_between(-b, -a)
-    # 0 <= a < b from here on
-    ia = a.numerator // a.denominator  # floor(a)
-    if ia + 1 < b:
-        return Fraction(ia + 1)  # a < floor(a)+1 always, so it lies inside
-    if a == ia:
-        # interval (n, n + w) with w <= 1: simplest is n + 1/k, minimal k
-        k = (b - a) ** -1
-        return a + Fraction(1, k.numerator // k.denominator + 1)
-    # strictly inside (ia, ia+1): descend via the continued-fraction step
-    inner = _simplest_between((b - ia) ** -1, (a - ia) ** -1)
-    return ia + 1 / inner
 
 
 # ---------------------------------------------------------------------------
@@ -299,102 +274,100 @@ def isolate_real_roots(p: BiPoly) -> list[RootInterval]:
     """Isolate every distinct real root of a univariate polynomial.
 
     Rational roots come back exact; irrational ones come back as rational
-    brackets each holding exactly one root.  Results are sorted ascending.
+    brackets each holding exactly one root, with endpoints that are not
+    roots.  Results are sorted ascending.
     """
     if not p:
         raise ZeroPolynomial("cannot isolate roots of the zero polynomial")
     coeffs = uni_coeffs(p)
     if len(coeffs) == 1:
         return []
-    out = _isolate_squarefree(_squarefree(_int_scaled(coeffs)))
+    ip = _squarefree(_int_scaled(coeffs))
+    out = []
+    for sign in (1, -1):
+        q = [c * sign ** i for i, c in enumerate(ip)]
+        if sign < 0 and q[0] == 0:
+            q = q[1:]  # the root 0 is found once, on p(x)
+        out += _half_line_roots(q, abs(ip[-1]), sign)
     out.sort(key=lambda iv: iv.midpoint)
     return out
 
 
-def _isolate_squarefree(ip: list[int]) -> list[RootInterval]:
-    if len(ip) == 2:
-        r = Fraction(-ip[0], ip[1])
-        return [RootInterval(r, r, r)]
-    chain = _sturm_chain(ip)
-    bound = _cauchy_bound(ip)
-    lo, hi = -bound, bound  # strict bound: p(+-bound) != 0
+def _half_line_roots(q: list[int], lc: int, sign: int) -> list[RootInterval]:
+    """Roots x >= 0 of the square-free integer polynomial q, returned as
+    roots sign * x of p, by continued fractions.
 
-    def var(x: Fraction) -> int:
-        return _variations(chain, x)
-
-    brackets: list[tuple[Fraction, Fraction]] = []
-    exacts: list[Fraction] = []
-    stack = [(lo, hi, var(lo) - var(hi))]
+    Each node holds integer coefficients and the Moebius map
+    x -> (a x + b)/(c x + d) that takes its positive half-line onto the
+    open interval between the Farey neighbours b/d and a/c.  A rational
+    root of p has a denominator dividing lc, while every rational strictly
+    between b/d and a/c has denominator at least c + d; so a node with one
+    sign change and c, d > lc brackets one irrational root between two
+    non-roots.  Rational roots reach the point x = 0 of some node exactly.
+    """
+    out = []
+    stack = [(q, 1, 0, 0, 1)]
     while stack:
-        a, b, n = stack.pop()
-        if n == 0:
+        q, a, b, c, d = stack.pop()
+        if q[0] == 0:  # x = 0, the point b/d, is a root
+            r = Fraction(sign * b, d)
+            out.append(RootInterval(r, r, r))
+            q = q[1:]
+        changes = _sign_changes(q)
+        if changes == 0:
             continue
-        if n == 1:
-            brackets.append((a, b))
+        if changes == 1 and c > lc and d > lc:
+            lo, hi = sorted((Fraction(sign * b, d), Fraction(sign * a, c)))
+            out.append(RootInterval(lo, hi))
             continue
-        m = (a + b) / 2
-        if horner(ip, m) == 0:
-            exacts.append(m)
-            # carve out a punctured neighbourhood containing only this root
-            d = (b - a) / 4
-            while horner(ip, m - d) == 0 or horner(ip, m + d) == 0 \
-                    or var(m - d) - var(m + d) != 1:
-                d /= 2
-            va, vl = var(a), var(m - d)
-            vr, vb = var(m + d), var(b)
-            stack.append((a, m - d, va - vl))
-            stack.append((m + d, b, vr - vb))
-        else:
-            vm = var(m)
-            stack.append((a, m, var(a) - vm))
-            stack.append((m, b, vm - var(b)))
-
-    out = [RootInterval(r, r, r) for r in exacts]
-    lc2 = ip[-1] * ip[-1]
-    for a, b in brackets:
-        iv = _identify_or_bracket(ip, a, b, lc2)
-        out.append(iv)
+        s = _positive_root_floor(q)
+        if s:
+            stack.append((_taylor_shift(q, s), a, a * s + b, c, c * s + d))
+            continue
+        stack.append((_taylor_shift(q, 1), a, a + b, c, c + d))
+        q = _taylor_shift(q[::-1], 1)  # x -> 1/(x + 1)
+        if q[0] == 0:
+            q = q[1:]  # x = 1 again, found by the other branch
+        stack.append((q, b, a + b, d, c + d))
     return out
 
 
-def _identify_or_bracket(ip: list[int], a: Fraction, b: Fraction, lc2: int) -> RootInterval:
-    """Shrink (a, b) below 1/lc^2 and test the simplest rational inside.
+def _sign_changes(q: list) -> int:
+    """Sign changes along q, zeros skipped; on coefficients, Descartes'
+    bound on the number of positive roots."""
+    signs = [c > 0 for c in q if c]
+    return sum(1 for u, v in zip(signs, signs[1:]) if u != v)
 
-    Any rational root of a primitive integer polynomial has denominator
-    dividing the leading coefficient, and two such rationals differ by at
-    least 1/lc^2; a bracket narrower than that holds at most one candidate,
-    the simplest rational in it.
+
+def _positive_root_floor(q: list[int]) -> int:
+    """A power of two s >= 1 below every positive root of q, or 0.
+
+    Kioustelidis' bound on the reversed polynomial puts every positive root
+    above min_k (|q_0| / |q_k|)^(1/k) / 2 over the q_k of sign opposite to
+    q_0 != 0; bit lengths give a power of two beneath it.
     """
-    iv = _bisect(ip, a, b, lambda w: w * lc2 >= 1)
-    if iv.exact is None:
-        cand = _simplest_between(iv.low, iv.high)
-        if horner(ip, cand) == 0:
-            return RootInterval(cand, cand, cand)
-    return iv
+    l0 = abs(q[0]).bit_length()
+    e = min((l0 - 1 - abs(c).bit_length()) // k
+            for k, c in enumerate(q) if c and (c > 0) != (q[0] > 0)) - 1
+    return 1 << e if e >= 0 else 0
 
 
-def _bisect(ip: list[int], a: Fraction, b: Fraction,
-            wide: Callable[[Fraction], bool]) -> RootInterval:
-    """Halve [a, b], which brackets one sign change of ip, while wide(b - a);
-    a midpoint that is a root comes back exact."""
-    positive_at_a = horner(ip, a) > 0
-    while wide(b - a):
-        m = (a + b) / 2
-        v = horner(ip, m)
-        if v == 0:
-            return RootInterval(m, m, m)
-        if (v > 0) == positive_at_a:
-            a = m
-        else:
-            b = m
-    return RootInterval(a, b)
+def _taylor_shift(q: list[int], s: int) -> list[int]:
+    """Ascending coefficients of q(x + s)."""
+    q = list(q)
+    for i in range(len(q) - 1):
+        for j in range(len(q) - 2, i - 1, -1):
+            q[j] += s * q[j + 1]
+    return q
 
 
 def refine_root(p: BiPoly, iv: RootInterval, tol: RatLike) -> Fraction:
-    """Bisect an isolating interval to width <= tol; return the midpoint.
+    """Bisect a bracket from `isolate_real_roots` to width <= tol and
+    return its midpoint; an exact root is returned unchanged.
 
-    Exact roots are returned unchanged, and a bracket that shrinks onto a
-    rational root collapses to it exactly.
+    The bracket must hold one irrational root of p and have endpoints that
+    are not roots, as every bracket `isolate_real_roots` returns does, so
+    no midpoint is a root and the sign test alone keeps the root inside.
     """
     tol = Fraction(tol)
     if tol <= 0:
@@ -404,19 +377,15 @@ def refine_root(p: BiPoly, iv: RootInterval, tol: RatLike) -> Fraction:
     if not p:
         raise ZeroPolynomial("cannot refine a root of the zero polynomial")
     ip = _squarefree(_int_scaled(uni_coeffs(p)))
-    for end in (iv.low, iv.high):
-        if horner(ip, end) == 0:
-            return end
-    lc2 = ip[-1] * ip[-1]
-    # bisect to tol, testing the one rational candidate as soon as the
-    # bracket is narrower than 1/lc^2 (see _identify_or_bracket)
-    iv = _bisect(ip, iv.low, iv.high, lambda w: w > tol and w * lc2 >= 1)
-    if iv.exact is None and iv.width * lc2 < 1:
-        cand = _simplest_between(iv.low, iv.high)
-        if horner(ip, cand) == 0:
-            return cand
-        iv = _bisect(ip, iv.low, iv.high, lambda w: w > tol)
-    return iv.midpoint
+    a, b = iv.low, iv.high
+    positive_at_a = horner(ip, a) > 0
+    while b - a > tol:
+        m = (a + b) / 2
+        if (horner(ip, m) > 0) == positive_at_a:
+            a = m
+        else:
+            b = m
+    return (a + b) / 2
 
 
 def uni_reduce(num: list[Fraction], den: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
@@ -435,7 +404,12 @@ def uni_reduce(num: list[Fraction], den: list[Fraction]) -> tuple[list[Fraction]
 
 
 def sturm_count(p: BiPoly) -> int:
-    """Number of distinct real roots over the whole line."""
+    """Number of distinct real roots over the whole line.
+
+    Kept as a reference count independent of `isolate_real_roots`: it
+    shares only the square-free step with it, and `_sturm_chain`,
+    `_variations` and `_cauchy_bound` exist for it alone.
+    """
     if not p:
         raise ZeroPolynomial("zero polynomial")
     coeffs = uni_coeffs(p)

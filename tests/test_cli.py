@@ -68,6 +68,17 @@ class TestSpectrum:
             assert e["E"] is None  # float, not exact
             assert abs(e["E_dec"] - want) < 1e-3
 
+    def test_oracle_bisects_to_tol(self, capsys):
+        argv = ["spectrum", "--method", "oracle", "--grid-T", "10",
+                "--grid-N", "2000", "--format", "json"]
+        fine = [e["E_dec"] for e in json.loads(run(capsys, argv)[1])["entries"]]
+        coarse = [e["E_dec"] for e in
+                  json.loads(run(capsys, argv + ["--tol", "1e-3"])[1])["entries"]]
+        gaps = [abs(a - b) for a, b in zip(fine, coarse)]
+        assert len(gaps) == 4
+        assert all(g <= 0.5e-3 for g in gaps)  # midpoint of a 1e-3 bracket
+        assert max(gaps) > 1e-5  # --tol 1e-3 was honoured, not tightened
+
     def test_methods_can_stack(self, capsys):
         _, out, _ = run(capsys, ["spectrum", "--method", "closed",
                                  "--method", "aim", "--format", "json"])
@@ -116,14 +127,19 @@ class TestVerify:
         assert all(c["passed"] for c in doc["checks"])
 
     def test_coarse_grid_fails_oracle_check(self, capsys):
-        code, out, _ = run(capsys, ["verify", "--lambda-tilde", "1/10",
-                                    "--grid-T", "15", "--grid-N", "500",
-                                    "--tol", "1e-5"])
-        assert code == 1
-        doc = json.loads(out)
-        by_name = {c["name"]: c["passed"] for c in doc["checks"]}
-        assert by_name["oracle_matches_closed_form"] is False
-        assert by_name["aim_matches_closed_form"] is True
+        # max |delta| is about 1e-3 here; a stricter --tol must gate
+        # more strictly, never fall back to a looser default
+        for tol in ("1e-5", "1e-12"):
+            code, out, _ = run(capsys, ["verify", "--lambda-tilde", "1/10",
+                                        "--grid-T", "15", "--grid-N", "500",
+                                        "--tol", tol])
+            assert code == 1, tol
+            doc = json.loads(out)
+            by_name = {c["name"]: c for c in doc["checks"]}
+            oracle = by_name["oracle_matches_closed_form"]
+            assert oracle["passed"] is False, tol
+            assert oracle["detail"].endswith(f"tol = {float(tol):g}")
+            assert by_name["aim_matches_closed_form"]["passed"] is True
 
     def test_folded_spectrum_levels_not_compared(self, capsys):
         # past n ~ 1/lt - 1/2 the levels fall back below the edge; those
@@ -247,6 +263,13 @@ class TestFigures:
                                     "--lam-points", "1"])
         assert code == 2
         assert "lam-points" in err
+        # rejected before anything is written: no output directory either
+        code, _, err = run(capsys, ["figures", "--out",
+                                    str(tmp_path / "sub" / "dir"),
+                                    "--lam-points", "1"])
+        assert code == 2
+        assert "lam-points" in err
+        assert not (tmp_path / "sub").exists()
 
 
 class TestExitCodes:

@@ -126,6 +126,42 @@ class TestIsolation:
             assert poly_eval(p, 0, iv.low) * poly_eval(p, 0, iv.high) < 0
         assert len(ivs) == sturm_count(p)
 
+    @given(st.lists(st.one_of(st.just(F(0)), st.integers(-5, 5).map(F),
+                              st.fractions(min_value=-3, max_value=3,
+                                           max_denominator=10 ** 9)),
+                    max_size=4),
+           st.data(), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_isolator_invariants(self, planted, data, cube_root):
+        # planted rationals (repeats allowed) times (x - c)^2 - m, whose
+        # irrational roots c +- sqrt(m) sit close to c, and maybe x^3 - 2
+        c = data.draw(st.sampled_from(planted) if planted and data.draw(
+            st.booleans()) else st.fractions(min_value=-3, max_value=3,
+                                             max_denominator=10 ** 6))
+        m = data.draw(st.sampled_from([F(2), F(3, 7), F(2, 10 ** 12)]))
+        quad = poly_new({(0, 2): 1, (0, 1): -2 * c, (0, 0): c * c - m})
+        sqfree = poly_mul(poly_from_roots(set(planted)), quad)
+        p = poly_mul(poly_from_roots(planted), quad)
+        if cube_root:
+            cubic = poly_new({(0, 3): 1, (0, 0): -2})
+            sqfree, p = poly_mul(sqfree, cubic), poly_mul(p, cubic)
+        ivs = isolate_real_roots(p)
+        assert [iv.exact for iv in ivs if iv.exact is not None] \
+            == sorted(set(planted))
+        brackets = [iv for iv in ivs if iv.exact is None]
+        assert len(brackets) == 2 + cube_root
+        assert len(ivs) == sturm_count(p)
+        for left, right in zip(ivs, ivs[1:]):
+            assert left.high <= right.low
+        for iv in brackets:
+            lo, hi = poly_eval(sqfree, 0, iv.low), poly_eval(sqfree, 0, iv.high)
+            assert lo * hi < 0  # nonzero ends of opposite sign
+            tol = iv.width / 1000
+            mid = refine_root(p, iv, tol)
+            assert iv.low < mid < iv.high
+            assert poly_eval(sqfree, 0, max(iv.low, mid - tol)) \
+                * poly_eval(sqfree, 0, min(iv.high, mid + tol)) < 0
+
     def test_repeated_roots_reported_once(self):
         p = poly_from_roots([2, 2, 2, -1])
         assert [iv.exact for iv in isolate_real_roots(p)] == [F(-1), F(2)]

@@ -33,6 +33,10 @@ CASES = {
                           "--tau0", "1/2", "--format", "json"],
     "spectrum_aim_csv": ["spectrum", "--method", "aim", "--lambda-tilde", "2/7",
                          "--kmax", "8", "--format", "csv"],
+    "spectrum_aim_large_denominator": ["spectrum", "--method", "aim",
+                                       "--lambda-tilde", "12345/1000003",
+                                       "--kmax", "12", "--n-max", "9",
+                                       "--format", "json"],
     "spectrum_oracle": ["spectrum", "--method", "oracle", "--lambda-tilde",
                         "1/10", "--grid-N", "3000", "--format", "json"],
     "verify_lt0": ["verify", "--grid-N", "4000"],
