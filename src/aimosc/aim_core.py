@@ -6,23 +6,22 @@ The iteration rules
 are carried out on exact polynomial numerators over the shared structural
 denominator u^(k+1), so every quantity stays a rational-coefficient
 polynomial in (tau, E).  Eigenvalues are the roots of the termination
-determinant delta_k = l_k*s_{k-1} - l_{k-1}*s_k that persist as k grows;
-eigenfunctions follow from the converged ratio alpha = s_k/l_k through
-f(tau) = exp(-Integral alpha).
+determinant delta_k = l_k*s_{k-1} - l_{k-1}*s_k that persist as k grows.
+Where the iteration has terminated, the ratio alpha = s_k/l_k equals
+-f'/f for the polynomial eigenfunction f, so f = exp(-Integral alpha) is
+read off alpha's reduced denominator exactly, with no quadrature.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .exactalg import (
     BiPoly,
     RatLike,
     _ideriv,
     _int_scaled,
-    adaptive_simpson,
     horner,
     isolate_real_roots,
     poly_add,
@@ -56,8 +55,8 @@ class DivisionByZero(ZeroDivisionError):
     """The ratio s_k/l_k was requested where l_k vanishes."""
 
 
-class PoleOnGrid(ArithmeticError):
-    """Eigenfunction reconstruction met a pole it could not handle."""
+class NotTerminated(ArithmeticError):
+    """s_k/l_k is not a logarithmic derivative -f'/f at the requested E."""
 
 
 @dataclass(frozen=True)
@@ -252,23 +251,19 @@ def alpha_at(state: AimState, e_val: RatLike, tau_val: RatLike) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# eigenfunction reconstruction from alpha
+# eigenfunction from the terminated ratio
 
 def eigenfunction_via_alpha(state: AimState, e_n: RatLike,
-                            tau_grid: Sequence[float],
-                            quad_tol: float = 1e-12,
-                            cross_poles: bool = True) -> list[float]:
-    """Evaluate f(tau) = exp(-Integral_0^tau alpha) on a grid of points.
+                            tau_grid: Sequence[float]) -> list[float]:
+    """Evaluate the polynomial eigenfunction f read off alpha = s_k/l_k.
 
-    alpha(., e_n) is an exact rational function; its real poles sit at the
-    nodes of f and carry integer residues (-1 at a simple node).  Marching
-    outward from tau=0, each leg integrates alpha with the poles deflated
-    out of its coefficients and restores them in closed form, a signed
-    power of (tau - pole); that closed form also continues f through a
-    node and supplies the limit f=1 normalization when the anchor itself
-    is a node.
-    With cross_poles=False a leg containing a pole raises PoleOnGrid; a
-    grid point landing on a pole gets the limiting value 0.0.
+    Once the iteration has terminated at e_n, alpha(., e_n) = -f'/f, so
+    f = exp(-Integral alpha) is the reduced denominator of alpha itself;
+    the reduced numerator must then equal minus its derivative, exactly.
+    f is scaled so that its lowest-degree coefficient is 1: f(0) = 1, or
+    f'(0) = 1 when 0 is a node.  Each value is the exact rational f(t),
+    correctly rounded to a float.  Raises NotTerminated when alpha is not
+    a logarithmic derivative: e_n is no eigenvalue, or k is too shallow.
     """
     e_n = Fraction(e_n)
     num = _coeffs_or_empty(poly_eval_e(state.S, e_n))
@@ -276,153 +271,14 @@ def eigenfunction_via_alpha(state: AimState, e_n: RatLike,
     if not den:
         raise DivisionByZero("l_k is identically zero at this E")
     num, den = uni_reduce(num, den)
-
-    poles = _real_poles(num, den)
-    gn, gd = _deflate_poles(num, den, poles)
-
-    def smooth_f(t: float) -> float:
-        return horner(gn, t) / horner(gd, t)
-
-    order = sorted(range(len(tau_grid)), key=lambda i: tau_grid[i])
-    values = [1.0] * len(tau_grid)
-    for positive_side in (True, False):
-        if positive_side:
-            idxs = [i for i in order if tau_grid[i] > 0.0]
-        else:
-            idxs = [i for i in reversed(order) if tau_grid[i] < 0.0]
-        prev_t = 0.0
-        log_f, f_sign = 0.0, 1.0
-        for i in idxs:
-            t = tau_grid[i]
-            if _pole_at(poles, t) is not None:
-                if not cross_poles:
-                    raise PoleOnGrid(f"grid point {t} sits on a pole")
-                values[i] = 0.0
-                continue
-            dlog, dsign = _march(smooth_f, poles, prev_t, t, quad_tol, cross_poles)
-            log_f += dlog
-            f_sign *= dsign
-            values[i] = f_sign * math.exp(log_f)
-            prev_t = t
-    for i in order:
-        if tau_grid[i] == 0.0:
-            values[i] = 0.0 if _pole_at(poles, 0.0) is not None else 1.0
-    return values
+    if num != [-c for c in _ideriv(den)]:
+        raise NotTerminated(
+            f"s_{state.k}/l_{state.k} is not -f'/f at E={e_n}: the iteration "
+            f"has not terminated there by k={state.k}")
+    low = next(c for c in den if c)
+    f = [c / low for c in den]
+    return [float(horner(f, Fraction(t))) for t in tau_grid]
 
 
 def _coeffs_or_empty(p: BiPoly) -> list[Fraction]:
     return uni_coeffs(p) if p else []
-
-
-def _real_poles(num: list[Fraction],
-                den: list[Fraction]) -> list[tuple[float, int, Optional[Fraction]]]:
-    """(location, integer residue, exact location if rational) per pole."""
-    if len(den) <= 1:
-        return []
-    dp: BiPoly = {(i, 0): c for i, c in enumerate(den) if c}
-    dden = _ideriv(den)
-    out = []
-    for iv in isolate_real_roots(dp):
-        if iv.exact is not None:
-            r = iv.exact
-            dval = horner(dden, r)
-            if dval == 0:
-                raise PoleOnGrid(f"pole of order > 1 at tau={r}")
-            rho_exact = horner(num, r) / dval
-            if rho_exact.denominator != 1:
-                raise PoleOnGrid(f"non-integer residue {rho_exact} at tau={r}")
-            if rho_exact == 0:
-                continue  # removable point, not a pole
-            out.append((float(r), int(rho_exact), r))
-        else:
-            m = refine_root(dp, iv, Fraction(1, 10 ** 30))
-            dval = horner(dden, m)
-            if dval == 0:
-                raise PoleOnGrid(f"pole of order > 1 near tau={float(m)}")
-            rho_f = float(horner(num, m) / dval)
-            rho = round(rho_f)
-            if abs(rho_f - rho) > 1e-6:
-                raise PoleOnGrid(f"non-integer residue {rho_f} near tau={float(m)}")
-            if rho == 0:
-                continue
-            out.append((float(m), rho, None))
-    out.sort(key=lambda p: p[0])
-    return out
-
-
-def _synth_div(coeffs: list[float], r: float) -> list[float]:
-    """Quotient of a polynomial (ascending coefficients) by (t - r)."""
-    desc = coeffs[::-1]
-    out = [desc[0]]
-    for c in desc[1:-1]:
-        out.append(c + r * out[-1])
-    return out[::-1]
-
-
-def _deflate_poles(num: list[Fraction], den: list[Fraction],
-                   poles: list[tuple[float, int, Optional[Fraction]]],
-                   ) -> tuple[list[float], list[float]]:
-    """Float coefficients of num/den with every listed pole divided out.
-
-    At a simple pole r with residue rho, num(r) = rho * defl(r) where
-    defl = den/(t - r), so num - rho*defl carries an exact root at r.
-    Factoring it out removes the pole from the coefficients themselves;
-    pointwise subtraction of rho/(t - r) would instead cancel two huge
-    floats near r and leave noise growing like 1/(t - r)^2.
-    """
-    n = [float(c) for c in num]
-    d = [float(c) for c in den]
-    for r, rho, _ in poles:
-        defl = _synth_div(d, r)
-        top = max(len(n), len(defl))
-        h = [(n[i] if i < len(n) else 0.0)
-             - rho * (defl[i] if i < len(defl) else 0.0)
-             for i in range(top)]
-        n = _synth_div(h, r)
-        d = defl
-    return n, d
-
-
-def _pole_at(poles: list[tuple[float, int, Optional[Fraction]]], t: float,
-             eps: float = 1e-12) -> Optional[tuple[float, int, Optional[Fraction]]]:
-    for p in poles:
-        if abs(p[0] - t) <= eps * max(1.0, abs(t)):
-            return p
-    return None
-
-
-def _march(smooth_f: Callable[[float], float],
-           poles: list[tuple[float, int, Optional[Fraction]]],
-           a: float, b: float, tol: float,
-           cross_poles: bool) -> tuple[float, float]:
-    """Advance (delta log|f|, sign factor) from a to b (either order).
-
-    smooth_f is alpha with every real pole deflated away; each pole is
-    restored in closed form, contributing -rho*(log|b-r| - log|a-r|) to
-    log|f| and, for odd rho, a sign flip when crossed.  A leg starting
-    exactly on a pole omits the log at the start point; that is the
-    limiting product form normalizing f against (tau-r)^(-rho) at the
-    node.
-    """
-    if a == b:
-        return 0.0, 1.0
-    lo, hi = (a, b) if a < b else (b, a)
-    if not cross_poles and any(lo < p[0] < hi for p in poles):
-        raise PoleOnGrid(f"integration leg ({lo}, {hi}) contains a pole")
-
-    dlog = -adaptive_simpson(smooth_f, a, b, tol)
-    dsign = 1.0
-    for r, rho, _ in poles:
-        ra, rb = a - r, b - r
-        if rb == 0.0:
-            raise PoleOnGrid(f"leg endpoint {b} sits on a pole")
-        if ra == 0.0:
-            dlog += -rho * math.log(abs(rb))
-            if rho % 2:
-                dsign *= math.copysign(1.0, rb)
-            continue
-        dlog += -rho * (math.log(abs(rb)) - math.log(abs(ra)))
-        if rho % 2 and (ra < 0.0) != (rb < 0.0):
-            dsign *= -1.0
-    return dlog, dsign
-

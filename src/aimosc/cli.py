@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from argparse import Namespace
 from decimal import Decimal, localcontext
@@ -147,10 +148,21 @@ def _resolve(args: Namespace) -> Namespace:
     args.tau0 = _parse_rat(args.tau0)
     if args.tol is None:
         args.tol = 1e-2 if args.command == "verify" else 1e-10
+    if not 0 < args.tol < math.inf:
+        raise ValueError(f"--tol must be positive and finite, got {args.tol}")
+    if args.command == "wavefunction":
+        for flag, value in (("--tau-min", args.tau_min), ("--tau-max", args.tau_max)):
+            if not math.isfinite(value):
+                raise ValueError(f"{flag} must be finite, got {value}")
     if args.command == "figures":
         args.fig2_omegas = [_parse_rat(w) for w in args.fig2_omegas.split(",")]
         args.lam_max = _parse_rat(args.lam_max)
         args.fig_lambda = _parse_rat(args.fig_lambda)
+        if min(args.fig2_omegas) <= 0:
+            raise ValueError("every --fig2-omegas value must be positive")
+        for flag, value in (("--lam-max", args.lam_max), ("--fig-lambda", args.fig_lambda)):
+            if value < 0:
+                raise ValueError(f"{flag} must be nonnegative, got {value}")
     return args
 
 

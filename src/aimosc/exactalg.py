@@ -11,7 +11,8 @@ roots; `refine_root` narrows such a bracket by exact bisection.
 
 Two numeric helpers shared by the other layers also live here: `horner`,
 the package's one polynomial evaluator (exact on rationals, plain floating
-point on floats), and `adaptive_simpson`, its one float quadrature.
+point on floats), and `adaptive_simpson`, the float quadrature behind
+eigenfunction normalization.
 """
 from __future__ import annotations
 

@@ -1,6 +1,6 @@
 """Oscillator with algebraically decaying mass: model layer.
 
-A mass profile m(t) = m0/(1 + lam*t^2) under natural units reduces, with
+A mass profile m(t) = m0/(1 + lam*t^2) in natural units (m0 = 1) reduces, with
 tau = sqrt(omega)*t and E_tilde = 2E/omega, to
 
     (1 + lt*tau^2) phi'' + 2*lt*tau phi' + (E_tilde - tau^2/(1+lt*tau^2)) phi = 0
@@ -56,15 +56,13 @@ class NotNormalizable(ValueError):
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Physical inputs in natural units (hbar = c = 1); m0 defaults to 1."""
+    """Physical inputs in natural units (hbar = c = m0 = 1)."""
     omega: Fraction
     lam: Fraction
-    m0: Fraction = Fraction(1)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "omega", Fraction(self.omega))
         object.__setattr__(self, "lam", Fraction(self.lam))
-        object.__setattr__(self, "m0", Fraction(self.m0))
         if self.omega <= 0:
             raise NonpositiveFrequency(f"omega = {self.omega}")
         if self.lam < 0:

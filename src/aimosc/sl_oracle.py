@@ -1,7 +1,7 @@
 """Finite-difference cross-check for the decaying-mass oscillator.
 
-The time-domain equation -1/2 d/dt[(1+lam t^2)/m0 dphi/dt] + V(t) phi
-= E phi with V(t) = m0 omega^2 t^2 / (2 (1 + lam t^2)) is discretized on
+The time-domain equation -1/2 d/dt[(1+lam t^2) dphi/dt] + V(t) phi
+= E phi with V(t) = omega^2 t^2 / (2 (1 + lam t^2)) is discretized on
 a Dirichlet-truncated interval [-T, T] by the conservative three-point
 flux stencil, giving a symmetric tridiagonal matrix.  Eigenvalues come
 from bisection on LDL^T inertia counts: slow but dependency-free,
@@ -85,21 +85,20 @@ class OracleResult:
 
 
 def discretize(params: ModelParams, grid: Grid) -> TridiagOp:
-    """Conservative stencil with p = (1+lam t^2)/m0 at half-nodes:
+    """Conservative stencil with p = 1+lam t^2 at half-nodes:
     (H phi)_i = [-p_{i+1/2}(phi_{i+1}-phi_i) + p_{i-1/2}(phi_i-phi_{i-1})]
                 / (2 h^2) + V_i phi_i.
     """
     lam = float(params.lam)
     w2 = float(params.omega) ** 2
-    m0 = float(params.m0)
     h = grid.h
     inv2h2 = 1.0 / (2.0 * h * h)
 
     def p_at(t: float) -> float:
-        return (1.0 + lam * t * t) / m0
+        return 1.0 + lam * t * t
 
     def v_at(t: float) -> float:
-        return m0 * w2 * t * t / (2.0 * (1.0 + lam * t * t))
+        return w2 * t * t / (2.0 * (1.0 + lam * t * t))
 
     n = grid.N
     p_half = [p_at(-grid.T + (i + 0.5) * h) for i in range(n + 1)]

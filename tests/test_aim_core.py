@@ -2,6 +2,7 @@
 
 import pytest
 from fractions import Fraction as F
+from hypothesis import assume, given, settings, strategies as st
 
 from aimosc.aim_core import (
     AimState,
@@ -9,7 +10,7 @@ from aimosc.aim_core import (
     DivisionByZero,
     LambdaZero,
     NoStableRoots,
-    PoleOnGrid,
+    NotTerminated,
     aim_eigenvalues,
     aim_iterate,
     aim_seed,
@@ -17,10 +18,12 @@ from aimosc.aim_core import (
     eigenfunction_via_alpha,
     quantization_delta,
 )
-from aimosc.exactalg import poly_eval, poly_is_zero, poly_new
+from aimosc.exactalg import horner, poly_eval, poly_eval_e, poly_is_zero, poly_new
 from aimosc.fh_oscillator import (
     aim_inputs,
+    bound_state_info,
     eigen_polynomial,
+    residual_check,
     spectrum_closed_dimensionless,
 )
 
@@ -34,6 +37,18 @@ def chain(seed, k):
 
 def harmonic_seed():
     return aim_seed(*aim_inputs(F(0)))
+
+
+@st.composite
+def lam_tildes(draw):
+    """Rational lambda_tilde in [0, 1) with denominator at most 60."""
+    q = draw(st.integers(1, 60))
+    return F(draw(st.integers(0, q - 1)), q)
+
+
+def bound_top(lt, cap=5):
+    """Largest n <= cap whose state is normalizable at lt (-1 if none)."""
+    return cap if lt == 0 else min(cap, bound_state_info(lt).normalizable_max_n)
 
 
 class TestIteration:
@@ -196,20 +211,69 @@ class TestEigenfunctionViaAlpha:
         vals = eigenfunction_via_alpha(self.state, 3, [0.0, 1.0])
         assert vals[0] == 0.0 and abs(vals[1] - 1.0) < 1e-12
 
-    def test_cross_poles_false_raises_on_interior_node(self):
-        # E = 5 has nodes at +-1/sqrt(2); the leg 0 -> 1 crosses one
-        with pytest.raises(PoleOnGrid):
-            eigenfunction_via_alpha(self.state, 5, [1.0], cross_poles=False)
-
     def test_matches_series_beyond_harmonic(self):
         lt = F(1, 10)
         state = chain(aim_seed(*aim_inputs(lt)), 8)[8]
         grid = [-3.0 + 0.3 * i for i in range(21)]
         for n in range(3):
             en = spectrum_closed_dimensionless(n, lt)
-            vals = eigenfunction_via_alpha(state, en, grid, quad_tol=1e-12)
+            vals = eigenfunction_via_alpha(state, en, grid)
             ef = eigen_polynomial(n, lt)
             ref = [sum(float(c) * t ** j for j, c in enumerate(ef.coeffs))
                    for t in grid]
             scale = max(abs(r) for r in ref)
             assert all(abs(v - r) <= 1e-9 * scale for v, r in zip(vals, ref))
+
+    @given(lam_tildes(), st.data(),
+           st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=12))
+    @settings(max_examples=40, deadline=None)
+    def test_correctly_rounded_series_polynomial(self, lt, data, grid):
+        n_top = bound_top(lt)
+        assume(n_top >= 0)
+        n = data.draw(st.integers(0, n_top))
+        k = data.draw(st.integers(max(1, n - 1), 8))
+        state = chain(aim_seed(*aim_inputs(lt)), k)[k]
+        en = spectrum_closed_dimensionless(n, lt)
+        assume(not poly_is_zero(poly_eval_e(state.L, en)))
+        # the series polynomial already has lowest coefficient 1
+        coeffs = eigen_polynomial(n, lt).coeffs
+        want = [float(horner(coeffs, F(t))) for t in grid]
+        assert eigenfunction_via_alpha(state, en, grid) == want
+
+    def test_shallow_state_raises(self):
+        # k = 1 has not terminated at E_4 = 9 of the harmonic oscillator
+        state = chain(harmonic_seed(), 1)[1]
+        with pytest.raises(NotTerminated):
+            eigenfunction_via_alpha(state, 9, [0.0, 0.5, 1.0])
+
+    def test_off_eigenvalue_energy_raises(self):
+        state = chain(aim_seed(*aim_inputs(F(1, 10))), 8)[8]
+        with pytest.raises(NotTerminated):
+            eigenfunction_via_alpha(state, 2, [0.0, 0.5, 1.0])
+
+
+class TestDifferential:
+    """AIM census and series polynomials against the closed form, at random
+    rational lambda_tilde, anchor tau0 and depth k_max."""
+
+    @given(lam_tildes(),
+           st.fractions(min_value=-2, max_value=2, max_denominator=12),
+           st.integers(3, 9))
+    @settings(max_examples=30, deadline=None)
+    def test_census_is_the_closed_form(self, lt, tau0, k_max):
+        rep = aim_eigenvalues(aim_seed(*aim_inputs(lt)), k_max=k_max,
+                              tau0=tau0, stab_tol=F(1, 10 ** 10))
+        exact = {v for v, _, _ in rep.accepted if isinstance(v, F)}
+        vouched = {spectrum_closed_dimensionless(n, lt)
+                   for n in range(k_max - 2)}
+        closed = {spectrum_closed_dimensionless(n, lt)
+                  for n in range(k_max + 2)}
+        assert vouched <= exact
+        assert exact <= closed
+
+    @given(lam_tildes())
+    @settings(max_examples=30, deadline=None)
+    def test_series_residuals_vanish(self, lt):
+        for n in range(bound_top(lt) + 1):
+            assert poly_is_zero(
+                residual_check(eigen_polynomial(n, lt)).series_residual)

@@ -318,6 +318,45 @@ class TestExitCodes:
         assert "omega = 0" in err
 
 
+class TestInputValidation:
+    """Each outside input is checked before anything is computed or
+    written: exit 2, a one-line message naming the flag, no output."""
+
+    def rejected(self, capsys, tmp_path, argv, flag):
+        out = tmp_path / "out"
+        code, stdout, err = run(capsys, argv + ["--out", str(out)])
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("error: ") and flag in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_fig2_omegas_positive(self, capsys, tmp_path):
+        self.rejected(capsys, tmp_path,
+                      ["figures", "--fig2-omegas", "0,10"], "--fig2-omegas")
+
+    def test_lam_max_nonnegative(self, capsys, tmp_path):
+        self.rejected(capsys, tmp_path, ["figures", "--lam-max", "-1"],
+                      "--lam-max")
+
+    def test_fig_lambda_nonnegative(self, capsys, tmp_path):
+        self.rejected(capsys, tmp_path, ["figures", "--fig-lambda", "-2"],
+                      "--fig-lambda")
+
+    def test_tau_max_finite(self, capsys, tmp_path):
+        self.rejected(capsys, tmp_path, ["wavefunction", "--tau-max", "inf"],
+                      "--tau-max")
+
+    def test_tau_min_finite(self, capsys, tmp_path):
+        self.rejected(capsys, tmp_path, ["wavefunction", "--tau-min", "nan"],
+                      "--tau-min")
+
+    def test_tol_positive_and_finite(self, capsys, tmp_path):
+        for tol in ("0", "-1e-3", "inf", "nan"):
+            self.rejected(capsys, tmp_path, ["wavefunction", f"--tol={tol}"],
+                          "--tol")
+
+
 def test_console_script_installed(capsys):
     """The `aimosc` script that pyproject.toml declares resolves to `cli.main`.
 
