@@ -89,8 +89,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--grid-N", dest="grid_n", type=int, default=30000)
     common.add_argument("--tol", type=float, default=None,
                         help="verify: gate on |oracle - closed form| "
-                             "(default 1e-2); otherwise the bisection and "
-                             "quadrature tolerance (default 1e-10)")
+                             "(default 1e-2); otherwise the oracle "
+                             "bisection width (default 1e-10); no effect "
+                             "on wavefunction")
     common.add_argument("--printed-signs", action="store_true",
                         help="use the sign convention whose first excited "
                              "level is 2*lt-1; for the discrepancy demo")
@@ -150,6 +151,10 @@ def _resolve(args: Namespace) -> Namespace:
         args.tol = 1e-2 if args.command == "verify" else 1e-10
     if not 0 < args.tol < math.inf:
         raise ValueError(f"--tol must be positive and finite, got {args.tol}")
+    if args.grid_t is not None and not 0 < args.grid_t < math.inf:
+        raise ValueError(f"--grid-T must be positive and finite, got {args.grid_t}")
+    if args.grid_n < 3:
+        raise ValueError(f"--grid-N must be at least 3, got {args.grid_n}")
     if args.command == "wavefunction":
         for flag, value in (("--tau-min", args.tau_min), ("--tau-max", args.tau_max)):
             if not math.isfinite(value):
@@ -446,7 +451,7 @@ def cmd_wavefunction(cfg: Namespace) -> int:
     if cfg.points < 2:
         raise ValueError("--points must be at least 2")
     ef = fh_oscillator.eigen_polynomial(cfg.n, cfg.lam_tilde)
-    norm = fh_oscillator.normalization_constant(ef, quad_tol=min(cfg.tol, 1e-8))
+    norm = fh_oscillator.normalization_constant(ef)
     ef = dataclasses.replace(ef, norm_const=norm)
     step = (cfg.tau_max - cfg.tau_min) / (cfg.points - 1)
     lines = ["tau,phi"]

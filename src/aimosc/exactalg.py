@@ -9,17 +9,17 @@ and returning each irrational one as a rational bracket whose ends are not
 roots; `refine_root` narrows such a bracket by exact bisection.
 `sturm_count` counts the roots independently, with a Sturm chain.
 
-Two numeric helpers shared by the other layers also live here: `horner`,
-the package's one polynomial evaluator (exact on rationals, plain floating
-point on floats), and `adaptive_simpson`, the float quadrature behind
-eigenfunction normalization.
+`horner`, the package's one polynomial evaluator (exact on rationals, plain
+floating point on floats), also lives here for the other layers.  No
+quadrature is left in the package: eigenfunctions are normalized from exact
+moment ratios.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Dict, Iterable, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 BiPoly = Dict[Tuple[int, int], Fraction]
 
@@ -425,7 +425,7 @@ def sturm_count(p: BiPoly) -> int:
 
 
 # ---------------------------------------------------------------------------
-# evaluation and quadrature shared with the floating-point layers
+# evaluation shared with the floating-point layers
 
 def horner(coeffs, x):
     """Value at x of the polynomial with ascending coefficients `coeffs`.
@@ -437,27 +437,3 @@ def horner(coeffs, x):
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc
-
-
-def adaptive_simpson(fn: Callable[[float], float], a: float, b: float,
-                     tol: float, depth: int = 50) -> float:
-    """Integral of fn over [a, b] to about tol, by recursive Simpson
-    bisection with the Richardson correction."""
-    m = 0.5 * (a + b)
-    fa, fm, fb = fn(a), fn(m), fn(b)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _simpson_rec(fn, a, b, fa, fm, fb, whole, tol, depth)
-
-
-def _simpson_rec(fn: Callable[[float], float], a: float, b: float,
-                 fa: float, fm: float, fb: float, whole: float,
-                 tol: float, depth: int) -> float:
-    m = 0.5 * (a + b)
-    lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-    flm, frm = fn(lm), fn(rm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    if depth <= 0 or abs(left + right - whole) <= 15.0 * tol:
-        return left + right + (left + right - whole) / 15.0
-    return (_simpson_rec(fn, a, m, fa, flm, fm, left, tol / 2, depth - 1)
-            + _simpson_rec(fn, m, b, fm, frm, fb, right, tol / 2, depth - 1))

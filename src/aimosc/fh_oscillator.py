@@ -26,7 +26,6 @@ from typing import Optional, Sequence
 from .exactalg import (
     BiPoly,
     RatLike,
-    adaptive_simpson,
     horner,
     poly_add,
     poly_diff_tau,
@@ -217,17 +216,22 @@ def _log_envelope(ef: EigenFunction, tau: float) -> float:
 
 def wavefunction_eval(ef: EigenFunction, tau: float) -> float:
     n_const = ef.norm_const if ef.norm_const is not None else 1.0
-    f = horner([float(c) for c in ef.coeffs], tau)
+    f = float(horner(ef.coeffs, Fraction(tau)))
     return n_const * math.exp(_log_envelope(ef, tau)) * f
 
 
-def normalization_constant(ef: EigenFunction, quad_tol: float = 1e-10) -> float:
-    """N with Integral phi^2 d tau = 1 (plain d tau measure).
+def normalization_constant(ef: EigenFunction) -> float:
+    """N with Integral phi^2 d tau = 1 (plain d tau measure), in closed form.
 
-    The integrand is even, so 2*Integral_0^X plus an analytic tail bound:
-    power-law tau^(2n - 2/lt) when lt > 0, Gaussian when lt = 0.  X grows
-    until the tail bound drops below quad_tol/4 (log-space arithmetic, so
-    tiny lt cannot overflow), then the finite part is done adaptively.
+    Integral phi^2 = N^2 * sum over i, j of c_i c_j M_(i+j)/2, where
+    M_m = Integral tau^(2m) (1 + lt tau^2)^(-1/lt) d tau
+        = lt^(-m-1/2) B(m + 1/2, 1/lt - m - 1/2)
+    (Gamma(m + 1/2) at lt = 0); odd i + j drop out by parity.  The ratio
+    r_m = M_m/M_0 obeys r_(m+1) = r_m (m + 1/2)/(1 - lt (m + 3/2)), so the
+    sum R = Integral f^2 env^2 / M_0 is an exact rational, and only
+    M_0 = sqrt(pi/lt) Gamma(a - 1/2)/Gamma(a), a = 1/lt (sqrt(pi) at
+    lt = 0), is taken in floating point.  The denominators stay positive
+    for every m < n exactly when n < 1/lt - 1/2, the normalizability test.
     """
     lt = ef.lam_tilde
     if lt > 0:
@@ -236,47 +240,32 @@ def normalization_constant(ef: EigenFunction, quad_tol: float = 1e-10) -> float:
             raise NotNormalizable(
                 f"n = {ef.n} exceeds normalizable_max_n = {info.normalizable_max_n}"
                 f" at lam_tilde = {lt}")
-    fc = [float(c) for c in ef.coeffs]
-    coeff_sum = sum(abs(c) for c in fc)
-    log_goal = math.log(quad_tol / 4)
+    ratios = [Fraction(1)]
+    for m in range(ef.n):
+        ratios.append(ratios[m] * (2 * m + 1) / (2 - lt * (2 * m + 3)))
+    terms = [(i, c) for i, c in enumerate(ef.coeffs) if c]
+    r = sum(ci * cj * ratios[(i + j) // 2] for i, ci in terms for j, cj in terms)
+    return 1.0 / math.sqrt(_beta_moment_0(lt) * float(r))
 
-    def log_tail(x: float) -> float:
-        # integrand <= coeff_sum^2 * tau^(2n) * envelope^2 for tau >= 1
-        if lt == 0:
-            return (2 * math.log(coeff_sum) + 2 * ef.n * math.log(x)
-                    - x * x - math.log(2 * x))
-        p = 2 * ef.n - 2 / float(lt)   # tail power; p < -1 when normalizable
-        return ((-1 / float(lt)) * math.log(float(lt))
-                + 2 * math.log(coeff_sum)
-                + (p + 1) * math.log(x) - math.log(-(p + 1)))
 
-    x = 8.0 if lt == 0 else max(8.0, 2.0 / math.sqrt(float(lt)))
-    for _ in range(200):
-        if log_tail(x) < log_goal:
-            break
-        x *= 1.5
-    else:
-        raise NotNormalizable("tail bound did not converge")
+def _beta_moment_0(lt: Fraction) -> float:
+    """M_0 = Integral (1 + lt tau^2)^(-1/lt) d tau = sqrt(pi*a) Gamma(a - 1/2)
+    / Gamma(a) with a = 1/lt.  From a = 20 on, where four Stirling terms
+    are accurate to a few ulp, the log of the Gamma ratio comes from the
+    series with its large parts cancelled by hand; a difference of lgamma
+    values would lose most digits as a grows."""
+    if lt == 0:
+        return math.sqrt(math.pi)
+    a = float(1 / lt)
+    if a < 20:
+        return math.sqrt(math.pi * a) * math.gamma(a - 0.5) / math.gamma(a)
 
-    def integrand(t: float) -> float:
-        f = horner(fc, t)
-        return f * f * math.exp(2 * _log_envelope(ef, t))
+    def tail(x: float) -> float:   # Stirling remainder of log Gamma(x)
+        y = 1 / (x * x)
+        return (1 / 12 - y * (1 / 360 - y * (1 / 1260 - y / 1680))) / x
 
-    # dyadic segments so a slow power tail cannot hide the central hump
-    # from the adaptive refinement
-    cuts = [0.0]
-    edge = 8.0
-    while edge < x:
-        cuts.append(edge)
-        edge *= 2.0
-    cuts.append(x)
-    seg_tol = quad_tol / (4 * len(cuts))
-    half = sum(adaptive_simpson(integrand, a, b, seg_tol)
-               for a, b in zip(cuts, cuts[1:]))
-    total = 2.0 * half
-    if total <= 0:
-        raise NotNormalizable("quadrature produced a nonpositive norm")
-    return 1.0 / math.sqrt(total)
+    return math.sqrt(math.pi) * math.exp(
+        (a - 1) * math.log1p(-0.5 / a) + 0.5 + tail(a - 0.5) - tail(a))
 
 
 @dataclass(frozen=True)

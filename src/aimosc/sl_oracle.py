@@ -29,8 +29,8 @@ class Grid:
     N: int
 
     def __post_init__(self) -> None:
-        if not self.T > 0:
-            raise ValueError("T must be positive")
+        if not 0 < self.T < math.inf:
+            raise ValueError(f"T must be positive and finite, got {self.T}")
         if self.N < 3:
             raise ValueError("N must be at least 3")
 

@@ -196,6 +196,17 @@ class TestWavefunction:
         _, second, _ = run(capsys, ["wavefunction", "--lambda-tilde", "1/10"])
         assert first == second
 
+    def test_top_level_at_large_denominator(self, capsys):
+        # n = 80 is normalizable_max_n at this lambda_tilde; n = 81 is not
+        argv = ["wavefunction", "--lambda-tilde", "12345/1000003",
+                "--points", "5"]
+        code, out, _ = run(capsys, argv + ["--n", "80"])
+        assert code == 0
+        assert out.splitlines()[3] == "0,0.0209929458803"  # N, as f(0) = 1
+        code, _, err = run(capsys, argv + ["--n", "81"])
+        assert code == 3
+        assert "normalizable_max_n = 80" in err
+
     def test_profile_symmetry(self, capsys):
         _, out, _ = run(capsys, ["wavefunction", "--lambda-tilde", "1/10",
                                  "--points", "41"])
@@ -355,6 +366,17 @@ class TestInputValidation:
         for tol in ("0", "-1e-3", "inf", "nan"):
             self.rejected(capsys, tmp_path, ["wavefunction", f"--tol={tol}"],
                           "--tol")
+
+    def test_grid_t_positive_and_finite(self, capsys, tmp_path):
+        for t in ("inf", "nan", "-1", "0"):
+            self.rejected(capsys, tmp_path,
+                          ["verify", f"--grid-T={t}", "--grid-N", "200"],
+                          "--grid-T")
+
+    def test_grid_n_at_least_three(self, capsys, tmp_path):
+        for n in ("0", "2", "-5"):
+            self.rejected(capsys, tmp_path, ["verify", f"--grid-N={n}"],
+                          "--grid-N")
 
 
 def test_console_script_installed(capsys):

@@ -1,13 +1,13 @@
 """Model layer: reduction, spectrum, eigenfunctions, normalization."""
+import dataclasses
 import math
 
 import pytest
 from fractions import Fraction as F
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aimosc.exactalg import (
-    adaptive_simpson,
     poly_is_zero,
     poly_new,
     sturm_count,
@@ -32,6 +32,24 @@ from aimosc.fh_oscillator import (
 )
 
 lam_tildes = st.fractions(min_value=0, max_value=F(39, 40), max_denominator=40)
+
+
+def line_integral(fn, panels=2000):
+    """Integral of fn over the real line by the composite Simpson rule in
+    theta, with tau = tan(theta) on (-pi/2, pi/2).  The mapped integrand
+    fn(tan theta) / cos^2 theta is taken as 0 at the ends, so fn must fall
+    off at least like tau^-4."""
+    h = math.pi / panels
+    total = 0.0
+    for k in range(1, panels):
+        theta = -0.5 * math.pi + k * h
+        c = math.cos(theta)
+        total += (4 if k % 2 else 2) * fn(math.tan(theta)) / (c * c)
+    return total * h / 3
+
+
+def normalized(ef):
+    return dataclasses.replace(ef, norm_const=normalization_constant(ef))
 
 
 class TestModelParams:
@@ -222,15 +240,25 @@ class TestNormalization:
         ef = eigen_polynomial(0, F(1, 10))
         n0 = normalization_constant(ef)
         assert abs(n0 - 0.736694703312) < 1e-9
-        tight = normalization_constant(ef, quad_tol=1e-12)
-        assert abs(n0 - tight) < 1e-10
 
     def test_marginal_level_still_normalizes(self):
-        # n = 3 at lam_tilde = 1/4 decays like tau^-2; the hump sits well
-        # inside the first dyadic segment and must not be skipped
+        # n = 3 at lam_tilde = 1/4: phi^2 decays only like tau^-2
         ef = eigen_polynomial(3, F(1, 4))
         n3 = normalization_constant(ef)
         assert abs(n3 - 0.398942280) < 1e-6
+
+    @pytest.mark.parametrize("lt, n, reference", [
+        (F(1, 10), 1, 0.96053237634568942974),
+        (F(1, 10 ** 6), 0, 0.7511254036288691537),
+        (F(1, 10 ** 12), 0, 0.75112554446480164682),
+        (F(1, 4), 3, 0.39894228040143267794),        # 1/sqrt(2 pi)
+        (F(12345, 1000003), 80, 0.020992945880335362664),
+    ])
+    def test_matches_50_digit_reference(self, lt, n, reference):
+        # references: 50-digit sums of the Beta moments
+        # lt^(-m-1/2) B(m + 1/2, 1/lt - m - 1/2)
+        got = normalization_constant(eigen_polynomial(n, lt))
+        assert abs(got - reference) <= 1e-14 * reference
 
     def test_unnormalizable_levels_refused(self):
         with pytest.raises(NotNormalizable):
@@ -238,42 +266,47 @@ class TestNormalization:
         with pytest.raises(NotNormalizable):
             normalization_constant(eigen_polynomial(2, F(1, 2)))
 
+    @settings(max_examples=20, deadline=None)
+    @given(st.fractions(min_value=0, max_value=F(1, 3), max_denominator=60),
+           st.data())
+    def test_unit_norm_by_independent_quadrature(self, lt, data):
+        # 2/lt - 2n >= 6 (so n is normalizable) keeps phi^2 below tau^-6,
+        # smooth enough at the ends of the tan map for the rule to reach 1e-10
+        n_top = 6 if lt == 0 else min(6, math.floor(1 / lt) - 3)
+        ef = normalized(eigen_polynomial(data.draw(st.integers(0, n_top)), lt))
+        total = line_integral(lambda t: wavefunction_eval(ef, t) ** 2)
+        assert abs(total - 1.0) < 1e-10
+
     def test_normalized_self_overlap_is_one(self):
         for n in range(3):
-            ef = eigen_polynomial(n, F(1, 10))
-            c = normalization_constant(ef, quad_tol=1e-11)
-            ef = EigenFunction(n=ef.n, lam_tilde=ef.lam_tilde,
-                               e_tilde=ef.e_tilde, coeffs=ef.coeffs,
-                               envelope_exponent=ef.envelope_exponent,
-                               norm_const=c)
-            total = 2.0 * sum(
-                adaptive_simpson(lambda t: wavefunction_eval(ef, t) ** 2,
-                                  a, b, 1e-10)
-                for a, b in ((0.0, 8.0), (8.0, 16.0), (16.0, 32.0),
-                             (32.0, 64.0)))
+            ef = normalized(eigen_polynomial(n, F(1, 10)))
+            total = line_integral(lambda t: wavefunction_eval(ef, t) ** 2)
             assert abs(total - 1.0) < 1e-6
 
     def test_orthogonality(self):
-        efs = []
-        for n in range(4):
-            ef = eigen_polynomial(n, F(1, 10))
-            c = normalization_constant(ef, quad_tol=1e-11)
-            efs.append(EigenFunction(n=ef.n, lam_tilde=ef.lam_tilde,
-                                     e_tilde=ef.e_tilde, coeffs=ef.coeffs,
-                                     envelope_exponent=ef.envelope_exponent,
-                                     norm_const=c))
+        efs = [normalized(eigen_polynomial(n, F(1, 10))) for n in range(4)]
         for m in range(4):
             for n in range(m + 1, 4):
                 if (m + n) % 2:
                     continue  # odd product integrates to zero identically
-                overlap = 2.0 * sum(
-                    adaptive_simpson(
-                        lambda t: wavefunction_eval(efs[m], t)
-                        * wavefunction_eval(efs[n], t),
-                        a, b, 1e-10)
-                    for a, b in ((0.0, 8.0), (8.0, 16.0), (16.0, 32.0),
-                                 (32.0, 64.0)))
+                overlap = line_integral(
+                    lambda t: wavefunction_eval(efs[m], t)
+                    * wavefunction_eval(efs[n], t))
                 assert abs(overlap) < 1e-6, (m, n)
+
+    @pytest.mark.parametrize("n", [30, 60, 100, 170])
+    def test_harmonic_limit_matches_hermite_recurrence(self, n):
+        # at lt = 0, phi_n is the normalized Hermite function up to sign;
+        # f(0) = 1 or f'(0) = 1 fixes the sign to (-1)^(n//2)
+        ef = normalized(eigen_polynomial(n, 0))
+        sign = (-1) ** (n // 2)
+        for i in range(41):
+            tau = -2.0 + i / 10
+            prev, psi = 0.0, math.pi ** -0.25 * math.exp(-0.5 * tau * tau)
+            for k in range(n):
+                prev, psi = psi, (math.sqrt(2 / (k + 1)) * tau * psi
+                                  - math.sqrt(k / (k + 1)) * prev)
+            assert abs(wavefunction_eval(ef, tau) - sign * psi) < 1e-11, tau
 
 
 class TestResiduals:

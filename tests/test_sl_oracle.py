@@ -33,6 +33,9 @@ class TestGrid:
             Grid(T=0.0, N=10)
         with pytest.raises(ValueError):
             Grid(T=1.0, N=2)
+        for t in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                Grid(T=t, N=10)
 
     def test_operator_shape_guard(self):
         g = Grid(T=1.0, N=3)
