@@ -276,7 +276,7 @@ def eigenfunction_via_alpha(state: AimState, e_n: RatLike,
             f"s_{state.k}/l_{state.k} is not -f'/f at E={e_n}: the iteration "
             f"has not terminated there by k={state.k}")
     low = next(c for c in den if c)
-    f = [c / low for c in den]
+    f = [Fraction(c, low) for c in den]
     return [float(horner(f, Fraction(t))) for t in tau_grid]
 
 

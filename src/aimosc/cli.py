@@ -244,6 +244,9 @@ def _oracle_levels(cfg: Namespace, n_cap: int, tol: float, below_edge: bool = Fa
             n_top -= 1
     if n_top < 0:
         return None, ()
+    if n_top + 1 > cfg.grid_n:
+        raise ValueError(f"--n-max asks the oracle for n = 0..{n_top}, more "
+                         f"than the {cfg.grid_n} levels of --grid-N {cfg.grid_n}")
     params = ModelParams(omega=cfg.omega, lam=cfg.lam)
     if cfg.grid_t is not None:
         t_half = cfg.grid_t

@@ -1,13 +1,14 @@
 """Exact bivariate polynomial arithmetic and real-root isolation.
 
 Polynomials in the two symbols tau (scaled time) and E (scaled energy) are
-sparse maps from exponent pairs to rational coefficients.  All arithmetic is
-over arbitrary-precision rationals.  Root finding works on univariate
-restrictions: the continued-fraction form of Descartes' method isolates
-every real root in integer arithmetic, hitting each rational root exactly
-and returning each irrational one as a rational bracket whose ends are not
-roots; `refine_root` narrows such a bracket by exact bisection.
-`sturm_count` counts the roots independently, with a Sturm chain.
+sparse maps from exponent pairs to rational coefficients.  A univariate
+restriction is cleared of denominators into a primitive integer coefficient
+list, and its gcds, remainders and exact quotients stay in integers (the
+primitive remainder sequence), as does root finding: the continued-fraction
+form of Descartes' method isolates every real root, hitting each rational
+root exactly and returning each irrational one as a rational bracket whose
+ends are not roots; `refine_root` narrows such a bracket by exact
+bisection.  `sturm_count` counts the roots independently, with a Sturm chain.
 
 `horner`, the package's one polynomial evaluator (exact on rationals, plain
 floating point on floats), also lives here for the other layers.  No
@@ -155,14 +156,14 @@ def _trim(c: list) -> list:
 def _int_scaled(coeffs: Iterable[Fraction]) -> list[int]:
     """Clear denominators and divide by content; sign of the input is kept."""
     cs = list(coeffs)
-    den = 1
-    for c in cs:
-        den = lcm(den, c.denominator)
-    ints = [int(c * den) for c in cs]
-    g = 0
-    for c in ints:
-        g = gcd(g, c)
-    return [c // g for c in ints] if g else ints
+    den = lcm(*(c.denominator for c in cs))
+    return _primitive([c.numerator * (den // c.denominator) for c in cs])
+
+
+def _primitive(p: list[int]) -> list[int]:
+    """p divided by its content gcd(*p) >= 0; the sign is kept."""
+    g = gcd(*p)
+    return [c // g for c in p] if g > 1 else p
 
 
 def _ideriv(p: list) -> list:
@@ -170,34 +171,40 @@ def _ideriv(p: list) -> list:
     return [i * c for i, c in enumerate(p)][1:]
 
 
-def _frem(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    """Remainder of a by b over the rationals (b nonzero)."""
+def _prem(a: list[int], b: list[int]) -> list[int]:
+    """Integer pseudo-remainder of a by b (b trimmed, nonzero): each step
+    scales by |lc(b)|, so the result is a positive multiple of the
+    remainder over the rationals and keeps its signs."""
     a = list(a)
+    m = abs(b[-1])
     while len(a) >= len(b) and _trim(a):
-        q = a[-1] / b[-1]
+        q = a[-1] if b[-1] > 0 else -a[-1]
         d = len(a) - len(b)
+        a = [m * c for c in a]
         for i, c in enumerate(b):
             a[i + d] -= q * c
         _trim(a)
     return a
 
 
-def _fgcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a, b = list(a), list(b)
-    _trim(a)
-    _trim(b)
+def _igcd(a: list[int], b: list[int]) -> list[int]:
+    """Primitive gcd of trimmed integer polynomials, up to sign, by the
+    primitive remainder sequence (Collins 1967; Brown 1971)."""
     while b:
-        a, b = b, _frem(a, b)
-        _trim(b)
-    return a
+        a, b = b, _primitive(_prem(a, b))
+    return _primitive(a)
 
 
-def _fdivexact(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    """Exact quotient a / b; remainder must vanish."""
+def _idivexact(a: list[int], b: list[int]) -> list[int]:
+    """Exact quotient a / b of integer polynomials.  For primitive b it is
+    integral whenever b divides a (Gauss's lemma); ArithmeticError when a
+    remainder is left."""
     a = list(a)
-    out = [Fraction(0)] * (len(a) - len(b) + 1)
+    out = [0] * (len(a) - len(b) + 1)
     while len(a) >= len(b) and _trim(a):
-        q = a[-1] / b[-1]
+        q, r = divmod(a[-1], b[-1])
+        if r:
+            break
         d = len(a) - len(b)
         out[d] = q
         for i, c in enumerate(b):
@@ -209,38 +216,26 @@ def _fdivexact(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
 
 
 def _squarefree(ip: list[int]) -> list[int]:
-    """Square-free part p/gcd(p, p') with integer primitive coefficients."""
-    if len(ip) <= 2:
-        return ip
-    fa = [Fraction(c) for c in ip]
-    g = _fgcd(fa, [Fraction(c) for c in _ideriv(ip)])
-    if len(g) <= 1:
-        return ip
-    return _int_scaled(_fdivexact(fa, g))
+    """Square-free part p/gcd(p, p'), up to sign, with integer primitive
+    coefficients."""
+    return _primitive(_idivexact(ip, _igcd(ip, _ideriv(ip))))
 
 
 def _sturm_chain(ip: list[int]) -> list[list[int]]:
-    chain = [ip, _int_scaled([Fraction(c) for c in _ideriv(ip)])]
-    while len(chain[-1]) > 0:
-        fa = [Fraction(c) for c in chain[-2]]
-        fb = [Fraction(c) for c in chain[-1]]
-        r = _frem(fa, fb)
-        if not r:
-            break
-        chain.append(_int_scaled([-c for c in r]))
-        if len(chain[-1]) == 1:
-            break
+    chain = [ip, _primitive(_ideriv(ip))]
+    while len(chain[-1]) > 1:
+        chain.append(_primitive([-c for c in _prem(chain[-2], chain[-1])]))
     return chain
 
 
-def _variations(chain: list[list[int]], x: Fraction) -> int:
+def _variations(chain: list[list[int]], x: int) -> int:
     return _sign_changes([horner(q, x) for q in chain])
 
 
-def _cauchy_bound(ip: list[int]) -> Fraction:
-    lead = abs(ip[-1])
+def _cauchy_bound(ip: list[int]) -> int:
+    """An integer above |x| for every root x of ip."""
     rest = max((abs(c) for c in ip[:-1]), default=0)
-    return Fraction(rest, lead) + 1
+    return rest // abs(ip[-1]) + 2
 
 
 # ---------------------------------------------------------------------------
@@ -389,19 +384,23 @@ def refine_root(p: BiPoly, iv: RootInterval, tol: RatLike) -> Fraction:
     return (a + b) / 2
 
 
-def uni_reduce(num: list[Fraction], den: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    """Cancel the polynomial gcd from a rational function's coefficient lists."""
+def uni_reduce(num: list[Fraction], den: list[Fraction]) -> tuple[list[int], list[int]]:
+    """Cancel the polynomial gcd from a rational function's coefficient lists.
+
+    Both come back as integer lists on one common scale: the inputs times a
+    single positive rational (clearing every denominator and the joint
+    content), divided by the same primitive gcd, so their ratio is kept.
+    """
     num = _trim(list(num))
     den = _trim(list(den))
     if not den:
         raise ZeroPolynomial("zero denominator")
     if not num:
-        return [], [Fraction(1)]  # zero function: no spurious denominator roots
-    g = _fgcd(num, den)
-    if len(g) > 1:
-        num = _fdivexact(num, g)
-        den = _fdivexact(den, g)
-    return num, den
+        return [], [1]  # zero function: no spurious denominator roots
+    ints = _int_scaled(num + den)
+    num, den = ints[:len(num)], ints[len(num):]
+    g = _igcd(num, den)
+    return _idivexact(num, g), _idivexact(den, g)
 
 
 def sturm_count(p: BiPoly) -> int:

@@ -341,6 +341,7 @@ class TestInputValidation:
         assert err.startswith("error: ") and flag in err
         assert err.count("\n") == 1
         assert not out.exists()
+        return err
 
     def test_fig2_omegas_positive(self, capsys, tmp_path):
         self.rejected(capsys, tmp_path,
@@ -377,6 +378,15 @@ class TestInputValidation:
         for n in ("0", "2", "-5"):
             self.rejected(capsys, tmp_path, ["verify", f"--grid-N={n}"],
                           "--grid-N")
+
+    def test_oracle_levels_within_grid_n(self, capsys, tmp_path):
+        # an N-row oracle grid has N levels: asking for more must name the
+        # two flags that clash, not fail inside the eigenvalue bisection
+        for argv in (["spectrum", "--method", "oracle", "--n-max", "300",
+                      "--grid-N", "300"],
+                     ["verify", "--grid-N", "3"]):
+            assert "--n-max" in self.rejected(capsys, tmp_path, argv,
+                                              "--grid-N")
 
 
 def test_console_script_installed(capsys):

@@ -2,10 +2,13 @@
 import pytest
 from fractions import Fraction as F
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from aimosc.exactalg import (
     RootInterval,
+    _idivexact,
+    _primitive,
+    _squarefree,
     ZeroPolynomial,
     isolate_real_roots,
     poly_add,
@@ -13,6 +16,7 @@ from aimosc.exactalg import (
     poly_eval,
     poly_mul,
     poly_new,
+    poly_scale,
     poly_sub,
     refine_root,
     sturm_count,
@@ -39,6 +43,15 @@ def poly_from_roots(roots):
     for r in roots:
         acc = poly_mul(acc, poly_new({(0, 1): 1, (0, 0): -F(r)}))
     return acc
+
+
+def list_mul(a, b):
+    """Product of ascending coefficient lists, by the schoolbook rule."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
 
 
 class TestRingLaws:
@@ -209,11 +222,45 @@ class TestSturmCount:
 
     @given(st.lists(st.fractions(min_value=-6, max_value=6,
                                  max_denominator=8),
-                    min_size=1, max_size=4, unique=True))
+                    min_size=1, max_size=4, unique=True),
+           st.sampled_from([1, -1]), st.integers(0, 5))
+    @example([F(0)], -1, 1)
     @settings(max_examples=40, deadline=None)
-    def test_count_matches_isolation(self, roots):
-        p = poly_from_roots(roots)
+    def test_count_matches_isolation(self, roots, sign, c):
+        # a negative leading coefficient, and maybe a root-free x^2 + c,
+        # which the chain's pseudo-remainders must not flip; in the example,
+        # -x^3 - x by -3x^2 - 1, the remainder has no x^2 term, so the
+        # pseudo-remainder takes one step by a negative leading coefficient
+        p = poly_scale(poly_from_roots(roots), sign)
+        if c:
+            p = poly_mul(p, poly_new({(0, 2): 1, (0, 0): c}))
         assert sturm_count(p) == len(isolate_real_roots(p)) == len(roots)
+
+
+class TestSquarefree:
+    @given(st.lists(st.fractions(min_value=-5, max_value=5,
+                                 max_denominator=10 ** 9),
+                    max_size=3, unique=True),
+           st.integers(1, 50), st.booleans(),
+           st.lists(st.integers(1, 3), min_size=5, max_size=5),
+           st.sampled_from([1, -1]))
+    @settings(max_examples=40, deadline=None)
+    def test_planted_factors(self, roots, c, cube_root, mults, sign):
+        # distinct primitive factors q x - p, x^2 + c and maybe x^3 - 2,
+        # raised to multiplicities 1..3: the square-free part is their
+        # product, whatever the gcd inside _squarefree does
+        factors = [[-r.numerator, r.denominator] for r in roots]
+        factors += [[c, 0, 1]] + ([[-2, 0, 0, 1]] if cube_root else [])
+        p, sqfree = [sign], [1]
+        for f, m in zip(factors, mults):
+            sqfree = list_mul(sqfree, f)
+            for _ in range(m):
+                p = list_mul(p, f)
+        sqfree = _primitive(sqfree)
+        assert _squarefree(p) in (sqfree, [-x for x in sqfree])
+        assert list_mul(_idivexact(p, factors[0]), factors[0]) == p
+        with pytest.raises(ArithmeticError):
+            _idivexact(p, [2 * c + 1, 0, 2])  # irreducible, no factor of p
 
 
 class TestRootInterval:
@@ -238,6 +285,31 @@ class TestUniReduce:
         rn, rd = uni_reduce(num, den)
         assert rn == uni_coeffs(poly_from_roots([2]))
         assert rd == uni_coeffs(poly_from_roots([3]))
+
+    @given(st.lists(st.fractions(min_value=-4, max_value=4,
+                                 max_denominator=20),
+                    min_size=1, max_size=5, unique=True),
+           st.lists(st.fractions(min_value=-4, max_value=4,
+                                 max_denominator=20), min_size=1, max_size=3),
+           st.lists(st.fractions(min_value=-9, max_value=9,
+                                 max_denominator=30).filter(
+                                     lambda q: q.denominator > 1),
+                    min_size=2, max_size=2),
+           st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_cancels_planted_common_factor(self, roots, g_roots, scales,
+                                           data):
+        # a and b coprime (disjoint roots, x^2 + 1 in b only), times g
+        split = data.draw(st.integers(0, len(roots)))
+        a = poly_scale(poly_from_roots(roots[:split]), scales[0])
+        b = poly_scale(poly_mul(poly_from_roots(roots[split:]),
+                                poly_new({(0, 2): 1, (0, 0): 1})), scales[1])
+        g = poly_from_roots(g_roots)
+        rn, rd = uni_reduce(uni_coeffs(poly_mul(a, g)),
+                            uni_coeffs(poly_mul(b, g)))
+        a, b = uni_coeffs(a), uni_coeffs(b)
+        assert list_mul(rn, b) == list_mul(rd, a)  # same ratio as a / b
+        assert len(rd) == len(b)
 
     def test_zero_numerator_normalizes(self):
         den = uni_coeffs(poly_from_roots([1, 3]))
