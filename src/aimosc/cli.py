@@ -228,9 +228,11 @@ def _aim_entries(cfg: Namespace) -> list[SpectrumEntry]:
     return out
 
 
-def _oracle_levels(cfg: Namespace, n_cap: int, tol: float, below_edge: bool = False
+def _oracle_levels(cfg: Namespace, n_cap: int, tol: Optional[float] = None,
+                   below_edge: bool = False
                    ) -> tuple[Optional[sl_oracle.Grid], tuple[float, ...]]:
-    """Oracle energies of n = 0..n_top, bisected to tol, and their grid.
+    """Oracle energies of n = 0..n_top, bisected to tol (default --tol),
+    and their grid.
 
     n_top is the largest n <= n_cap whose state is normalizable and, with
     below_edge, whose level lies strictly below the continuum edge.  When
@@ -254,11 +256,21 @@ def _oracle_levels(cfg: Namespace, n_cap: int, tol: float, below_edge: bool = Fa
         t_half = max(15.0, sl_oracle.suggest_domain(params, max(n_top, 1)))
     grid = sl_oracle.Grid(T=t_half, N=cfg.grid_n)
     op = sl_oracle.discretize(params, grid)
-    return grid, sl_oracle.lowest_eigenvalues(op, n_top + 1, tol).eigenvalues
+    try:
+        res = sl_oracle.lowest_eigenvalues(
+            op, n_top + 1, cfg.tol if tol is None else tol)
+    except sl_oracle.UnresolvedLevels as exc:
+        width = f"--tol {cfg.tol:g}" if tol is None \
+            else f"the bisection width {tol:g}"
+        raise ValueError(
+            f"oracle levels n = {exc.index} and {exc.index + 1} lie closer "
+            f"than {width} on --grid-N {cfg.grid_n}, so the bisection cannot "
+            f"order them; lower --n-max or change --grid-N") from None
+    return grid, res.eigenvalues
 
 
 def _oracle_entries(cfg: Namespace) -> list[SpectrumEntry]:
-    _, levels = _oracle_levels(cfg, cfg.n_max, cfg.tol)
+    _, levels = _oracle_levels(cfg, cfg.n_max)
     return [SpectrumEntry(n=n, e_tilde=2.0 * e / float(cfg.omega), e_phys=e,
                           bound=_is_bound(n, cfg.lam_tilde), source="oracle")
             for n, e in enumerate(levels)]

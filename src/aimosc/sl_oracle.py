@@ -4,15 +4,24 @@ The time-domain equation -1/2 d/dt[(1+lam t^2) dphi/dt] + V(t) phi
 = E phi with V(t) = omega^2 t^2 / (2 (1 + lam t^2)) is discretized on
 a Dirichlet-truncated interval [-T, T] by the conservative three-point
 flux stencil, giving a symmetric tridiagonal matrix.  Eigenvalues come
-from bisection on LDL^T inertia counts: slow but dependency-free,
+from bisection on LDL^T inertia counts: dependency-free,
 bitwise-deterministic, and structurally independent of the iteration
 engine it checks.
+
+One bisection loop serves every level asked for.  The levels share their
+brackets: each count narrows the bracket of every level, so a midpoint an
+earlier count already decides costs no sweep, and a sweep stops as soon
+as its count settles the question.  Both rest on the floating-point count
+(a - x) - b^2/d being monotone in x (Kahan 1966; Demmel, Dhillon & Ren,
+ETNA 3, 1995): the midpoints and brackets, hence the eigenvalues, are
+bit-identical to those of a separate bisection per level.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from itertools import chain, pairwise
+from typing import Optional, Sequence
 
 from .fh_oscillator import ModelParams
 
@@ -54,22 +63,30 @@ class TridiagOp:
     def __post_init__(self) -> None:
         if len(self.offdiag) != len(self.diag) - 1:
             raise ValueError("offdiag must be one shorter than diag")
-        self._b2 = [b * b for b in self.offdiag]
-        self._pivmin = max(self._b2, default=1.0) * 1e-30 + 1e-300
+        # b_{i-1}^2 per row, with 0 for row 0 so one loop covers every row
+        self._b2 = [b * b for b in chain((0.0,), self.offdiag)]
+        self._pivmin = (max(self._b2) if self.offdiag else 1.0) * 1e-30 \
+            + 1e-300
 
     @property
     def n(self) -> int:
         return len(self.diag)
 
     def gershgorin(self) -> tuple[float, float]:
-        lo = math.inf
-        hi = -math.inf
-        for i, d in enumerate(self.diag):
-            r = (abs(self.offdiag[i - 1]) if i > 0 else 0.0) \
-                + (abs(self.offdiag[i]) if i < len(self.offdiag) else 0.0)
-            lo = min(lo, d - r)
-            hi = max(hi, d + r)
-        return lo, hi
+        radii = [abs(u) + abs(v)
+                 for u, v in pairwise(chain((0.0,), self.offdiag, (0.0,)))]
+        return (min(d - r for d, r in zip(self.diag, radii)),
+                max(d + r for d, r in zip(self.diag, radii)))
+
+
+class UnresolvedLevels(ValueError):
+    """Levels `index` and `index + 1` did not come out strictly increasing:
+    they lie closer together than the bisection width."""
+
+    def __init__(self, index: int) -> None:
+        super().__init__(f"eigenvalues {index} and {index + 1} must be "
+                         f"strictly increasing")
+        self.index = index
 
 
 @dataclass(frozen=True)
@@ -79,9 +96,10 @@ class OracleResult:
     est_error: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        for a, b in zip(self.eigenvalues, self.eigenvalues[1:]):
+        pairs = zip(self.eigenvalues, self.eigenvalues[1:])
+        for j, (a, b) in enumerate(pairs):
             if not a < b:
-                raise ValueError("eigenvalues must be strictly increasing")
+                raise UnresolvedLevels(j)
 
 
 def discretize(params: ModelParams, grid: Grid) -> TridiagOp:
@@ -91,61 +109,87 @@ def discretize(params: ModelParams, grid: Grid) -> TridiagOp:
     """
     lam = float(params.lam)
     w2 = float(params.omega) ** 2
-    h = grid.h
+    T, h, n = grid.T, grid.h, grid.N
     inv2h2 = 1.0 / (2.0 * h * h)
-
-    def p_at(t: float) -> float:
-        return 1.0 + lam * t * t
-
-    def v_at(t: float) -> float:
-        return w2 * t * t / (2.0 * (1.0 + lam * t * t))
-
-    n = grid.N
-    p_half = [p_at(-grid.T + (i + 0.5) * h) for i in range(n + 1)]
-    diag = [(p_half[i] + p_half[i + 1]) * inv2h2 + v_at(grid.node(i + 1))
-            for i in range(n)]
-    offdiag = [-p_half[i + 1] * inv2h2 for i in range(n - 1)]
+    p_half = [1.0 + lam * t * t
+              for i in range(n + 1) for t in [-T + (i + 0.5) * h]]
+    diag = [(p_half[i - 1] + p_half[i]) * inv2h2
+            + w2 * t * t / (2.0 * (1.0 + lam * t * t))
+            for i in range(1, n + 1) for t in [-T + i * h]]
+    offdiag = [-p_half[i] * inv2h2 for i in range(1, n)]
     return TridiagOp(diag=diag, offdiag=offdiag, grid=grid, params=params)
 
 
-def eigen_count_below(op: TridiagOp, x: float) -> int:
+def eigen_count_below(op: TridiagOp, x: float,
+                      stop: Optional[int] = None) -> int:
     """Eigenvalues strictly below x by the LDL^T inertia count.
 
     Zero or denormal pivots are pushed to -pivmin, the standard guard;
-    the count stays exact wherever no pivot underflows.
+    the count stays exact wherever no pivot underflows.  The count never
+    falls along the rows, so with `stop` (at least 1) the sweep ends as
+    soon as it reaches stop and returns min(count, stop).
     """
-    diag = op.diag
-    b2 = op._b2
     pivmin = op._pivmin
+    neg = -pivmin
+    if stop is None:
+        stop = op.n
     count = 0
-    d = diag[0] - x
-    if abs(d) < pivmin:
-        d = -pivmin
-    if d < 0.0:
-        count = 1
-    for i in range(1, len(diag)):
-        d = diag[i] - x - b2[i - 1] / d
-        if abs(d) < pivmin:
-            d = -pivmin
-        if d < 0.0:
+    d = 1.0
+    for a, b2 in zip(op.diag, op._b2):
+        d = a - x - b2 / d
+        if d < pivmin:  # negative, or pushed to -pivmin: counts either way
+            if d > neg:
+                d = neg
             count += 1
+            if count == stop:
+                break
     return count
 
 
-def _bisect_kth(op: TridiagOp, k: int, lo: float, hi: float,
-                tol: float) -> tuple[float, float]:
-    """Shrink [lo, hi] around the k-th (0-based) eigenvalue."""
-    for _ in range(300):
-        if hi - lo <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if eigen_count_below(op, mid) >= k + 1:
-            hi = mid
-        else:
-            lo = mid
-    return lo, hi
+def _bisect(op: TridiagOp, first: int, m: int,
+            tol: float) -> list[tuple[float, float]]:
+    """Brackets (lo, hi) of the levels first .. first + m - 1 (0-based).
+
+    Level k is bisected from (lo of level k - 1, top of the Gershgorin
+    interval) until hi - lo <= tol.  below[j] is the largest x seen with at
+    most first + j eigenvalues below it, above[j] the smallest x seen with
+    more; a midpoint these decide costs no sweep.  A sweep stops once its
+    count settles level k, except above every point known to have fewer
+    than first + m eigenvalues below it: there it runs until it puts every
+    level below x, which spares the later levels their descent.
+    """
+    glo, ghi = op.gershgorin()
+    below = [-math.inf] * m
+    above = [math.inf] * m
+    brackets = []
+    lo = glo
+    for k in range(m):
+        hi = ghi
+        for _ in range(300):
+            if hi - lo <= tol:
+                break
+            mid = 0.5 * (lo + hi)
+            if mid <= lo or mid >= hi:
+                break
+            if mid <= below[k]:
+                lo = mid
+                continue
+            if mid >= above[k]:
+                hi = mid
+                continue
+            stop = m if mid > below[-1] else k + 1
+            c = eigen_count_below(op, mid, first + stop) - first
+            for j in range(k, c):  # mid < above[k] <= above[j]
+                above[j] = mid
+            if c < stop:  # an exact count, not a lower bound
+                for j in range(max(c, k), m):
+                    below[j] = max(below[j], mid)
+            if c > k:
+                hi = mid
+            else:
+                lo = mid
+        brackets.append((lo, hi))
+    return brackets
 
 
 def lowest_eigenvalues(op: TridiagOp, m: int, tol: float) -> OracleResult:
@@ -153,17 +197,11 @@ def lowest_eigenvalues(op: TridiagOp, m: int, tol: float) -> OracleResult:
         raise ValueError(f"m must lie in 1..{op.n}")
     if not tol > 0:
         raise ValueError("tol must be positive")
-    glo, ghi = op.gershgorin()
-    values = []
-    errors = []
-    lo_floor = glo
-    for k in range(m):
-        lo, hi = _bisect_kth(op, k, lo_floor, ghi, tol)
-        values.append(0.5 * (lo + hi))
-        errors.append(0.5 * (hi - lo))
-        lo_floor = lo  # later eigenvalues cannot lie below this bracket
-    return OracleResult(eigenvalues=tuple(values), grid=op.grid,
-                        est_error=tuple(errors))
+    brackets = _bisect(op, 0, m, tol)
+    return OracleResult(
+        eigenvalues=tuple(0.5 * (lo + hi) for lo, hi in brackets),
+        grid=op.grid,
+        est_error=tuple(0.5 * (hi - lo) for lo, hi in brackets))
 
 
 @dataclass(frozen=True)
@@ -232,9 +270,7 @@ def threshold_census(op: TridiagOp, threshold: float,
     strict = eigen_count_below(op, threshold)
     if strict + 2 > op.n:
         raise ValueError("grid too small to examine the threshold edge")
-    glo, ghi = op.gershgorin()
-    lo0, hi0 = _bisect_kth(op, strict, glo, ghi, tol)
-    lo1, hi1 = _bisect_kth(op, strict + 1, lo0, ghi, tol)
+    (lo0, hi0), (lo1, hi1) = _bisect(op, strict, 2, tol)
     edge = 0.5 * (lo0 + hi0)
     nxt = 0.5 * (lo1 + hi1)
     shift = edge - threshold

@@ -388,6 +388,22 @@ class TestInputValidation:
             assert "--n-max" in self.rejected(capsys, tmp_path, argv,
                                               "--grid-N")
 
+    def test_unresolved_oracle_levels(self, capsys, tmp_path):
+        # the high levels of a 300-row grid come in pairs closer than the
+        # bisection width: name the pair and the width, not only "strictly
+        # increasing"
+        err = self.rejected(capsys, tmp_path,
+                            ["spectrum", "--method", "oracle", "--n-max",
+                             "299", "--grid-N", "300"], "--grid-N 300")
+        assert err == ("error: oracle levels n = 238 and 239 lie closer than "
+                       "--tol 1e-10 on --grid-N 300, so the bisection cannot "
+                       "order them; lower --n-max or change --grid-N\n")
+        # verify bisects to a fixed width; its --tol is the gate
+        err = self.rejected(capsys, tmp_path,
+                            ["verify", "--grid-T", "500", "--grid-N", "6"],
+                            "--grid-N 6")
+        assert "n = 2 and 3" in err and "bisection width 1e-09" in err
+
 
 def test_console_script_installed(capsys):
     """The `aimosc` script that pyproject.toml declares resolves to `cli.main`.

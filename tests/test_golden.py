@@ -39,9 +39,12 @@ CASES = {
                                        "--format", "json"],
     "spectrum_oracle": ["spectrum", "--method", "oracle", "--lambda-tilde",
                         "1/10", "--grid-N", "3000", "--format", "json"],
+    "spectrum_oracle_n20": ["spectrum", "--method", "oracle", "--n-max", "20",
+                            "--grid-N", "3000", "--format", "json"],
     "verify_lt0": ["verify", "--grid-N", "4000"],
     "verify_lt1_10": ["verify", "--lambda-tilde", "1/10", "--grid-N", "4000"],
     "verify_lt1_3": ["verify", "--lambda-tilde", "1/3", "--grid-N", "4000"],
+    "verify_lt1_7": ["verify", "--lambda-tilde", "1/7"],
     "verify_printed_signs": ["verify", "--lambda-tilde", "1/10",
                              "--printed-signs"],
     "wavefunction_lt0_n2": ["wavefunction", "--n", "2", "--points", "21"],

@@ -3,7 +3,9 @@ import math
 
 import pytest
 from fractions import Fraction as F
+from hypothesis import given, settings, strategies as st
 
+from aimosc import sl_oracle
 from aimosc.fh_oscillator import ModelParams
 from aimosc.sl_oracle import (
     Grid,
@@ -66,6 +68,28 @@ class TestDiscretize:
             v_soft = t * t / (2 * (1 + 0.1 * t * t))
             assert v_soft < t * t / 2
 
+    def test_matches_per_node_formulas(self):
+        # the list passes evaluate the same float expressions as a per-node
+        # loop, so the operator and its Gershgorin bounds are bit-identical
+        lam, w2 = 0.2, 4.0
+        op = discretize(ModelParams(omega=2, lam=F(1, 5)), Grid(T=7.0, N=301))
+        g, h = op.grid, op.grid.h
+        inv2h2 = 1.0 / (2.0 * h * h)
+        p_half = [1.0 + lam * t * t
+                  for t in (-g.T + (i + 0.5) * h for i in range(g.N + 1))]
+        assert op.diag == [
+            (p_half[i] + p_half[i + 1]) * inv2h2
+            + w2 * g.node(i + 1) * g.node(i + 1)
+            / (2.0 * (1.0 + lam * g.node(i + 1) * g.node(i + 1)))
+            for i in range(g.N)]
+        assert op.offdiag == [-p_half[i + 1] * inv2h2 for i in range(g.N - 1)]
+        lo, hi = math.inf, -math.inf
+        for i, d in enumerate(op.diag):
+            r = (abs(op.offdiag[i - 1]) if i > 0 else 0.0) \
+                + (abs(op.offdiag[i]) if i < g.N - 1 else 0.0)
+            lo, hi = min(lo, d - r), max(hi, d + r)
+        assert op.gershgorin() == (lo, hi)
+
     def test_mirror_symmetry(self):
         op = discretize(DECAY, Grid(T=3.0, N=51))
         n = op.n
@@ -96,6 +120,93 @@ class TestInertiaCounts:
         cuts = [0.1 * k for k in range(60)]
         counts = [eigen_count_below(self.op, x) for x in cuts]
         assert counts == sorted(counts)
+
+
+def _plain_count(op, x):
+    """The LDL^T inertia count as a plain indexed loop over the rows."""
+    b2 = [b * b for b in op.offdiag]
+    pivmin = max(b2, default=1.0) * 1e-30 + 1e-300
+    count = 0
+    d = 1.0
+    for i, a in enumerate(op.diag):
+        d = a - x - (b2[i - 1] / d if i else 0.0)
+        if abs(d) < pivmin:
+            d = -pivmin
+        if d < 0.0:
+            count += 1
+    return count
+
+
+def _per_level_bisection(op, m, tol):
+    """Each level bisected on its own from (lo of the level below, top of
+    the Gershgorin interval), one full count per midpoint."""
+    glo, ghi = op.gershgorin()
+    values, errors, sweeps = [], [], 0
+    lo = glo
+    for k in range(m):
+        hi = ghi
+        for _ in range(300):
+            if hi - lo <= tol:
+                break
+            mid = 0.5 * (lo + hi)
+            if mid <= lo or mid >= hi:
+                break
+            sweeps += 1
+            if _plain_count(op, mid) >= k + 1:
+                hi = mid
+            else:
+                lo = mid
+        values.append(0.5 * (lo + hi))
+        errors.append(0.5 * (hi - lo))
+    return tuple(values), tuple(errors), sweeps
+
+
+def random_ops(max_n=40):
+    """Tridiagonal operators with arbitrary entries, zero couplings and
+    pivots that hit zero exactly at integer shifts included."""
+    entries = st.one_of(st.integers(-50, 50).map(float),
+                        st.floats(-1e3, 1e3, allow_nan=False))
+    return st.integers(3, max_n).flatmap(lambda n: st.builds(
+        lambda d, o: TridiagOp(diag=d, offdiag=o, grid=Grid(T=1.0, N=n),
+                               params=HARMONIC),
+        st.lists(entries, min_size=n, max_size=n),
+        st.lists(entries, min_size=n - 1, max_size=n - 1)))
+
+
+class TestSharedBrackets:
+    @given(st.fractions(min_value=0, max_value=1, max_denominator=40)
+           .filter(lambda lt: lt < 1),
+           st.fractions(min_value=F(1, 4), max_value=20, max_denominator=8),
+           st.integers(50, 400), st.integers(1, 5),
+           st.sampled_from((1e-6, 1e-9, 1e-12)))
+    @settings(max_examples=40, deadline=None)
+    def test_same_brackets_as_per_level_bisection(self, lt, omega, n, m,
+                                                  tol):
+        params = ModelParams(omega=omega, lam=lt * omega)
+        op = discretize(params, Grid(T=suggest_domain(params, m), N=n))
+        values, errors, sweeps = _per_level_bisection(op, m, tol)
+        calls = []
+        count = sl_oracle.eigen_count_below
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sl_oracle, "eigen_count_below",
+                       lambda *a: calls.append(a) or count(*a))
+            res = lowest_eigenvalues(op, m, tol)
+        assert res.eigenvalues == values
+        assert res.est_error == errors
+        assert len(calls) < sweeps if m >= 2 else len(calls) <= sweeps
+
+    @given(random_ops(), st.lists(st.one_of(st.integers(-60, 60).map(float),
+                                            st.floats(-3e3, 3e3)),
+                                  min_size=2, max_size=30))
+    @settings(max_examples=100, deadline=None)
+    def test_count_monotone_and_stop_caps_it(self, op, xs):
+        xs.sort()
+        counts = [eigen_count_below(op, x) for x in xs]
+        assert counts == sorted(counts)
+        assert counts == [_plain_count(op, x) for x in xs]
+        for x, full in zip(xs, counts):
+            for stop in range(1, op.n + 2):
+                assert eigen_count_below(op, x, stop) == min(full, stop)
 
 
 class TestLowestEigenvalues:
