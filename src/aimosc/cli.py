@@ -255,7 +255,11 @@ def _oracle_levels(cfg: Namespace, n_cap: int, tol: Optional[float] = None,
     else:
         t_half = max(15.0, sl_oracle.suggest_domain(params, max(n_top, 1)))
     grid = sl_oracle.Grid(T=t_half, N=cfg.grid_n)
-    op = sl_oracle.discretize(params, grid)
+    try:
+        op = sl_oracle.discretize(params, grid)
+    except ValueError as exc:
+        raise ValueError(f"--grid-T {t_half:g} is too small or too large for "
+                         f"--grid-N {cfg.grid_n}: {exc}") from None
     try:
         res = sl_oracle.lowest_eigenvalues(
             op, n_top + 1, cfg.tol if tol is None else tol)

@@ -215,9 +215,17 @@ def _log_envelope(ef: EigenFunction, tau: float) -> float:
 
 
 def wavefunction_eval(ef: EigenFunction, tau: float) -> float:
+    """N env(tau) f(tau).  Where f(tau) itself overflows a float, the
+    product is taken in logarithms: the envelope wins for every
+    normalizable n, so the value is finite (often 0)."""
     n_const = ef.norm_const if ef.norm_const is not None else 1.0
-    f = float(horner(ef.coeffs, Fraction(tau)))
-    return n_const * math.exp(_log_envelope(ef, tau)) * f
+    f = horner(ef.coeffs, Fraction(tau))
+    try:
+        return n_const * math.exp(_log_envelope(ef, tau)) * float(f)
+    except OverflowError:
+        log_abs = (math.log(n_const) + _log_envelope(ef, tau)
+                   + math.log(abs(f.numerator)) - math.log(f.denominator))
+        return -math.exp(log_abs) if f < 0 else math.exp(log_abs)
 
 
 def normalization_constant(ef: EigenFunction) -> float:

@@ -207,6 +207,15 @@ class TestWavefunction:
         assert code == 3
         assert "normalizable_max_n = 80" in err
 
+    def test_far_tails_underflow_to_zero(self, capsys):
+        # f(tau) overflows a float here; the envelope wins, and phi is 0
+        code, out, _ = run(capsys, ["wavefunction", "--lambda-tilde", "1/10",
+                                    "--n", "2", "--tau-min=-1e155",
+                                    "--tau-max=1e155", "--points", "3"])
+        assert code == 0
+        phi = [line.split(",")[1] for line in out.splitlines()[1:]]
+        assert phi == ["0", "0.475534386194", "0"]
+
     def test_profile_symmetry(self, capsys):
         _, out, _ = run(capsys, ["wavefunction", "--lambda-tilde", "1/10",
                                  "--points", "41"])
@@ -389,20 +398,37 @@ class TestInputValidation:
                                               "--grid-N")
 
     def test_unresolved_oracle_levels(self, capsys, tmp_path):
-        # the high levels of a 300-row grid come in pairs closer than the
-        # bisection width: name the pair and the width, not only "strictly
-        # increasing"
+        # the high levels of a 300-row grid come in even/odd pairs closer
+        # than the bisection width; each level is bisected in its own parity
+        # block, and where the two midpoints come out out of order the error
+        # names the pair and the width, not only "strictly increasing"
         err = self.rejected(capsys, tmp_path,
                             ["spectrum", "--method", "oracle", "--n-max",
                              "299", "--grid-N", "300"], "--grid-N 300")
-        assert err == ("error: oracle levels n = 238 and 239 lie closer than "
+        assert err == ("error: oracle levels n = 240 and 241 lie closer than "
                        "--tol 1e-10 on --grid-N 300, so the bisection cannot "
                        "order them; lower --n-max or change --grid-N\n")
-        # verify bisects to a fixed width; its --tol is the gate
+        # verify bisects to a fixed width; its --tol is the gate.  At
+        # T = 300 the rows at t = +-129 couple only through the centre rows,
+        # so levels 2 and 3 split by about 1e-12
         err = self.rejected(capsys, tmp_path,
-                            ["verify", "--grid-T", "500", "--grid-N", "6"],
+                            ["verify", "--grid-T", "300", "--grid-N", "6"],
                             "--grid-N 6")
         assert "n = 2 and 3" in err and "bisection width 1e-09" in err
+
+    def test_grid_t_fits_the_grid(self, capsys, tmp_path):
+        # h^2 underflows (a ZeroDivisionError once) or overflows (zero
+        # couplings, which the parity fold cannot take)
+        for t in ("1e-300", "1e200"):
+            err = self.rejected(capsys, tmp_path,
+                                ["spectrum", "--method", "oracle",
+                                 f"--grid-T={t}"], "--grid-T")
+            assert "too small or too large for --grid-N 30000" in err
+        # finite h^2, but t^2 overflows in the potential
+        err = self.rejected(capsys, tmp_path,
+                            ["verify", "--grid-T=1e155", "--grid-N", "1000"],
+                            "--grid-T")
+        assert "entries that are not finite" in err
 
 
 def test_console_script_installed(capsys):

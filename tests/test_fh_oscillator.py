@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aimosc.exactalg import (
+    horner,
     poly_is_zero,
     poly_new,
     sturm_count,
@@ -204,6 +205,22 @@ class TestEigenPolynomial:
                 left = wavefunction_eval(ef, -tau)
                 right = wavefunction_eval(ef, tau)
                 assert abs(left - (-1.0) ** n * right) < 1e-12 * (1 + abs(right))
+
+    def test_value_where_the_polynomial_overflows(self):
+        # at lt = 1/100, n = 99, phi falls only like 1/tau, while f(tau)
+        # overflows a float from tau ~ 1e5 on; the reference takes f/tau^99
+        # exactly and tau^99 env(tau) in logarithms
+        ef = eigen_polynomial(99, F(1, 100))
+        ef = dataclasses.replace(ef, norm_const=normalization_constant(ef))
+        for tau in (1e5, 1e100):
+            f = horner(ef.coeffs, F(tau))
+            with pytest.raises(OverflowError):
+                float(f)
+            want = ef.norm_const * float(f / F(tau) ** 99) * math.exp(
+                99 * math.log(tau)
+                + float(ef.envelope_exponent) * math.log1p(tau * tau / 100))
+            assert wavefunction_eval(ef, tau) == pytest.approx(want, rel=1e-10)
+            assert wavefunction_eval(ef, -tau) == -wavefunction_eval(ef, tau)
 
     def test_validation_catches_tampering(self):
         good = eigen_polynomial(2, F(1, 10))

@@ -1,5 +1,6 @@
 """Finite-difference oracle: stencil, inertia counts, refinement, census."""
 import math
+from itertools import accumulate
 
 import pytest
 from fractions import Fraction as F
@@ -122,14 +123,13 @@ class TestInertiaCounts:
         assert counts == sorted(counts)
 
 
-def _plain_count(op, x):
-    """The LDL^T inertia count as a plain indexed loop over the rows."""
-    b2 = [b * b for b in op.offdiag]
-    pivmin = max(b2, default=1.0) * 1e-30 + 1e-300
+def _uncut_count(diag, b2, pivmin, x):
+    """The LDL^T inertia count as a plain indexed loop over every row;
+    b2[i] is the squared coupling of row i to row i - 1."""
     count = 0
     d = 1.0
-    for i, a in enumerate(op.diag):
-        d = a - x - (b2[i - 1] / d if i else 0.0)
+    for i, a in enumerate(diag):
+        d = a - x - (b2[i] / d if i else 0.0)
         if abs(d) < pivmin:
             d = -pivmin
         if d < 0.0:
@@ -137,14 +137,24 @@ def _plain_count(op, x):
     return count
 
 
-def _per_level_bisection(op, m, tol):
-    """Each level bisected on its own from (lo of the level below, top of
-    the Gershgorin interval), one full count per midpoint."""
-    glo, ghi = op.gershgorin()
+def _plain_count(op, x):
+    """The uncut count of a whole operator."""
+    b2 = [b * b for b in op.offdiag]
+    return _uncut_count(op.diag, [0.0] + b2,
+                        max(b2, default=1.0) * 1e-30 + 1e-300, x)
+
+
+def _block_count(block, x):
+    """The uncut count of a block."""
+    return _uncut_count(block.diag, block.b2, block.pivmin, x)
+
+
+def _per_level_bisection(count, lo, top, m, tol):
+    """Each level bisected on its own from (lo of the level below, top),
+    one full count per midpoint."""
     values, errors, sweeps = [], [], 0
-    lo = glo
     for k in range(m):
-        hi = ghi
+        hi = top
         for _ in range(300):
             if hi - lo <= tol:
                 break
@@ -152,7 +162,7 @@ def _per_level_bisection(op, m, tol):
             if mid <= lo or mid >= hi:
                 break
             sweeps += 1
-            if _plain_count(op, mid) >= k + 1:
+            if count(mid) >= k + 1:
                 hi = mid
             else:
                 lo = mid
@@ -173,27 +183,97 @@ def random_ops(max_n=40):
         st.lists(entries, min_size=n - 1, max_size=n - 1)))
 
 
+@st.composite
+def persymmetric_ops(draw, max_half=16):
+    """Mirror-symmetric operators with nonzero couplings of either sign,
+    odd and even N.
+
+    The right half, from the centre out, is either arbitrary or a well:
+    each diagonal entry is its two |couplings| plus a potential that never
+    falls outward, so the outer rows are forbidden tails the sweep can cut
+    off."""
+    n = draw(st.integers(3, 2 * max_half + 1))
+    rows = n - n // 2  # the right half, centre row included for odd n
+    size = st.one_of(st.integers(1, 8).map(float), st.floats(1 / 8, 8))
+    coupling = st.tuples(size, st.booleans()).map(
+        lambda t: -t[0] if t[1] else t[0])
+    # right_b[k] couples right-half row k to the row before it (for odd n,
+    # right_b[0] is unused: the centre row is its own mirror)
+    right_b = draw(st.lists(coupling, min_size=rows, max_size=rows))
+    if draw(st.booleans()):
+        steps = draw(st.lists(st.one_of(st.integers(0, 6).map(float),
+                                        st.floats(0, 6)),
+                              min_size=rows, max_size=rows))
+        outer = right_b[1:] + [0.0]
+        right_a = [abs(u) + abs(v) + w for u, v, w in
+                   zip(right_b, outer, accumulate(steps))]
+    else:
+        right_a = draw(st.lists(st.one_of(st.integers(-30, 30).map(float),
+                                          st.floats(-30, 30)),
+                                min_size=rows, max_size=rows))
+    if n % 2:
+        diag = right_a[:0:-1] + right_a
+        offdiag = right_b[:0:-1] + right_b[1:]
+    else:
+        diag = right_a[::-1] + right_a
+        offdiag = right_b[:0:-1] + right_b
+    return TridiagOp(diag=diag, offdiag=offdiag, grid=Grid(T=1.0, N=n),
+                     params=HARMONIC)
+
+
+def _level_boundary(block, j):
+    """The largest float with at most j of the block's eigenvalues below
+    it, by bisection on the uncut count."""
+    lo, hi = block.span
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            return lo
+        if _block_count(block, mid) > j:
+            hi = mid
+        else:
+            lo = mid
+
+
+def _ulps_around(x, k=3):
+    """x and the k floats on either side of it."""
+    out = [x]
+    up = down = x
+    for _ in range(k):
+        up = math.nextafter(up, math.inf)
+        down = math.nextafter(down, -math.inf)
+        out += [up, down]
+    return out
+
+
 class TestSharedBrackets:
     @given(st.fractions(min_value=0, max_value=1, max_denominator=40)
            .filter(lambda lt: lt < 1),
            st.fractions(min_value=F(1, 4), max_value=20, max_denominator=8),
-           st.integers(50, 400), st.integers(1, 5),
+           st.integers(50, 400), st.integers(1, 6),
            st.sampled_from((1e-6, 1e-9, 1e-12)))
     @settings(max_examples=40, deadline=None)
     def test_same_brackets_as_per_level_bisection(self, lt, omega, n, m,
                                                   tol):
+        # level j is level j // 2 of parity block j % 2; each block's
+        # shared brackets equal a separate bisection per level of that
+        # block, and save sweeps wherever the block holds two levels or more
         params = ModelParams(omega=omega, lam=lt * omega)
         op = discretize(params, Grid(T=suggest_domain(params, m), N=n))
-        values, errors, sweeps = _per_level_bisection(op, m, tol)
         calls = []
         count = sl_oracle.eigen_count_below
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sl_oracle, "eigen_count_below",
                        lambda *a: calls.append(a) or count(*a))
             res = lowest_eigenvalues(op, m, tol)
-        assert res.eigenvalues == values
-        assert res.est_error == errors
-        assert len(calls) < sweeps if m >= 2 else len(calls) <= sweeps
+        for p, block in enumerate(op.parity_blocks):
+            levels = len(range(p, m, 2))
+            values, errors, sweeps = _per_level_bisection(
+                lambda x: _block_count(block, x), *block.span, levels, tol)
+            assert res.eigenvalues[p::2] == values
+            assert res.est_error[p::2] == errors
+            own = sum(1 for a in calls if a[0] is block)
+            assert own < sweeps if levels >= 2 else own <= sweeps
 
     @given(random_ops(), st.lists(st.one_of(st.integers(-60, 60).map(float),
                                             st.floats(-3e3, 3e3)),
@@ -207,6 +287,42 @@ class TestSharedBrackets:
         for x, full in zip(xs, counts):
             for stop in range(1, op.n + 2):
                 assert eigen_count_below(op, x, stop) == min(full, stop)
+
+
+class TestParityFold:
+    @given(persymmetric_ops(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_tail_exit_count_is_the_uncut_count(self, op, data):
+        # exactly: also a few ulps from a level, where the decisive pivot
+        # lies far out in the tail, and from a row's slack, where the cut
+        # row moves
+        for block in op.parity_blocks:
+            j = data.draw(st.integers(0, block.n - 1))
+            r = data.draw(st.integers(0, block.n - 1))
+            xs = (_ulps_around(_level_boundary(block, j))
+                  + _ulps_around(block.slack_min[r])
+                  + data.draw(st.lists(st.floats(-100, 100), max_size=5)))
+            for x in xs:
+                full = _block_count(block, x)
+                assert eigen_count_below(block, x) == full
+                stop = data.draw(st.integers(1, block.n))
+                assert eigen_count_below(block, x, stop) == min(full, stop)
+
+    @given(persymmetric_ops(), st.sampled_from((1e-6, 1e-9, 1e-12)))
+    @settings(max_examples=80, deadline=None)
+    def test_blocks_hold_the_levels_of_the_whole_operator(self, op, tol):
+        # level j of the operator, bisected on the whole matrix, is level
+        # j // 2 of block j % 2 within the two bisection widths and the
+        # rounding of the folded entries (a_M +- b, 2 b_M^2) and of the
+        # counts: a few thousand ulps of the operator's norm at most
+        brackets = sl_oracle._level_brackets(op, 0, op.n, tol)
+        glo, ghi = op.gershgorin()
+        want, _, _ = _per_level_bisection(lambda x: _plain_count(op, x),
+                                          glo, ghi, op.n, tol)
+        slack = tol + 2.0 ** -40 * max(abs(glo), abs(ghi))
+        for (lo, hi), value in zip(brackets, want):
+            assert hi - lo <= tol
+            assert abs(0.5 * (lo + hi) - value) <= slack
 
 
 class TestLowestEigenvalues:
