@@ -155,6 +155,10 @@ def _resolve(args: Namespace) -> Namespace:
         raise ValueError(f"--grid-T must be positive and finite, got {args.grid_t}")
     if args.grid_n < 3:
         raise ValueError(f"--grid-N must be at least 3, got {args.grid_n}")
+    iterates = ((args.command == "verify" and not args.printed_signs)
+                or (args.command == "spectrum" and "aim" in (args.method or ())))
+    if iterates and args.kmax < 2:
+        raise ValueError(f"--kmax must be at least 2, got {args.kmax}")
     if args.command == "wavefunction":
         for flag, value in (("--tau-min", args.tau_min), ("--tau-max", args.tau_max)):
             if not math.isfinite(value):

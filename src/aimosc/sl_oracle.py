@@ -8,17 +8,18 @@ from bisection on LDL^T inertia counts: dependency-free,
 bitwise-deterministic, and structurally independent of the iteration
 engine it checks.
 
-The grid is symmetric about t = 0, so the matrix is persymmetric and its
-spectrum splits into an even and an odd block of about N/2 rows each,
-both read off the right half of the operator.  With nonzero couplings the
-levels alternate between the blocks (discrete Sturm oscillation), so level
-n is level n // 2 of block n % 2.  Each block is swept from the grid
+The grid is symmetric about t = 0, so the matrix is persymmetric: its
+left half is the mirror image of its right half, and only the right half
+is built and held.  Its spectrum splits into an even and an odd block of
+about N/2 rows each, both folded from that half.  With nonzero couplings
+the levels alternate between the blocks (discrete Sturm oscillation), so
+level n is level n // 2 of block n % 2.  Each block is swept from the grid
 centre outward, and a sweep ends once the rows left provably cannot add a
 negative pivot: past the classical turning point of the shift the rows are
 diagonally dominant by a margin that covers every rounding, and once a
 pivot reaches the coupling to the next row every later pivot stays above
-its own coupling (see `eigen_count_below`).  The forbidden tails and the
-mirror half, which cannot change a count, are never swept.
+its own coupling (see `eigen_count_below`).  The forbidden tails, which
+cannot change a count, are never swept.
 
 One bisection loop serves every level of a block.  The levels share their
 brackets: each count narrows the bracket of every level, so a midpoint an
@@ -71,8 +72,8 @@ class Grid:
 
 @dataclass(frozen=True)
 class Block:
-    """A symmetric tridiagonal matrix in the form the inertia sweep reads:
-    a parity block of an operator, or a whole operator.
+    """A symmetric tridiagonal matrix in the form the inertia sweep reads,
+    such as a parity block of the grid operator.
 
     b2[i] is the squared coupling of row i to row i - 1 (0 for row 0) and
     c_i = fl(sqrt(b2[i])).  slack_min[r] is the least row slack
@@ -134,84 +135,76 @@ def _blocks(heads: Sequence[tuple[list[float], list[float]]],
 
 @dataclass
 class TridiagOp:
+    """Rows N//2 .. N-1 of the grid operator, the centre row first; the
+    other rows are their mirror image.  offdiag[k] couples row k + N % 2
+    to the row before it, so for even N offdiag[0] couples the first row
+    to its mirror."""
     diag: list[float]
     offdiag: list[float]
-    grid: Grid
-    params: ModelParams
 
     def __post_init__(self) -> None:
-        if len(self.offdiag) != len(self.diag) - 1:
-            raise ValueError("offdiag must be one shorter than diag")
+        rows, couplings = len(self.diag), len(self.offdiag)
+        if not 1 <= couplings <= rows <= couplings + 1:
+            raise ValueError("offdiag must be nonempty and as long as diag "
+                             "or one shorter")
 
     @property
-    def n(self) -> int:
-        return len(self.diag)
-
-    @cached_property
-    def whole(self) -> Block:
-        """The operator as one block, for a direct count; the oracle
-        sweeps only its parity blocks."""
-        b2 = [b * b for b in chain((0.0,), self.offdiag)]
-        return _blocks([(self.diag, b2)], [], [])[0]
+    def n(self) -> int:  # N, the rows of the whole operator
+        return len(self.diag) + len(self.offdiag)
 
     @cached_property
     def parity_blocks(self) -> tuple[Block, Block]:
-        """The blocks of the even and of the odd levels of the operator
-        mirrored from its right half; with negative couplings, as the
-        stencil's are, they hold the even and the odd states.
+        """The blocks of the even and of the odd levels of the operator;
+        with negative couplings, as the stencil's are, they hold the even
+        and the odd states.
 
-        With N = 2M the right half starts at row M, whose diagonal is
-        a_M - |b_(M-1)| in the block of levels 0, 2, 4, ... and
-        a_M + |b_(M-1)| in the other.  With N = 2M + 1 the first block keeps
-        the centre row M, coupled to row M + 1 with b^2 = 2 b_M^2, and the
-        second starts at row M + 1.  Both share the operator's own rows from
-        t0 on."""
-        a, b, n = self.diag, self.offdiag, self.n
-        m = n // 2
-        t0 = m + 1 + n % 2
-        if n % 2:
-            heads = (([a[m], a[m + 1]], [0.0, 2.0 * b[m] * b[m]]),
-                     ([a[m + 1]], [0.0]))
+        With N = 2M the block of levels 0, 2, 4, ... starts with the
+        diagonal a_M - |b_(M-1)| of the first held row and the other with
+        a_M + |b_(M-1)|.  With N = 2M + 1 the first block keeps the centre
+        row M, coupled to row M + 1 with b^2 = 2 b_M^2, and the second
+        starts at row M + 1.  Both share the held rows after those."""
+        a, b = self.diag, self.offdiag
+        if len(a) > len(b):  # odd N: a[0] is the centre row
+            heads = (([a[0], a[1]], [0.0, 2.0 * b[0] * b[0]]), ([a[1]], [0.0]))
+            tail = a[2:]
         else:
-            centre = abs(b[m - 1])
-            heads = (([a[m] - centre], [0.0]), ([a[m] + centre], [0.0]))
-        even, odd = _blocks(heads, a[t0:], [v * v for v in b[t0 - 1:]])
+            centre = abs(b[0])
+            heads = (([a[0] - centre], [0.0]), ([a[0] + centre], [0.0]))
+            tail = a[1:]
+        even, odd = _blocks(heads, tail, [v * v for v in b[1:]])
         return even, odd
-
-    def gershgorin(self) -> tuple[float, float]:
-        radii = [abs(u) + abs(v)
-                 for u, v in pairwise(chain((0.0,), self.offdiag, (0.0,)))]
-        return (min(d - r for d, r in zip(self.diag, radii)),
-                max(d + r for d, r in zip(self.diag, radii)))
 
 
 class UnresolvedLevels(ValueError):
-    """Levels `index` and `index + 1` did not come out strictly increasing:
-    they lie closer together than the bisection width."""
+    """The brackets of levels `index` and `index + 1` overlap, or their
+    midpoints do not come out strictly increasing: the two levels lie
+    closer together than the bisection width."""
 
     def __init__(self, index: int) -> None:
-        super().__init__(f"eigenvalues {index} and {index + 1} must be "
-                         f"strictly increasing")
+        super().__init__(f"eigenvalues {index} and {index + 1} are not "
+                         f"resolved by the bisection")
         self.index = index
 
 
 @dataclass(frozen=True)
 class OracleResult:
     eigenvalues: tuple[float, ...]
-    grid: Grid
     est_error: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        pairs = zip(self.eigenvalues, self.eigenvalues[1:])
-        for j, (a, b) in enumerate(pairs):
+        for j, (a, b) in enumerate(pairwise(self.eigenvalues)):
             if not a < b:
                 raise UnresolvedLevels(j)
 
 
 def discretize(params: ModelParams, grid: Grid) -> TridiagOp:
-    """Conservative stencil with p = 1+lam t^2 at half-nodes:
+    """The right half of the conservative stencil with p = 1+lam t^2 at
+    half-nodes:
     (H phi)_i = [-p_{i+1/2}(phi_{i+1}-phi_i) + p_{i-1/2}(phi_i-phi_{i-1})]
                 / (2 h^2) + V_i phi_i.
+
+    Only rows N//2 .. N-1 and couplings (N-1)//2 .. N-2 are built, each
+    by the float expression of the whole grid at its own node index.
 
     A grid whose entries overflow, or whose couplings vanish because h^2
     underflows or overflows, has no such operator and raises ValueError.
@@ -222,23 +215,24 @@ def discretize(params: ModelParams, grid: Grid) -> TridiagOp:
     if not 0.0 < 2.0 * h * h < math.inf:
         raise ValueError(f"h^2 = {h * h:g} is out of floating-point range")
     inv2h2 = 1.0 / (2.0 * h * h)
+    m = n // 2
+    # p_half[k] sits at half-node m + k, k = 0 .. n - m
     p_half = [1.0 + lam * t * t
-              for i in range(n + 1) for t in [-T + (i + 0.5) * h]]
-    diag = [(p_half[i - 1] + p_half[i]) * inv2h2
+              for i in range(m, n + 1) for t in [-T + (i + 0.5) * h]]
+    diag = [(p_half[k] + p_half[k + 1]) * inv2h2
             + w2 * t * t / (2.0 * (1.0 + lam * t * t))
-            for i in range(1, n + 1) for t in [-T + i * h]]
-    offdiag = [-p_half[i] * inv2h2 for i in range(1, n)]
+            for k in range(n - m) for t in [-T + (m + 1 + k) * h]]
+    offdiag = [-p * inv2h2 for p in islice(p_half, n % 2, n - m)]
     # finite diagonal entries bound every p_half, hence every coupling
     if not all(map(math.isfinite, diag)) or not all(offdiag):
         raise ValueError("the stencil has entries that are not finite or "
                          "couplings that are zero")
-    return TridiagOp(diag=diag, offdiag=offdiag, grid=grid, params=params)
+    return TridiagOp(diag=diag, offdiag=offdiag)
 
 
-def eigen_count_below(op: TridiagOp | Block, x: float,
+def eigen_count_below(block: Block, x: float,
                       stop: Optional[int] = None) -> int:
-    """Eigenvalues strictly below x by the LDL^T inertia count of op, a
-    whole operator or one of its parity blocks.
+    """Eigenvalues strictly below x by the LDL^T inertia count of a block.
 
     Zero or denormal pivots are pushed to -pivmin, the standard guard;
     the count stays exact wherever no pivot underflows.  The count never
@@ -266,16 +260,14 @@ def eigen_count_below(op: TridiagOp | Block, x: float,
     (Where the margin underflows, 2 pivmin alone covers the rounding.)  The
     rows before r need no slack: only the pivot they leave enters row i.
     """
-    if isinstance(op, TridiagOp):
-        op = op.whole
-    pivmin = op.pivmin
+    pivmin = block.pivmin
     neg = -pivmin
     if stop is None:
-        stop = op.n
+        stop = block.n
     count = 0
     d = 1.0
-    rows = zip(op.diag, op.b2)
-    for a, b2 in islice(rows, bisect_right(op.slack_min, x)):
+    rows = zip(block.diag, block.b2)
+    for a, b2 in islice(rows, bisect_right(block.slack_min, x)):
         d = a - x - b2 / d
         if d < pivmin:  # negative, or pushed to -pivmin: counts either way
             if d > neg:
@@ -362,9 +354,11 @@ def lowest_eigenvalues(op: TridiagOp, m: int, tol: float) -> OracleResult:
     if not tol > 0:
         raise ValueError("tol must be positive")
     brackets = _level_brackets(op, 0, m, tol)
+    for j, ((_, hi), (lo, _)) in enumerate(pairwise(brackets)):
+        if hi > lo:
+            raise UnresolvedLevels(j)
     return OracleResult(
         eigenvalues=tuple(0.5 * (lo + hi) for lo, hi in brackets),
-        grid=op.grid,
         est_error=tuple(0.5 * (hi - lo) for lo, hi in brackets))
 
 

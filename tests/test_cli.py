@@ -400,21 +400,37 @@ class TestInputValidation:
     def test_unresolved_oracle_levels(self, capsys, tmp_path):
         # the high levels of a 300-row grid come in even/odd pairs closer
         # than the bisection width; each level is bisected in its own parity
-        # block, and where the two midpoints come out out of order the error
-        # names the pair and the width, not only "strictly increasing"
+        # block, and the first pair whose brackets overlap is rejected,
+        # whatever order its midpoints come out in, with an error naming the
+        # pair and the width
         err = self.rejected(capsys, tmp_path,
                             ["spectrum", "--method", "oracle", "--n-max",
                              "299", "--grid-N", "300"], "--grid-N 300")
-        assert err == ("error: oracle levels n = 240 and 241 lie closer than "
+        assert err == ("error: oracle levels n = 238 and 239 lie closer than "
                        "--tol 1e-10 on --grid-N 300, so the bisection cannot "
                        "order them; lower --n-max or change --grid-N\n")
         # verify bisects to a fixed width; its --tol is the gate.  At
         # T = 300 the rows at t = +-129 couple only through the centre rows,
-        # so levels 2 and 3 split by about 1e-12
-        err = self.rejected(capsys, tmp_path,
-                            ["verify", "--grid-T", "300", "--grid-N", "6"],
-                            "--grid-N 6")
-        assert "n = 2 and 3" in err and "bisection width 1e-09" in err
+        # so levels 2 and 3 split by about 1e-12; at T = 500 they agree to
+        # the last bit, and their midpoints happen to come out in order
+        for t in ("300", "500"):
+            err = self.rejected(capsys, tmp_path,
+                                ["verify", "--grid-T", t, "--grid-N", "6"],
+                                "--grid-N 6")
+            assert "n = 2 and 3" in err and "bisection width 1e-09" in err
+
+    def test_kmax_at_least_two(self, capsys, tmp_path):
+        # the iteration needs two rounds to tell a stable root
+        for argv in (["spectrum", "--method", "aim", "--kmax", "1"],
+                     ["verify", "--kmax", "0"]):
+            err = self.rejected(capsys, tmp_path, argv, "--kmax")
+            assert "at least 2" in err
+        # the closed form and the printed-signs demo do not iterate that far
+        for argv in (["spectrum", "--kmax", "0"],
+                     ["verify", "--printed-signs", "--lambda-tilde", "1/3",
+                      "--kmax", "0"]):
+            code, _, _ = run(capsys, argv)
+            assert code == 0
 
     def test_grid_t_fits_the_grid(self, capsys, tmp_path):
         # h^2 underflows (a ZeroDivisionError once) or overflows (zero

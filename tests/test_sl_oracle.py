@@ -1,6 +1,6 @@
 """Finite-difference oracle: stencil, inertia counts, refinement, census."""
 import math
-from itertools import accumulate
+from itertools import accumulate, pairwise
 
 import pytest
 from fractions import Fraction as F
@@ -41,85 +41,109 @@ class TestGrid:
                 Grid(T=t, N=10)
 
     def test_operator_shape_guard(self):
-        g = Grid(T=1.0, N=3)
-        with pytest.raises(ValueError):
-            TridiagOp(diag=[1.0, 2.0, 3.0], offdiag=[0.1], grid=g,
-                      params=HARMONIC)
+        # the right half holds N - N//2 rows and N//2 couplings
+        for diag, offdiag in (([1.0, 2.0, 3.0], [0.1]), ([1.0], [0.1, 0.2]),
+                              ([1.0], [])):
+            with pytest.raises(ValueError):
+                TridiagOp(diag=diag, offdiag=offdiag)
+        assert TridiagOp(diag=[1.0, 2.0], offdiag=[0.1]).n == 3
+        assert TridiagOp(diag=[1.0, 2.0], offdiag=[0.1, 0.2]).n == 4
 
     def test_result_ordering_guard(self):
-        g = Grid(T=1.0, N=3)
         with pytest.raises(ValueError):
-            OracleResult(eigenvalues=(1.0, 1.0), grid=g, est_error=(0.0, 0.0))
+            OracleResult(eigenvalues=(1.0, 1.0), est_error=(0.0, 0.0))
+
+
+def _stencil(params, g):
+    """The whole grid operator by per-node formulas: diagonal and couplings
+    of rows 0 .. N-1, row i at node i + 1."""
+    lam, w2 = float(params.lam), float(params.omega) ** 2
+    h = g.h
+    inv2h2 = 1.0 / (2.0 * h * h)
+    p_half = [1.0 + lam * t * t
+              for t in (-g.T + (i + 0.5) * h for i in range(g.N + 1))]
+    diag = [(p_half[i] + p_half[i + 1]) * inv2h2
+            + w2 * g.node(i + 1) * g.node(i + 1)
+            / (2.0 * (1.0 + lam * g.node(i + 1) * g.node(i + 1)))
+            for i in range(g.N)]
+    offdiag = [-p_half[i + 1] * inv2h2 for i in range(g.N - 1)]
+    return diag, offdiag
 
 
 class TestDiscretize:
     def test_flat_mass_stencil_values(self):
-        # p = 1: diagonal 1/h^2 + t^2/2, off-diagonal -1/(2 h^2)
+        # p = 1: diagonal 1/h^2 + t^2/2, off-diagonal -1/(2 h^2); the
+        # whole matrix has diagonal [4.125, 4.0, 4.125] and couplings
+        # [-2.0, -2.0], and the right half starts at the centre row
         op = discretize(HARMONIC, Grid(T=1.0, N=3))
-        assert op.diag == [4.125, 4.0, 4.125]
-        assert op.offdiag == [-2.0, -2.0]
+        assert op.diag == [4.0, 4.125]
+        assert op.offdiag == [-2.0]
+        assert op.n == 3
 
     def test_decaying_mass_softens_potential(self):
-        op_flat = discretize(HARMONIC, Grid(T=5.0, N=99))
-        op_soft = discretize(DECAY, Grid(T=5.0, N=99))
+        g = Grid(T=5.0, N=99)
+        op_flat = discretize(HARMONIC, g)
+        op_soft = discretize(DECAY, g)
         # V = t^2 / (2(1 + lam t^2)) < t^2/2 away from the center
-        for i in (0, 10, 30):
-            t = op_flat.grid.node(i + 1)
-            assert op_soft.diag[i] - op_flat.diag[i] > 0  # p grows
+        for node in (99, 89, 69):
+            k = node - 1 - g.N // 2  # held row of that node
+            t = g.node(node)
+            assert op_soft.diag[k] - op_flat.diag[k] > 0  # p grows
             v_soft = t * t / (2 * (1 + 0.1 * t * t))
             assert v_soft < t * t / 2
 
     def test_matches_per_node_formulas(self):
-        # the list passes evaluate the same float expressions as a per-node
-        # loop, so the operator and its Gershgorin bounds are bit-identical
-        lam, w2 = 0.2, 4.0
-        op = discretize(ModelParams(omega=2, lam=F(1, 5)), Grid(T=7.0, N=301))
-        g, h = op.grid, op.grid.h
-        inv2h2 = 1.0 / (2.0 * h * h)
-        p_half = [1.0 + lam * t * t
-                  for t in (-g.T + (i + 0.5) * h for i in range(g.N + 1))]
-        assert op.diag == [
-            (p_half[i] + p_half[i + 1]) * inv2h2
-            + w2 * g.node(i + 1) * g.node(i + 1)
-            / (2.0 * (1.0 + lam * g.node(i + 1) * g.node(i + 1)))
-            for i in range(g.N)]
-        assert op.offdiag == [-p_half[i + 1] * inv2h2 for i in range(g.N - 1)]
-        lo, hi = math.inf, -math.inf
-        for i, d in enumerate(op.diag):
-            r = (abs(op.offdiag[i - 1]) if i > 0 else 0.0) \
-                + (abs(op.offdiag[i]) if i < g.N - 1 else 0.0)
-            lo, hi = min(lo, d - r), max(hi, d + r)
-        assert op.gershgorin() == (lo, hi)
+        # the held rows and couplings evaluate the same float expressions
+        # as a per-node loop over the whole grid, so they are bit-identical
+        # to its rows N//2 .. N-1 and couplings (N-1)//2 .. N-2
+        params = ModelParams(omega=2, lam=F(1, 5))
+        for n in (300, 301):
+            g = Grid(T=7.0, N=n)
+            op = discretize(params, g)
+            diag, offdiag = _stencil(params, g)
+            assert op.diag == diag[n // 2:]
+            assert op.offdiag == offdiag[(n - 1) // 2:]
 
     def test_mirror_symmetry(self):
-        op = discretize(DECAY, Grid(T=3.0, N=51))
-        n = op.n
-        for i in range(n):
-            assert op.diag[i] == pytest.approx(op.diag[n - 1 - i], abs=1e-12)
-        for i in range(n - 1):
-            assert op.offdiag[i] == pytest.approx(op.offdiag[n - 2 - i],
-                                                  abs=1e-12)
+        # the fold rests on the left half mirroring the held right half:
+        # the per-node formulas at the mirrored nodes agree with it
+        for n in (50, 51):
+            g = Grid(T=3.0, N=n)
+            op = discretize(DECAY, g)
+            diag, offdiag = _stencil(DECAY, g)
+            for k, a in enumerate(op.diag):
+                mirror = diag[n - 1 - (n // 2 + k)]
+                assert mirror == pytest.approx(a, abs=1e-12)
+            for k, b in enumerate(op.offdiag):
+                mirror = offdiag[n - 2 - ((n - 1) // 2 + k)]
+                assert mirror == pytest.approx(b, abs=1e-12)
 
 
 class TestInertiaCounts:
     def setup_method(self):
         self.op = discretize(HARMONIC, Grid(T=10.0, N=2000))
 
+    def count(self, x):
+        return sum(eigen_count_below(block, x)
+                   for block in self.op.parity_blocks)
+
     def test_gershgorin_brackets_spectrum(self):
-        lo, hi = self.op.gershgorin()
-        assert eigen_count_below(self.op, lo) == 0
-        assert eigen_count_below(self.op, hi + 1.0) == self.op.n
+        for block in self.op.parity_blocks:
+            lo, hi = block.span
+            assert eigen_count_below(block, lo) == 0
+            assert eigen_count_below(block, hi) == block.n
+        assert sum(b.n for b in self.op.parity_blocks) == self.op.n
 
     def test_counts_match_known_levels(self):
         # levels near 1/2, 3/2, 5/2, ...
-        assert eigen_count_below(self.op, 0.4) == 0
-        assert eigen_count_below(self.op, 1.0) == 1
-        assert eigen_count_below(self.op, 2.0) == 2
-        assert eigen_count_below(self.op, 3.0) == 3
+        assert self.count(0.4) == 0
+        assert self.count(1.0) == 1
+        assert self.count(2.0) == 2
+        assert self.count(3.0) == 3
 
     def test_counts_monotone_in_cut(self):
         cuts = [0.1 * k for k in range(60)]
-        counts = [eigen_count_below(self.op, x) for x in cuts]
+        counts = [self.count(x) for x in cuts]
         assert counts == sorted(counts)
 
 
@@ -137,11 +161,18 @@ def _uncut_count(diag, b2, pivmin, x):
     return count
 
 
-def _plain_count(op, x):
-    """The uncut count of a whole operator."""
-    b2 = [b * b for b in op.offdiag]
-    return _uncut_count(op.diag, [0.0] + b2,
+def _plain_count(diag, offdiag, x):
+    """The uncut count of a whole matrix."""
+    b2 = [b * b for b in offdiag]
+    return _uncut_count(diag, [0.0] + b2,
                         max(b2, default=1.0) * 1e-30 + 1e-300, x)
+
+
+def _gershgorin(diag, offdiag):
+    """The Gershgorin interval of a whole matrix."""
+    radii = [abs(u) + abs(v) for u, v in pairwise([0.0] + offdiag + [0.0])]
+    return (min(d - r for d, r in zip(diag, radii)),
+            max(d + r for d, r in zip(diag, radii)))
 
 
 def _block_count(block, x):
@@ -171,14 +202,13 @@ def _per_level_bisection(count, lo, top, m, tol):
     return tuple(values), tuple(errors), sweeps
 
 
-def random_ops(max_n=40):
-    """Tridiagonal operators with arbitrary entries, zero couplings and
-    pivots that hit zero exactly at integer shifts included."""
+def random_matrices(max_n=40):
+    """Tridiagonal matrices (diagonal, couplings) with arbitrary entries,
+    zero couplings and pivots that hit zero exactly at integer shifts
+    included."""
     entries = st.one_of(st.integers(-50, 50).map(float),
                         st.floats(-1e3, 1e3, allow_nan=False))
-    return st.integers(3, max_n).flatmap(lambda n: st.builds(
-        lambda d, o: TridiagOp(diag=d, offdiag=o, grid=Grid(T=1.0, N=n),
-                               params=HARMONIC),
+    return st.integers(3, max_n).flatmap(lambda n: st.tuples(
         st.lists(entries, min_size=n, max_size=n),
         st.lists(entries, min_size=n - 1, max_size=n - 1)))
 
@@ -186,7 +216,8 @@ def random_ops(max_n=40):
 @st.composite
 def persymmetric_ops(draw, max_half=16):
     """Mirror-symmetric operators with nonzero couplings of either sign,
-    odd and even N.
+    odd and even N: the held right half, and the whole matrix (diagonal,
+    couplings) it mirrors.
 
     The right half, from the centre out, is either arbitrary or a well:
     each diagonal entry is its two |couplings| plus a potential that never
@@ -217,8 +248,7 @@ def persymmetric_ops(draw, max_half=16):
     else:
         diag = right_a[::-1] + right_a
         offdiag = right_b[:0:-1] + right_b
-    return TridiagOp(diag=diag, offdiag=offdiag, grid=Grid(T=1.0, N=n),
-                     params=HARMONIC)
+    return TridiagOp(diag=right_a, offdiag=right_b[n % 2:]), diag, offdiag
 
 
 def _level_boundary(block, j):
@@ -275,27 +305,33 @@ class TestSharedBrackets:
             own = sum(1 for a in calls if a[0] is block)
             assert own < sweeps if levels >= 2 else own <= sweeps
 
-    @given(random_ops(), st.lists(st.one_of(st.integers(-60, 60).map(float),
-                                            st.floats(-3e3, 3e3)),
-                                  min_size=2, max_size=30))
+    @given(random_matrices(),
+           st.lists(st.one_of(st.integers(-60, 60).map(float),
+                              st.floats(-3e3, 3e3)),
+                    min_size=2, max_size=30))
     @settings(max_examples=100, deadline=None)
-    def test_count_monotone_and_stop_caps_it(self, op, xs):
+    def test_count_monotone_and_stop_caps_it(self, matrix, xs):
+        # a whole matrix swept as one block
+        diag, offdiag = matrix
+        block, = sl_oracle._blocks([(diag, [0.0] + [b * b for b in offdiag])],
+                                   [], [])
         xs.sort()
-        counts = [eigen_count_below(op, x) for x in xs]
+        counts = [eigen_count_below(block, x) for x in xs]
         assert counts == sorted(counts)
-        assert counts == [_plain_count(op, x) for x in xs]
+        assert counts == [_plain_count(diag, offdiag, x) for x in xs]
         for x, full in zip(xs, counts):
-            for stop in range(1, op.n + 2):
-                assert eigen_count_below(op, x, stop) == min(full, stop)
+            for stop in range(1, block.n + 2):
+                assert eigen_count_below(block, x, stop) == min(full, stop)
 
 
 class TestParityFold:
     @given(persymmetric_ops(), st.data())
     @settings(max_examples=150, deadline=None)
-    def test_tail_exit_count_is_the_uncut_count(self, op, data):
+    def test_tail_exit_count_is_the_uncut_count(self, sym, data):
         # exactly: also a few ulps from a level, where the decisive pivot
         # lies far out in the tail, and from a row's slack, where the cut
         # row moves
+        op, _, _ = sym
         for block in op.parity_blocks:
             j = data.draw(st.integers(0, block.n - 1))
             r = data.draw(st.integers(0, block.n - 1))
@@ -310,15 +346,17 @@ class TestParityFold:
 
     @given(persymmetric_ops(), st.sampled_from((1e-6, 1e-9, 1e-12)))
     @settings(max_examples=80, deadline=None)
-    def test_blocks_hold_the_levels_of_the_whole_operator(self, op, tol):
+    def test_blocks_hold_the_levels_of_the_whole_operator(self, sym, tol):
         # level j of the operator, bisected on the whole matrix, is level
         # j // 2 of block j % 2 within the two bisection widths and the
         # rounding of the folded entries (a_M +- b, 2 b_M^2) and of the
         # counts: a few thousand ulps of the operator's norm at most
+        op, diag, offdiag = sym
+        assert op.n == len(diag)
         brackets = sl_oracle._level_brackets(op, 0, op.n, tol)
-        glo, ghi = op.gershgorin()
-        want, _, _ = _per_level_bisection(lambda x: _plain_count(op, x),
-                                          glo, ghi, op.n, tol)
+        glo, ghi = _gershgorin(diag, offdiag)
+        want, _, _ = _per_level_bisection(
+            lambda x: _plain_count(diag, offdiag, x), glo, ghi, op.n, tol)
         slack = tol + 2.0 ** -40 * max(abs(glo), abs(ghi))
         for (lo, hi), value in zip(brackets, want):
             assert hi - lo <= tol
