@@ -12,7 +12,6 @@ from .aim_core import (
     aim_eigenvalues,
     aim_iterate,
     aim_seed,
-    alpha_at,
     eigenfunction_via_alpha,
     quantization_delta,
 )
@@ -52,7 +51,7 @@ __all__ = [
     "AimSpectrumReport", "AimState", "BiPoly", "DeltaPoly", "EigenFunction",
     "Grid", "ModelParams", "OracleResult", "RootInterval", "SpectrumEntry",
     "TridiagOp", "ZeroPolynomial", "aim_eigenvalues", "aim_inputs",
-    "aim_iterate", "aim_seed", "alpha_at", "bound_state_info",
+    "aim_iterate", "aim_seed", "bound_state_info",
     "converge_study", "discretize", "eigen_count_below",
     "eigen_polynomial", "eigenfunction_via_alpha", "isolate_real_roots",
     "lowest_eigenvalues", "normalization_constant", "poly_diff_tau",

@@ -4,9 +4,12 @@ The iteration rules
     l_k = l_{k-1}' + s_{k-1} + l0*l_{k-1}
     s_k = s_{k-1}' + s0*l_{k-1}
 are carried out on exact polynomial numerators over the shared structural
-denominator u^(k+1), so every quantity stays a rational-coefficient
-polynomial in (tau, E).  Eigenvalues are the roots of the termination
-determinant delta_k = l_k*s_{k-1} - l_{k-1}*s_k that persist as k grows.
+denominator u^(k+1); from an integer seed they stay integer polynomials in
+(tau, E).  The iteration has terminated at E when the determinant
+delta_k = l_k*s_{k-1} - l_{k-1}*s_k vanishes identically in tau there, and
+for an exactly solvable problem those E are the eigenvalues (Ciftci, Hall &
+Saad, J. Phys. A 36 (2003) 11807).  Each eigenvalue is accepted on that
+identity, checked with E substituted exactly, and on nothing else.
 Where the iteration has terminated, the ratio alpha = s_k/l_k equals
 -f'/f for the polynomial eigenfunction f, so f = exp(-Integral alpha) is
 read off alpha's reduced denominator exactly, with no quadrature.
@@ -15,25 +18,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .exactalg import (
     BiPoly,
     RatLike,
+    RootInterval,
+    _idivexact,
     _ideriv,
+    _igcd,
     _int_scaled,
     horner,
     isolate_real_roots,
     poly_add,
     poly_diff_tau,
-    poly_eval,
-    poly_eval_e,
-    poly_eval_tau,
     poly_is_zero,
     poly_mul,
-    poly_scale,
     poly_sub,
-    refine_root,
+    poly_substitute,
+    refine_root,  # noqa: F401  narrows a rejected irrational bracket
     uni_coeffs,
     uni_reduce,
 )
@@ -48,7 +51,7 @@ class DegenerateDelta(ArithmeticError):
 
 
 class NoStableRoots(RuntimeError):
-    """No quantization root persisted across iterations."""
+    """No root terminated the iteration by k_max."""
 
 
 class DivisionByZero(ZeroDivisionError):
@@ -89,16 +92,20 @@ class DeltaPoly:
 
 @dataclass(frozen=True)
 class AimSpectrumReport:
-    """Stable-root census after iterating to k_max.
+    """Certified roots after iterating to k_max.
 
-    accepted: (E value, first iteration of the surviving run, stability
-    residual) per root, sorted by value; exact rational roots carry
-    residual 0.  rejected: transient roots as (value, first, last seen).
+    accepted: (E, k) per distinct root, sorted by E, where E is an exact
+    rational at which delta_k vanishes identically in tau and k is the
+    first iteration at which it was certified.  rejected: (bracket, k)
+    per candidate that failed that identity at iteration k; an exact
+    candidate has a collapsed bracket, and an irrational one, which the
+    identity cannot check, keeps a rational bracket that `refine_root`
+    narrows.
     """
     k_max: int
     tau0: Fraction
-    accepted: tuple[tuple[Fraction | float, int, float], ...]
-    rejected: tuple[tuple[Fraction | float, int, int], ...]
+    accepted: tuple[tuple[Fraction, int], ...]
+    rejected: tuple[tuple[RootInterval, int], ...]
 
 
 def aim_seed(l0_num: BiPoly, s0_num: BiPoly, u: BiPoly) -> AimState:
@@ -112,21 +119,19 @@ def aim_seed(l0_num: BiPoly, s0_num: BiPoly, u: BiPoly) -> AimState:
 
 
 def aim_iterate(state: AimState) -> AimState:
-    """One exact iteration step; the denominator exponent grows by one."""
+    """One exact iteration step; the denominator exponent grows by one.
+
+    Integer seed coefficients stay integers."""
     u = state.u_poly
-    du = poly_diff_tau(u)
     d = state.denom_exp
-    # quotient rule over u^d: (X/u^d)' = (X'u - d X u')/u^(d+1)
-    lk = poly_add(
-        poly_add(
-            poly_sub(poly_mul(poly_diff_tau(state.L), u),
-                     poly_scale(poly_mul(state.L, du), d)),
-            poly_mul(state.S, u)),
-        poly_mul(state.l0, state.L))
-    sk = poly_add(
-        poly_sub(poly_mul(poly_diff_tau(state.S), u),
-                 poly_scale(poly_mul(state.S, du), d)),
-        poly_mul(state.s0, state.L))
+    du_d = {key: d * c for key, c in poly_diff_tau(u).items()}
+    # quotient rule over u^d: (X/u^d)' = (X'u - d X u')/u^(d+1), so
+    # L_k = (L' + S) u + (l0 - d u') L and S_k = S' u - d u' S + s0 L
+    lk = poly_add(poly_mul(poly_add(poly_diff_tau(state.L), state.S), u),
+                  poly_mul(poly_sub(state.l0, du_d), state.L))
+    sk = poly_add(poly_sub(poly_mul(poly_diff_tau(state.S), u),
+                           poly_mul(du_d, state.S)),
+                  poly_mul(state.s0, state.L))
     return AimState(k=state.k + 1, L=lk, S=sk, u_poly=u,
                     denom_exp=d + 1, l0=state.l0, s0=state.s0)
 
@@ -135,119 +140,85 @@ def quantization_delta(curr: AimState, prev: AimState, tau0: RatLike) -> DeltaPo
     """delta_k = l_k*s_{k-1} - l_{k-1}*s_k at the anchor tau0, in E.
 
     The denominator powers cancel in the combination, so numerators are
-    combined directly; overall rational content is stripped and the
-    leading coefficient made positive.
+    combined directly; the result is scaled to a primitive integer
+    polynomial with positive leading coefficient.
     """
     if curr.k != prev.k + 1:
         raise ValueError("states must be consecutive iterations")
-    lc = poly_eval_tau(curr.L, tau0)
-    sc = poly_eval_tau(curr.S, tau0)
-    lp = poly_eval_tau(prev.L, tau0)
-    sp = poly_eval_tau(prev.S, tau0)
-    delta = poly_sub(poly_mul(lc, sp), poly_mul(lp, sc))
+    delta = _delta_at(curr, prev, 0, tau0)
     if poly_is_zero(delta):
         raise DegenerateDelta(f"determinant vanishes identically at tau0={tau0}")
     ints = _int_scaled(uni_coeffs(delta))
     sign = 1 if ints[-1] > 0 else -1
-    return DeltaPoly(k=curr.k, poly={(0, de): Fraction(sign * c)
+    return DeltaPoly(k=curr.k, poly={(0, de): sign * c
                                      for de, c in enumerate(ints) if c})
 
 
-@dataclass
-class _Track:
-    value: Fraction | float
-    exact: bool
-    first_seen: int
-    run_start: int
-    last_seen: int
-    max_drift: float
+def aim_eigenvalues(seed: AimState, k_max: int = 12,
+                    tau0: RatLike = 0) -> AimSpectrumReport:
+    """Iterate to k_max and certify every root at which delta_k terminates.
 
-
-def aim_eigenvalues(seed: AimState, k_max: int = 12, tau0: RatLike = 0,
-                    stab_tol: RatLike = Fraction(1, 10 ** 10)) -> AimSpectrumReport:
-    """Iterate to k_max and report roots that persist across iterations.
-
-    A root is accepted when its run of consecutive appearances reaches the
-    final iteration and started at least min(3, k_max-1) iterations before
-    it.  The determinant gains one fresh root per iteration near the
-    spectral frontier, and a fresh root's appearance is not yet evidence
-    of convergence, so the last few arrivals are held back.  Exact
-    rational roots are compared exactly; bracketed irrational roots match
-    within stab_tol.
+    An E at which delta_k vanishes identically in tau is a root of both
+    anchored determinants delta_k(tau0, E) and delta_k(tau1, E), with the
+    fixed second anchor tau1 = 0 (1 when tau0 = 0), so it is a root of
+    their gcd.  Termination persists to later k, so g_(k-1), the product
+    of (E - root) over the roots certified so far, divides both
+    determinants exactly, and only the gcd of the two quotients holds new
+    candidates.  A rational candidate is certified when delta_k(tau, root)
+    is zero identically in tau, and (E - root) joins g_k; every other
+    candidate is rejected.  For the oscillator the new candidate at each
+    k >= 2 is E_k alone, so the certified set at k_max is
+    {E_n : n <= k_max} whatever the anchor.
     """
     if k_max < 2:
         raise ValueError("k_max must be at least 2")
-    tol = float(Fraction(stab_tol))
-    refine_width = Fraction(stab_tol) / 4 if Fraction(stab_tol) > 0 \
-        else Fraction(1, 10 ** 18)
-    tracks: list[_Track] = []
+    anchors = (tau0, int(Fraction(tau0) == 0))
+    content = [1]  # g_(k-1), ascending integer coefficients in E
+    accepted: dict[Fraction, int] = {}
+    rejected = []
     state = seed
     for k in range(1, k_max + 1):
         prev, state = state, aim_iterate(state)
-        delta = quantization_delta(state, prev, tau0)
-        for iv in isolate_real_roots(delta.poly):
-            if iv.exact is not None:
-                value: Fraction | float = iv.exact
-                exact = True
-            else:
-                value = float(refine_root(delta.poly, iv, refine_width))
-                exact = False
-            tr = _match_track(tracks, value, exact, tol, k)
-            if tr is None:
-                tracks.append(_Track(value, exact, k, k, k, 0.0))
+        fresh = _igcd(*[
+            _idivexact(uni_coeffs(quantization_delta(state, prev, t).poly),
+                       content)
+            for t in anchors])
+        candidates = {(0, de): c for de, c in enumerate(fresh) if c}
+        for iv in isolate_real_roots(candidates):
+            root = iv.exact
+            if root is None or not terminates_at(state, prev, root):
+                rejected.append((iv, k))
                 continue
-            drift = 0.0 if (tr.exact and exact and tr.value == value) \
-                else abs(float(tr.value) - float(value))
-            if tr.last_seen != k - 1:  # the run was broken; start over
-                tr.run_start = k
-                tr.max_drift = 0.0
-            else:
-                tr.max_drift = max(tr.max_drift, drift)
-            tr.last_seen = k
-            if not exact:
-                tr.value = value
-                tr.exact = False
-
-    margin = min(3, k_max - 1)
-    accepted = []
-    rejected = []
-    for tr in tracks:
-        persisted = tr.last_seen == k_max and tr.run_start <= k_max - margin
-        if persisted and tr.max_drift <= tol:
-            accepted.append((tr.value, tr.run_start, tr.max_drift))
-        else:
-            rejected.append((tr.value, tr.first_seen, tr.last_seen))
+            accepted.setdefault(root, k)
+            num, den = root.numerator, root.denominator
+            content = [den * lo - num * hi
+                       for hi, lo in zip(content + [0], [0] + content)]
     if not accepted:
         raise NoStableRoots(
-            f"no root persisted through k_max={k_max} at tau0={tau0}")
-    accepted.sort(key=lambda t: float(t[0]))
-    rejected.sort(key=lambda t: float(t[0]))
+            f"no root terminated the iteration by k_max={k_max} at tau0={tau0}")
     return AimSpectrumReport(k_max=k_max, tau0=Fraction(tau0),
-                             accepted=tuple(accepted), rejected=tuple(rejected))
+                             accepted=tuple(sorted(accepted.items())),
+                             rejected=tuple(rejected))
 
 
-def _match_track(tracks: list[_Track], value: Fraction | float, exact: bool,
-                 tol: float, k: int) -> Optional[_Track]:
-    best = None
-    for tr in tracks:
-        if tr.last_seen == k:
-            continue  # already matched by another root this iteration
-        if exact and tr.exact:
-            if tr.value == value:
-                return tr
-            continue
-        d = abs(float(tr.value) - float(value))
-        if d <= tol and (best is None or d < best[0]):
-            best = (d, tr)
-    return best[1] if best else None
+def terminates_at(curr: AimState, prev: AimState, e: RatLike) -> bool:
+    """Whether delta_k = l_k*s_{k-1} - l_{k-1}*s_k vanishes identically in
+    tau at E = e, with e substituted exactly."""
+    return poly_is_zero(_delta_at(curr, prev, 1, e))
 
 
-def alpha_at(state: AimState, e_val: RatLike, tau_val: RatLike) -> Fraction:
-    """Exact ratio s_k/l_k at one point; the u powers cancel."""
-    den = poly_eval(state.L, tau_val, e_val)
-    if den == 0:
-        raise DivisionByZero(f"l_{state.k} vanishes at tau={tau_val}, E={e_val}")
-    return poly_eval(state.S, tau_val, e_val) / den
+def _substituted(polys: Sequence[BiPoly], var: int, value: RatLike) -> list[BiPoly]:
+    """Each poly with tau (var 0) or E (var 1) set to value, all scaled by
+    one positive factor."""
+    top = max((key[var] for p in polys for key in p), default=0)
+    return [poly_substitute(p, var, value, top) for p in polys]
+
+
+def _delta_at(curr: AimState, prev: AimState, var: int, value: RatLike) -> BiPoly:
+    """delta_k with tau (var 0) or E (var 1) set to value, times a positive
+    factor; integer numerators give integer coefficients."""
+    lc, sc, lp, sp = _substituted((curr.L, curr.S, prev.L, prev.S), var, value)
+    return poly_sub(poly_mul(lc, sp), poly_mul(lp, sc))
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +237,8 @@ def eigenfunction_via_alpha(state: AimState, e_n: RatLike,
     a logarithmic derivative: e_n is no eigenvalue, or k is too shallow.
     """
     e_n = Fraction(e_n)
-    num = _coeffs_or_empty(poly_eval_e(state.S, e_n))
-    den = _coeffs_or_empty(poly_eval_e(state.L, e_n))
+    num, den = (_coeffs_or_empty(p)
+                for p in _substituted((state.S, state.L), 1, e_n))
     if not den:
         raise DivisionByZero("l_k is identically zero at this E")
     num, den = uni_reduce(num, den)

@@ -206,29 +206,18 @@ def _is_marginal(n: int, lam_tilde: Fraction) -> bool:
 def _aim_report(cfg: Namespace) -> aim_core.AimSpectrumReport:
     seed = aim_core.aim_seed(
         *fh_oscillator.aim_inputs(cfg.lam_tilde, printed_signs=cfg.printed_signs))
-    return aim_core.aim_eigenvalues(seed, k_max=cfg.kmax, tau0=cfg.tau0,
-                                    stab_tol=Fraction(1, 10 ** 10))
+    return aim_core.aim_eigenvalues(seed, k_max=cfg.kmax, tau0=cfg.tau0)
 
 
 def _aim_entries(cfg: Namespace) -> list[SpectrumEntry]:
-    report = _aim_report(cfg)
-    values = [v for v, _, _ in report.accepted]
+    certified = {v for v, _ in _aim_report(cfg).accepted}
     out = []
-    for n in range(cfg.n_max + 1):
+    for n in range(min(cfg.n_max, cfg.kmax) + 1):
         et = fh_oscillator.spectrum_closed_dimensionless(n, cfg.lam_tilde)
-        hit = None
-        for v in values:
-            if (isinstance(v, Fraction) and v == et) \
-                    or abs(float(v) - float(et)) <= 1e-9:
-                hit = v
-                break
-        if hit is None:
-            continue  # level not stabilized at this k_max
-        ep = Fraction(hit) * cfg.omega / 2 if isinstance(hit, Fraction) \
-            else float(hit) * float(cfg.omega) / 2
-        out.append(SpectrumEntry(n=n, e_tilde=hit, e_phys=ep,
-                                 bound=_is_bound(n, cfg.lam_tilde),
-                                 source="aim"))
+        if et in certified:
+            out.append(SpectrumEntry(n=n, e_tilde=et, e_phys=et * cfg.omega / 2,
+                                     bound=_is_bound(n, cfg.lam_tilde),
+                                     source="aim"))
     return out
 
 
@@ -381,30 +370,25 @@ def cmd_verify(cfg: Namespace) -> int:
 
 
 def _check_aim_exact(cfg: Namespace) -> dict:
-    """Stable roots must contain the closed-form level, exactly, for every
-    n the iteration depth can vouch for; a depth that vouches for no n
-    fails."""
-    n_chk = min(cfg.n_max, cfg.kmax - 3)
+    """The certified roots must contain the closed-form level, exactly, for
+    every n <= min(n_max, k_max): a depth of k_max certifies E_0..E_k_max.
+    A run that certifies no root fails."""
+    n_chk = min(cfg.n_max, cfg.kmax)
     try:
         report = _aim_report(cfg)
     except aim_core.NoStableRoots as exc:
         return {"name": "aim_matches_closed_form", "passed": False,
                 "detail": str(exc)}
-    exact_values = {v for v, _, _ in report.accepted if isinstance(v, Fraction)}
-    missing = []
-    for n in range(n_chk + 1):
-        et = fh_oscillator.spectrum_closed_dimensionless(n, cfg.lam_tilde)
-        if et not in exact_values:
-            missing.append(n)
-    if n_chk < 0:
-        verdict = "; no level covered"
-    else:
-        verdict = f"; missing n = {missing}" if missing else "; all exact"
+    certified = {v for v, _ in report.accepted}
+    missing = [n for n in range(n_chk + 1)
+               if fh_oscillator.spectrum_closed_dimensionless(
+                   n, cfg.lam_tilde) not in certified]
+    verdict = f"; missing n = {missing}" if missing else "; all exact"
     return {
         "name": "aim_matches_closed_form",
-        "passed": n_chk >= 0 and not missing,
+        "passed": not missing,
         "detail": f"n <= {n_chk} at k_max = {cfg.kmax}" + verdict,
-        "accepted": sorted(_rat_or_none(v) or repr(v) for v in exact_values),
+        "accepted": sorted(_rat_or_none(v) for v in certified),
     }
 
 

@@ -99,16 +99,20 @@ def poly_eval(p: BiPoly, tau: RatLike, e: RatLike) -> Fraction:
     return total
 
 
-def poly_eval_tau(p: BiPoly, tau: RatLike) -> BiPoly:
-    """Substitute tau -> rational value, leaving a univariate polynomial in E."""
-    t = Fraction(tau)
-    return _collect(((0, de), c * t ** dt) for (dt, de), c in p.items())
+def poly_substitute(p: BiPoly, var: int, value: RatLike, top: int) -> BiPoly:
+    """b^top * p with tau (var 0) or E (var 1) set to value = a/b, which
+    leaves a univariate polynomial in the other symbol.
 
-
-def poly_eval_e(p: BiPoly, e: RatLike) -> BiPoly:
-    """Substitute E -> rational value, leaving a univariate polynomial in tau."""
-    w = Fraction(e)
-    return _collect(((dt, 0), c * w ** de) for (dt, de), c in p.items())
+    top must be at least p's degree in the substituted symbol, so integer
+    coefficients stay integers and no rational arithmetic is done.  The
+    positive factor b^top changes no root or sign, and it cancels from a
+    ratio of two results taken with the same top.
+    """
+    v = Fraction(value)
+    pw = [v.numerator ** i * v.denominator ** (top - i) for i in range(top + 1)]
+    if var == 0:
+        return _collect(((0, de), c * pw[dt]) for (dt, de), c in p.items())
+    return _collect(((dt, 0), c * pw[de]) for (dt, de), c in p.items())
 
 
 def poly_is_zero(p: BiPoly) -> bool:
@@ -119,7 +123,8 @@ def poly_is_zero(p: BiPoly) -> bool:
 # univariate restriction
 
 def uni_coeffs(p: BiPoly) -> list[Fraction]:
-    """Ascending coefficient list of a univariate polynomial.
+    """Ascending coefficient list of a univariate polynomial; the list of
+    an integer polynomial is integer.
 
     Accepts polynomials in tau alone or in E alone (constants count as
     either).  Raises ZeroPolynomial on the zero polynomial and ValueError
@@ -131,13 +136,13 @@ def uni_coeffs(p: BiPoly) -> list[Fraction]:
     des = {k[1] for k in p}
     if dts == {0}:
         deg = max(des)
-        out = [Fraction(0)] * (deg + 1)
+        out = [0] * (deg + 1)
         for (_, de), c in p.items():
             out[de] = c
         return out
     if des == {0}:
         deg = max(dts)
-        out = [Fraction(0)] * (deg + 1)
+        out = [0] * (deg + 1)
         for (dt, _), c in p.items():
             out[dt] = c
         return out
@@ -156,7 +161,10 @@ def _trim(c: list) -> list:
 def _int_scaled(coeffs: Iterable[Fraction]) -> list[int]:
     """Clear denominators and divide by content; sign of the input is kept."""
     cs = list(coeffs)
-    den = lcm(*(c.denominator for c in cs))
+    # a list, not a generator: CPython builds the argument tuple from a
+    # generator by resizing it, and each such tuple then joins the free
+    # list of its final size, so the heap grows call after call
+    den = lcm(*[c.denominator for c in cs])
     return _primitive([c.numerator * (den // c.denominator) for c in cs])
 
 

@@ -95,24 +95,29 @@ class BoundStateInfo:
 
 def aim_inputs(lam_tilde: RatLike, printed_signs: bool = False
                ) -> tuple[BiPoly, BiPoly, BiPoly]:
-    """Seed numerators (coefficient of f', coefficient of f, shared
+    """Integer seed numerators (coefficient of f', coefficient of f, shared
     denominator) for the iteration engine.
 
-    The default carries the self-consistent sign, f'' coefficient
-    +2(1-lt)tau after moving terms across: l0 = 2(1-lt)tau/u.  With
-    printed_signs=True the sign of l0 is flipped; that variant's lowest
-    excited level comes out as 2*lt - 1 instead of 3 - 2*lt, which is how
-    the two conventions are told apart experimentally.
+    With lt = p/q in lowest terms, l0 = 2(1-lt)tau/(1 + lt tau^2) and
+    s0 = (1-E_tilde)/(1 + lt tau^2) are returned with numerator and
+    denominator both scaled by q: l0 = 2(q-p)tau/u, s0 = q(1-E_tilde)/u,
+    u = q + p tau^2, so every iterate has integer coefficients.  The default
+    carries the self-consistent sign, f'' coefficient +2(1-lt)tau after
+    moving terms across.  With printed_signs=True the sign of l0 is
+    flipped; that variant's lowest excited level comes out as 2*lt - 1
+    instead of 3 - 2*lt, which is how the two conventions are told apart
+    experimentally.
     """
     lt = Fraction(lam_tilde)
     if lt == 1:
         raise LambdaZeroSeed("lam_tilde = 1 gives a vanishing y' coefficient")
     if lt < 0 or lt > 1:
         raise ValueError(f"lam_tilde must lie in [0, 1), got {lt}")
+    p, q = lt.numerator, lt.denominator
     sign = -1 if printed_signs else 1
-    l0_num = poly_new({(1, 0): sign * 2 * (1 - lt)})
-    s0_num = poly_new({(0, 0): 1, (0, 1): -1})          # 1 - E_tilde
-    u = poly_new({(0, 0): 1, (2, 0): lt})
+    l0_num = {(1, 0): sign * 2 * (q - p)}
+    s0_num = {(0, 0): q, (0, 1): -q}                    # q(1 - E_tilde)
+    u = {(0, 0): q, (2, 0): p} if p else {(0, 0): q}
     return l0_num, s0_num, u
 
 

@@ -76,17 +76,17 @@ def test_criterion_01_exact_quantization_vanishing(capsys):
 
 
 def test_criterion_02_spectrum_recovery_no_extras(capsys):
-    # accepted set at k_max = 8, stab_tol = 1e-10 equals {E_tilde_n: n<=5}
-    # for lt = 1/10, with no extra accepted roots.  <= 30 s.
+    # certified set at k_max = 8 equals {E_tilde_n: n<=8} for lt = 1/10,
+    # with no extra certified roots.  <= 30 s.
     t0 = time.perf_counter()
     lt = F(1, 10)
     seed = aim_seed(*aim_inputs(lt))
-    rep = aim_eigenvalues(seed, k_max=8, tau0=F(0), stab_tol=F(1, 10 ** 10))
-    got = {v for v, _, _ in rep.accepted}
-    want = {spectrum_closed_dimensionless(n, lt) for n in range(6)}
+    rep = aim_eigenvalues(seed, k_max=8, tau0=F(0))
+    got = {v for v, _ in rep.accepted}
+    want = {spectrum_closed_dimensionless(n, lt) for n in range(9)}
     elapsed = time.perf_counter() - t0
     ok = got == want and elapsed <= 30.0
-    report(capsys, 2, ok, f"accepted == {{E_tilde_n: n<=5}} exactly "
+    report(capsys, 2, ok, f"certified == {{E_tilde_n: n<=8}} exactly "
                   f"({len(got)} roots, {len(got - want)} extra); "
                   f"{elapsed:.2f}s (cap 30s)")
     assert got == want
@@ -281,24 +281,26 @@ def test_criterion_09_bound_state_census(capsys):
 
 
 def test_criterion_10_harmonic_limit_continuity(capsys):
-    # lt = 1e-6: both the closed form and the accepted iteration roots
-    # must sit within 3e-5 of the flat-mass levels 2n+1 for n <= 3.
+    # lt = 1e-6: both the closed form and the certified iteration roots
+    # must sit within 3e-5 of the flat-mass levels 2n+1 for n <= 3, and
+    # k_max = 8 must certify every n <= 8.
     lt = F(1, 10 ** 6)
     closed_dev = max(abs(float(spectrum_closed_dimensionless(n, lt))
                          - (2 * n + 1)) for n in range(4))
     seed = aim_seed(*aim_inputs(lt))
-    rep = aim_eigenvalues(seed, k_max=8, tau0=F(0), stab_tol=F(1, 10 ** 10))
-    accepted = {v for v, _, _ in rep.accepted}
+    rep = aim_eigenvalues(seed, k_max=8, tau0=F(0))
+    accepted = {v for v, _ in rep.accepted}
     aim_dev = 0.0
     missing = []
-    for n in range(4):
+    for n in range(9):
         e = spectrum_closed_dimensionless(n, lt)
         if e not in accepted:
             missing.append(n)
             continue
-        aim_dev = max(aim_dev, abs(float(e) - (2 * n + 1)))
+        if n <= 3:
+            aim_dev = max(aim_dev, abs(float(e) - (2 * n + 1)))
     ok = not missing and closed_dev <= 3e-5 and aim_dev <= 3e-5
-    report(capsys, 10, ok, f"closed-form dev {closed_dev:.2e}, accepted-root dev "
+    report(capsys, 10, ok, f"closed-form dev {closed_dev:.2e}, certified-root dev "
                    f"{aim_dev:.2e} (tol 3e-5)"
                    + (f"; missing n = {missing}" if missing else ""))
     assert not missing

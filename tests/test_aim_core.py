@@ -1,4 +1,4 @@
-"""Iteration engine: recurrences, determinants, stable roots, alpha route."""
+"""Iteration engine: recurrences, determinants, certified roots, alpha route."""
 
 import pytest
 from fractions import Fraction as F
@@ -7,18 +7,24 @@ from hypothesis import assume, given, settings, strategies as st
 from aimosc.aim_core import (
     AimState,
     DegenerateDelta,
-    DivisionByZero,
     LambdaZero,
     NoStableRoots,
     NotTerminated,
     aim_eigenvalues,
     aim_iterate,
     aim_seed,
-    alpha_at,
     eigenfunction_via_alpha,
     quantization_delta,
+    terminates_at,
 )
-from aimosc.exactalg import horner, poly_eval, poly_eval_e, poly_is_zero, poly_new
+from aimosc.exactalg import (
+    horner,
+    poly_eval,
+    poly_is_zero,
+    poly_mul,
+    poly_new,
+    poly_substitute,
+)
 from aimosc.fh_oscillator import (
     aim_inputs,
     bound_state_info,
@@ -46,6 +52,19 @@ def lam_tildes(draw):
     return F(draw(st.integers(0, q - 1)), q)
 
 
+def same_ratio(num, den, want_num, want_den):
+    """num/den == want_num/want_den as rational functions."""
+    return poly_mul(num, want_den) == poly_mul(want_num, den)
+
+
+def certified(lt, k_max, tau0=0):
+    return aim_eigenvalues(aim_seed(*aim_inputs(lt)), k_max=k_max, tau0=tau0)
+
+
+def closed_levels(lt, k_max):
+    return {spectrum_closed_dimensionless(n, lt) for n in range(k_max + 1)}
+
+
 def bound_top(lt, cap=5):
     """Largest n <= cap whose state is normalizable at lt (-1 if none)."""
     return cap if lt == 0 else min(cap, bound_state_info(lt).normalizable_max_n)
@@ -59,10 +78,20 @@ class TestIteration:
         assert s1.S == poly_new({(1, 0): 2, (1, 1): -2})
 
     def test_first_step_with_decay(self):
+        # l_1 = L/u^2 and s_1 = S/u^2 at lt = 1/10, whatever the seed scale
         s1 = aim_iterate(aim_seed(*aim_inputs(F(1, 10))))
-        assert s1.L == poly_new({(0, 0): F(14, 5), (0, 1): -1,
-                                 (2, 0): F(79, 25), (2, 1): F(-1, 10)})
-        assert s1.S == poly_new({(1, 0): F(8, 5), (1, 1): F(-8, 5)})
+        u2 = poly_mul(s1.u_poly, s1.u_poly)
+        want_u2 = poly_new({(0, 0): 1, (2, 0): F(1, 5), (4, 0): F(1, 100)})
+        assert same_ratio(s1.L, u2, poly_new({(0, 0): F(14, 5), (0, 1): -1,
+                                              (2, 0): F(79, 25),
+                                              (2, 1): F(-1, 10)}), want_u2)
+        assert same_ratio(s1.S, u2, poly_new({(1, 0): F(8, 5),
+                                              (1, 1): F(-8, 5)}), want_u2)
+
+    def test_integer_seed_keeps_integer_coefficients(self):
+        states = chain(aim_seed(*aim_inputs(F(12345, 1000003))), 6)
+        for st_ in states:
+            assert all(type(c) is int for c in (*st_.L.values(), *st_.S.values()))
 
     def test_denominator_exponent_law(self):
         states = chain(aim_seed(*aim_inputs(F(1, 10))), 5)
@@ -127,64 +156,63 @@ class TestQuantizationDelta:
 
 class TestEigenvalues:
     def test_harmonic_levels(self):
-        rep = aim_eigenvalues(harmonic_seed(), k_max=8, tau0=0,
-                              stab_tol=F(1, 10 ** 10))
-        got = [v for v, _, _ in rep.accepted]
-        assert got == [F(2 * n + 1) for n in range(6)]
+        got = [v for v, _ in certified(F(0), 8).accepted]
+        assert got == [F(2 * n + 1) for n in range(9)]
 
     def test_decaying_mass_levels_exact(self):
         lt = F(1, 10)
-        rep = aim_eigenvalues(aim_seed(*aim_inputs(lt)), k_max=8, tau0=0,
-                              stab_tol=F(1, 10 ** 10))
-        got = {v for v, _, _ in rep.accepted}
-        assert got == {spectrum_closed_dimensionless(n, lt) for n in range(6)}
+        got = {v for v, _ in certified(lt, 8).accepted}
+        assert got == closed_levels(lt, 8)
         assert all(isinstance(v, F) for v in got)
 
     def test_folded_spectrum_keeps_bound_values(self):
-        rep = aim_eigenvalues(aim_seed(*aim_inputs(F(1, 4))), k_max=8,
-                              tau0=0, stab_tol=F(1, 10 ** 10))
-        assert [v for v, _, _ in rep.accepted] == [F(1), F(5, 2), F(7, 2), F(4)]
+        # E_n at lt = 1/4 repeats: 1, 5/2, 7/2, 4, 4, 7/2, 5/2, 1, -1
+        got = [v for v, _ in certified(F(1, 4), 8).accepted]
+        assert got == [F(-1), F(1), F(5, 2), F(7, 2), F(4)]
 
     def test_anchor_robustness(self):
         lt = F(1, 10)
-        want = {spectrum_closed_dimensionless(n, lt) for n in range(6)}
         for tau0 in (F(0), F(1, 2)):
-            rep = aim_eigenvalues(aim_seed(*aim_inputs(lt)), k_max=8,
-                                  tau0=tau0, stab_tol=F(1, 10 ** 10))
-            assert {v for v, _, _ in rep.accepted} == want
+            assert {v for v, _ in certified(lt, 8, tau0).accepted} \
+                == closed_levels(lt, 8)
 
-    def test_transients_are_rejected_not_lost(self):
-        rep = aim_eigenvalues(aim_seed(*aim_inputs(F(1, 10))), k_max=8,
-                              tau0=0, stab_tol=F(1, 10 ** 10))
-        assert rep.rejected  # frontier roots still announce themselves
-        accepted = {v for v, _, _ in rep.accepted}
-        assert not accepted & {v for v, _, _ in rep.rejected}
+    def test_identity_is_not_vacuous(self):
+        # at k = 8 the iteration has terminated at E_8 but not just off it,
+        # and not at E_9, whose level terminates only from k = 9 on
+        lt = F(1, 10)
+        states = chain(aim_seed(*aim_inputs(lt)), 9)
+        e8 = spectrum_closed_dimensionless(8, lt)
+        e9 = spectrum_closed_dimensionless(9, lt)
+        assert terminates_at(states[8], states[7], e8)
+        assert not terminates_at(states[8], states[7], e8 + F(1, 10 ** 6))
+        assert not terminates_at(states[8], states[7], e9)
+        assert terminates_at(states[9], states[8], e9)
+
+    def test_common_anchor_root_is_rejected(self):
+        # s0 = E + tau(tau-1)(2tau-1): delta_1 = s0^2 - s0' is E^2 - 1 at
+        # both anchors 0 and 1, yet not identically zero in tau at E = +-1
+        seed = aim_seed(poly_new({(0, 0): 1}),
+                        poly_new({(0, 1): 1, (3, 0): 2, (2, 0): -3, (1, 0): 1}),
+                        poly_new({(0, 0): 1}))
+        s1 = aim_iterate(seed)
+        for e in (F(1), F(-1)):
+            for tau0 in (0, 1):
+                assert poly_eval(quantization_delta(s1, seed, tau0).poly, 0, e) == 0
+            assert not terminates_at(s1, seed, e)
+        with pytest.raises(NoStableRoots):
+            aim_eigenvalues(seed, k_max=2, tau0=0)
 
     def test_k_max_floor(self):
         with pytest.raises(ValueError):
-            aim_eigenvalues(harmonic_seed(), k_max=1, tau0=0,
-                            stab_tol=F(1, 10 ** 10))
+            aim_eigenvalues(harmonic_seed(), k_max=1, tau0=0)
 
     def test_no_stable_roots(self):
-        # a drifting seed whose determinant roots never settle
+        # a drifting seed whose determinant never vanishes identically
         seed = aim_seed(poly_new({(0, 0): 1}),
                         poly_new({(0, 1): 1, (1, 0): -1}),
                         poly_new({(0, 0): 1}))
         with pytest.raises(NoStableRoots):
-            aim_eigenvalues(seed, k_max=4, tau0=0, stab_tol=F(1, 10 ** 10))
-
-
-class TestAlpha:
-    def test_exact_value(self):
-        s1 = aim_iterate(harmonic_seed())
-        # alpha_1 = s1/l1 = 2 tau (1-E) / (3 - E + 4 tau^2)
-        assert alpha_at(s1, F(1), F(1, 2)) == 0
-        assert alpha_at(s1, F(0), F(1)) == F(2, 7)
-
-    def test_division_by_zero_flagged(self):
-        s1 = aim_iterate(harmonic_seed())
-        with pytest.raises(DivisionByZero):
-            alpha_at(s1, 3, 0)
+            aim_eigenvalues(seed, k_max=4, tau0=0)
 
 
 class TestEigenfunctionViaAlpha:
@@ -234,7 +262,8 @@ class TestEigenfunctionViaAlpha:
         k = data.draw(st.integers(max(1, n - 1), 8))
         state = chain(aim_seed(*aim_inputs(lt)), k)[k]
         en = spectrum_closed_dimensionless(n, lt)
-        assume(not poly_is_zero(poly_eval_e(state.L, en)))
+        top = max((de for _, de in state.L), default=0)
+        assume(not poly_is_zero(poly_substitute(state.L, 1, en, top)))
         # the series polynomial already has lowest coefficient 1
         coeffs = eigen_polynomial(n, lt).coeffs
         want = [float(horner(coeffs, F(t))) for t in grid]
@@ -258,18 +287,13 @@ class TestDifferential:
 
     @given(lam_tildes(),
            st.fractions(min_value=-2, max_value=2, max_denominator=12),
-           st.integers(3, 9))
+           st.fractions(min_value=-2, max_value=2, max_denominator=12),
+           st.integers(2, 12))
     @settings(max_examples=30, deadline=None)
-    def test_census_is_the_closed_form(self, lt, tau0, k_max):
-        rep = aim_eigenvalues(aim_seed(*aim_inputs(lt)), k_max=k_max,
-                              tau0=tau0, stab_tol=F(1, 10 ** 10))
-        exact = {v for v, _, _ in rep.accepted if isinstance(v, F)}
-        vouched = {spectrum_closed_dimensionless(n, lt)
-                   for n in range(k_max - 2)}
-        closed = {spectrum_closed_dimensionless(n, lt)
-                  for n in range(k_max + 2)}
-        assert vouched <= exact
-        assert exact <= closed
+    def test_census_is_the_closed_form(self, lt, tau0, tau1, k_max):
+        rep = certified(lt, k_max, tau0)
+        assert {v for v, _ in rep.accepted} == closed_levels(lt, k_max)
+        assert certified(lt, k_max, tau1).accepted == rep.accepted
 
     @given(lam_tildes())
     @settings(max_examples=30, deadline=None)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from aimosc import cli
+from aimosc import aim_core, cli
 
 
 def run(capsys, argv):
@@ -56,6 +56,17 @@ class TestSpectrum:
         vals0 = [e["E_tilde"] for e in json.loads(out0)["entries"]]
         vals1 = [e["E_tilde"] for e in json.loads(out1)["entries"]]
         assert vals0 == vals1 == ["1", "14/5", "22/5", "29/5"]
+
+    def test_iteration_lists_every_level_to_kmax(self, capsys):
+        # k_max certifies n <= k_max, repeats on the folded spectrum included
+        code, out, _ = run(capsys, ["spectrum", "--method", "aim",
+                                    "--lambda-tilde", "1/4", "--kmax", "8",
+                                    "--n-max", "12", "--format", "json"])
+        assert code == 0
+        entries = json.loads(out)["entries"]
+        assert [e["n"] for e in entries] == list(range(9))
+        assert [e["E_tilde"] for e in entries] == \
+            ["1", "5/2", "7/2", "4", "4", "7/2", "5/2", "1", "-1"]
 
     def test_oracle_method(self, capsys):
         code, out, _ = run(capsys, ["spectrum", "--method", "oracle",
@@ -155,14 +166,27 @@ class TestVerify:
             max_n = math.ceil(1 / lt - F(1, 2)) - 1  # largest n < 1/lt - 1/2
             assert len(oracle["deltas"]) <= min(4, max_n + 1)
 
-    def test_zero_coverage_fails(self, capsys):
+    def test_zero_coverage_fails(self, capsys, monkeypatch):
+        # a run that certifies no root covers no level and must fail
+        def nothing_certified(*args, **kwargs):
+            raise aim_core.NoStableRoots("no root terminated the iteration")
+        monkeypatch.setattr(aim_core, "aim_eigenvalues", nothing_certified)
         code, out, _ = run(capsys, ["verify", "--lambda-tilde", "1/10",
-                                    "--kmax", "2", "--grid-N", "500"])
+                                    "--grid-N", "500"])
         assert code == 1
         check = json.loads(out)["checks"][0]
         assert check["name"] == "aim_matches_closed_form"
         assert check["passed"] is False
-        assert "no level covered" in check["detail"]
+        assert "no root terminated" in check["detail"]
+
+    def test_shallowest_depth_covers_kmax_levels(self, capsys):
+        code, out, _ = run(capsys, ["verify", "--lambda-tilde", "1/10",
+                                    "--kmax", "2", "--grid-N", "4000"])
+        assert code == 0
+        check = json.loads(out)["checks"][0]
+        assert check["passed"] is True
+        assert check["detail"] == "n <= 2 at k_max = 2; all exact"
+        assert check["accepted"] == ["1", "14/5", "22/5"]
 
     def test_printed_signs_demonstrates_discrepancy(self, capsys):
         code, out, _ = run(capsys, ["verify", "--lambda-tilde", "1/10",

@@ -18,6 +18,7 @@ from aimosc.exactalg import (
     poly_new,
     poly_scale,
     poly_sub,
+    poly_substitute,
     refine_root,
     sturm_count,
     uni_coeffs,
@@ -76,6 +77,25 @@ class TestRingLaws:
         pe, qe = poly_eval(p, tau, e), poly_eval(q, tau, e)
         assert poly_eval(poly_mul(p, q), tau, e) == pe * qe
         assert poly_eval(poly_add(p, q), tau, e) == pe + qe
+
+    @given(bipolys(), rationals, rationals, st.integers(0, 1),
+           st.integers(0, 3))
+    @settings(max_examples=60)
+    def test_substitute_scales_the_value(self, p, tau, e, var, extra):
+        # b^top p(value, .), read at the other symbol, is b^top p at the point
+        value = (tau, e)[var]
+        top = max((key[var] for key in p), default=0) + extra
+        sub = poly_substitute(p, var, value, top)
+        point = (0, e) if var == 0 else (tau, 0)
+        want = value.denominator ** top * poly_eval(p, tau, e)
+        assert poly_eval(sub, *point) == want
+        assert all(key[var] == 0 for key in sub)
+
+    def test_substitute_keeps_integers(self):
+        p = {(0, 0): 3, (1, 2): -5, (2, 1): 7}
+        for var in (0, 1):
+            sub = poly_substitute(p, var, F(2, 3), 2)
+            assert all(type(c) is int for c in sub.values())
 
     @given(bipolys(), bipolys())
     @settings(max_examples=60)
