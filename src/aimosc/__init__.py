@@ -41,7 +41,6 @@ from .sl_oracle import (
     Grid,
     OracleResult,
     TridiagOp,
-    converge_study,
     discretize,
     eigen_count_below,
     lowest_eigenvalues,
@@ -51,9 +50,9 @@ __all__ = [
     "AimSpectrumReport", "AimState", "BiPoly", "DeltaPoly", "EigenFunction",
     "Grid", "ModelParams", "OracleResult", "RootInterval", "SpectrumEntry",
     "TridiagOp", "ZeroPolynomial", "aim_eigenvalues", "aim_inputs",
-    "aim_iterate", "aim_seed", "bound_state_info",
-    "converge_study", "discretize", "eigen_count_below",
-    "eigen_polynomial", "eigenfunction_via_alpha", "isolate_real_roots",
+    "aim_iterate", "aim_seed", "bound_state_info", "discretize",
+    "eigen_count_below", "eigen_polynomial", "eigenfunction_via_alpha",
+    "isolate_real_roots",
     "lowest_eigenvalues", "normalization_constant", "poly_diff_tau",
     "poly_eval", "quantization_delta", "refine_root", "residual_check",
     "spectrum_closed_dimensionless", "spectrum_closed_physical",

@@ -64,7 +64,7 @@ class NotTerminated(ArithmeticError):
 
 @dataclass(frozen=True)
 class AimState:
-    """Iteration state: l_k = L/u^denom_exp, s_k = S/u^denom_exp.
+    """Iteration state: l_k = L/u^(k+1), s_k = S/u^(k+1).
 
     The seed numerators ride along because every step multiplies by them.
     Numerators other than the seed's may legitimately vanish for special
@@ -74,13 +74,8 @@ class AimState:
     L: BiPoly
     S: BiPoly
     u_poly: BiPoly
-    denom_exp: int
     l0: BiPoly = field(repr=False)
     s0: BiPoly = field(repr=False)
-
-    def __post_init__(self) -> None:
-        if self.denom_exp != self.k + 1:
-            raise ValueError("denominator exponent must equal k + 1")
 
 
 @dataclass(frozen=True)
@@ -115,7 +110,7 @@ def aim_seed(l0_num: BiPoly, s0_num: BiPoly, u: BiPoly) -> AimState:
     if poly_is_zero(u):
         raise ValueError("denominator base u must be nonzero")
     return AimState(k=0, L=dict(l0_num), S=dict(s0_num), u_poly=dict(u),
-                    denom_exp=1, l0=dict(l0_num), s0=dict(s0_num))
+                    l0=dict(l0_num), s0=dict(s0_num))
 
 
 def aim_iterate(state: AimState) -> AimState:
@@ -123,7 +118,7 @@ def aim_iterate(state: AimState) -> AimState:
 
     Integer seed coefficients stay integers."""
     u = state.u_poly
-    d = state.denom_exp
+    d = state.k + 1
     du_d = {key: d * c for key, c in poly_diff_tau(u).items()}
     # quotient rule over u^d: (X/u^d)' = (X'u - d X u')/u^(d+1), so
     # L_k = (L' + S) u + (l0 - d u') L and S_k = S' u - d u' S + s0 L
@@ -132,8 +127,8 @@ def aim_iterate(state: AimState) -> AimState:
     sk = poly_add(poly_sub(poly_mul(poly_diff_tau(state.S), u),
                            poly_mul(du_d, state.S)),
                   poly_mul(state.s0, state.L))
-    return AimState(k=state.k + 1, L=lk, S=sk, u_poly=u,
-                    denom_exp=d + 1, l0=state.l0, s0=state.s0)
+    return AimState(k=state.k + 1, L=lk, S=sk, u_poly=u, l0=state.l0,
+                    s0=state.s0)
 
 
 def quantization_delta(curr: AimState, prev: AimState, tau0: RatLike) -> DeltaPoly:

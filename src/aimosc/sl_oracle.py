@@ -44,10 +44,12 @@ from .fh_oscillator import ModelParams
 # rounding, where the proof in `eigen_count_below` needs about 10.
 _MARGIN_REL = 2.0 ** -48
 
-
-class NonmonotoneConvergence(RuntimeError):
-    """Grid-refinement errors did not shrink consistently; enlarge T or
-    refine further before trusting an extrapolation."""
+# `suggest_domain` ends the domain where the envelope has fallen to
+# _DROP of its peak, but at tau = _TAU_CAP at most: near-marginal states
+# decay like a small negative power of tau, which the drop rule would
+# chase to astronomic domains, so they land on the cap.
+_DROP = 1e-8
+_TAU_CAP = 500.0
 
 
 @dataclass(frozen=True)
@@ -189,7 +191,6 @@ class UnresolvedLevels(ValueError):
 @dataclass(frozen=True)
 class OracleResult:
     eigenvalues: tuple[float, ...]
-    est_error: tuple[float, ...]
 
     def __post_init__(self) -> None:
         for j, (a, b) in enumerate(pairwise(self.eigenvalues)):
@@ -288,18 +289,16 @@ def eigen_count_below(block: Block, x: float,
     return count
 
 
-def _bisect(block: Block, first: int, m: int,
-            tol: float) -> list[tuple[float, float]]:
-    """Brackets (lo, hi) of the block's levels first .. first + m - 1
-    (0-based).
+def _bisect(block: Block, m: int, tol: float) -> list[tuple[float, float]]:
+    """Brackets (lo, hi) of the block's lowest m levels.
 
     Level k is bisected from (lo of level k - 1, top of the block's span)
-    until hi - lo <= tol.  below[j] is the largest x seen with at most
-    first + j eigenvalues below it, above[j] the smallest x seen with more;
-    a midpoint these decide costs no sweep.  A sweep stops once its count
-    settles level k, except above every point known to have fewer than
-    first + m eigenvalues below it: there it runs until it puts every level
-    below x, which spares the later levels their descent.
+    until hi - lo <= tol.  below[j] is the largest x seen with at most j
+    eigenvalues below it, above[j] the smallest x seen with more; a
+    midpoint these decide costs no sweep.  A sweep stops once its count
+    settles level k, except above every point known to have fewer than m
+    eigenvalues below it: there it runs until it puts every level below x,
+    which spares the later levels their descent.
     """
     glo, ghi = block.span
     below = [-math.inf] * m
@@ -321,7 +320,7 @@ def _bisect(block: Block, first: int, m: int,
                 hi = mid
                 continue
             stop = m if mid > below[-1] else k + 1
-            c = eigen_count_below(block, mid, first + stop) - first
+            c = eigen_count_below(block, mid, stop)
             for j in range(k, c):  # mid < above[k] <= above[j]
                 above[j] = mid
             if c < stop:  # an exact count, not a lower bound
@@ -335,17 +334,13 @@ def _bisect(block: Block, first: int, m: int,
     return brackets
 
 
-def _level_brackets(op: TridiagOp, first: int, m: int,
+def _level_brackets(op: TridiagOp, m: int,
                     tol: float) -> list[tuple[float, float]]:
-    """Brackets of the operator's levels first .. first + m - 1: level j
-    is level j // 2 of parity block j % 2."""
-    levels = range(first, first + m)
-    per_block = []
-    for p, block in enumerate(op.parity_blocks):
-        own = levels[(p - first) % 2::2]
-        per_block.append(iter(_bisect(block, own[0] // 2, len(own), tol)
-                              if own else ()))
-    return [next(per_block[j % 2]) for j in levels]
+    """Brackets of the operator's lowest m levels: level j is level j // 2
+    of parity block j % 2."""
+    even, odd = op.parity_blocks
+    levels = (_bisect(even, (m + 1) // 2, tol), _bisect(odd, m // 2, tol))
+    return [levels[j % 2][j // 2] for j in range(m)]
 
 
 def lowest_eigenvalues(op: TridiagOp, m: int, tol: float) -> OracleResult:
@@ -353,100 +348,18 @@ def lowest_eigenvalues(op: TridiagOp, m: int, tol: float) -> OracleResult:
         raise ValueError(f"m must lie in 1..{op.n}")
     if not tol > 0:
         raise ValueError("tol must be positive")
-    brackets = _level_brackets(op, 0, m, tol)
+    brackets = _level_brackets(op, m, tol)
     for j, ((_, hi), (lo, _)) in enumerate(pairwise(brackets)):
         if hi > lo:
             raise UnresolvedLevels(j)
     return OracleResult(
-        eigenvalues=tuple(0.5 * (lo + hi) for lo, hi in brackets),
-        est_error=tuple(0.5 * (hi - lo) for lo, hi in brackets))
+        eigenvalues=tuple(0.5 * (lo + hi) for lo, hi in brackets))
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
-    extrapolated: tuple[float, ...]
-    observed_orders: tuple[float, ...]
-    levels: tuple[OracleResult, ...]
-
-
-def converge_study(params: ModelParams, m: int, grids: Sequence[Grid],
-                   bisect_tol: float = 1e-12) -> ConvergenceReport:
-    """Refinement study over grids with halving h.
-
-    Per eigenvalue, successive differences must shrink with a consistent
-    ratio (a second-order stencil gives about 4 per halving); a sign flip,
-    a ratio far outside [1.5, 8], or differences drowned by the bisection
-    tolerance raise NonmonotoneConvergence.  Extrapolation assumes the
-    theoretical order 2; the observed order is reported from the finest
-    pair of levels.
-    """
-    if len(grids) < 3:
-        raise ValueError("need at least 3 grids")
-    ordered = sorted(grids, key=lambda g: g.h, reverse=True)
-    for a, b in zip(ordered, ordered[1:]):
-        if abs(a.h / b.h - 2.0) > 1e-9:
-            raise ValueError("grids must halve h")
-    levels = tuple(lowest_eigenvalues(discretize(params, g), m, bisect_tol)
-                   for g in ordered)
-    extrapolated = []
-    orders = []
-    for j in range(m):
-        seq = [lv.eigenvalues[j] for lv in levels]
-        diffs = [seq[i] - seq[i + 1] for i in range(len(seq) - 1)]
-        for d in diffs:
-            if abs(d) <= 10.0 * bisect_tol:
-                raise NonmonotoneConvergence(
-                    f"eigenvalue {j}: refinement differences at the "
-                    f"bisection noise floor ({d:.3e})")
-        for d1, d2 in zip(diffs, diffs[1:]):
-            ratio = d1 / d2
-            if ratio < 1.5 or ratio > 8.0:
-                raise NonmonotoneConvergence(
-                    f"eigenvalue {j}: inconsistent error ratio {ratio:.3f}")
-        orders.append(math.log2(diffs[-2] / diffs[-1]) if len(diffs) >= 2
-                      else float("nan"))
-        extrapolated.append(seq[-1] + (seq[-1] - seq[-2]) / 3.0)
-    return ConvergenceReport(extrapolated=tuple(extrapolated),
-                             observed_orders=tuple(orders), levels=levels)
-
-
-@dataclass(frozen=True)
-class ThresholdCensus:
-    """Bound-level count against a continuum edge on a truncated domain.
-
-    Dirichlet truncation pushes a marginal (edge-sitting) level slightly
-    above the threshold, so the census counts strictly-below levels plus
-    one edge level when its overshoot is small next to the local gap."""
-    strict_below: int
-    census: int
-    edge_shift: float
-    edge_gap: float
-
-
-def threshold_census(op: TridiagOp, threshold: float,
-                     tol: float = 1e-8) -> ThresholdCensus:
-    strict = sum(eigen_count_below(block, threshold)
-                 for block in op.parity_blocks)
-    if strict + 2 > op.n:
-        raise ValueError("grid too small to examine the threshold edge")
-    (lo0, hi0), (lo1, hi1) = _level_brackets(op, strict, 2, tol)
-    edge = 0.5 * (lo0 + hi0)
-    nxt = 0.5 * (lo1 + hi1)
-    shift = edge - threshold
-    gap = nxt - edge
-    census = strict + (1 if shift < 0.25 * gap else 0)
-    return ThresholdCensus(strict_below=strict, census=census,
-                           edge_shift=shift, edge_gap=gap)
-
-
-def suggest_domain(params: ModelParams, n: int, drop: float = 1e-8,
-                   tau_cap: float = 500.0) -> float:
+def suggest_domain(params: ModelParams, n: int) -> float:
     """Half-width T (time units) where the n-th envelope profile
-    (1+lt tau^2)^(-1/(2 lt)) tau^n has fallen below `drop` of its peak.
-
-    Near-marginal states decay like a small negative power of tau, where
-    the drop rule would demand astronomic domains; tau_cap bounds the
-    suggestion and is where such states land."""
+    (1+lt tau^2)^(-1/(2 lt)) tau^n has fallen below _DROP of its peak,
+    capped at tau = _TAU_CAP."""
     lt = float(params.lam_tilde)
 
     def log_profile(tau: float) -> float:
@@ -455,10 +368,10 @@ def suggest_domain(params: ModelParams, n: int, drop: float = 1e-8,
         return amp + (n * math.log(tau) if n else 0.0)
 
     peak = max(log_profile(0.1 * i + 0.05) for i in range(1, 400))
-    target = peak + math.log(drop)
+    target = peak + math.log(_DROP)
     tau = 1.0
-    while tau < tau_cap:
+    while tau < _TAU_CAP:
         if log_profile(tau) < target:
             break
         tau *= 1.25
-    return min(tau, tau_cap) / math.sqrt(float(params.omega))
+    return min(tau, _TAU_CAP) / math.sqrt(float(params.omega))

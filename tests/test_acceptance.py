@@ -6,6 +6,7 @@ shows up in any pytest capture mode), then asserts.  Tolerances and
 runtime caps are stated inline next to each check.
 """
 import json
+import math
 import random
 import time
 from fractions import Fraction as F
@@ -34,10 +35,9 @@ from aimosc.fh_oscillator import (
 )
 from aimosc.sl_oracle import (
     Grid,
-    converge_study,
     discretize,
+    eigen_count_below,
     lowest_eigenvalues,
-    threshold_census,
 )
 
 
@@ -141,13 +141,17 @@ def test_criterion_04_oracle_cross_check(capsys):
 
 
 def test_criterion_05_convergence_order(capsys):
-    # refinement over h, h/2, h/4 at lam = 1/10 must show order in
-    # [1.8, 2.2] for the two lowest eigenvalues.
+    # refinement over h, h/2, h/4 at lam = 1/10 must show order
+    # log2(d1 / d2) in [1.8, 2.2] for the two lowest eigenvalues, with d1
+    # and d2 the two successive differences.
     grids = (Grid(T=15.0, N=1874), Grid(T=15.0, N=3749), Grid(T=15.0, N=7499))
-    rep = converge_study(ModelParams(omega=1, lam=F(1, 10)), 2, grids)
-    ok = all(1.8 <= o <= 2.2 for o in rep.observed_orders)
+    params = ModelParams(omega=1, lam=F(1, 10))
+    levels = [lowest_eigenvalues(discretize(params, g), 2, 1e-12).eigenvalues
+              for g in grids]
+    orders = [math.log2((a - b) / (b - c)) for a, b, c in zip(*levels)]
+    ok = all(1.8 <= o <= 2.2 for o in orders)
     report(capsys, 5, ok, "observed orders "
-                  + ", ".join(f"{o:.3f}" for o in rep.observed_orders)
+                  + ", ".join(f"{o:.3f}" for o in orders)
                   + " (window [1.8, 2.2])")
     assert ok
 
@@ -256,21 +260,27 @@ def test_criterion_09_bound_state_census(capsys):
     # lt = 1/4: the truncated-domain oracle must count exactly 4 levels
     # against the continuum edge at T = 60 and T = 100, matching
     # bound_state_info (n = 0..3); n = 4 must refuse to normalize.
+    # Truncation pushes the marginal level n = 3 just above the edge, so
+    # the census adds the first level above it when its overshoot is
+    # under a quarter of the gap to the next level.
     params = ModelParams(omega=1, lam=F(1, 4))
     info = bound_state_info(F(1, 4))
     threshold_e = float(info.threshold) / 2.0  # physical units at omega = 1
     details = []
-    censuses = []
+    counts = []
     for T in (60.0, 100.0):
         op = discretize(params, Grid(T=T, N=30000))
-        cen = threshold_census(op, threshold_e)
-        censuses.append(cen)
-        details.append(f"T={T:g}: strict {cen.strict_below}, census "
-                       f"{cen.census}, shift/gap "
-                       f"{cen.edge_shift / cen.edge_gap:.3f}")
+        strict = sum(eigen_count_below(b, threshold_e)
+                     for b in op.parity_blocks)
+        edge, nxt = lowest_eigenvalues(op, strict + 2, 1e-8).eigenvalues[-2:]
+        shift, gap = edge - threshold_e, nxt - edge
+        census = strict + (1 if 0 < shift < 0.25 * gap else 0)
+        counts.append((strict, census))
+        details.append(f"T={T:g}: strict {strict}, census {census}, "
+                       f"shift/gap {shift / gap:.3f}")
     with pytest.raises(NotNormalizable):
         normalization_constant(eigen_polynomial(4, F(1, 4)))
-    counts_ok = all(c.census == 4 and c.strict_below == 3 for c in censuses)
+    counts_ok = all(c == (3, 4) for c in counts)
     expected_ok = info.normalizable_max_n == 3
     ok = counts_ok and expected_ok
     report(capsys, 9, ok, "; ".join(details)

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import aimosc
 from aimosc import aim_core, cli
 
 
@@ -488,6 +489,13 @@ def test_console_script_installed(capsys):
     assert entry(["spectrum", "--omega", "10", "--lambda", "1",
                   "--format", "csv"]) == 0
     assert "29" in capsys.readouterr().out
+
+
+def test_star_import_binds_every_export():
+    # a stale name in __all__ makes the star import fail or leave it unbound
+    namespace = {}
+    exec("from aimosc import *", namespace)
+    assert [n for n in aimosc.__all__ if n not in namespace] == []
 
 
 @pytest.mark.skipif(shutil.which("aimosc") is None,

@@ -1,4 +1,4 @@
-"""Finite-difference oracle: stencil, inertia counts, refinement, census."""
+"""Finite-difference oracle: stencil, inertia counts, bisection, refinement."""
 import math
 from itertools import accumulate, pairwise
 
@@ -10,15 +10,12 @@ from aimosc import sl_oracle
 from aimosc.fh_oscillator import ModelParams
 from aimosc.sl_oracle import (
     Grid,
-    NonmonotoneConvergence,
     OracleResult,
     TridiagOp,
-    converge_study,
     discretize,
     eigen_count_below,
     lowest_eigenvalues,
     suggest_domain,
-    threshold_census,
 )
 
 HARMONIC = ModelParams(omega=1, lam=0)
@@ -51,7 +48,7 @@ class TestGrid:
 
     def test_result_ordering_guard(self):
         with pytest.raises(ValueError):
-            OracleResult(eigenvalues=(1.0, 1.0), est_error=(0.0, 0.0))
+            OracleResult(eigenvalues=(1.0, 1.0))
 
 
 def _stencil(params, g):
@@ -296,12 +293,14 @@ class TestSharedBrackets:
             mp.setattr(sl_oracle, "eigen_count_below",
                        lambda *a: calls.append(a) or count(*a))
             res = lowest_eigenvalues(op, m, tol)
+        halves = [0.5 * (hi - lo)
+                  for lo, hi in sl_oracle._level_brackets(op, m, tol)]
         for p, block in enumerate(op.parity_blocks):
             levels = len(range(p, m, 2))
             values, errors, sweeps = _per_level_bisection(
                 lambda x: _block_count(block, x), *block.span, levels, tol)
             assert res.eigenvalues[p::2] == values
-            assert res.est_error[p::2] == errors
+            assert tuple(halves[p::2]) == errors
             own = sum(1 for a in calls if a[0] is block)
             assert own < sweeps if levels >= 2 else own <= sweeps
 
@@ -353,7 +352,7 @@ class TestParityFold:
         # counts: a few thousand ulps of the operator's norm at most
         op, diag, offdiag = sym
         assert op.n == len(diag)
-        brackets = sl_oracle._level_brackets(op, 0, op.n, tol)
+        brackets = sl_oracle._level_brackets(op, op.n, tol)
         glo, ghi = _gershgorin(diag, offdiag)
         want, _, _ = _per_level_bisection(
             lambda x: _plain_count(diag, offdiag, x), glo, ghi, op.n, tol)
@@ -369,7 +368,6 @@ class TestLowestEigenvalues:
         res = lowest_eigenvalues(op, 3, 1e-9)
         for v, want in zip(res.eigenvalues, (0.5, 1.5, 2.5)):
             assert abs(v - want) < 1e-4
-        assert all(e < 1e-8 for e in res.est_error)
 
     def test_decaying_mass_levels(self):
         # closed form: E_n = -n(n+1)/20 + (2n+1)/2
@@ -404,52 +402,17 @@ class TestLowestEigenvalues:
 
 
 class TestConvergeStudy:
-    GRIDS = (Grid(T=15.0, N=1874), Grid(T=15.0, N=3749), Grid(T=15.0, N=7499))
-
     def test_second_order_and_extrapolation(self):
-        rep = converge_study(DECAY, 2, self.GRIDS)
-        for order in rep.observed_orders:
-            assert 1.8 < order < 2.2
-        for got, want in zip(rep.extrapolated, (0.5, 1.4)):
-            assert abs(got - want) < 1e-8
-        assert len(rep.levels) == 3
-
-    def test_noise_floor_detected(self):
-        with pytest.raises(NonmonotoneConvergence):
-            converge_study(DECAY, 1, self.GRIDS, bisect_tol=1e-3)
-
-    def test_requires_halving(self):
-        bad = (Grid(T=15.0, N=1874), Grid(T=15.0, N=2999),
-               Grid(T=15.0, N=7499))
-        with pytest.raises(ValueError):
-            converge_study(DECAY, 1, bad)
-
-    def test_requires_three_grids(self):
-        with pytest.raises(ValueError):
-            converge_study(DECAY, 1, self.GRIDS[:2])
-
-
-class TestThresholdCensus:
-    def test_marginal_level_counted_once(self):
-        # edge at E_tilde = 1/lt -> E = 20; n = 3 sits exactly on it
-        op = discretize(ModelParams(omega=10, lam=F(5, 2)),
-                        Grid(T=60.0, N=20000))
-        cen = threshold_census(op, 20.0)
-        assert cen.strict_below == 3
-        assert cen.census == 4
-        assert 0 < cen.edge_shift < 0.25 * cen.edge_gap
-
-    def test_far_threshold_adds_nothing(self):
-        op = discretize(HARMONIC, Grid(T=10.0, N=2000))
-        cen = threshold_census(op, 1.0)
-        assert cen.strict_below == 1
-        assert cen.census == 1
-        assert cen.edge_shift > 0.25 * cen.edge_gap
-
-    def test_small_grid_guard(self):
-        op = discretize(HARMONIC, Grid(T=2.0, N=4))
-        with pytest.raises(ValueError):
-            threshold_census(op, 1e9)
+        # grid refinement of the stencil over h, h/2, h/4: the differences
+        # shrink by about 4 per halving, and Richardson extrapolation at
+        # order 2 recovers E_0 = 0.5 and E_1 = 1.4
+        grids = (Grid(T=15.0, N=1874), Grid(T=15.0, N=3749),
+                 Grid(T=15.0, N=7499))
+        levels = [lowest_eigenvalues(discretize(DECAY, g), 2, 1e-12)
+                  .eigenvalues for g in grids]
+        for (a, b, c), want in zip(zip(*levels), (0.5, 1.4)):
+            assert 1.8 < math.log2((a - b) / (b - c)) < 2.2
+            assert abs(c - (b - c) / 3.0 - want) < 1e-8
 
 
 class TestSuggestDomain:
