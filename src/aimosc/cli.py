@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
 from argparse import Namespace
-from decimal import Decimal, localcontext
+from decimal import Context, Decimal
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
@@ -40,22 +41,24 @@ def _parse_rat(text: str) -> Fraction:
         raise ValueError(f"not a rational number: {text!r}") from exc
 
 
+# Every printed number is rounded in this one context; its flags are never
+# read, so sharing it across calls changes no output.
+_DEC12 = Context(prec=12)
+
+
 def _dec12(value) -> str:
     """12 significant digits, plain decimal, deterministic.
 
     Exact rationals whose decimal expansion terminates within 12 digits
     come out exact, so downstream parsers can recover them losslessly.
     """
-    with localcontext() as ctx:
-        ctx.prec = 12
-        if isinstance(value, Fraction):
-            d = Decimal(value.numerator) / Decimal(value.denominator)
-        else:
-            d = +Decimal(repr(float(value)))
-        if d == 0:
-            return "0"
-        text = format(d.normalize(), "f")
-    return text
+    if isinstance(value, Fraction):
+        d = _DEC12.divide(Decimal(value.numerator), Decimal(value.denominator))
+    else:
+        d = _DEC12.plus(Decimal(repr(float(value))))
+    if d == 0:
+        return "0"
+    return format(d.normalize(_DEC12), "f")
 
 
 def _write_lines(lines: Sequence[str], out: Optional[str]) -> None:
@@ -69,7 +72,10 @@ def _write_lines(lines: Sequence[str], out: Optional[str]) -> None:
 # ---------------------------------------------------------------------------
 # argument plumbing
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; parse_args leaves it unchanged, so
+    every call to main reuses it."""
     top = argparse.ArgumentParser(
         prog="aimosc",
         description="Spectra and eigenfunctions of the decaying-mass "
@@ -477,36 +483,34 @@ def _lambda_sweep(cfg: Namespace) -> list[Fraction]:
 
 
 def cmd_figures(cfg: Namespace) -> int:
-    sweep = _lambda_sweep(cfg)
+    sweep = [(lam, _dec12(lam)) for lam in _lambda_sweep(cfg)]
     outdir = Path(cfg.out) if cfg.out else Path(".")
     outdir.mkdir(parents=True, exist_ok=True)
+    level = fh_oscillator.spectrum_closed_physical
 
     lines = ["lambda,n,E"]
     for n in range(4):
-        for lam in sweep:
-            e = fh_oscillator.spectrum_closed_physical(n, Fraction(10), lam)
-            lines.append(f"{_dec12(lam)},{n},{_dec12(e)}")
+        for lam, lam_text in sweep:
+            lines.append(f"{lam_text},{n},{_dec12(level(n, 10, lam))}")
     _write_file(outdir / "fig1.csv", lines)
 
     lines = ["lambda,omega_hz,E"]
     for omega in cfg.fig2_omegas:
-        for lam in sweep:
-            e = fh_oscillator.spectrum_closed_physical(1, omega, lam)
-            lines.append(f"{_dec12(lam)},{_dec12(omega)},{_dec12(e)}")
+        omega_text = _dec12(omega)
+        for lam, lam_text in sweep:
+            lines.append(f"{lam_text},{omega_text},{_dec12(level(1, omega, lam))}")
     _write_file(outdir / "fig2.csv", lines)
 
     lines = ["n,omega_hz,E"]
-    for omega in (Fraction(10), Fraction(20), Fraction(30)):
+    for omega in (10, 20, 30):
         for n in range(10):
-            e = fh_oscillator.spectrum_closed_physical(n, omega, cfg.fig_lambda)
-            lines.append(f"{n},{_dec12(omega)},{_dec12(e)}")
+            lines.append(f"{n},{omega},{_dec12(level(n, omega, cfg.fig_lambda))}")
     _write_file(outdir / "fig3.csv", lines)
 
     lines = ["omega,n,E"]
     for n in (1, 2, 3):
         for w in range(1, 31):
-            e = fh_oscillator.spectrum_closed_physical(n, Fraction(w), cfg.fig_lambda)
-            lines.append(f"{w},{n},{_dec12(e)}")
+            lines.append(f"{w},{n},{_dec12(level(n, w, cfg.fig_lambda))}")
     _write_file(outdir / "fig4.csv", lines)
     return 0
 
@@ -516,8 +520,7 @@ def _write_file(path: Path, lines: list[str]) -> None:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = _resolve(args)
         if cfg.command == "spectrum":

@@ -125,16 +125,22 @@ def spectrum_closed_dimensionless(n: int, lam_tilde: RatLike) -> Fraction:
     if n < 0:
         raise ValueError("n must be nonnegative")
     lt = Fraction(lam_tilde)
-    return -n * (n + 1) * lt + 2 * n + 1
+    # 2n + 1 - n(n + 1) lt over the denominator of lt, reduced once
+    p, q = lt.numerator, lt.denominator
+    return Fraction((2 * n + 1) * q - n * (n + 1) * p, q)
 
 
 def spectrum_closed_physical(n: int, omega: RatLike, lam: RatLike) -> Fraction:
     if n < 0:
         raise ValueError("n must be nonnegative")
-    w = Fraction(omega)
+    w, lm = Fraction(omega), Fraction(lam)
     if w <= 0:
         raise NonpositiveFrequency(f"omega = {w}")
-    return -Fraction(n * (n + 1)) * Fraction(lam) / 2 + Fraction(2 * n + 1) * w / 2
+    # ((2n + 1) w - n(n + 1) lam)/2 over the denominator 2 den(w) den(lam),
+    # reduced once
+    a, b = w.numerator, w.denominator
+    c, d = lm.numerator, lm.denominator
+    return Fraction((2 * n + 1) * a * d - n * (n + 1) * c * b, 2 * b * d)
 
 
 def bound_state_info(lam_tilde: RatLike) -> BoundStateInfo:
@@ -150,9 +156,11 @@ def bound_state_info(lam_tilde: RatLike) -> BoundStateInfo:
         raise NoThreshold("lam_tilde = 0: confining limit, all states bound")
     if lt < 0:
         raise ValueError(f"lam_tilde must be nonnegative, got {lt}")
-    b = 1 / lt - Fraction(1, 2)
-    max_n = (b.numerator - 1) // b.denominator  # largest integer < b
-    return BoundStateInfo(threshold=1 / lt, normalizable_max_n=max_n)
+    # with lt = p/q, 1/lt - 1/2 = (2q - p)/(2p); max_n is the largest
+    # integer below it
+    p, q = lt.numerator, lt.denominator
+    return BoundStateInfo(threshold=Fraction(q, p),
+                          normalizable_max_n=(2 * q - p - 1) // (2 * p))
 
 
 @dataclass(frozen=True)
@@ -220,14 +228,22 @@ def _log_envelope(ef: EigenFunction, tau: float) -> float:
 
 
 def wavefunction_eval(ef: EigenFunction, tau: float) -> float:
-    """N env(tau) f(tau).  Where f(tau) itself overflows a float, the
-    product is taken in logarithms: the envelope wins for every
-    normalizable n, so the value is finite (often 0)."""
+    """N env(tau) f(tau).  f(tau) is evaluated exactly in integers, with
+    tau = a/b and the coefficients over one common denominator, and
+    rounded once.  Where f(tau) itself overflows a float, the product is
+    taken in logarithms: the envelope wins for every normalizable n, so
+    the value is finite (often 0)."""
     n_const = ef.norm_const if ef.norm_const is not None else 1.0
-    f = horner(ef.coeffs, Fraction(tau))
+    a, b = tau.as_integer_ratio()
+    top = len(ef.coeffs) - 1
+    den = math.lcm(*[c.denominator for c in ef.coeffs])
+    num = horner([c.numerator * (den // c.denominator) * b ** (top - j)
+                  for j, c in enumerate(ef.coeffs)], a)
+    den *= b ** top                     # f(tau) = num/den
     try:
-        return n_const * math.exp(_log_envelope(ef, tau)) * float(f)
+        return n_const * math.exp(_log_envelope(ef, tau)) * (num / den)
     except OverflowError:
+        f = Fraction(num, den)
         log_abs = (math.log(n_const) + _log_envelope(ef, tau)
                    + math.log(abs(f.numerator)) - math.log(f.denominator))
         return -math.exp(log_abs) if f < 0 else math.exp(log_abs)

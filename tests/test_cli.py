@@ -5,10 +5,13 @@ import math
 import shutil
 import subprocess
 import time
+from decimal import Decimal, localcontext
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import aimosc
 from aimosc import aim_core, cli
@@ -315,6 +318,99 @@ class TestFigures:
         assert code == 2
         assert "lam-points" in err
         assert not (tmp_path / "sub").exists()
+
+
+class TestParserReuse:
+    """main parses every call with the one parser the process builds; no
+    call may leave anything in it that the next call sees."""
+
+    CSV = ["spectrum", "--omega", "10", "--lambda", "1", "--format", "csv"]
+    CSV_OUT = ("n,E_tilde,E,method,bound,marginal\n"
+               "0,1,5,closed_form,true,false\n"
+               "1,2.8,14,closed_form,true,false\n"
+               "2,4.4,22,closed_form,true,false\n"
+               "3,5.8,29,closed_form,true,false\n")
+
+    def test_one_parser_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_appended_methods_do_not_carry_over(self, capsys):
+        code, out, _ = run(capsys, ["spectrum", "--method", "aim",
+                                    "--method", "closed"] + self.CSV[1:])
+        assert code == 0
+        assert [r.split(",")[3] for r in out.splitlines()[1:]] \
+            == ["aim"] * 4 + ["closed_form"] * 4
+        assert run(capsys, self.CSV) == (0, self.CSV_OUT, "")
+
+    def test_rejected_argv_leaves_the_parser_usable(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(self.CSV[:-1] + ["xml"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+        assert run(capsys, self.CSV) == (0, self.CSV_OUT, "")
+
+    def test_fig2_omegas_do_not_carry_over(self, capsys, tmp_path):
+        run(capsys, ["figures", "--out", str(tmp_path / "a"),
+                     "--fig2-omegas", "10,20,30"])
+        code, _, _ = run(capsys, ["figures", "--out", str(tmp_path / "b")])
+        assert code == 0
+        golden = Path(__file__).resolve().parent / "golden" / "figures_default"
+        for name in ("fig1.csv", "fig2.csv", "fig3.csv", "fig4.csv"):
+            assert (tmp_path / "b" / name).read_bytes() \
+                == (golden / name).read_bytes()
+
+
+def dec12_localcontext(value):
+    """The formatter as it was with a fresh local context per number: the
+    reference that cli._dec12 must match character for character."""
+    with localcontext() as ctx:
+        ctx.prec = 12
+        if isinstance(value, F):
+            d = Decimal(value.numerator) / Decimal(value.denominator)
+        else:
+            d = +Decimal(repr(float(value)))
+        if d == 0:
+            return "0"
+        text = format(d.normalize(), "f")
+    return text
+
+
+BIG = 10 ** 400
+dec12_fractions = st.one_of(
+    st.builds(F, st.integers(-BIG, BIG), st.integers(1, BIG)),
+    st.builds(F, st.integers(-10 ** 15, 10 ** 15), st.integers(1, 10 ** 15)),
+    # terminating decimals, ties at the 13th digit among them
+    st.builds(lambda k, e2, e5: F(k, 2 ** e2 * 5 ** e5),
+              st.integers(-10 ** 14, 10 ** 14), st.integers(0, 60),
+              st.integers(0, 60)),
+    st.builds(lambda k, e: (10 * k + 5) * F(10) ** e,
+              st.integers(10 ** 11, 10 ** 12 - 1), st.integers(-300, 300)),
+    st.builds(lambda k, e: F(k, 10 ** e), st.integers(-BIG, BIG),
+              st.integers(400, 2000)),
+)
+dec12_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=-1e-300, max_value=1e-300),
+    # binary-exact ties at 12 significant digits
+    st.integers(10 ** 11, 10 ** 12 - 1).map(lambda k: k + 0.5),
+    st.integers(10 ** 11, 10 ** 12 - 1).map(lambda k: float(10 * k + 5)),
+    st.integers(-10 ** 20, 10 ** 20),
+)
+
+
+@given(st.one_of(dec12_fractions, dec12_floats))
+@example(F(0))
+@example(F(-1, 3))
+@example(F(1, 10 ** 1000))
+@example(5e-324)
+@example(-2.2250738585072014e-308)
+@example(1e300)
+@example(-1e300)
+@example(-0.0)
+@example(100000000000.5)
+@example(100000000001.5)
+def test_dec12_matches_localcontext_formatter(value):
+    assert cli._dec12(value) == dec12_localcontext(value)
 
 
 class TestExitCodes:

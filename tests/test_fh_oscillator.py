@@ -4,7 +4,7 @@ import math
 
 import pytest
 from fractions import Fraction as F
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aimosc.exactalg import (
@@ -39,6 +39,35 @@ def same_ratio(num, den, want_num, want_den):
 
 
 lam_tildes = st.fractions(min_value=0, max_value=F(39, 40), max_denominator=40)
+
+
+@st.composite
+def normalizable_states(draw):
+    """(n, lam_tilde) with lam_tilde in [0, 1) and n < 1/lam_tilde - 1/2."""
+    n = draw(st.integers(min_value=0, max_value=12))
+    q = draw(st.integers(min_value=1, max_value=10 ** 6))
+    p = draw(st.integers(min_value=0,
+                         max_value=min(q - 1, (2 * q - 1) // (2 * n + 1))))
+    return n, F(p, q)
+
+
+def fraction_wavefunction(ef, tau):
+    """Reference phi(tau): f(tau) by Fraction Horner at Fraction(tau), then
+    the envelope; f in logarithms where float(f) overflows.  Returns the
+    value and whether the logarithm branch was taken."""
+    n_const = ef.norm_const if ef.norm_const is not None else 1.0
+    if ef.envelope_exponent is None:
+        log_env = -0.5 * tau * tau
+    else:
+        log_env = float(ef.envelope_exponent) * math.log1p(
+            float(ef.lam_tilde) * tau * tau)
+    f = horner(ef.coeffs, F(tau))
+    try:
+        return n_const * math.exp(log_env) * float(f), False
+    except OverflowError:
+        log_abs = (math.log(n_const) + log_env + math.log(abs(f.numerator))
+                   - math.log(f.denominator))
+        return (-math.exp(log_abs) if f < 0 else math.exp(log_abs)), True
 
 
 def line_integral(fn, panels=2000):
@@ -232,6 +261,29 @@ class TestEigenPolynomial:
                 + float(ef.envelope_exponent) * math.log1p(tau * tau / 100))
             assert wavefunction_eval(ef, tau) == pytest.approx(want, rel=1e-10)
             assert wavefunction_eval(ef, -tau) == -wavefunction_eval(ef, tau)
+
+    @settings(max_examples=150, deadline=None)
+    @given(normalizable_states(),
+           st.floats(min_value=-1e200, max_value=1e200, allow_nan=False))
+    @example((6, F(3, 20)), 1e80)         # f(tau) overflows: log branch
+    @example((12, F(79, 1000)), -1e40)
+    @example((99, F(1, 100)), 1e5)
+    @example((2, F(0)), 5e-324)
+    @example((3, F(1, 10)), -0.0)
+    def test_eval_matches_fraction_horner(self, state, tau):
+        # the integer evaluation rounds the same rational as the Fraction
+        # reference, once, so the two agree bit for bit
+        ef = eigen_polynomial(*state)
+        ef = dataclasses.replace(ef, norm_const=normalization_constant(ef))
+        got = wavefunction_eval(ef, tau)
+        assert got.hex() == fraction_wavefunction(ef, tau)[0].hex()
+
+    def test_reference_takes_the_log_branch(self):
+        # the overflow examples above do reach the logarithm branch
+        ef = eigen_polynomial(6, F(3, 20))
+        phi, logs = fraction_wavefunction(ef, 1e80)
+        assert logs and phi != 0
+        assert not fraction_wavefunction(ef, 1e50)[1]
 
     def test_validation_catches_tampering(self):
         good = eigen_polynomial(2, F(1, 10))
