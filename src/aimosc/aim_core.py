@@ -28,16 +28,16 @@ from .exactalg import (
     _ideriv,
     _igcd,
     _int_scaled,
+    _trim,
     horner,
     isolate_real_roots,
     poly_add,
     poly_diff_tau,
     poly_is_zero,
     poly_mul,
+    poly_restrict,
     poly_sub,
-    poly_substitute,
     refine_root,  # noqa: F401  narrows a rejected irrational bracket
-    uni_coeffs,
     uni_reduce,
 )
 
@@ -140,13 +140,10 @@ def quantization_delta(curr: AimState, prev: AimState, tau0: RatLike) -> DeltaPo
     """
     if curr.k != prev.k + 1:
         raise ValueError("states must be consecutive iterations")
-    delta = _delta_at(curr, prev, 0, tau0)
-    if poly_is_zero(delta):
-        raise DegenerateDelta(f"determinant vanishes identically at tau0={tau0}")
-    ints = _int_scaled(uni_coeffs(delta))
-    sign = 1 if ints[-1] > 0 else -1
-    return DeltaPoly(k=curr.k, poly={(0, de): sign * c
-                                     for de, c in enumerate(ints) if c})
+    delta = _anchored_delta(poly_restrict((curr.L, curr.S), 0, tau0),
+                            poly_restrict((prev.L, prev.S), 0, tau0), tau0)
+    return DeltaPoly(k=curr.k, poly={(0, de): c
+                                     for de, c in enumerate(delta) if c})
 
 
 def aim_eigenvalues(seed: AimState, k_max: int = 12,
@@ -163,7 +160,8 @@ def aim_eigenvalues(seed: AimState, k_max: int = 12,
     is zero identically in tau, and (E - root) joins g_k; every other
     candidate is rejected.  For the oscillator the new candidate at each
     k >= 2 is E_k alone, so the certified set at k_max is
-    {E_n : n <= k_max} whatever the anchor.
+    {E_n : n <= k_max} whatever the anchor.  Each state is restricted to
+    each anchor once, and the next k reuses that restriction.
     """
     if k_max < 2:
         raise ValueError("k_max must be at least 2")
@@ -172,12 +170,14 @@ def aim_eigenvalues(seed: AimState, k_max: int = 12,
     accepted: dict[Fraction, int] = {}
     rejected = []
     state = seed
+    rows = [poly_restrict((seed.L, seed.S), 0, t) for t in anchors]
     for k in range(1, k_max + 1):
         prev, state = state, aim_iterate(state)
+        prev_rows = rows
+        rows = [poly_restrict((state.L, state.S), 0, t) for t in anchors]
         fresh = _igcd(*[
-            _idivexact(uni_coeffs(quantization_delta(state, prev, t).poly),
-                       content)
-            for t in anchors])
+            _idivexact(_anchored_delta(curr_ls, prev_ls, t), content)
+            for curr_ls, prev_ls, t in zip(rows, prev_rows, anchors)])
         candidates = {(0, de): c for de, c in enumerate(fresh) if c}
         for iv in isolate_real_roots(candidates):
             root = iv.exact
@@ -199,21 +199,37 @@ def aim_eigenvalues(seed: AimState, k_max: int = 12,
 def terminates_at(curr: AimState, prev: AimState, e: RatLike) -> bool:
     """Whether delta_k = l_k*s_{k-1} - l_{k-1}*s_k vanishes identically in
     tau at E = e, with e substituted exactly."""
-    return poly_is_zero(_delta_at(curr, prev, 1, e))
+    return not _cross(poly_restrict((curr.L, curr.S), 1, e),
+                      poly_restrict((prev.L, prev.S), 1, e))
 
 
-def _substituted(polys: Sequence[BiPoly], var: int, value: RatLike) -> list[BiPoly]:
-    """Each poly with tau (var 0) or E (var 1) set to value, all scaled by
-    one positive factor."""
-    top = max((key[var] for p in polys for key in p), default=0)
-    return [poly_substitute(p, var, value, top) for p in polys]
+def _cross(curr: list[list], prev: list[list]) -> list:
+    """l_k*s_(k-1) - l_(k-1)*s_k from the (l, s) coefficient lists of two
+    consecutive states, each restricted on its own.
+
+    Each state's pair carries its own factor b^top, so both products carry
+    the same b^(top_k + top_(k-1)) and the combination is delta_k times a
+    positive factor; integer lists give integer coefficients.
+    """
+    (lc, sc), (lp, sp) = curr, prev
+    out = [0] * max(len(lc) + len(sp), len(lp) + len(sc))
+    for a, b, sign in ((lc, sp, 1), (lp, sc, -1)):
+        for i, x in enumerate(a):
+            if x:
+                x *= sign
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+    return _trim(out)
 
 
-def _delta_at(curr: AimState, prev: AimState, var: int, value: RatLike) -> BiPoly:
-    """delta_k with tau (var 0) or E (var 1) set to value, times a positive
-    factor; integer numerators give integer coefficients."""
-    lc, sc, lp, sp = _substituted((curr.L, curr.S, prev.L, prev.S), var, value)
-    return poly_sub(poly_mul(lc, sp), poly_mul(lp, sc))
+def _anchored_delta(curr: list[list], prev: list[list], tau0: RatLike) -> list[int]:
+    """delta_k at the anchor both states were restricted to, as a primitive
+    integer list with positive leading coefficient."""
+    delta = _cross(curr, prev)
+    if not delta:
+        raise DegenerateDelta(f"determinant vanishes identically at tau0={tau0}")
+    ints = _int_scaled(delta)
+    return ints if ints[-1] > 0 else [-c for c in ints]
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +248,7 @@ def eigenfunction_via_alpha(state: AimState, e_n: RatLike,
     a logarithmic derivative: e_n is no eigenvalue, or k is too shallow.
     """
     e_n = Fraction(e_n)
-    num, den = (_coeffs_or_empty(p)
-                for p in _substituted((state.S, state.L), 1, e_n))
+    num, den = poly_restrict((state.S, state.L), 1, e_n)
     if not den:
         raise DivisionByZero("l_k is identically zero at this E")
     num, den = uni_reduce(num, den)
@@ -245,6 +260,3 @@ def eigenfunction_via_alpha(state: AimState, e_n: RatLike,
     f = [Fraction(c, low) for c in den]
     return [float(horner(f, Fraction(t))) for t in tau_grid]
 
-
-def _coeffs_or_empty(p: BiPoly) -> list[Fraction]:
-    return uni_coeffs(p) if p else []

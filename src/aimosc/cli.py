@@ -169,6 +169,15 @@ def _resolve(args: Namespace) -> Namespace:
         for flag, value in (("--tau-min", args.tau_min), ("--tau-max", args.tau_max)):
             if not math.isfinite(value):
                 raise ValueError(f"{flag} must be finite, got {value}")
+        if args.points < 2:
+            raise ValueError("--points must be at least 2")
+        # the samples run monotonically to the last one, which overflows
+        # whenever the span tau_max - tau_min does
+        step = (args.tau_max - args.tau_min) / (args.points - 1)
+        if not math.isfinite(args.tau_min + (args.points - 1) * step):
+            raise ValueError(
+                f"the grid from --tau-min {args.tau_min} to --tau-max "
+                f"{args.tau_max} overflows a float")
     if args.command == "figures":
         args.fig2_omegas = [_parse_rat(w) for w in args.fig2_omegas.split(",")]
         args.lam_max = _parse_rat(args.lam_max)
@@ -461,8 +470,6 @@ def _check_printed_signs(cfg: Namespace) -> dict:
 
 
 def cmd_wavefunction(cfg: Namespace) -> int:
-    if cfg.points < 2:
-        raise ValueError("--points must be at least 2")
     ef = fh_oscillator.eigen_polynomial(cfg.n, cfg.lam_tilde)
     norm = fh_oscillator.normalization_constant(ef)
     ef = dataclasses.replace(ef, norm_const=norm)

@@ -1,14 +1,17 @@
 """Exact bivariate polynomial arithmetic and real-root isolation.
 
 Polynomials in the two symbols tau (scaled time) and E (scaled energy) are
-sparse maps from exponent pairs to rational coefficients.  A univariate
-restriction is cleared of denominators into a primitive integer coefficient
-list, and its gcds, remainders and exact quotients stay in integers (the
-primitive remainder sequence), as does root finding: the continued-fraction
-form of Descartes' method isolates every real root, hitting each rational
-root exactly and returning each irrational one as a rational bracket whose
-ends are not roots; `refine_root` narrows such a bracket by exact
-bisection.  `sturm_count` counts the roots independently, with a Sturm chain.
+sparse maps from exponent pairs to rational coefficients.  `poly_restrict`
+sets one symbol to a rational value and yields coefficient lists in the
+other, integer for integer input.  A univariate polynomial is cleared of
+denominators into a primitive integer coefficient list, and its gcds,
+remainders and exact quotients stay in integers (the primitive remainder
+sequence), as does root finding: a linear square-free part gives its root
+directly, and otherwise the continued-fraction form of Descartes' method
+isolates every real root, hitting each rational root exactly and returning
+each irrational one as a rational bracket whose ends are not roots;
+`refine_root` narrows such a bracket by exact bisection.  `sturm_count`
+counts the roots independently, with a Sturm chain.
 
 `horner`, the package's one polynomial evaluator (exact on rationals, plain
 floating point on floats), also lives here for the other layers.  No
@@ -20,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 BiPoly = Dict[Tuple[int, int], Fraction]
 
@@ -99,20 +102,28 @@ def poly_eval(p: BiPoly, tau: RatLike, e: RatLike) -> Fraction:
     return total
 
 
-def poly_substitute(p: BiPoly, var: int, value: RatLike, top: int) -> BiPoly:
-    """b^top * p with tau (var 0) or E (var 1) set to value = a/b, which
-    leaves a univariate polynomial in the other symbol.
+def poly_restrict(polys: Sequence[BiPoly], var: int, value: RatLike) -> list[list]:
+    """Each of polys with tau (var 0) or E (var 1) set to value = a/b, as an
+    ascending coefficient list in the other symbol; the zero polynomial
+    gives [].
 
-    top must be at least p's degree in the substituted symbol, so integer
-    coefficients stay integers and no rational arithmetic is done.  The
-    positive factor b^top changes no root or sign, and it cancels from a
-    ratio of two results taken with the same top.
+    Every list carries one factor b^top, top the largest degree of polys in
+    the substituted symbol, so integer coefficients stay integers and no
+    rational arithmetic is done.  The positive factor changes no root or
+    sign, and it cancels from a ratio of two lists restricted together.
     """
     v = Fraction(value)
-    pw = [v.numerator ** i * v.denominator ** (top - i) for i in range(top + 1)]
-    if var == 0:
-        return _collect(((0, de), c * pw[dt]) for (dt, de), c in p.items())
-    return _collect(((dt, 0), c * pw[de]) for (dt, de), c in p.items())
+    a, b = v.numerator, v.denominator
+    keep = 1 - var
+    top = max([key[var] for p in polys for key in p], default=0)
+    pw = [a ** i * b ** (top - i) for i in range(top + 1)]
+    rows = []
+    for p in polys:
+        row = [0] * (max([key[keep] for key in p], default=-1) + 1)
+        for key, c in p.items():
+            row[key[keep]] += c * pw[key[var]]
+        rows.append(_trim(row))
+    return rows
 
 
 def poly_is_zero(p: BiPoly) -> bool:
@@ -279,7 +290,8 @@ def isolate_real_roots(p: BiPoly) -> list[RootInterval]:
 
     Rational roots come back exact; irrational ones come back as rational
     brackets each holding exactly one root, with endpoints that are not
-    roots.  Results are sorted ascending.
+    roots.  Results are sorted ascending.  A square-free part c0 + c1 x has
+    the one root -c0/c1, returned without the continued-fraction descent.
     """
     if not p:
         raise ZeroPolynomial("cannot isolate roots of the zero polynomial")
@@ -287,6 +299,9 @@ def isolate_real_roots(p: BiPoly) -> list[RootInterval]:
     if len(coeffs) == 1:
         return []
     ip = _squarefree(_int_scaled(coeffs))
+    if len(ip) == 2:
+        r = Fraction(-ip[0], ip[1])
+        return [RootInterval(r, r, r)]
     out = []
     for sign in (1, -1):
         q = [c * sign ** i for i, c in enumerate(ip)]

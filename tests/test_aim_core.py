@@ -1,8 +1,10 @@
 """Iteration engine: recurrences, determinants, certified roots, alpha route."""
 
+import math
+
 import pytest
 from fractions import Fraction as F
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from aimosc.aim_core import (
     DegenerateDelta,
@@ -22,7 +24,7 @@ from aimosc.exactalg import (
     poly_is_zero,
     poly_mul,
     poly_new,
-    poly_substitute,
+    poly_restrict,
 )
 from aimosc.fh_oscillator import (
     aim_inputs,
@@ -54,6 +56,53 @@ def lam_tildes(draw):
 def same_ratio(num, den, want_num, want_den):
     """num/den == want_num/want_den as rational functions."""
     return poly_mul(num, want_den) == poly_mul(want_num, den)
+
+
+@st.composite
+def state_pairs(draw):
+    """(curr, prev, levels): consecutive states of an oscillator seed, with
+    its closed-form levels, or of a generic seed from `poly_new` whose
+    coefficients are mostly not integers, with no known levels."""
+    if draw(st.booleans()):
+        lt = draw(lam_tildes())
+        states = chain(aim_seed(*aim_inputs(lt)), draw(st.integers(1, 7)))
+        levels = [spectrum_closed_dimensionless(n, lt)
+                  for n in range(states[-1].k + 2)]
+        return states[-1], states[-2], levels
+    coeffs = st.builds(F, st.integers(-9, 9), st.integers(1, 6))
+
+    def seed_poly(max_dt, max_de):
+        terms = draw(st.dictionaries(
+            st.tuples(st.integers(0, max_dt), st.integers(0, max_de)),
+            coeffs, min_size=1, max_size=4))
+        return poly_new(terms)
+
+    l0 = seed_poly(2, 1)
+    assume(not poly_is_zero(l0))
+    u = poly_new({(0, 0): 1, **seed_poly(2, 0)})
+    assume(not poly_is_zero(u))
+    states = chain(aim_seed(l0, seed_poly(2, 1), u), draw(st.integers(1, 3)))
+    return states[-1], states[-2], []
+
+
+def delta_value(curr, prev, tau, e):
+    """delta_k = l_k*s_(k-1) - l_(k-1)*s_k at one rational point, in
+    Fractions; the common denominator u^(2k+1) is left out."""
+    return (poly_eval(curr.L, tau, e) * poly_eval(prev.S, tau, e)
+            - poly_eval(prev.L, tau, e) * poly_eval(curr.S, tau, e))
+
+
+def degree_bound(curr, prev, var):
+    """A bound on delta_k's degree in tau (var 0) or E (var 1)."""
+    deg = [max((key[var] for key in p), default=0)
+           for p in (curr.L, curr.S, prev.L, prev.S)]
+    return max(deg[0] + deg[3], deg[2] + deg[1])
+
+
+_COMMON_ROOT = chain(aim_seed(poly_new({(0, 0): 1}),
+                              poly_new({(0, 1): 1, (3, 0): 2, (2, 0): -3,
+                                        (1, 0): 1}),
+                              poly_new({(0, 0): 1})), 1)
 
 
 def certified(lt, k_max, tau0=0):
@@ -132,6 +181,30 @@ class TestQuantizationDelta:
         for e in (F(1), 3 - 2 * lt, 5 - 6 * lt):
             assert poly_eval(d2.poly, 0, e) == 0
 
+    @given(state_pairs(), st.fractions(min_value=-3, max_value=3,
+                                       max_denominator=12))
+    @example((_COMMON_ROOT[1], _COMMON_ROOT[0], []), F(1))
+    @example((_COMMON_ROOT[1], _COMMON_ROOT[0], []), F(1, 2))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_pointwise_reference(self, pair, tau0):
+        # delta at tau0 is the reference times one nonzero constant: both
+        # have degree <= m in E, so m + 1 points settle it
+        curr, prev, _ = pair
+        points = range(degree_bound(curr, prev, 1) + 1)
+        ref = [delta_value(curr, prev, tau0, e) for e in points]
+        if not any(ref):
+            with pytest.raises(DegenerateDelta):
+                quantization_delta(curr, prev, tau0)
+            return
+        d = quantization_delta(curr, prev, tau0)
+        coeffs = [c for _, c in sorted((de, c) for (_, de), c in d.poly.items())]
+        assert all(type(c) is int for c in coeffs) and coeffs[-1] > 0
+        assert math.gcd(*coeffs) == 1
+        got = [poly_eval(d.poly, 0, e) for e in points]
+        i = next(i for i, r in enumerate(ref) if r)
+        scale = got[i] / ref[i]
+        assert got == [scale * r for r in ref]
+
     def test_requires_consecutive_states(self):
         states = chain(harmonic_seed(), 3)
         with pytest.raises(ValueError):
@@ -181,6 +254,19 @@ class TestEigenvalues:
         assert not terminates_at(states[8], states[7], e8 + F(1, 10 ** 6))
         assert not terminates_at(states[8], states[7], e9)
         assert terminates_at(states[9], states[8], e9)
+
+    @given(state_pairs(), st.fractions(min_value=-20, max_value=20,
+                                       max_denominator=30))
+    @example((_COMMON_ROOT[1], _COMMON_ROOT[0], [F(1), F(-1)]), F(1, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_termination_matches_pointwise_reference(self, pair, e_random):
+        # delta at E = e vanishes identically in tau exactly when it does
+        # at more points than its degree in tau
+        curr, prev, levels = pair
+        points = range(degree_bound(curr, prev, 0) + 1)
+        for e in levels + [e_random]:
+            want = not any(delta_value(curr, prev, t, e) for t in points)
+            assert terminates_at(curr, prev, e) == want
 
     def test_common_anchor_root_is_rejected(self):
         # s0 = E + tau(tau-1)(2tau-1): delta_1 = s0^2 - s0' is E^2 - 1 at
@@ -256,8 +342,7 @@ class TestEigenfunctionViaAlpha:
         k = data.draw(st.integers(max(1, n - 1), 8))
         state = chain(aim_seed(*aim_inputs(lt)), k)[k]
         en = spectrum_closed_dimensionless(n, lt)
-        top = max((de for _, de in state.L), default=0)
-        assume(not poly_is_zero(poly_substitute(state.L, 1, en, top)))
+        assume(poly_restrict((state.L,), 1, en)[0])
         # the series polynomial already has lowest coefficient 1
         coeffs = eigen_polynomial(n, lt).coeffs
         want = [float(horner(coeffs, F(t))) for t in grid]
@@ -287,6 +372,7 @@ class TestDifferential:
     def test_census_is_the_closed_form(self, lt, tau0, tau1, k_max):
         rep = certified(lt, k_max, tau0)
         assert {v for v, _ in rep.accepted} == closed_levels(lt, k_max)
+        assert rep.rejected == ()
         assert certified(lt, k_max, tau1).accepted == rep.accepted
 
     @given(lam_tildes())

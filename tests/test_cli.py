@@ -4,6 +4,7 @@ import json
 import math
 import shutil
 import subprocess
+import sys
 import time
 from decimal import Decimal, localcontext
 from fractions import Fraction as F
@@ -492,6 +493,19 @@ class TestInputValidation:
     def test_tau_min_finite(self, capsys, tmp_path):
         self.rejected(capsys, tmp_path, ["wavefunction", "--tau-min", "nan"],
                       "--tau-min")
+
+    def test_tau_grid_finite(self, capsys, tmp_path):
+        # finite ends whose span overflows a float, and finite ends whose
+        # span is the largest float but whose last sample overflows
+        half = sys.float_info.max / 2
+        assert math.isfinite(half - -half)
+        for lo, hi, points in (("-1e308", "1e308", "3"),
+                               (repr(-half), repr(half), "4")):
+            err = self.rejected(capsys, tmp_path,
+                                ["wavefunction", f"--tau-min={lo}",
+                                 f"--tau-max={hi}", "--points", points],
+                                "--tau-min")
+            assert "--tau-max" in err
 
     def test_tol_positive_and_finite(self, capsys, tmp_path):
         for tol in ("0", "-1e-3", "inf", "nan"):

@@ -10,6 +10,7 @@ from aimosc.exactalg import (
     _primitive,
     _squarefree,
     ZeroPolynomial,
+    horner,
     isolate_real_roots,
     poly_add,
     poly_diff_tau,
@@ -17,8 +18,8 @@ from aimosc.exactalg import (
     poly_mul,
     poly_new,
     poly_scale,
+    poly_restrict,
     poly_sub,
-    poly_substitute,
     refine_root,
     sturm_count,
     uni_coeffs,
@@ -82,20 +83,23 @@ class TestRingLaws:
            st.integers(0, 3))
     @settings(max_examples=60)
     def test_substitute_scales_the_value(self, p, tau, e, var, extra):
-        # b^top p(value, .), read at the other symbol, is b^top p at the point
+        # b^top p(value, .), read at the other symbol, is b^top p at the
+        # point; a monomial restricted alongside p raises the shared top
         value = (tau, e)[var]
         top = max((key[var] for key in p), default=0) + extra
-        sub = poly_substitute(p, var, value, top)
-        point = (0, e) if var == 0 else (tau, 0)
+        pad = {(top, 0) if var == 0 else (0, top): F(1)}
+        row, pad_row = poly_restrict((p, pad), var, value)
+        other = (e, tau)[var]
         want = value.denominator ** top * poly_eval(p, tau, e)
-        assert poly_eval(sub, *point) == want
-        assert all(key[var] == 0 for key in sub)
+        assert horner(row, other) == want
+        assert row == [] or row[-1] != 0
+        assert horner(pad_row, other) == value.numerator ** top
 
     def test_substitute_keeps_integers(self):
         p = {(0, 0): 3, (1, 2): -5, (2, 1): 7}
         for var in (0, 1):
-            sub = poly_substitute(p, var, F(2, 3), 2)
-            assert all(type(c) is int for c in sub.values())
+            row, = poly_restrict((p,), var, F(2, 3))
+            assert all(type(c) is int for c in row)
 
     @given(bipolys(), bipolys())
     @settings(max_examples=60)
@@ -114,6 +118,38 @@ class TestIsolation:
     def test_recovers_planted_rationals(self, roots):
         found = isolate_real_roots(poly_from_roots(roots))
         assert [iv.exact for iv in found] == sorted(roots)
+
+    @given(st.integers(1, 10 ** 40), st.sampled_from([1, -1]),
+           st.integers(-10 ** 40, 10 ** 40), st.integers(1, 10 ** 6),
+           st.integers(1, 50))
+    @example(7, -1, 0, 3, 1)
+    @example(10 ** 40, 1, -(10 ** 40) + 1, 10 ** 6, 49)
+    @settings(max_examples=60, deadline=None)
+    def test_linear_root_is_read_directly(self, a, sign, b, g, den):
+        # g*(sign*a x + b)/den: non-primitive, any sign, maybe b = 0
+        p = poly_new({(0, 1): F(g * sign * a, den), (0, 0): F(g * b, den)})
+        r = F(-b, sign * a)
+        assert isolate_real_roots(p) == [RootInterval(r, r, r)]
+        assert sturm_count(p) == 1
+
+    @given(st.integers(-10 ** 6, 10 ** 6).filter(bool),
+           st.integers(-10 ** 6, 10 ** 6), st.integers(1, 9))
+    @example(1, 0, 2)
+    @settings(max_examples=40, deadline=None)
+    def test_linear_factor_of_a_product_keeps_every_root(self, a, b, c):
+        # (a x + b)(x^2 - c) still goes through the continued fractions
+        lin = poly_new({(0, 1): a, (0, 0): b})
+        p = poly_mul(lin, poly_new({(0, 2): 1, (0, 0): -c}))
+        r = F(-b, a)
+        ivs = isolate_real_roots(p)
+        rational = {F(s) for s in (-3, -2, -1, 1, 2, 3) if s * s == c}
+        want_exact = sorted({r} | rational)
+        assert [iv.exact for iv in ivs if iv.exact is not None] == want_exact
+        irrational = [iv for iv in ivs if iv.exact is None]
+        assert len(irrational) == (0 if rational else 2)
+        for iv in irrational:
+            assert (iv.low ** 2 - c) * (iv.high ** 2 - c) < 0
+        assert sturm_count(p) == len(ivs)
 
     def test_close_pair(self):
         p = poly_from_roots([F(1, 1000), F(1, 1001)])
