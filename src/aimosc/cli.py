@@ -61,7 +61,7 @@ def _dec12(value) -> str:
     return format(d.normalize(_DEC12), "f")
 
 
-def _write_lines(lines: Sequence[str], out: Optional[str]) -> None:
+def _write_lines(lines: Sequence[str], out: Optional[str | Path]) -> None:
     payload = "\n".join(lines) + "\n"
     if out is None:
         sys.stdout.write(payload)
@@ -74,53 +74,54 @@ def _write_lines(lines: Sequence[str], out: Optional[str]) -> None:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The one parser of the process; parse_args leaves it unchanged, so
-    every call to main reuses it."""
+    """The one parser of the process, whose subcommands take only the flags
+    they read; parse_args leaves it unchanged, so every main reuses it."""
     top = argparse.ArgumentParser(
         prog="aimosc",
         description="Spectra and eigenfunctions of the decaying-mass "
                     "oscillator, with independent cross-checks.")
     sub = top.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--omega", default="1", help="angular frequency, p/q")
-    common.add_argument("--lambda", dest="lam", default=None,
-                        help="mass-decay parameter, p/q")
-    common.add_argument("--lambda-tilde", dest="lam_tilde", default=None,
-                        help="dimensionless lambda/omega, p/q")
-    common.add_argument("--n-max", type=int, default=3)
-    common.add_argument("--kmax", type=int, default=8)
-    common.add_argument("--tau0", default="0", help="quantization anchor, p/q")
-    common.add_argument("--grid-T", dest="grid_t", type=float, default=None)
-    common.add_argument("--grid-N", dest="grid_n", type=int, default=30000)
-    common.add_argument("--tol", type=float, default=None,
-                        help="verify: gate on |oracle - closed form| "
-                             "(default 1e-2); otherwise the oracle "
-                             "bisection width (default 1e-10); no effect "
-                             "on wavefunction")
-    common.add_argument("--printed-signs", action="store_true",
+    model = argparse.ArgumentParser(add_help=False)
+    model.add_argument("--omega", default="1", help="angular frequency, p/q")
+    model.add_argument("--lambda", dest="lam", default=None,
+                       help="mass-decay parameter, p/q")
+    model.add_argument("--lambda-tilde", dest="lam_tilde", default=None,
+                       help="dimensionless lambda/omega, p/q")
+    model.add_argument("--out", default=None)
+
+    levels = argparse.ArgumentParser(add_help=False)
+    levels.add_argument("--n-max", type=int, default=3)
+    levels.add_argument("--kmax", type=int, default=8)
+    levels.add_argument("--tau0", default="0", help="quantization anchor, p/q")
+    levels.add_argument("--grid-T", dest="grid_t", type=float, default=None)
+    levels.add_argument("--grid-N", dest="grid_n", type=int, default=30000)
+    levels.add_argument("--printed-signs", action="store_true",
                         help="use the sign convention whose first excited "
                              "level is 2*lt-1; for the discrepancy demo")
-    common.add_argument("--format", dest="fmt", default="table",
-                        choices=("table", "csv", "json"))
-    common.add_argument("--out", default=None)
 
-    sp = sub.add_parser("spectrum", parents=[common],
+    sp = sub.add_parser("spectrum", parents=[model, levels],
                         help="energy levels by any method")
     sp.add_argument("--method", action="append",
                     choices=("closed", "aim", "oracle"), default=None)
+    sp.add_argument("--format", dest="fmt", default="table",
+                    choices=("table", "csv", "json"))
+    sp.add_argument("--tol", type=float, default=1e-10,
+                    help="oracle bisection width")
 
-    sub.add_parser("verify", parents=[common],
-                   help="cross-check matrix, JSON report")
+    vf = sub.add_parser("verify", parents=[model, levels],
+                        help="cross-check matrix, JSON report")
+    vf.add_argument("--tol", type=float, default=1e-2,
+                    help="gate on |oracle - closed form|")
 
-    wf = sub.add_parser("wavefunction", parents=[common],
+    wf = sub.add_parser("wavefunction", parents=[model],
                         help="sample one normalized eigenstate")
     wf.add_argument("--n", type=int, default=0)
     wf.add_argument("--tau-min", type=float, default=-5.0)
     wf.add_argument("--tau-max", type=float, default=5.0)
     wf.add_argument("--points", type=int, default=201)
 
-    fig = sub.add_parser("figures", parents=[common],
+    fig = sub.add_parser("figures", parents=[model],
                          help="emit fig1..fig4 CSV data files")
     fig.add_argument("--fig2-omegas", default="10,12,14",
                      help="comma list; the caption variant is 10,20,30")
@@ -129,6 +130,15 @@ def build_parser() -> argparse.ArgumentParser:
     fig.add_argument("--fig-lambda", default="1",
                      help="fixed lambda for fig3/fig4")
     return top
+
+
+def _float(value: Fraction, what: str, flag: str) -> float:
+    """value as a float, or bad input naming the flag that sets it."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{what} is out of floating-point range: "
+                         f"change {flag}") from None
 
 
 def _resolve(args: Namespace) -> Namespace:
@@ -141,6 +151,7 @@ def _resolve(args: Namespace) -> Namespace:
         raise ValueError("--lambda and --lambda-tilde are mutually exclusive")
     if omega <= 0:
         raise NonpositiveFrequency(f"omega = {omega}")
+    args.lam_flag = "--lambda" if lam is not None else "--lambda-tilde"
     if lam_tilde is not None:
         lam = lam_tilde * omega
     elif lam is not None:
@@ -149,22 +160,26 @@ def _resolve(args: Namespace) -> Namespace:
         lam = lam_tilde = Fraction(0)
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
-    if args.n_max < 0:
-        raise ValueError("--n-max must be nonnegative")
     args.omega, args.lam, args.lam_tilde = omega, lam, lam_tilde
-    args.tau0 = _parse_rat(args.tau0)
-    if args.tol is None:
-        args.tol = 1e-2 if args.command == "verify" else 1e-10
-    if not 0 < args.tol < math.inf:
-        raise ValueError(f"--tol must be positive and finite, got {args.tol}")
-    if args.grid_t is not None and not 0 < args.grid_t < math.inf:
-        raise ValueError(f"--grid-T must be positive and finite, got {args.grid_t}")
-    if args.grid_n < 3:
-        raise ValueError(f"--grid-N must be at least 3, got {args.grid_n}")
-    iterates = ((args.command == "verify" and not args.printed_signs)
-                or (args.command == "spectrum" and "aim" in (args.method or ())))
-    if iterates and args.kmax < 2:
-        raise ValueError(f"--kmax must be at least 2, got {args.kmax}")
+    if args.command in ("spectrum", "verify"):
+        if args.n_max < 0:
+            raise ValueError("--n-max must be nonnegative")
+        args.tau0 = _parse_rat(args.tau0)
+        if not 0 < args.tol < math.inf:
+            raise ValueError(f"--tol must be positive and finite, got {args.tol}")
+        if args.grid_t is not None and not 0 < args.grid_t < math.inf:
+            raise ValueError(f"--grid-T must be positive and finite, got {args.grid_t}")
+        if args.grid_n < 3:
+            raise ValueError(f"--grid-N must be at least 3, got {args.grid_n}")
+        iterates = (not args.printed_signs if args.command == "verify"
+                    else "aim" in (args.method or ()))
+        if iterates and args.kmax < 2:
+            raise ValueError(f"--kmax must be at least 2, got {args.kmax}")
+        args.census = fh_oscillator.bound_state_info(lam_tilde)
+    # the envelope exponent -1/(2 lt) and its moment take 1/lt as a float
+    if lam_tilde and (args.command == "wavefunction" or
+                      args.command == "verify" and not args.printed_signs):
+        _float(1 / lam_tilde, "1/lambda_tilde", args.lam_flag)
     if args.command == "wavefunction":
         for flag, value in (("--tau-min", args.tau_min), ("--tau-max", args.tau_max)):
             if not math.isfinite(value):
@@ -199,23 +214,14 @@ def _closed_entries(cfg: Namespace) -> list[SpectrumEntry]:
         et = fh_oscillator.spectrum_closed_dimensionless(n, cfg.lam_tilde)
         ep = fh_oscillator.spectrum_closed_physical(n, cfg.omega, cfg.lam)
         out.append(SpectrumEntry(n=n, e_tilde=et, e_phys=ep,
-                                 bound=_is_bound(n, cfg.lam_tilde),
+                                 bound=cfg.census.bound(n),
                                  source="closed_form"))
     return out
 
 
-def _is_bound(n: int, lam_tilde: Fraction) -> bool:
-    if lam_tilde == 0:
-        return True
-    info = fh_oscillator.bound_state_info(lam_tilde)
-    return n <= info.normalizable_max_n
-
-
-def _is_marginal(n: int, lam_tilde: Fraction) -> bool:
-    if lam_tilde == 0:
-        return False
-    et = fh_oscillator.spectrum_closed_dimensionless(n, lam_tilde)
-    return et == fh_oscillator.bound_state_info(lam_tilde).threshold
+def _is_marginal(n: int, cfg: Namespace) -> bool:
+    return fh_oscillator.spectrum_closed_dimensionless(
+        n, cfg.lam_tilde) == cfg.census.threshold
 
 
 def _aim_report(cfg: Namespace) -> aim_core.AimSpectrumReport:
@@ -231,7 +237,7 @@ def _aim_entries(cfg: Namespace) -> list[SpectrumEntry]:
         et = fh_oscillator.spectrum_closed_dimensionless(n, cfg.lam_tilde)
         if et in certified:
             out.append(SpectrumEntry(n=n, e_tilde=et, e_phys=et * cfg.omega / 2,
-                                     bound=_is_bound(n, cfg.lam_tilde),
+                                     bound=cfg.census.bound(n),
                                      source="aim"))
     return out
 
@@ -245,15 +251,17 @@ def _oracle_levels(cfg: Namespace, n_cap: int, tol: Optional[float] = None,
     n_top is the largest n <= n_cap whose state is normalizable and, with
     below_edge, whose level lies strictly below the continuum edge.  When
     no n qualifies there is no grid and no energy."""
-    n_top = n_cap
-    if cfg.lam_tilde > 0:
-        info = fh_oscillator.bound_state_info(cfg.lam_tilde)
-        n_top = min(n_top, info.normalizable_max_n)
-        while below_edge and fh_oscillator.spectrum_closed_dimensionless(
-                n_top, cfg.lam_tilde) >= info.threshold:
-            n_top -= 1
+    closed = fh_oscillator.spectrum_closed_dimensionless
+    census = cfg.census
+    n_top = n_cap if census.bound(n_cap) else census.normalizable_max_n
+    # lt E_n >= 1: at or above the edge 1/lt, of which lt = 0 has none
+    while below_edge and cfg.lam_tilde * closed(n_top, cfg.lam_tilde) >= 1:
+        n_top -= 1
     if n_top < 0:
         return None, ()
+    # the oracle takes omega^2 as a float and divides by its root
+    for w2 in (cfg.omega ** 2, cfg.omega ** -2):
+        _float(w2, "omega^2 for the oracle", "--omega")
     if n_top + 1 > cfg.grid_n:
         raise ValueError(f"--n-max asks the oracle for n = 0..{n_top}, more "
                          f"than the {cfg.grid_n} levels of --grid-N {cfg.grid_n}")
@@ -284,7 +292,7 @@ def _oracle_levels(cfg: Namespace, n_cap: int, tol: Optional[float] = None,
 def _oracle_entries(cfg: Namespace) -> list[SpectrumEntry]:
     _, levels = _oracle_levels(cfg, cfg.n_max)
     return [SpectrumEntry(n=n, e_tilde=2.0 * e / float(cfg.omega), e_phys=e,
-                          bound=_is_bound(n, cfg.lam_tilde), source="oracle")
+                          bound=cfg.census.bound(n), source="oracle")
             for n, e in enumerate(levels)]
 
 
@@ -303,11 +311,11 @@ def _entry_json(e: SpectrumEntry, cfg: Namespace) -> dict:
         "n": e.n,
         "E_tilde": _rat_or_none(e.e_tilde),
         "E": _rat_or_none(e.e_phys),
-        "E_tilde_dec": float(e.e_tilde),
-        "E_dec": float(e.e_phys),
+        "E_tilde_dec": _float(e.e_tilde, f"E_tilde at n = {e.n}", cfg.lam_flag),
+        "E_dec": _float(e.e_phys, f"E at n = {e.n}", "--omega"),
         "method": e.source,
         "bound": e.bound,
-        "marginal": _is_marginal(e.n, cfg.lam_tilde),
+        "marginal": _is_marginal(e.n, cfg),
     }
 
 
@@ -331,7 +339,7 @@ def _emit_entries(entries: list[SpectrumEntry], cfg: Namespace) -> None:
         return
     rows = [(str(e.n), _dec12(e.e_tilde), _dec12(e.e_phys), e.source,
              str(e.bound).lower(),
-             str(_is_marginal(e.n, cfg.lam_tilde)).lower())
+             str(_is_marginal(e.n, cfg)).lower())
             for e in entries]
     header = ("n", "E_tilde", "E", "method", "bound", "marginal")
     if cfg.fmt == "csv":
@@ -430,7 +438,7 @@ def _check_oracle(cfg: Namespace) -> dict:
 def _check_residuals(cfg: Namespace) -> dict:
     worst = 0.0
     for n in range(min(cfg.n_max, 5) + 1):
-        if not _is_bound(n, cfg.lam_tilde):
+        if not cfg.census.bound(n):
             break
         ef = fh_oscillator.eigen_polynomial(n, cfg.lam_tilde)
         rep = fh_oscillator.residual_check(ef)
@@ -499,44 +507,36 @@ def cmd_figures(cfg: Namespace) -> int:
     for n in range(4):
         for lam, lam_text in sweep:
             lines.append(f"{lam_text},{n},{_dec12(level(n, 10, lam))}")
-    _write_file(outdir / "fig1.csv", lines)
+    _write_lines(lines, outdir / "fig1.csv")
 
     lines = ["lambda,omega_hz,E"]
     for omega in cfg.fig2_omegas:
         omega_text = _dec12(omega)
         for lam, lam_text in sweep:
             lines.append(f"{lam_text},{omega_text},{_dec12(level(1, omega, lam))}")
-    _write_file(outdir / "fig2.csv", lines)
+    _write_lines(lines, outdir / "fig2.csv")
 
     lines = ["n,omega_hz,E"]
     for omega in (10, 20, 30):
         for n in range(10):
             lines.append(f"{n},{omega},{_dec12(level(n, omega, cfg.fig_lambda))}")
-    _write_file(outdir / "fig3.csv", lines)
+    _write_lines(lines, outdir / "fig3.csv")
 
     lines = ["omega,n,E"]
     for n in (1, 2, 3):
         for w in range(1, 31):
             lines.append(f"{w},{n},{_dec12(level(n, w, cfg.fig_lambda))}")
-    _write_file(outdir / "fig4.csv", lines)
+    _write_lines(lines, outdir / "fig4.csv")
     return 0
-
-
-def _write_file(path: Path, lines: list[str]) -> None:
-    path.write_text("\n".join(lines) + "\n", encoding="ascii", newline="")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _resolve(args)
-        if cfg.command == "spectrum":
-            return cmd_spectrum(cfg)
-        if cfg.command == "verify":
-            return cmd_verify(cfg)
-        if cfg.command == "wavefunction":
-            return cmd_wavefunction(cfg)
-        return cmd_figures(cfg)
+        run = {"spectrum": cmd_spectrum, "verify": cmd_verify,
+               "wavefunction": cmd_wavefunction, "figures": cmd_figures}
+        return run[cfg.command](cfg)
     except NotNormalizable as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

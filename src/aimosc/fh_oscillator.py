@@ -45,10 +45,6 @@ class LambdaZeroSeed(ValueError):
     """lam_tilde = 1 kills the first-derivative seed coefficient."""
 
 
-class NoThreshold(ValueError):
-    """lam_tilde = 0 has no continuum edge; every level is bound."""
-
-
 class NotNormalizable(ValueError):
     """The envelope decays too slowly for this n to be square-integrable."""
 
@@ -89,8 +85,13 @@ class SpectrumEntry:
 
 @dataclass(frozen=True)
 class BoundStateInfo:
-    threshold: Fraction       # continuum edge in E_tilde units
-    normalizable_max_n: int   # largest n with a square-integrable state
+    """The level census; both fields are None in the confining limit
+    lam_tilde = 0, which has no edge and binds every level."""
+    threshold: Optional[Fraction]       # continuum edge in E_tilde units
+    normalizable_max_n: Optional[int]   # largest n with a square-integrable state
+
+    def bound(self, n: int) -> bool:
+        return self.normalizable_max_n is None or n <= self.normalizable_max_n
 
 
 def aim_inputs(lam_tilde: RatLike, printed_signs: bool = False
@@ -152,10 +153,10 @@ def bound_state_info(lam_tilde: RatLike) -> BoundStateInfo:
     phi_n^2 is integrable iff n < 1/lt - 1/2.
     """
     lt = Fraction(lam_tilde)
-    if lt == 0:
-        raise NoThreshold("lam_tilde = 0: confining limit, all states bound")
     if lt < 0:
         raise ValueError(f"lam_tilde must be nonnegative, got {lt}")
+    if lt == 0:
+        return BoundStateInfo(threshold=None, normalizable_max_n=None)
     # with lt = p/q, 1/lt - 1/2 = (2q - p)/(2p); max_n is the largest
     # integer below it
     p, q = lt.numerator, lt.denominator
@@ -263,12 +264,11 @@ def normalization_constant(ef: EigenFunction) -> float:
     for every m < n exactly when n < 1/lt - 1/2, the normalizability test.
     """
     lt = ef.lam_tilde
-    if lt > 0:
-        info = bound_state_info(lt)
-        if ef.n > info.normalizable_max_n:
-            raise NotNormalizable(
-                f"n = {ef.n} exceeds normalizable_max_n = {info.normalizable_max_n}"
-                f" at lam_tilde = {lt}")
+    info = bound_state_info(lt)
+    if not info.bound(ef.n):
+        raise NotNormalizable(
+            f"n = {ef.n} exceeds normalizable_max_n = {info.normalizable_max_n}"
+            f" at lam_tilde = {lt}")
     ratios = [Fraction(1)]
     for m in range(ef.n):
         ratios.append(ratios[m] * (2 * m + 1) / (2 - lt * (2 * m + 3)))

@@ -350,6 +350,16 @@ class TestParserReuse:
         assert "invalid choice" in capsys.readouterr().err
         assert run(capsys, self.CSV) == (0, self.CSV_OUT, "")
 
+    def test_figures_ignore_the_model_flags(self, capsys, tmp_path):
+        # figures takes the model flags and reads none of them
+        code, _, _ = run(capsys, ["figures", "--lambda-tilde", "1/10",
+                                  "--out", str(tmp_path)])
+        assert code == 0
+        golden = Path(__file__).resolve().parent / "golden" / "figures_default"
+        for name in ("fig1.csv", "fig2.csv", "fig3.csv", "fig4.csv"):
+            assert (tmp_path / name).read_bytes() \
+                == (golden / name).read_bytes()
+
     def test_fig2_omegas_do_not_carry_over(self, capsys, tmp_path):
         run(capsys, ["figures", "--out", str(tmp_path / "a"),
                      "--fig2-omegas", "10,20,30"])
@@ -412,6 +422,26 @@ dec12_floats = st.one_of(
 @example(100000000001.5)
 def test_dec12_matches_localcontext_formatter(value):
     assert cli._dec12(value) == dec12_localcontext(value)
+
+
+# each subcommand takes only the flags it reads
+NOT_TAKEN = [("verify", ["--format", "json"])] + [
+    (command, flag)
+    for command in ("wavefunction", "figures")
+    for flag in (["--n-max", "3"], ["--kmax", "8"], ["--tau0", "0"],
+                 ["--grid-T", "10"], ["--grid-N", "300"], ["--printed-signs"],
+                 ["--tol", "1e-3"], ["--format", "csv"])]
+
+
+@pytest.mark.parametrize("command, flag", NOT_TAKEN,
+                         ids=[c + f[0] for c, f in NOT_TAKEN])
+def test_flag_not_taken_exits_2(capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command] + flag)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: " + " ".join(flag) in captured.err
 
 
 class TestExitCodes:
@@ -508,9 +538,47 @@ class TestInputValidation:
             assert "--tau-max" in err
 
     def test_tol_positive_and_finite(self, capsys, tmp_path):
-        for tol in ("0", "-1e-3", "inf", "nan"):
-            self.rejected(capsys, tmp_path, ["wavefunction", f"--tol={tol}"],
-                          "--tol")
+        # the oracle's bisection width, and verify's gate
+        for command in (["spectrum", "--method", "oracle"], ["verify"]):
+            for tol in ("0", "-1e-3", "inf", "nan"):
+                self.rejected(capsys, tmp_path, command + [f"--tol={tol}"],
+                              "--tol")
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["spectrum", "--method", "oracle", "--omega", "1e400",
+          "--grid-N", "300"], "--omega"),
+        (["spectrum", "--method", "oracle", "--omega", "1e300",
+          "--grid-N", "300"], "--omega"),
+        (["spectrum", "--method", "oracle", "--omega", "1e-400",
+          "--grid-N", "300"], "--omega"),
+        (["verify", "--omega", "1e400", "--grid-N", "300"], "--omega"),
+        (["spectrum", "--omega", "1e308", "--format", "json"], "--omega"),
+        (["spectrum", "--lambda-tilde", "1e400", "--format", "json"],
+         "--lambda-tilde"),
+        (["wavefunction", "--lambda-tilde", "1e-400", "--points", "3"],
+         "--lambda-tilde"),
+        (["wavefunction", "--lambda", "1", "--omega", "1e400"], "--lambda"),
+        (["verify", "--lambda-tilde", "1e-400", "--grid-N", "300"],
+         "--lambda-tilde"),
+    ])
+    def test_model_values_out_of_float_range(self, capsys, tmp_path,
+                                             argv, flag):
+        # a route that takes a model value as a float names the flag that
+        # puts it out of floating-point range
+        err = self.rejected(capsys, tmp_path, argv, flag)
+        assert "out of floating-point range" in err
+        assert err.endswith(f"change {flag}\n")
+
+    def test_exact_routes_take_any_model_value(self, capsys):
+        # the closed form prints exact decimals whatever their size
+        code, out, _ = run(capsys, ["spectrum", "--omega", "1e400",
+                                    "--format", "csv"])
+        assert code == 0
+        assert out.splitlines()[-1] \
+            == "3,7,35" + "0" * 399 + ",closed_form,true,false"
+        code, _, _ = run(capsys, ["verify", "--printed-signs",
+                                  "--lambda-tilde", "1e-400"])
+        assert code == 0
 
     def test_grid_t_positive_and_finite(self, capsys, tmp_path):
         for t in ("inf", "nan", "-1", "0"):

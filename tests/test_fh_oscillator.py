@@ -20,7 +20,6 @@ from aimosc.fh_oscillator import (
     LambdaZeroSeed,
     ModelParams,
     NonpositiveFrequency,
-    NoThreshold,
     NotNormalizable,
     SpectrumEntry,
     aim_inputs,
@@ -183,16 +182,23 @@ class TestBoundStates:
         assert info == BoundStateInfo(threshold=F(2), normalizable_max_n=1)
 
     def test_confining_limit_has_no_edge(self):
-        with pytest.raises(NoThreshold):
-            bound_state_info(0)
+        info = bound_state_info(0)
+        assert info == BoundStateInfo(threshold=None, normalizable_max_n=None)
+        assert all(info.bound(n) for n in (0, 1, 10**9))
 
-    @given(st.fractions(min_value=F(1, 60), max_value=F(59, 60),
-                        max_denominator=60))
-    def test_max_n_is_largest_below_edge_rule(self, lt):
+    @given(st.fractions(min_value=0, max_value=F(59, 60), max_denominator=60),
+           st.integers(min_value=0, max_value=200))
+    @example(F(0), 10**9)
+    @example(F(1, 3), 2)
+    @example(F(2, 5), 2)   # n = 1/lt - 1/2 exactly: not normalizable
+    def test_max_n_is_largest_below_edge_rule(self, lt, n):
         info = bound_state_info(lt)
-        b = 1 / lt - F(1, 2)
-        assert info.normalizable_max_n < b
-        assert info.normalizable_max_n + 1 >= b
+        # phi_n^2 is integrable iff n < 1/lt - 1/2, that is lt (2n + 1) < 2
+        assert info.bound(n) == (lt * (2 * n + 1) < 2)
+        if lt:
+            b = 1 / lt - F(1, 2)
+            assert info.normalizable_max_n < b
+            assert info.normalizable_max_n + 1 >= b
 
 
 class TestEigenPolynomial:
