@@ -94,8 +94,10 @@ def build_parser() -> argparse.ArgumentParser:
     levels.add_argument("--n-max", type=int, default=3)
     levels.add_argument("--kmax", type=int, default=8)
     levels.add_argument("--tau0", default="0", help="quantization anchor, p/q")
-    levels.add_argument("--grid-T", dest="grid_t", type=float, default=None)
-    levels.add_argument("--grid-N", dest="grid_n", type=int, default=30000)
+    levels.add_argument("--grid-T", dest="grid_t", type=float, default=None,
+                        help="oracle half-width in t; omega^-1/2 sinh(16)")
+    levels.add_argument("--grid-N", dest="grid_n", type=int, default=7999,
+                        help="oracle rows; verify adds --grid-N // 2")
     levels.add_argument("--printed-signs", action="store_true",
                         help="use the sign convention whose first excited "
                              "level is 2*lt-1; for the discrepancy demo")
@@ -243,10 +245,10 @@ def _aim_entries(cfg: Namespace) -> list[SpectrumEntry]:
 
 
 def _oracle_levels(cfg: Namespace, n_cap: int, tol: Optional[float] = None,
-                   below_edge: bool = False
+                   below_edge: bool = False, coarse: bool = False
                    ) -> tuple[Optional[sl_oracle.Grid], tuple[float, ...]]:
     """Oracle energies of n = 0..n_top, bisected to tol (default --tol),
-    and their grid.
+    and their grid: --grid-N rows, or --grid-N // 2 with coarse.
 
     n_top is the largest n <= n_cap whose state is normalizable and, with
     below_edge, whose level lies strictly below the continuum edge.  When
@@ -262,20 +264,23 @@ def _oracle_levels(cfg: Namespace, n_cap: int, tol: Optional[float] = None,
     # the oracle takes omega^2 as a float and divides by its root
     for w2 in (cfg.omega ** 2, cfg.omega ** -2):
         _float(w2, "omega^2 for the oracle", "--omega")
-    if n_top + 1 > cfg.grid_n:
+    rows = cfg.grid_n // 2 if coarse else cfg.grid_n
+    name = f"--grid-N {cfg.grid_n}" + (" // 2" if coarse else "")
+    if n_top + 1 > rows:
         raise ValueError(f"--n-max asks the oracle for n = 0..{n_top}, more "
-                         f"than the {cfg.grid_n} levels of --grid-N {cfg.grid_n}")
+                         f"than the {rows} levels of {name}")
+    if rows < 3:
+        raise ValueError(f"{name} is {rows} rows, fewer than the 3 a grid "
+                         f"needs: raise --grid-N")
     params = ModelParams(omega=cfg.omega, lam=cfg.lam)
-    if cfg.grid_t is not None:
-        t_half = cfg.grid_t
-    else:
-        t_half = max(15.0, sl_oracle.suggest_domain(params, max(n_top, 1)))
-    grid = sl_oracle.Grid(T=t_half, N=cfg.grid_n)
+    t_half = cfg.grid_t if cfg.grid_t is not None \
+        else sl_oracle.default_half_width(params)
+    grid = sl_oracle.Grid(T=t_half, N=rows)
     try:
         op = sl_oracle.discretize(params, grid)
     except ValueError as exc:
         raise ValueError(f"--grid-T {t_half:g} is too small or too large for "
-                         f"--grid-N {cfg.grid_n}: {exc}") from None
+                         f"{name}: {exc}") from None
     try:
         res = sl_oracle.lowest_eigenvalues(
             op, n_top + 1, cfg.tol if tol is None else tol)
@@ -284,8 +289,8 @@ def _oracle_levels(cfg: Namespace, n_cap: int, tol: Optional[float] = None,
             else f"the bisection width {tol:g}"
         raise ValueError(
             f"oracle levels n = {exc.index} and {exc.index + 1} lie closer "
-            f"than {width} on --grid-N {cfg.grid_n}, so the bisection cannot "
-            f"order them; lower --n-max or change --grid-N") from None
+            f"than {width} on {name}, so the bisection cannot order them; "
+            f"lower --n-max or change --grid-N") from None
     return grid, res.eigenvalues
 
 
@@ -416,22 +421,36 @@ def _check_aim_exact(cfg: Namespace) -> dict:
 
 
 def _check_oracle(cfg: Namespace) -> dict:
-    """Finite-difference eigenvalues against the closed form, for
-    normalizable levels strictly below the continuum edge (edge states
-    converge too slowly).  Past n ~ 1/lt - 1/2 the spectrum folds back
-    below the edge, so the filter is on n as well as on E_n; up to
-    normalizable_max_n the levels rise with n, so the kept n form a prefix,
-    and E_0 = 1 < 1/lt keeps it nonempty."""
-    grid, levels = _oracle_levels(cfg, min(cfg.n_max, 3), 1e-9,
-                                  below_edge=True)
+    """Finite-difference eigenvalues against the closed form, for every
+    strictly bound n <= n_max: normalizable, and strictly below the
+    continuum edge (edge states converge too slowly).  Past n ~ 1/lt - 1/2
+    the spectrum folds back below the edge, so the filter is on n as well
+    as on E_n; up to normalizable_max_n the levels rise with n, so the kept
+    n form a prefix, and E_0 = 1 < 1/lt keeps it nonempty.
+
+    The coarse grid spans the same x range, so with H/h = r the order-2
+    stencil's error on the fine grid is about |E_h - E_H| / (r^2 - 1).
+    Each |delta| must lie within twice that estimate plus the bisection
+    width, and within --tol."""
+    width = 1e-9
+    grid, fine = _oracle_levels(cfg, cfg.n_max, width, below_edge=True)
+    _, coarse = _oracle_levels(cfg, cfg.n_max, width, below_edge=True,
+                               coarse=True)
+    ratio = (grid.N + 1) / (grid.N // 2 + 1)
     deltas = [abs(e - float(fh_oscillator.spectrum_closed_physical(
-        n, cfg.omega, cfg.lam))) for n, e in enumerate(levels)]
+        n, cfg.omega, cfg.lam))) for n, e in enumerate(fine)]
+    estimates = [abs(h - H) / (ratio * ratio - 1.0)
+                 for h, H in zip(fine, coarse)]
+    worst = max(d / (2.0 * e + width) for d, e in zip(deltas, estimates))
     return {
         "name": "oracle_matches_closed_form",
-        "passed": max(deltas) <= cfg.tol,
-        "detail": f"T = {grid.T:g}, N = {grid.N}, max |delta| = "
-                  f"{max(deltas):.3e}, tol = {cfg.tol:g}",
+        "passed": worst <= 1.0 and max(deltas) <= cfg.tol,
+        "detail": f"n <= {len(deltas) - 1}, T = {grid.T:g}, N = {grid.N} "
+                  f"and {grid.N // 2}, max |delta| = {max(deltas):.3e}, "
+                  f"max |delta| / (2 estimate + {width:g}) = {worst:.3f}, "
+                  f"tol = {cfg.tol:g}",
         "deltas": deltas,
+        "estimates": estimates,
     }
 
 

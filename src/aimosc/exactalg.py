@@ -10,8 +10,7 @@ sequence), as does root finding: a linear square-free part gives its root
 directly, and otherwise the continued-fraction form of Descartes' method
 isolates every real root, hitting each rational root exactly and returning
 each irrational one as a rational bracket whose ends are not roots;
-`refine_root` narrows such a bracket by exact bisection.  `sturm_count`
-counts the roots independently, with a Sturm chain.
+`refine_root` narrows such a bracket by exact bisection.
 
 `horner`, the package's one polynomial evaluator (exact on rationals, plain
 floating point on floats), also lives here for the other layers.  No
@@ -240,23 +239,6 @@ def _squarefree(ip: list[int]) -> list[int]:
     return _primitive(_idivexact(ip, _igcd(ip, _ideriv(ip))))
 
 
-def _sturm_chain(ip: list[int]) -> list[list[int]]:
-    chain = [ip, _primitive(_ideriv(ip))]
-    while len(chain[-1]) > 1:
-        chain.append(_primitive([-c for c in _prem(chain[-2], chain[-1])]))
-    return chain
-
-
-def _variations(chain: list[list[int]], x: int) -> int:
-    return _sign_changes([horner(q, x) for q in chain])
-
-
-def _cauchy_bound(ip: list[int]) -> int:
-    """An integer above |x| for every root x of ip."""
-    rest = max((abs(c) for c in ip[:-1]), default=0)
-    return rest // abs(ip[-1]) + 2
-
-
 # ---------------------------------------------------------------------------
 # root isolation
 
@@ -424,26 +406,6 @@ def uni_reduce(num: list[Fraction], den: list[Fraction]) -> tuple[list[int], lis
     num, den = ints[:len(num)], ints[len(num):]
     g = _igcd(num, den)
     return _idivexact(num, g), _idivexact(den, g)
-
-
-def sturm_count(p: BiPoly) -> int:
-    """Number of distinct real roots over the whole line.
-
-    Kept as a reference count independent of `isolate_real_roots`: it
-    shares only the square-free step with it, and `_sturm_chain`,
-    `_variations` and `_cauchy_bound` exist for it alone.
-    """
-    if not p:
-        raise ZeroPolynomial("zero polynomial")
-    coeffs = uni_coeffs(p)
-    if len(coeffs) == 1:
-        return 0
-    ip = _squarefree(_int_scaled(coeffs))
-    if len(ip) == 2:
-        return 1
-    chain = _sturm_chain(ip)
-    bound = _cauchy_bound(ip)
-    return _variations(chain, -bound) - _variations(chain, bound)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -199,6 +200,18 @@ class EigenFunction:
     def poly(self) -> BiPoly:
         return poly_new({(j, 0): c for j, c in enumerate(self.coeffs) if c})
 
+    @cached_property
+    def envelope_floats(self) -> tuple[float, Optional[float]]:
+        """(lt, envelope exponent) as floats, once per eigenfunction."""
+        e = self.envelope_exponent
+        return float(self.lam_tilde), None if e is None else float(e)
+
+    @cached_property
+    def integer_coeffs(self) -> tuple[int, list[int]]:
+        """(den, [c_j den]) over the least common denominator den."""
+        den = math.lcm(*[c.denominator for c in self.coeffs])
+        return den, [c.numerator * (den // c.denominator) for c in self.coeffs]
+
 
 def _next_coeff(j: int, lt: Fraction, e: Fraction, cj: Fraction) -> Fraction:
     bracket = lt * j * (j - 1) - 2 * j * (1 - lt) + e - 1
@@ -222,10 +235,10 @@ def eigen_polynomial(n: int, lam_tilde: RatLike) -> EigenFunction:
 
 
 def _log_envelope(ef: EigenFunction, tau: float) -> float:
-    if ef.envelope_exponent is None:
+    lt, exponent = ef.envelope_floats
+    if exponent is None:
         return -0.5 * tau * tau
-    lt = float(ef.lam_tilde)
-    return float(ef.envelope_exponent) * math.log1p(lt * tau * tau)
+    return exponent * math.log1p(lt * tau * tau)
 
 
 def wavefunction_eval(ef: EigenFunction, tau: float) -> float:
@@ -236,10 +249,9 @@ def wavefunction_eval(ef: EigenFunction, tau: float) -> float:
     the value is finite (often 0)."""
     n_const = ef.norm_const if ef.norm_const is not None else 1.0
     a, b = tau.as_integer_ratio()
-    top = len(ef.coeffs) - 1
-    den = math.lcm(*[c.denominator for c in ef.coeffs])
-    num = horner([c.numerator * (den // c.denominator) * b ** (top - j)
-                  for j, c in enumerate(ef.coeffs)], a)
+    den, scaled = ef.integer_coeffs
+    top = len(scaled) - 1
+    num = horner([c * b ** (top - j) for j, c in enumerate(scaled)], a)
     den *= b ** top                     # f(tau) = num/den
     try:
         return n_const * math.exp(_log_envelope(ef, tau)) * (num / den)

@@ -1,9 +1,14 @@
 """Finite-difference cross-check for the decaying-mass oscillator.
 
 The time-domain equation -1/2 d/dt[(1+lam t^2) dphi/dt] + V(t) phi
-= E phi with V(t) = omega^2 t^2 / (2 (1 + lam t^2)) is discretized on
-a Dirichlet-truncated interval [-T, T] by the conservative three-point
-flux stencil, giving a symmetric tridiagonal matrix.  Eigenvalues come
+= E phi with V(t) = omega^2 t^2 / (2 (1 + lam t^2)) is discretized on a
+mapped grid (Boyd, Chebyshev and Fourier Spectral Methods, ch. 17):
+t = s sinh(x) with the oscillator length s = omega^(-1/2), x uniform on
+[-asinh(T/s), asinh(T/s)] with Dirichlet ends, and the conservative
+three-point flux stencil in x.  The map turns the power-law tails
+tau^(n - 1/lt) of the bound states into exponentials in x, so a few
+thousand rows reach t = 4.4e6 s at x = 16.  Scaling out the weight dt/dx
+symmetrically gives a symmetric tridiagonal matrix.  Eigenvalues come
 from bisection on LDL^T inertia counts: dependency-free,
 bitwise-deterministic, and structurally independent of the iteration
 engine it checks.
@@ -19,7 +24,11 @@ negative pivot: past the classical turning point of the shift the rows are
 diagonally dominant by a margin that covers every rounding, and once a
 pivot reaches the coupling to the next row every later pivot stays above
 its own coupling (see `eigen_count_below`).  The forbidden tails, which
-cannot change a count, are never swept.
+cannot change a count, are never swept.  The slack is that of the
+weighted rows: with sqrt(g_i g_(i+1)) != g_i a row's kinetic part alone is
+not diagonally dominant, but in the tails its surplus tends to
+lam (cosh(h/2) - 1) / h^2 >= 0, so the slack tends to V(t) plus that and
+rises above every level below the edge.
 
 One bisection loop serves every level of a block.  The levels share their
 brackets: each count narrows the bracket of every level, so a midpoint an
@@ -44,17 +53,23 @@ from .fh_oscillator import ModelParams
 # rounding, where the proof in `eigen_count_below` needs about 10.
 _MARGIN_REL = 2.0 ** -48
 
-# `suggest_domain` ends the domain where the envelope has fallen to
-# _DROP of its peak, but at tau = _TAU_CAP at most: near-marginal states
-# decay like a small negative power of tau, which the drop rule would
-# chase to astronomic domains, so they land on the cap.
-_DROP = 1e-8
-_TAU_CAP = 500.0
+
+def _scale(params: ModelParams) -> float:
+    """s = omega^(-1/2), the oscillator length, in time units."""
+    return float(params.omega) ** -0.5
+
+
+def default_half_width(params: ModelParams) -> float:
+    """T = s sinh(16), about 4.4e6 s: there the slowest tail of a strictly
+    bound state, tau^(n - 1/lt) with n < 1/lt - 1, is below e^-15 of its
+    size at t = s."""
+    return _scale(params) * math.sinh(16.0)
 
 
 @dataclass(frozen=True)
 class Grid:
-    """Interior nodes t_i = -T + i*h, i = 1..N, with h = 2T/(N+1)."""
+    """N interior nodes of a uniform x grid on [-asinh(T/s), asinh(T/s)],
+    mapped to t = s sinh(x) on [-T, T]; s comes from the model."""
     T: float
     N: int
 
@@ -64,12 +79,9 @@ class Grid:
         if self.N < 3:
             raise ValueError("N must be at least 3")
 
-    @property
-    def h(self) -> float:
-        return 2.0 * self.T / (self.N + 1)
-
-    def node(self, i: int) -> float:
-        return -self.T + i * self.h
+    def step(self, s: float) -> float:
+        """h = 2 asinh(T/s) / (N + 1), the x spacing at scale s."""
+        return 2.0 * math.asinh(self.T / s) / (self.N + 1)
 
 
 @dataclass(frozen=True)
@@ -199,32 +211,45 @@ class OracleResult:
 
 
 def discretize(params: ModelParams, grid: Grid) -> TridiagOp:
-    """The right half of the conservative stencil with p = 1+lam t^2 at
-    half-nodes:
-    (H phi)_i = [-p_{i+1/2}(phi_{i+1}-phi_i) + p_{i-1/2}(phi_i-phi_{i-1})]
-                / (2 h^2) + V_i phi_i.
+    """The right half of the conservative stencil on t = s sinh(x), with
+    weight g = dt/dx = s cosh(x) and p = 1 + lam t^2:
+    (A phi)_i = [-(p/g)_(i+1/2) (phi_(i+1) - phi_i)
+                 + (p/g)_(i-1/2) (phi_i - phi_(i-1))] / (2 h^2)
+                + g_i V_i phi_i = E g_i phi_i,
+    made symmetric as G^(-1/2) A G^(-1/2) with G = diag(g).  The map is
+    odd and g even, so the operator stays persymmetric.
 
-    Only rows N//2 .. N-1 and couplings (N-1)//2 .. N-2 are built, each
-    by the float expression of the whole grid at its own node index.
+    Only rows N//2 .. N-1 and couplings (N-1)//2 .. N-2 are built.  The
+    points are x = j h/2 with j an integer, node i at j = 2i - N - 1 and
+    half-node i + 1/2 at j = 2i - N, so mirrored points are exact negatives.
 
     A grid whose entries overflow, or whose couplings vanish because h^2
     underflows or overflows, has no such operator and raises ValueError.
     """
     lam = float(params.lam)
     w2 = float(params.omega) ** 2
-    T, h, n = grid.T, grid.h, grid.N
+    s = _scale(params)
+    n = grid.N
+    h = grid.step(s)
     if not 0.0 < 2.0 * h * h < math.inf:
         raise ValueError(f"h^2 = {h * h:g} is out of floating-point range")
     inv2h2 = 1.0 / (2.0 * h * h)
+    half = 0.5 * h
     m = n // 2
-    # p_half[k] sits at half-node m + k, k = 0 .. n - m
-    p_half = [1.0 + lam * t * t
-              for i in range(m, n + 1) for t in [-T + (i + 0.5) * h]]
-    diag = [(p_half[k] + p_half[k + 1]) * inv2h2
+    # (t, g) at half-nodes m + k (k = 0 .. n - m), alternating with the
+    # held nodes m + 1 + k; x < asinh(T/s), so sinh(x) does not overflow
+    pts = [(s * math.sinh(x), s * math.cosh(x))
+           for j in range(2 * m - n, n + 1) for x in [j * half]]
+    q = [(1.0 + lam * t * t) / g for t, g in pts[::2]]  # p/g at half-nodes
+    nodes = pts[1::2]
+    diag = [(q[k] + q[k + 1]) * inv2h2 / g
             + w2 * t * t / (2.0 * (1.0 + lam * t * t))
-            for k in range(n - m) for t in [-T + (m + 1 + k) * h]]
-    offdiag = [-p * inv2h2 for p in islice(p_half, n % 2, n - m)]
-    # finite diagonal entries bound every p_half, hence every coupling
+            for k, (t, g) in enumerate(nodes)]
+    # coupling k joins the held rows k - 1 and k; for even N, row -1 is the
+    # mirror of row 0
+    offdiag = [-q[k] * inv2h2 / math.sqrt(nodes[max(k - 1, 0)][1] * nodes[k][1])
+               for k in range(n % 2, n - m)]
+    # finite diagonal entries bound every q, hence every coupling
     if not all(map(math.isfinite, diag)) or not all(offdiag):
         raise ValueError("the stencil has entries that are not finite or "
                          "couplings that are zero")
@@ -354,24 +379,3 @@ def lowest_eigenvalues(op: TridiagOp, m: int, tol: float) -> OracleResult:
             raise UnresolvedLevels(j)
     return OracleResult(
         eigenvalues=tuple(0.5 * (lo + hi) for lo, hi in brackets))
-
-
-def suggest_domain(params: ModelParams, n: int) -> float:
-    """Half-width T (time units) where the n-th envelope profile
-    (1+lt tau^2)^(-1/(2 lt)) tau^n has fallen below _DROP of its peak,
-    capped at tau = _TAU_CAP."""
-    lt = float(params.lam_tilde)
-
-    def log_profile(tau: float) -> float:
-        amp = -0.5 * tau * tau if lt == 0.0 \
-            else -math.log1p(lt * tau * tau) / (2.0 * lt)
-        return amp + (n * math.log(tau) if n else 0.0)
-
-    peak = max(log_profile(0.1 * i + 0.05) for i in range(1, 400))
-    target = peak + math.log(_DROP)
-    tau = 1.0
-    while tau < _TAU_CAP:
-        if log_profile(tau) < target:
-            break
-        tau *= 1.25
-    return min(tau, _TAU_CAP) / math.sqrt(float(params.omega))

@@ -95,6 +95,19 @@ class TestSpectrum:
         assert all(g <= 0.5e-3 for g in gaps)  # midpoint of a 1e-3 bracket
         assert max(gaps) > 1e-5  # --tol 1e-3 was honoured, not tightened
 
+    def test_oracle_at_large_omega(self, capsys):
+        # the default grid scales with s = omega^(-1/2), so E_tilde = 2E/omega
+        # comes out the same at every omega
+        for omega in ("1e4", "1e6", "1e7"):
+            code, out, _ = run(capsys, ["spectrum", "--method", "oracle",
+                                        "--omega", omega, "--grid-N", "3000",
+                                        "--format", "json"])
+            assert code == 0, omega
+            levels = [e["E_tilde_dec"] for e in json.loads(out)["entries"]]
+            assert len(levels) == 4
+            for v, want in zip(levels, (1, 3, 5, 7)):
+                assert abs(v - want) < 1e-3, (omega, levels)
+
     def test_methods_can_stack(self, capsys):
         _, out, _ = run(capsys, ["spectrum", "--method", "closed",
                                  "--method", "aim", "--format", "json"])
@@ -143,8 +156,9 @@ class TestVerify:
         assert all(c["passed"] for c in doc["checks"])
 
     def test_coarse_grid_fails_oracle_check(self, capsys):
-        # max |delta| is about 1e-3 here; a stricter --tol must gate
-        # more strictly, never fall back to a looser default
+        # max |delta| is about 1.5e-4 here, within the run's own error
+        # bar; a stricter --tol must gate more strictly, never fall back to
+        # a looser default
         for tol in ("1e-5", "1e-12"):
             code, out, _ = run(capsys, ["verify", "--lambda-tilde", "1/10",
                                         "--grid-T", "15", "--grid-N", "500",
@@ -170,6 +184,31 @@ class TestVerify:
             oracle = json.loads(out)["checks"][1]
             max_n = math.ceil(1 / lt - F(1, 2)) - 1  # largest n < 1/lt - 1/2
             assert len(oracle["deltas"]) <= min(4, max_n + 1)
+
+    def test_every_strictly_bound_level_checked(self, capsys):
+        # at lt = 1/10 the levels n <= 8 lie below the edge 10, and each
+        # reports its |delta| and its error estimate from the coarse grid
+        code, out, _ = run(capsys, ["verify", "--lambda-tilde", "1/10",
+                                    "--n-max", "9"])
+        assert code == 0
+        oracle = json.loads(out)["checks"][1]
+        assert oracle["passed"] is True
+        assert len(oracle["deltas"]) == len(oracle["estimates"]) == 9
+        assert oracle["detail"].startswith("n <= 8, ")
+        for d, e in zip(oracle["deltas"], oracle["estimates"]):
+            assert d <= 2 * e + 1e-9 and d < 1e-4
+
+    def test_error_bar_gates_below_tol(self, capsys):
+        # at --grid-T 4 the truncated domain lifts the levels by up to
+        # 1.7e-3, inside --tol 1e-2 but far outside the discretization
+        # error the coarse grid estimates, which truncation does not move
+        code, out, _ = run(capsys, ["verify", "--grid-T", "4"])
+        assert code == 1
+        oracle = json.loads(out)["checks"][1]
+        assert oracle["passed"] is False
+        assert max(oracle["deltas"]) < 1e-2
+        assert any(d > 2 * e + 1e-9
+                   for d, e in zip(oracle["deltas"], oracle["estimates"]))
 
     def test_zero_coverage_fails(self, capsys, monkeypatch):
         # a run that certifies no root covers no level and must fail
@@ -590,6 +629,12 @@ class TestInputValidation:
         for n in ("0", "2", "-5"):
             self.rejected(capsys, tmp_path, ["verify", f"--grid-N={n}"],
                           "--grid-N")
+        # verify's coarse grid has --grid-N // 2 rows, which must be 3 too
+        for n in ("4", "5"):
+            err = self.rejected(capsys, tmp_path,
+                                ["verify", f"--grid-N={n}", "--n-max=0"],
+                                f"--grid-N {n} // 2 is 2 rows")
+            assert "raise --grid-N" in err
 
     def test_oracle_levels_within_grid_n(self, capsys, tmp_path):
         # an N-row oracle grid has N levels: asking for more must name the
@@ -601,7 +646,8 @@ class TestInputValidation:
                                               "--grid-N")
 
     def test_unresolved_oracle_levels(self, capsys, tmp_path):
-        # the high levels of a 300-row grid come in even/odd pairs closer
+        # on a 300-row grid the high levels sit in the far rows, where the
+        # mapped grid is coarse in t, and come in even/odd pairs closer
         # than the bisection width; each level is bisected in its own parity
         # block, and the first pair whose brackets overlap is rejected,
         # whatever order its midpoints come out in, with an error naming the
@@ -609,18 +655,17 @@ class TestInputValidation:
         err = self.rejected(capsys, tmp_path,
                             ["spectrum", "--method", "oracle", "--n-max",
                              "299", "--grid-N", "300"], "--grid-N 300")
-        assert err == ("error: oracle levels n = 238 and 239 lie closer than "
+        assert err == ("error: oracle levels n = 33 and 34 lie closer than "
                        "--tol 1e-10 on --grid-N 300, so the bisection cannot "
                        "order them; lower --n-max or change --grid-N\n")
-        # verify bisects to a fixed width; its --tol is the gate.  At
-        # T = 300 the rows at t = +-129 couple only through the centre rows,
-        # so levels 2 and 3 split by about 1e-12; at T = 500 they agree to
-        # the last bit, and their midpoints happen to come out in order
-        for t in ("300", "500"):
-            err = self.rejected(capsys, tmp_path,
-                                ["verify", "--grid-T", t, "--grid-N", "6"],
-                                "--grid-N 6")
-            assert "n = 2 and 3" in err and "bisection width 1e-09" in err
+        # verify bisects to a fixed width; its --tol is the gate.  It
+        # bisects the fine grid and then the coarse grid, and names the one
+        # whose levels it cannot order
+        for n, grid in (("12", "--grid-N 12"), ("20", "--grid-N 20 // 2")):
+            err = self.rejected(capsys, tmp_path, ["verify", "--grid-N", n],
+                                grid)
+            assert f"n = 2 and 3 lie closer than the bisection width 1e-09 " \
+                   f"on {grid}," in err
 
     def test_kmax_at_least_two(self, capsys, tmp_path):
         # the iteration needs two rounds to tell a stable root
@@ -636,18 +681,23 @@ class TestInputValidation:
             assert code == 0
 
     def test_grid_t_fits_the_grid(self, capsys, tmp_path):
-        # h^2 underflows (a ZeroDivisionError once) or overflows (zero
-        # couplings, which the parity fold cannot take)
+        # h^2 underflows (a ZeroDivisionError once), or t^2 overflows at
+        # the far nodes of the default grid
         for t in ("1e-300", "1e200"):
             err = self.rejected(capsys, tmp_path,
                                 ["spectrum", "--method", "oracle",
                                  f"--grid-T={t}"], "--grid-T")
-            assert "too small or too large for --grid-N 30000" in err
-        # finite h^2, but t^2 overflows in the potential
+            assert "too small or too large for --grid-N 7999" in err
+        # t^2 overflows in the potential on a coarser grid too
         err = self.rejected(capsys, tmp_path,
                             ["verify", "--grid-T=1e155", "--grid-N", "1000"],
                             "--grid-T")
         assert "entries that are not finite" in err
+        # T/s overflows, so x and h are infinite
+        err = self.rejected(capsys, tmp_path,
+                            ["spectrum", "--method", "oracle", "--omega",
+                             "1e150", "--grid-T=1e300"], "--grid-T")
+        assert "h^2 = inf is out of floating-point range" in err
 
 
 def test_console_script_installed(capsys):

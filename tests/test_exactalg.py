@@ -21,10 +21,10 @@ from aimosc.exactalg import (
     poly_restrict,
     poly_sub,
     refine_root,
-    sturm_count,
     uni_coeffs,
     uni_reduce,
 )
+from sturm_ref import sturm_count
 
 rationals = st.fractions(
     min_value=-100, max_value=100, max_denominator=50)

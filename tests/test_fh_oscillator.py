@@ -12,7 +12,6 @@ from aimosc.exactalg import (
     poly_is_zero,
     poly_mul,
     poly_new,
-    sturm_count,
 )
 from aimosc.fh_oscillator import (
     BoundStateInfo,
@@ -31,6 +30,7 @@ from aimosc.fh_oscillator import (
     spectrum_closed_physical,
     wavefunction_eval,
 )
+from sturm_ref import sturm_count
 
 def same_ratio(num, den, want_num, want_den):
     """num/den == want_num/want_den as rational functions."""

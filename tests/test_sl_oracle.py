@@ -1,5 +1,6 @@
 """Finite-difference oracle: stencil, inertia counts, bisection, refinement."""
 import math
+from bisect import bisect_right
 from itertools import accumulate, pairwise
 
 import pytest
@@ -12,10 +13,10 @@ from aimosc.sl_oracle import (
     Grid,
     OracleResult,
     TridiagOp,
+    default_half_width,
     discretize,
     eigen_count_below,
     lowest_eigenvalues,
-    suggest_domain,
 )
 
 HARMONIC = ModelParams(omega=1, lam=0)
@@ -24,9 +25,19 @@ DECAY = ModelParams(omega=1, lam=F(1, 10))
 
 class TestGrid:
     def test_spacing_and_nodes(self):
-        g = Grid(T=1.0, N=3)
-        assert g.h == 0.5
-        assert [g.node(i) for i in range(5)] == [-1.0, -0.5, 0.0, 0.5, 1.0]
+        # N + 1 steps of h span x in [-asinh(T/s), asinh(T/s)]; the default
+        # T reaches x = 16 at every scale s = omega^(-1/2)
+        g = Grid(T=math.sinh(1.0), N=3)
+        assert g.step(1.0) == pytest.approx(0.5, rel=1e-15)
+        assert Grid(T=2.0 * math.sinh(1.0), N=3).step(2.0) == \
+            pytest.approx(0.5, rel=1e-15)
+        for omega in (F(1, 4), 1, 100, 10 ** 7):
+            params = ModelParams(omega=omega, lam=0)
+            s = float(omega) ** -0.5
+            assert default_half_width(params) == pytest.approx(
+                s * math.sinh(16.0), rel=1e-15)
+            assert Grid(T=default_half_width(params), N=7999).step(s) == \
+                pytest.approx(32.0 / 8000, rel=1e-14)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -53,53 +64,72 @@ class TestGrid:
 
 def _stencil(params, g):
     """The whole grid operator by per-node formulas: diagonal and couplings
-    of rows 0 .. N-1, row i at node i + 1."""
+    of rows 0 .. N-1, row i at node i + 1, x_i = -X + i h and
+    t = s sinh(x), with weight g = s cosh(x)."""
     lam, w2 = float(params.lam), float(params.omega) ** 2
-    h = g.h
-    inv2h2 = 1.0 / (2.0 * h * h)
-    p_half = [1.0 + lam * t * t
-              for t in (-g.T + (i + 0.5) * h for i in range(g.N + 1))]
-    diag = [(p_half[i] + p_half[i + 1]) * inv2h2
-            + w2 * g.node(i + 1) * g.node(i + 1)
-            / (2.0 * (1.0 + lam * g.node(i + 1) * g.node(i + 1)))
-            for i in range(g.N)]
-    offdiag = [-p_half[i + 1] * inv2h2 for i in range(g.N - 1)]
+    s = float(params.omega) ** -0.5
+    X = math.asinh(g.T / s)
+    h = 2.0 * X / (g.N + 1)
+
+    def t_and_g(x):
+        return s * math.sinh(x), s * math.cosh(x)
+
+    q = [(1.0 + lam * t * t) / w
+         for t, w in (t_and_g(-X + (i + 0.5) * h) for i in range(g.N + 1))]
+    nodes = [t_and_g(-X + (i + 1) * h) for i in range(g.N)]
+    diag = [(q[i] + q[i + 1]) / (2.0 * h * h) / w
+            + w2 * t * t / (2.0 * (1.0 + lam * t * t))
+            for i, (t, w) in enumerate(nodes)]
+    offdiag = [-q[i + 1] / (2.0 * h * h)
+               / math.sqrt(nodes[i][1] * nodes[i + 1][1])
+               for i in range(g.N - 1)]
     return diag, offdiag
 
 
 class TestDiscretize:
     def test_flat_mass_stencil_values(self):
-        # p = 1: diagonal 1/h^2 + t^2/2, off-diagonal -1/(2 h^2); the
-        # whole matrix has diagonal [4.125, 4.0, 4.125] and couplings
-        # [-2.0, -2.0], and the right half starts at the centre row
-        op = discretize(HARMONIC, Grid(T=1.0, N=3))
-        assert op.diag == [4.0, 4.125]
-        assert op.offdiag == [-2.0]
+        # p = 1, omega = 1: the centre row of N = 3 sits at x = t = 0 with
+        # g = 1, between half-nodes at x = +-h/2 where p/g = 1/cosh(h/2);
+        # its coupling to the next row, at x = h, divides by sqrt(cosh h)
+        g = Grid(T=10.0, N=3)
+        h = g.step(1.0)
+        op = discretize(HARMONIC, g)
         assert op.n == 3
+        assert op.diag[0] == pytest.approx(1.0 / (h * h * math.cosh(h / 2)),
+                                           rel=1e-14)
+        assert op.offdiag == [pytest.approx(
+            -1.0 / (2 * h * h * math.cosh(h / 2) * math.sqrt(math.cosh(h))),
+            rel=1e-14)]
+        t = math.sinh(h)
+        assert op.diag[1] == pytest.approx(
+            (1.0 / math.cosh(h / 2) + 1.0 / math.cosh(1.5 * h))
+            / (2 * h * h * math.cosh(h)) + t * t / 2, rel=1e-14)
 
     def test_decaying_mass_softens_potential(self):
         g = Grid(T=5.0, N=99)
         op_flat = discretize(HARMONIC, g)
         op_soft = discretize(DECAY, g)
-        # V = t^2 / (2(1 + lam t^2)) < t^2/2 away from the center
-        for node in (99, 89, 69):
-            k = node - 1 - g.N // 2  # held row of that node
-            t = g.node(node)
+        h = g.step(1.0)
+        # V = t^2 / (2(1 + lam t^2)) < t^2/2 away from the center, but
+        # p = 1 + lam t^2 > 1 raises the kinetic part by more
+        for k in (49, 39, 19):  # held row k sits at x = k h for odd N
+            t = math.sinh(k * h)
             assert op_soft.diag[k] - op_flat.diag[k] > 0  # p grows
             v_soft = t * t / (2 * (1 + 0.1 * t * t))
             assert v_soft < t * t / 2
 
     def test_matches_per_node_formulas(self):
-        # the held rows and couplings evaluate the same float expressions
-        # as a per-node loop over the whole grid, so they are bit-identical
-        # to its rows N//2 .. N-1 and couplings (N-1)//2 .. N-2
+        # the held rows and couplings agree with a per-node loop over the
+        # whole grid, rows N//2 .. N-1 and couplings (N-1)//2 .. N-2, to
+        # the rounding of the node positions
         params = ModelParams(omega=2, lam=F(1, 5))
         for n in (300, 301):
             g = Grid(T=7.0, N=n)
             op = discretize(params, g)
             diag, offdiag = _stencil(params, g)
-            assert op.diag == diag[n // 2:]
-            assert op.offdiag == offdiag[(n - 1) // 2:]
+            assert op.diag == pytest.approx(diag[n // 2:], rel=1e-13)
+            assert op.offdiag == pytest.approx(offdiag[(n - 1) // 2:],
+                                               rel=1e-13)
 
     def test_mirror_symmetry(self):
         # the fold rests on the left half mirroring the held right half:
@@ -110,10 +140,10 @@ class TestDiscretize:
             diag, offdiag = _stencil(DECAY, g)
             for k, a in enumerate(op.diag):
                 mirror = diag[n - 1 - (n // 2 + k)]
-                assert mirror == pytest.approx(a, abs=1e-12)
+                assert mirror == pytest.approx(a, rel=1e-13)
             for k, b in enumerate(op.offdiag):
                 mirror = offdiag[n - 2 - ((n - 1) // 2 + k)]
-                assert mirror == pytest.approx(b, abs=1e-12)
+                assert mirror == pytest.approx(b, rel=1e-13)
 
 
 class TestInertiaCounts:
@@ -286,7 +316,7 @@ class TestSharedBrackets:
         # shared brackets equal a separate bisection per level of that
         # block, and save sweeps wherever the block holds two levels or more
         params = ModelParams(omega=omega, lam=lt * omega)
-        op = discretize(params, Grid(T=suggest_domain(params, m), N=n))
+        op = discretize(params, Grid(T=default_half_width(params), N=n))
         calls = []
         count = sl_oracle.eigen_count_below
         with pytest.MonkeyPatch.context() as mp:
@@ -415,20 +445,47 @@ class TestConvergeStudy:
             assert abs(c - (b - c) / 3.0 - want) < 1e-8
 
 
-class TestSuggestDomain:
-    def test_gaussian_profile_window(self):
-        T = suggest_domain(HARMONIC, 0)
-        assert 5.0 < T < 9.0
+def _strictly_bound(n, lt):
+    """Level n lies strictly below the edge 1/lt (lt E_n < 1), which for a
+    normalizable level is n < 1/lt - 1; every level at lt = 0."""
+    return lt == 0 or (n + 1) * lt < 1
 
-    def test_scales_with_frequency(self):
-        fast = suggest_domain(ModelParams(omega=100, lam=0), 0)
-        slow = suggest_domain(HARMONIC, 0)
-        assert fast == pytest.approx(slow / 10.0)
 
-    def test_near_marginal_state_hits_cap(self):
-        T = suggest_domain(ModelParams(omega=10, lam=F(5, 2)), 3)
-        assert T == pytest.approx(500.0 / math.sqrt(10.0))
+class TestMappedGrid:
+    @given(st.fractions(min_value=0, max_value=1, max_denominator=12)
+           .filter(lambda lt: lt < 1))
+    @settings(max_examples=30, deadline=None)
+    def test_every_strictly_bound_level_within_its_bar(self, lt):
+        # the default grid and the grid of N // 2 rows over the same x
+        # range: the fine grid's error |E_h - E_n| is within twice the
+        # Richardson estimate |E_h - E_H| / ((H/h)^2 - 1) plus the
+        # bisection width, for every strictly bound n (n <= 5 at lt = 0)
+        ns = [n for n in range(12 if lt else 6) if _strictly_bound(n, lt)]
+        params = ModelParams(omega=1, lam=lt)
+        T, width = default_half_width(params), 1e-9
+        fine, coarse = (lowest_eigenvalues(discretize(params, Grid(T, N)),
+                                           len(ns), width).eigenvalues
+                        for N in (7999, 3999))
+        for n, e_h, e_H in zip(ns, fine, coarse):
+            delta = abs(e_h - float(2 * n + 1 - n * (n + 1) * lt) / 2)
+            estimate = abs(e_h - e_H) / 3.0  # (H/h)^2 - 1 with H = 2h
+            assert delta <= 2.0 * estimate + width, (n, delta, estimate)
+            assert estimate < 1e-3
 
-    def test_ordinary_decay_stays_finite(self):
-        T = suggest_domain(ModelParams(omega=10, lam=1), 2)
-        assert 5.0 < T < 30.0
+    @pytest.mark.parametrize("lt", [F(0), F(1, 10), F(1, 3), F(1, 2),
+                                    F(5, 6)])
+    def test_tail_exit_cut_below_lowest_level(self, lt):
+        # on the default grid the weighted rows' slack rises above each
+        # block's lowest level before the last row, so the sweep at that
+        # level may take the tail exit; for a strictly bound level the cut
+        # lies in the first quarter of the block
+        for omega in (F(1), F(10 ** 4)):
+            params = ModelParams(omega=omega, lam=lt * omega)
+            op = discretize(params, Grid(T=default_half_width(params),
+                                         N=7999))
+            levels = lowest_eigenvalues(op, 2, 1e-9).eigenvalues
+            for j, (block, e) in enumerate(zip(op.parity_blocks, levels)):
+                cut = bisect_right(block.slack_min, e)
+                assert cut < block.n
+                if _strictly_bound(j, lt):
+                    assert cut < block.n // 4, (omega, j, cut)
