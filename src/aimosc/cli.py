@@ -244,28 +244,32 @@ def _aim_entries(cfg: Namespace) -> list[SpectrumEntry]:
     return out
 
 
-def _oracle_levels(cfg: Namespace, n_cap: int, tol: Optional[float] = None,
-                   below_edge: bool = False, coarse: bool = False
-                   ) -> tuple[Optional[sl_oracle.Grid], tuple[float, ...]]:
-    """Oracle energies of n = 0..n_top, bisected to tol (default --tol),
-    and their grid: --grid-N rows, or --grid-N // 2 with coarse.
-
-    n_top is the largest n <= n_cap whose state is normalizable and, with
-    below_edge, whose level lies strictly below the continuum edge.  When
-    no n qualifies there is no grid and no energy."""
+def _oracle_top(cfg: Namespace, n_cap: int, below_edge: bool = False) -> int:
+    """The largest n <= n_cap whose state is normalizable and, with
+    below_edge, whose level lies strictly below the continuum edge; -1
+    when no n qualifies."""
     closed = fh_oscillator.spectrum_closed_dimensionless
     census = cfg.census
     n_top = n_cap if census.bound(n_cap) else census.normalizable_max_n
     # lt E_n >= 1: at or above the edge 1/lt, of which lt = 0 has none
     while below_edge and cfg.lam_tilde * closed(n_top, cfg.lam_tilde) >= 1:
         n_top -= 1
-    if n_top < 0:
-        return None, ()
-    # the oracle takes omega^2 as a float and divides by its root
-    for w2 in (cfg.omega ** 2, cfg.omega ** -2):
-        _float(w2, "omega^2 for the oracle", "--omega")
-    rows = cfg.grid_n // 2 if coarse else cfg.grid_n
-    name = f"--grid-N {cfg.grid_n}" + (" // 2" if coarse else "")
+    if n_top >= 0:
+        # the oracle takes omega^2 as a float and divides by its root
+        for w2 in (cfg.omega ** 2, cfg.omega ** -2):
+            _float(w2, "omega^2 for the oracle", "--omega")
+    return n_top
+
+
+def _oracle_op(cfg: Namespace, n_top: int,
+               fine: Optional[sl_oracle.Points] = None
+               ) -> tuple[sl_oracle.Grid, sl_oracle.TridiagOp,
+                          sl_oracle.Points, str]:
+    """The operator for n = 0..n_top on --grid-N rows, its grid, points and
+    flag name; given the points of that grid, the operator on --grid-N // 2
+    rows instead, nested in them for odd --grid-N."""
+    rows = cfg.grid_n if fine is None else cfg.grid_n // 2
+    name = f"--grid-N {cfg.grid_n}" + ("" if fine is None else " // 2")
     if n_top + 1 > rows:
         raise ValueError(f"--n-max asks the oracle for n = 0..{n_top}, more "
                          f"than the {rows} levels of {name}")
@@ -277,13 +281,23 @@ def _oracle_levels(cfg: Namespace, n_cap: int, tol: Optional[float] = None,
         else sl_oracle.default_half_width(params)
     grid = sl_oracle.Grid(T=t_half, N=rows)
     try:
-        op = sl_oracle.discretize(params, grid)
+        points = (sl_oracle.nested_points(fine)
+                  if fine is not None and cfg.grid_n % 2
+                  else sl_oracle.mapped_points(params, grid))
+        op = sl_oracle.discretize(params, grid, points)
     except ValueError as exc:
         raise ValueError(f"--grid-T {t_half:g} is too small or too large for "
                          f"{name}: {exc}") from None
+    return grid, op, points, name
+
+
+def _oracle_solve(cfg: Namespace, op: sl_oracle.TridiagOp, name: str,
+                  n_top: int, tol: Optional[float] = None,
+                  hints: Sequence[Sequence[float]] = ()) -> tuple[float, ...]:
+    """Oracle energies of n = 0..n_top, bisected to tol (default --tol)."""
     try:
         res = sl_oracle.lowest_eigenvalues(
-            op, n_top + 1, cfg.tol if tol is None else tol)
+            op, n_top + 1, cfg.tol if tol is None else tol, hints)
     except sl_oracle.UnresolvedLevels as exc:
         width = f"--tol {cfg.tol:g}" if tol is None \
             else f"the bisection width {tol:g}"
@@ -291,11 +305,20 @@ def _oracle_levels(cfg: Namespace, n_cap: int, tol: Optional[float] = None,
             f"oracle levels n = {exc.index} and {exc.index + 1} lie closer "
             f"than {width} on {name}, so the bisection cannot order them; "
             f"lower --n-max or change --grid-N") from None
-    return grid, res.eigenvalues
+    return res.eigenvalues
+
+
+def _oracle_levels(cfg: Namespace, n_top: int, tol: Optional[float] = None,
+                   fine: Optional[sl_oracle.Points] = None
+                   ) -> tuple[float, ...]:
+    """`_oracle_solve` on the operator of `_oracle_op`."""
+    _, op, _, name = _oracle_op(cfg, n_top, fine)
+    return _oracle_solve(cfg, op, name, n_top, tol)
 
 
 def _oracle_entries(cfg: Namespace) -> list[SpectrumEntry]:
-    _, levels = _oracle_levels(cfg, cfg.n_max)
+    n_top = _oracle_top(cfg, cfg.n_max)
+    levels = _oracle_levels(cfg, n_top) if n_top >= 0 else ()
     return [SpectrumEntry(n=n, e_tilde=2.0 * e / float(cfg.omega), e_phys=e,
                           bound=cfg.census.bound(n), source="oracle")
             for n, e in enumerate(levels)]
@@ -420,6 +443,12 @@ def _check_aim_exact(cfg: Namespace) -> dict:
     }
 
 
+# Half-width of the hints around a coarse level, relative to the level
+# (absolute below 1): wider than the fine level's distance from it, about
+# 3 estimates, yet narrow enough to skip most of the descent.
+_HINT_REL = 1e-5
+
+
 def _check_oracle(cfg: Namespace) -> dict:
     """Finite-difference eigenvalues against the closed form, for every
     strictly bound n <= n_max: normalizable, and strictly below the
@@ -431,11 +460,26 @@ def _check_oracle(cfg: Namespace) -> dict:
     The coarse grid spans the same x range, so with H/h = r the order-2
     stencil's error on the fine grid is about |E_h - E_H| / (r^2 - 1).
     Each |delta| must lie within twice that estimate plus the bisection
-    width, and within --tol."""
+    width, and within --tol.
+
+    The coarse grid is solved first: E_H -+ w, a little wider than the
+    fine level's distance from it, are hints for the fine bisection.  A
+    hint cannot change a fine level, only spare sweeps.  Every error of
+    the fine grid is still reported before any of the coarse grid."""
     width = 1e-9
-    grid, fine = _oracle_levels(cfg, cfg.n_max, width, below_edge=True)
-    _, coarse = _oracle_levels(cfg, cfg.n_max, width, below_edge=True,
-                               coarse=True)
+    n_top = _oracle_top(cfg, cfg.n_max, below_edge=True)
+    grid, op, points, name = _oracle_op(cfg, n_top)
+    failed, coarse = None, ()
+    try:
+        coarse = _oracle_levels(cfg, n_top, width, points)
+    except ValueError as exc:
+        failed = exc
+    del points  # not held through the fine bisection
+    fine = _oracle_solve(cfg, op, name, n_top, width,
+                         [(e - w, e + w) for e in coarse
+                          for w in [_HINT_REL * max(1.0, abs(e))]])
+    if failed is not None:
+        raise failed
     ratio = (grid.N + 1) / (grid.N // 2 + 1)
     deltas = [abs(e - float(fh_oscillator.spectrum_closed_physical(
         n, cfg.omega, cfg.lam))) for n, e in enumerate(fine)]

@@ -332,12 +332,13 @@ def residual_check(ef: EigenFunction,
     if poly_is_zero(exact):
         exact = {}
 
-    ode = tuple((t, _full_ode_residual(ef, t)) for t in samples)
+    ode = tuple(zip(samples, _full_ode_residuals(ef, samples)))
     return ResidualReport(series_residual=exact, ode_samples=ode)
 
 
-def _full_ode_residual(ef: EigenFunction, tau: float) -> float:
-    """u phi'' + 2 lt tau phi' + (E - tau^2/u) phi at one point.
+def _full_ode_residuals(ef: EigenFunction,
+                        samples: Sequence[float]) -> list[float]:
+    """u phi'' + 2 lt tau phi' + (E - tau^2/u) phi at each sample tau.
 
     phi, phi', phi'' come from the closed forms
       phi   = u^a f
@@ -345,25 +346,30 @@ def _full_ode_residual(ef: EigenFunction, tau: float) -> float:
       phi'' = u^(a-2) (u^2 f'' - 2 tau u f' + ((1+lt) tau^2 - 1) f)
     so no numerical differentiation enters.  At lt = 0 the envelope is the
     Gaussian and the equation degenerates to phi'' + (E - tau^2) phi = 0.
+    The model's numbers are taken as floats once, not per sample.
     """
-    lt = float(ef.lam_tilde)
+    lt, a = ef.envelope_floats
     e = float(ef.e_tilde)
     fc = [float(c) for c in ef.coeffs]
-    f = horner(fc, tau)
-    fp = horner([j * fc[j] for j in range(1, len(fc))], tau)
-    fpp = horner([j * (j - 1) * fc[j] for j in range(2, len(fc))], tau)
-    if ef.envelope_exponent is None:
-        env = math.exp(-0.5 * tau * tau)
-        phi = env * f
-        phip = env * (fp - tau * f)
-        phipp = env * (fpp - 2 * tau * fp + (tau * tau - 1) * f)
-        return phipp + (e - tau * tau) * phi
-    a = float(ef.envelope_exponent)
-    u = 1.0 + lt * tau * tau
-    ua = math.exp(a * math.log(u))
-    phi = ua * f
-    phip = ua / u * (u * fp - tau * f)
-    phipp = ua / (u * u) * (u * u * fpp - 2 * tau * u * fp
-                            + ((1 + lt) * tau * tau - 1) * f)
-    return u * phipp + 2 * lt * tau * phip + (e - tau * tau / u) * phi
-
+    fc1 = [j * fc[j] for j in range(1, len(fc))]
+    fc2 = [j * (j - 1) * fc[j] for j in range(2, len(fc))]
+    out = []
+    for tau in samples:
+        f = horner(fc, tau)
+        fp = horner(fc1, tau)
+        fpp = horner(fc2, tau)
+        if a is None:
+            env = math.exp(-0.5 * tau * tau)
+            phi = env * f
+            phip = env * (fp - tau * f)
+            phipp = env * (fpp - 2 * tau * fp + (tau * tau - 1) * f)
+            out.append(phipp + (e - tau * tau) * phi)
+            continue
+        u = 1.0 + lt * tau * tau
+        ua = math.exp(a * math.log(u))
+        phi = ua * f
+        phip = ua / u * (u * fp - tau * f)
+        phipp = ua / (u * u) * (u * u * fpp - 2 * tau * u * fp
+                                + ((1 + lt) * tau * tau - 1) * f)
+        out.append(u * phipp + 2 * lt * tau * phip + (e - tau * tau / u) * phi)
+    return out

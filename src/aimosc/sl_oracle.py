@@ -36,7 +36,16 @@ earlier count already decides costs no sweep, and a sweep stops as soon
 as its count settles the question.  Both rest on the floating-point count
 (a - x) - b^2/d being monotone in x (Kahan 1966; Demmel, Dhillon & Ren,
 ETNA 3, 1995): the midpoints and brackets are bit-identical to those of a
-separate bisection per level of the block.
+separate bisection per level of the block.  The same holds for hints,
+points near the levels (such as their values on a coarser grid) counted
+before the bisection starts: each count only adds true facts to the shared
+brackets, so a hint can save sweeps but never move a midpoint.
+
+The stencil is built from lists of the mapped points (t, g), which a
+caller may pass in.  For odd N, (N + 1) = 2 (N//2 + 1), so the grid of
+N//2 rows over the same T has the step H = 2h exactly, and its points are
+fine points: `nested_points` takes them from the fine grid's without a
+second sinh or cosh.
 """
 from __future__ import annotations
 
@@ -45,7 +54,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice, pairwise
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .fh_oscillator import ModelParams
 
@@ -210,7 +219,45 @@ class OracleResult:
                 raise UnresolvedLevels(j)
 
 
-def discretize(params: ModelParams, grid: Grid) -> TridiagOp:
+def _step(grid: Grid, s: float) -> float:
+    """grid.step(s), or ValueError where 2 h^2 leaves floating-point range."""
+    h = grid.step(s)
+    if not 0.0 < 2.0 * h * h < math.inf:
+        raise ValueError(f"h^2 = {h * h:g} is out of floating-point range")
+    return h
+
+
+Points = tuple[list[float], list[float]]
+
+
+def mapped_points(params: ModelParams, grid: Grid) -> Points:
+    """(t, g) = (s sinh(x), s cosh(x)) at x = j h/2 for j = 2 (N//2) - N
+    .. N: the half-nodes and the held nodes of the right half, alternating,
+    the half-node left of the centre row first (see `discretize`).
+    x < asinh(T/s), so sinh(x) does not overflow."""
+    s = _scale(params)
+    n = grid.N
+    half = 0.5 * _step(grid, s)
+    xs = [j * half for j in range(2 * (n // 2) - n, n + 1)]
+    return ([s * v for v in map(math.sinh, xs)],
+            [s * v for v in map(math.cosh, xs)])
+
+
+def nested_points(points: Points) -> Points:
+    """The points of grid N // 2 from those of an odd grid N over the same
+    T.  (N + 1) = 2 (N // 2 + 1), so H = 2h exactly, and coarse point j,
+    x = fl(j h), is fine point 2j, x = fl(2j (h/2)); for odd N // 2 the
+    coarse point j = -1 is the mirror (-t, g) of its point j = 1."""
+    t, g = points
+    t, g = t[1::2], g[1::2]   # fine points j = 0, 2, .., 2M
+    if len(t) % 2 == 0:       # M odd
+        t.insert(0, -t[1])
+        g.insert(0, g[1])
+    return t, g
+
+
+def discretize(params: ModelParams, grid: Grid,
+               points: Optional[Points] = None) -> TridiagOp:
     """The right half of the conservative stencil on t = s sinh(x), with
     weight g = dt/dx = s cosh(x) and p = 1 + lam t^2:
     (A phi)_i = [-(p/g)_(i+1/2) (phi_(i+1) - phi_i)
@@ -222,33 +269,30 @@ def discretize(params: ModelParams, grid: Grid) -> TridiagOp:
     Only rows N//2 .. N-1 and couplings (N-1)//2 .. N-2 are built.  The
     points are x = j h/2 with j an integer, node i at j = 2i - N - 1 and
     half-node i + 1/2 at j = 2i - N, so mirrored points are exact negatives.
+    They are `mapped_points(params, grid)`, computed here unless the caller
+    passes them.
 
     A grid whose entries overflow, or whose couplings vanish because h^2
     underflows or overflows, has no such operator and raises ValueError.
     """
     lam = float(params.lam)
     w2 = float(params.omega) ** 2
-    s = _scale(params)
     n = grid.N
-    h = grid.step(s)
-    if not 0.0 < 2.0 * h * h < math.inf:
-        raise ValueError(f"h^2 = {h * h:g} is out of floating-point range")
+    h = _step(grid, _scale(params))
     inv2h2 = 1.0 / (2.0 * h * h)
-    half = 0.5 * h
-    m = n // 2
-    # (t, g) at half-nodes m + k (k = 0 .. n - m), alternating with the
-    # held nodes m + 1 + k; x < asinh(T/s), so sinh(x) does not overflow
-    pts = [(s * math.sinh(x), s * math.cosh(x))
-           for j in range(2 * m - n, n + 1) for x in [j * half]]
-    q = [(1.0 + lam * t * t) / g for t, g in pts[::2]]  # p/g at half-nodes
-    nodes = pts[1::2]
-    diag = [(q[k] + q[k + 1]) * inv2h2 / g
-            + w2 * t * t / (2.0 * (1.0 + lam * t * t))
-            for k, (t, g) in enumerate(nodes)]
+    ts, gs = mapped_points(params, grid) if points is None else points
+    # p/g at the half-nodes m + k (k = 0 .. n - m), which alternate with
+    # the held nodes m + 1 + k
+    q = [(1.0 + lam * t * t) / g for t, g in zip(ts[::2], gs[::2])]
+    nt, ng = ts[1::2], gs[1::2]
+    diag = [(qa + qb) * inv2h2 / g + w2 * t * t / (2.0 * (1.0 + lam * t * t))
+            for qa, qb, t, g in zip(q, q[1:], nt, ng)]
     # coupling k joins the held rows k - 1 and k; for even N, row -1 is the
     # mirror of row 0
-    offdiag = [-q[k] * inv2h2 / math.sqrt(nodes[max(k - 1, 0)][1] * nodes[k][1])
-               for k in range(n % 2, n - m)]
+    gg = [a * b for a, b in zip(ng, ng[1:])]
+    if n % 2 == 0:
+        gg.insert(0, ng[0] * ng[0])
+    offdiag = [-a * inv2h2 / math.sqrt(p) for a, p in zip(q[n % 2:], gg)]
     # finite diagonal entries bound every q, hence every coupling
     if not all(map(math.isfinite, diag)) or not all(offdiag):
         raise ValueError("the stencil has entries that are not finite or "
@@ -314,7 +358,8 @@ def eigen_count_below(block: Block, x: float,
     return count
 
 
-def _bisect(block: Block, m: int, tol: float) -> list[tuple[float, float]]:
+def _bisect(block: Block, m: int, tol: float,
+            hints: Iterable[float] = ()) -> list[tuple[float, float]]:
     """Brackets (lo, hi) of the block's lowest m levels.
 
     Level k is bisected from (lo of level k - 1, top of the block's span)
@@ -324,10 +369,21 @@ def _bisect(block: Block, m: int, tol: float) -> list[tuple[float, float]]:
     settles level k, except above every point known to have fewer than m
     eigenvalues below it: there it runs until it puts every level below x,
     which spares the later levels their descent.
+
+    Each hint inside the span is counted first.  Its count only adds true
+    facts to below and above, and the count is monotone in x, so every
+    midpoint and bracket is that of a run without hints.
     """
     glo, ghi = block.span
     below = [-math.inf] * m
     above = [math.inf] * m
+    for x in hints:
+        if glo < x < ghi:   # also drops NaN
+            c = eigen_count_below(block, x, m)  # exact if below m
+            for j in range(c):
+                above[j] = min(above[j], x)
+            for j in range(c, m):
+                below[j] = max(below[j], x)
     brackets = []
     lo = glo
     for k in range(m):
@@ -359,21 +415,28 @@ def _bisect(block: Block, m: int, tol: float) -> list[tuple[float, float]]:
     return brackets
 
 
-def _level_brackets(op: TridiagOp, m: int,
-                    tol: float) -> list[tuple[float, float]]:
+def _level_brackets(op: TridiagOp, m: int, tol: float,
+                    hints: Sequence[Iterable[float]] = ()
+                    ) -> list[tuple[float, float]]:
     """Brackets of the operator's lowest m levels: level j is level j // 2
-    of parity block j % 2."""
-    even, odd = op.parity_blocks
-    levels = (_bisect(even, (m + 1) // 2, tol), _bisect(odd, m // 2, tol))
+    of parity block j % 2, and so are its hints."""
+    blocks = op.parity_blocks
+    levels = [_bisect(blocks[p], len(range(p, m, 2)), tol,
+                      chain.from_iterable(hints[p:m:2])) for p in (0, 1)]
     return [levels[j % 2][j // 2] for j in range(m)]
 
 
-def lowest_eigenvalues(op: TridiagOp, m: int, tol: float) -> OracleResult:
+def lowest_eigenvalues(op: TridiagOp, m: int, tol: float,
+                       hints: Sequence[Iterable[float]] = ()
+                       ) -> OracleResult:
+    """The lowest m levels, each bisected to width tol.  hints[j], for
+    j < m, are points near level j, such as its value on a coarser grid;
+    they can only save sweeps, never change a result (see `_bisect`)."""
     if not 1 <= m <= op.n:
         raise ValueError(f"m must lie in 1..{op.n}")
     if not tol > 0:
         raise ValueError("tol must be positive")
-    brackets = _level_brackets(op, m, tol)
+    brackets = _level_brackets(op, m, tol, hints)
     for j, ((_, hi), (lo, _)) in enumerate(pairwise(brackets)):
         if hi > lo:
             raise UnresolvedLevels(j)

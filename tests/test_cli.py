@@ -659,13 +659,28 @@ class TestInputValidation:
                        "--tol 1e-10 on --grid-N 300, so the bisection cannot "
                        "order them; lower --n-max or change --grid-N\n")
         # verify bisects to a fixed width; its --tol is the gate.  It
-        # bisects the fine grid and then the coarse grid, and names the one
-        # whose levels it cannot order
+        # names the grid whose levels it cannot order, the fine grid first
         for n, grid in (("12", "--grid-N 12"), ("20", "--grid-N 20 // 2")):
             err = self.rejected(capsys, tmp_path, ["verify", "--grid-N", n],
                                 grid)
             assert f"n = 2 and 3 lie closer than the bisection width 1e-09 " \
                    f"on {grid}," in err
+        # an odd grid takes its coarse points from its own and bisects the
+        # coarse grid first, for hints; still a fine-grid failure comes
+        # first: at --grid-N 25 both fail (the 12-row grid at n = 4 and 5),
+        # at --grid-N 13 only the 6-row coarse grid does
+        for argv, pair, grid in (
+                (["--lambda-tilde", "1/10", "--n-max", "9", "--grid-N", "25"],
+                 "7 and 8", "--grid-N 25"),
+                (["--grid-N", "13"], "2 and 3", "--grid-N 13 // 2")):
+            err = self.rejected(capsys, tmp_path, ["verify"] + argv, grid)
+            assert f"n = {pair} lie closer than the bisection width 1e-09 " \
+                   f"on {grid}," in err
+        err = self.rejected(capsys, tmp_path,
+                            ["verify", "--lambda-tilde", "1/10", "--n-max",
+                             "9", "--grid-N", "12"], "--grid-N 12")
+        assert "n = 4 and 5 lie closer than the bisection width 1e-09 " \
+               "on --grid-N 12," in err
 
     def test_kmax_at_least_two(self, capsys, tmp_path):
         # the iteration needs two rounds to tell a stable root

@@ -1,5 +1,7 @@
 """Finite-difference oracle: stencil, inertia counts, bisection, refinement."""
+import hashlib
 import math
+from collections import Counter
 from bisect import bisect_right
 from itertools import accumulate, pairwise
 
@@ -17,6 +19,8 @@ from aimosc.sl_oracle import (
     discretize,
     eigen_count_below,
     lowest_eigenvalues,
+    mapped_points,
+    nested_points,
 )
 
 HARMONIC = ModelParams(omega=1, lam=0)
@@ -144,6 +148,54 @@ class TestDiscretize:
             for k, b in enumerate(op.offdiag):
                 mirror = offdiag[n - 2 - ((n - 1) // 2 + k)]
                 assert mirror == pytest.approx(b, rel=1e-13)
+
+
+    def test_entries_pinned(self):
+        # every diagonal entry and coupling, bit for bit, as float.hex:
+        # the digest is that of the stencil before the builder read its
+        # points from lists, on odd and even grids of 3 to 30001 rows
+        digest = hashlib.sha256()
+        for omega, lt, T in ((1, F(1, 10), None), (10 ** 4, F(1, 3), 50.0)):
+            params = ModelParams(omega=omega, lam=lt * omega)
+            for n in (3, 4, 300, 3000, 30000, 30001):
+                op = discretize(params,
+                                Grid(T or default_half_width(params), n))
+                digest.update(" ".join(map(float.hex, op.diag + op.offdiag))
+                              .encode())
+                digest.update(b"\n")
+        assert digest.hexdigest() == ("ef6083cf0f6a6c4cae0b1e1ebf005842"
+                                      "b65c4968c55efff6992523a6578603a4")
+
+    def test_passed_points_are_the_grid_points(self):
+        # discretize builds from the same points whether it maps them
+        # itself or is given them
+        params = ModelParams(omega=3, lam=F(2, 3))
+        for n in (3, 4, 301):
+            g = Grid(T=9.0, N=n)
+            ts, gs = mapped_points(params, g)
+            assert len(ts) == len(gs) == 2 * (n - n // 2) + 1
+            assert discretize(params, g, (ts, gs)) == discretize(params, g)
+
+
+class TestNestedGrid:
+    @pytest.mark.parametrize("n", [7, 9, 13, 4001, 7999])
+    def test_coarse_operator_from_fine_points(self, n):
+        # for odd N, H = 2h exactly and the points of grid N // 2 are the
+        # fine points with even j (and one mirror): the operator built from
+        # them equals the one built on its own, entry for entry
+        for omega, lt in ((F(1), F(1, 3)), (F(10 ** 4), F(1, 10)),
+                          (F(1), F(0))):
+            params = ModelParams(omega=omega, lam=lt * omega)
+            for T in (default_half_width(params), 40.0):
+                fine = Grid(T=T, N=n)
+                coarse = Grid(T=T, N=n // 2)
+                s = float(omega) ** -0.5
+                assert coarse.step(s) == 2.0 * fine.step(s)
+                nested = discretize(params, coarse, nested_points(
+                    mapped_points(params, fine)))
+                alone = discretize(params, coarse)
+                assert nested.diag == alone.diag
+                assert nested.offdiag == alone.offdiag
 
 
 class TestInertiaCounts:
@@ -351,6 +403,70 @@ class TestSharedBrackets:
         for x, full in zip(xs, counts):
             for stop in range(1, block.n + 2):
                 assert eigen_count_below(block, x, stop) == min(full, stop)
+
+
+@st.composite
+def _hint_lists(draw, levels, span, m):
+    """Hints for m levels: arbitrary floats, NaN and infinities, points
+    outside the span, duplicates, and points near the levels."""
+    lo, hi = span
+    near = st.sampled_from(levels).flatmap(lambda e: st.sampled_from(
+        (1e-9, 1e-6, 1e-3, 0.1, 1.0)).flatmap(lambda w: st.sampled_from(
+            (e - w, e + w, e))))
+    point = st.one_of(near, near, st.floats(),
+                      st.sampled_from((lo, hi, lo - 1.0, hi + 1.0,
+                                       math.inf, -math.inf, math.nan)))
+    hints = draw(st.lists(st.lists(point, max_size=4), max_size=m + 1))
+    if hints and draw(st.booleans()):
+        hints.append(list(hints[0]))   # the same points again
+    return hints
+
+
+class TestHints:
+    @given(st.fractions(min_value=0, max_value=1, max_denominator=12)
+           .filter(lambda lt: lt < 1),
+           st.integers(7, 120), st.integers(1, 6),
+           st.sampled_from((1e-6, 1e-9, 1e-12)), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_hints_never_change_a_bracket(self, lt, n, m, tol, data):
+        # the same brackets, levels or UnresolvedLevels as without hints,
+        # whatever the hints; and the hints' facts do not depend on the
+        # order they came in, so neither do the sweeps after them
+        params = ModelParams(omega=1, lam=lt)
+        op = discretize(params, Grid(T=default_half_width(params), N=n))
+        m = min(m, n)
+        plain = sl_oracle._level_brackets(op, m, tol)
+        levels = [0.5 * (lo + hi) for lo, hi in plain]
+        lo = min(b.span[0] for b in op.parity_blocks)
+        hi = max(b.span[1] for b in op.parity_blocks)
+        hints = data.draw(_hint_lists(levels, (lo, hi), m))
+
+        def sweeps(hint_lists):
+            calls = []
+            count = sl_oracle.eigen_count_below
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(sl_oracle, "eigen_count_below",
+                           lambda *a: calls.append(a) or count(*a))
+                brackets = sl_oracle._level_brackets(op, m, tol, hint_lists)
+            assert brackets == plain
+            return Counter((id(a[0]),) + a[1:] for a in calls)
+
+        # the same points per block, in reverse order: level j's hints go
+        # to the level of its block at the mirrored place, each reversed
+        reordered = list(hints)
+        for p in (0, 1):
+            own = range(p, min(m, len(hints)), 2)
+            for i, j in zip(own, reversed(own)):
+                reordered[i] = hints[j][::-1]
+        assert sweeps(hints) == sweeps(reordered)
+        try:
+            want = lowest_eigenvalues(op, m, tol)
+        except sl_oracle.UnresolvedLevels as exc:
+            with pytest.raises(sl_oracle.UnresolvedLevels) as got:
+                lowest_eigenvalues(op, m, tol, hints)
+            assert got.value.index == exc.index
+        else:
+            assert lowest_eigenvalues(op, m, tol, hints) == want
 
 
 class TestParityFold:
