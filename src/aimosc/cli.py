@@ -3,7 +3,8 @@
 Four subcommands: `spectrum` computes levels by closed form, by the
 iteration engine, or by the finite-difference oracle; `verify` runs the
 cross-check matrix and reports JSON; `wavefunction` samples a normalized
-eigenstate; `figures` emits the four sweep CSV files.
+eigenstate; `figures` emits the four sweep CSV files.  Each subcommand
+checks its own flags, before it writes any output.
 
 Rational inputs are accepted as "p/q" strings and kept exact internally.
 CSV output prints 12 significant digits (exact for terminating decimals),
@@ -98,12 +99,15 @@ def build_parser() -> argparse.ArgumentParser:
                         help="oracle half-width in t; omega^-1/2 sinh(16)")
     levels.add_argument("--grid-N", dest="grid_n", type=int, default=7999,
                         help="oracle rows; verify adds --grid-N // 2")
-    levels.add_argument("--printed-signs", action="store_true",
-                        help="use the sign convention whose first excited "
-                             "level is 2*lt-1; for the discrepancy demo")
+    signs = argparse.ArgumentParser(add_help=False)
+    signs.add_argument("--printed-signs", action="store_true",
+                       help="use the sign convention whose first excited "
+                            "level is 2*lt-1; for the discrepancy demo")
 
     sp = sub.add_parser("spectrum", parents=[model, levels],
                         help="energy levels by any method")
+    # the JSON params block reports the convention, which is never flipped
+    sp.set_defaults(run=cmd_spectrum, printed_signs=False)
     sp.add_argument("--method", action="append",
                     choices=("closed", "aim", "oracle"), default=None)
     sp.add_argument("--format", dest="fmt", default="table",
@@ -111,13 +115,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--tol", type=float, default=1e-10,
                     help="oracle bisection width")
 
-    vf = sub.add_parser("verify", parents=[model, levels],
+    vf = sub.add_parser("verify", parents=[model, levels, signs],
                         help="cross-check matrix, JSON report")
+    vf.set_defaults(run=cmd_verify)
     vf.add_argument("--tol", type=float, default=1e-2,
                     help="gate on |oracle - closed form|")
 
     wf = sub.add_parser("wavefunction", parents=[model],
                         help="sample one normalized eigenstate")
+    wf.set_defaults(run=cmd_wavefunction)
     wf.add_argument("--n", type=int, default=0)
     wf.add_argument("--tau-min", type=float, default=-5.0)
     wf.add_argument("--tau-max", type=float, default=5.0)
@@ -125,6 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     fig = sub.add_parser("figures", parents=[model],
                          help="emit fig1..fig4 CSV data files")
+    fig.set_defaults(run=cmd_figures)
     fig.add_argument("--fig2-omegas", default="10,12,14",
                      help="comma list; the caption variant is 10,20,30")
     fig.add_argument("--lam-max", default="2", help="lambda sweep upper end")
@@ -143,8 +150,8 @@ def _float(value: Fraction, what: str, flag: str) -> float:
                          f"change {flag}") from None
 
 
-def _resolve(args: Namespace) -> Namespace:
-    """Parse the rational flags in place; fill in whichever of lambda and
+def _model(args: Namespace) -> Namespace:
+    """Parse the model flags in place; fill in whichever of lambda and
     lambda_tilde was not given."""
     omega = _parse_rat(args.omega)
     lam = _parse_rat(args.lam) if args.lam is not None else None
@@ -163,48 +170,22 @@ def _resolve(args: Namespace) -> Namespace:
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
     args.omega, args.lam, args.lam_tilde = omega, lam, lam_tilde
-    if args.command in ("spectrum", "verify"):
-        if args.n_max < 0:
-            raise ValueError("--n-max must be nonnegative")
-        args.tau0 = _parse_rat(args.tau0)
-        if not 0 < args.tol < math.inf:
-            raise ValueError(f"--tol must be positive and finite, got {args.tol}")
-        if args.grid_t is not None and not 0 < args.grid_t < math.inf:
-            raise ValueError(f"--grid-T must be positive and finite, got {args.grid_t}")
-        if args.grid_n < 3:
-            raise ValueError(f"--grid-N must be at least 3, got {args.grid_n}")
-        iterates = (not args.printed_signs if args.command == "verify"
-                    else "aim" in (args.method or ()))
-        if iterates and args.kmax < 2:
-            raise ValueError(f"--kmax must be at least 2, got {args.kmax}")
-        args.census = fh_oscillator.bound_state_info(lam_tilde)
-    # the envelope exponent -1/(2 lt) and its moment take 1/lt as a float
-    if lam_tilde and (args.command == "wavefunction" or
-                      args.command == "verify" and not args.printed_signs):
-        _float(1 / lam_tilde, "1/lambda_tilde", args.lam_flag)
-    if args.command == "wavefunction":
-        for flag, value in (("--tau-min", args.tau_min), ("--tau-max", args.tau_max)):
-            if not math.isfinite(value):
-                raise ValueError(f"{flag} must be finite, got {value}")
-        if args.points < 2:
-            raise ValueError("--points must be at least 2")
-        # the samples run monotonically to the last one, which overflows
-        # whenever the span tau_max - tau_min does
-        step = (args.tau_max - args.tau_min) / (args.points - 1)
-        if not math.isfinite(args.tau_min + (args.points - 1) * step):
-            raise ValueError(
-                f"the grid from --tau-min {args.tau_min} to --tau-max "
-                f"{args.tau_max} overflows a float")
-    if args.command == "figures":
-        args.fig2_omegas = [_parse_rat(w) for w in args.fig2_omegas.split(",")]
-        args.lam_max = _parse_rat(args.lam_max)
-        args.fig_lambda = _parse_rat(args.fig_lambda)
-        if min(args.fig2_omegas) <= 0:
-            raise ValueError("every --fig2-omegas value must be positive")
-        for flag, value in (("--lam-max", args.lam_max), ("--fig-lambda", args.fig_lambda)):
-            if value < 0:
-                raise ValueError(f"{flag} must be nonnegative, got {value}")
     return args
+
+
+def _levels(cfg: Namespace) -> None:
+    """Check the level flags and --tol in place; add the bound-state
+    census."""
+    if cfg.n_max < 0:
+        raise ValueError("--n-max must be nonnegative")
+    cfg.tau0 = _parse_rat(cfg.tau0)
+    if not 0 < cfg.tol < math.inf:
+        raise ValueError(f"--tol must be positive and finite, got {cfg.tol}")
+    if cfg.grid_t is not None and not 0 < cfg.grid_t < math.inf:
+        raise ValueError(f"--grid-T must be positive and finite, got {cfg.grid_t}")
+    if cfg.grid_n < 3:
+        raise ValueError(f"--grid-N must be at least 3, got {cfg.grid_n}")
+    cfg.census = fh_oscillator.bound_state_info(cfg.lam_tilde)
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +208,7 @@ def _is_marginal(n: int, cfg: Namespace) -> bool:
 
 
 def _aim_report(cfg: Namespace) -> aim_core.AimSpectrumReport:
-    seed = aim_core.aim_seed(
-        *fh_oscillator.aim_inputs(cfg.lam_tilde, printed_signs=cfg.printed_signs))
+    seed = aim_core.aim_seed(*fh_oscillator.aim_inputs(cfg.lam_tilde))
     return aim_core.aim_eigenvalues(seed, k_max=cfg.kmax, tau0=cfg.tau0)
 
 
@@ -244,16 +224,11 @@ def _aim_entries(cfg: Namespace) -> list[SpectrumEntry]:
     return out
 
 
-def _oracle_top(cfg: Namespace, n_cap: int, below_edge: bool = False) -> int:
-    """The largest n <= n_cap whose state is normalizable and, with
-    below_edge, whose level lies strictly below the continuum edge; -1
-    when no n qualifies."""
-    closed = fh_oscillator.spectrum_closed_dimensionless
+def _oracle_top(cfg: Namespace) -> int:
+    """The largest n <= --n-max whose state is normalizable; -1 when no n
+    is."""
     census = cfg.census
-    n_top = n_cap if census.bound(n_cap) else census.normalizable_max_n
-    # lt E_n >= 1: at or above the edge 1/lt, of which lt = 0 has none
-    while below_edge and cfg.lam_tilde * closed(n_top, cfg.lam_tilde) >= 1:
-        n_top -= 1
+    n_top = cfg.n_max if census.bound(cfg.n_max) else census.normalizable_max_n
     if n_top >= 0:
         # the oracle takes omega^2 as a float and divides by its root
         for w2 in (cfg.omega ** 2, cfg.omega ** -2):
@@ -291,34 +266,27 @@ def _oracle_op(cfg: Namespace, n_top: int,
     return grid, op, points, name
 
 
-def _oracle_solve(cfg: Namespace, op: sl_oracle.TridiagOp, name: str,
-                  n_top: int, tol: Optional[float] = None,
+def _oracle_solve(op: sl_oracle.TridiagOp, name: str, n_top: int,
+                  tol: float, tol_name: str,
                   hints: Sequence[Sequence[float]] = ()) -> tuple[float, ...]:
-    """Oracle energies of n = 0..n_top, bisected to tol (default --tol)."""
+    """Oracle energies of n = 0..n_top, bisected to tol; tol_name names
+    that width in the error for levels the bisection cannot order."""
     try:
-        res = sl_oracle.lowest_eigenvalues(
-            op, n_top + 1, cfg.tol if tol is None else tol, hints)
+        res = sl_oracle.lowest_eigenvalues(op, n_top + 1, tol, hints)
     except sl_oracle.UnresolvedLevels as exc:
-        width = f"--tol {cfg.tol:g}" if tol is None \
-            else f"the bisection width {tol:g}"
         raise ValueError(
             f"oracle levels n = {exc.index} and {exc.index + 1} lie closer "
-            f"than {width} on {name}, so the bisection cannot order them; "
-            f"lower --n-max or change --grid-N") from None
+            f"than {tol_name} {tol:g} on {name}, so the bisection cannot "
+            f"order them; lower --n-max or change --grid-N") from None
     return res.eigenvalues
 
 
-def _oracle_levels(cfg: Namespace, n_top: int, tol: Optional[float] = None,
-                   fine: Optional[sl_oracle.Points] = None
-                   ) -> tuple[float, ...]:
-    """`_oracle_solve` on the operator of `_oracle_op`."""
-    _, op, _, name = _oracle_op(cfg, n_top, fine)
-    return _oracle_solve(cfg, op, name, n_top, tol)
-
-
 def _oracle_entries(cfg: Namespace) -> list[SpectrumEntry]:
-    n_top = _oracle_top(cfg, cfg.n_max)
-    levels = _oracle_levels(cfg, n_top) if n_top >= 0 else ()
+    n_top = _oracle_top(cfg)
+    levels = ()
+    if n_top >= 0:
+        _, op, _, name = _oracle_op(cfg, n_top)
+        levels = _oracle_solve(op, name, n_top, cfg.tol, "--tol")
     return [SpectrumEntry(n=n, e_tilde=2.0 * e / float(cfg.omega), e_phys=e,
                           bound=cfg.census.bound(n), source="oracle")
             for n, e in enumerate(levels)]
@@ -385,6 +353,9 @@ def _emit_entries(entries: list[SpectrumEntry], cfg: Namespace) -> None:
 # subcommands
 
 def cmd_spectrum(cfg: Namespace) -> int:
+    _levels(cfg)
+    if "aim" in (cfg.method or ()) and cfg.kmax < 2:
+        raise ValueError(f"--kmax must be at least 2, got {cfg.kmax}")
     entries: list[SpectrumEntry] = []
     for method in cfg.method or ("closed",):
         if method == "closed":
@@ -398,22 +369,24 @@ def cmd_spectrum(cfg: Namespace) -> int:
 
 
 def cmd_verify(cfg: Namespace) -> int:
-    checks = []
-    entries = _closed_entries(cfg)
-
+    _levels(cfg)
     if cfg.printed_signs:
-        checks.append(_check_printed_signs(cfg))
+        checks = [_check_printed_signs(cfg)]
     else:
         lt = cfg.lam_tilde
+        if cfg.kmax < 2:
+            raise ValueError(f"--kmax must be at least 2, got {cfg.kmax}")
+        # the envelope exponent -1/(2 lt) and its moment take 1/lt as a float
+        if lt:
+            _float(1 / lt, "1/lambda_tilde", cfg.lam_flag)
         if lt >= 1:  # the seed, the census and the eigenfunctions need lt < 1
             raise ValueError(f"lam_tilde must lie in [0, 1), got {lt}")
-        checks.append(_check_aim_exact(cfg))
-        checks.append(_check_oracle(cfg))
-        checks.append(_check_residuals(cfg))
+        checks = [_check_aim_exact(cfg), _check_oracle(cfg),
+                  _check_residuals(cfg)]
 
     doc = {
         "params": _params_json(cfg),
-        "entries": [_entry_json(e, cfg) for e in entries],
+        "entries": [_entry_json(e, cfg) for e in _closed_entries(cfg)],
         "checks": checks,
     }
     _write_lines([json.dumps(doc, indent=2, sort_keys=True)], cfg.out)
@@ -466,16 +439,22 @@ def _check_oracle(cfg: Namespace) -> dict:
     fine level's distance from it, are hints for the fine bisection.  A
     hint cannot change a fine level, only spare sweeps.  Every error of
     the fine grid is still reported before any of the coarse grid."""
-    width = 1e-9
-    n_top = _oracle_top(cfg, cfg.n_max, below_edge=True)
+    width, width_name = 1e-9, "the bisection width"
+    n_top = _oracle_top(cfg)
+    # lt E_n >= 1: at or above the edge 1/lt, of which lt = 0 has none
+    closed = fh_oscillator.spectrum_closed_dimensionless
+    while cfg.lam_tilde * closed(n_top, cfg.lam_tilde) >= 1:
+        n_top -= 1
     grid, op, points, name = _oracle_op(cfg, n_top)
     failed, coarse = None, ()
     try:
-        coarse = _oracle_levels(cfg, n_top, width, points)
+        _, coarse_op, _, coarse_name = _oracle_op(cfg, n_top, points)
+        coarse = _oracle_solve(coarse_op, coarse_name, n_top, width,
+                               width_name)
     except ValueError as exc:
         failed = exc
     del points  # not held through the fine bisection
-    fine = _oracle_solve(cfg, op, name, n_top, width,
+    fine = _oracle_solve(op, name, n_top, width, width_name,
                          [(e - w, e + w) for e in coarse
                           for w in [_HINT_REL * max(1.0, abs(e))]])
     if failed is not None:
@@ -541,10 +520,26 @@ def _check_printed_signs(cfg: Namespace) -> dict:
 
 
 def cmd_wavefunction(cfg: Namespace) -> int:
+    # the envelope exponent -1/(2 lt) and its moment take 1/lt as a float
+    if cfg.lam_tilde:
+        _float(1 / cfg.lam_tilde, "1/lambda_tilde", cfg.lam_flag)
+    for flag, value in (("--tau-min", cfg.tau_min), ("--tau-max", cfg.tau_max)):
+        if not math.isfinite(value):
+            raise ValueError(f"{flag} must be finite, got {value}")
+    if cfg.points < 2:
+        raise ValueError("--points must be at least 2")
+    # the samples run monotonically to the last one, which overflows
+    # whenever the span tau_max - tau_min does
+    step = (cfg.tau_max - cfg.tau_min) / (cfg.points - 1)
+    if not math.isfinite(cfg.tau_min + (cfg.points - 1) * step):
+        raise ValueError(
+            f"the grid from --tau-min {cfg.tau_min} to --tau-max "
+            f"{cfg.tau_max} overflows a float")
+    if cfg.n < 0:
+        raise ValueError("--n must be nonnegative")
     ef = fh_oscillator.eigen_polynomial(cfg.n, cfg.lam_tilde)
     norm = fh_oscillator.normalization_constant(ef)
     ef = dataclasses.replace(ef, norm_const=norm)
-    step = (cfg.tau_max - cfg.tau_min) / (cfg.points - 1)
     lines = ["tau,phi"]
     for i in range(cfg.points):
         tau = cfg.tau_min + i * step
@@ -553,15 +548,20 @@ def cmd_wavefunction(cfg: Namespace) -> int:
     return 0
 
 
-def _lambda_sweep(cfg: Namespace) -> list[Fraction]:
+def cmd_figures(cfg: Namespace) -> int:
+    omegas = [_parse_rat(w) for w in cfg.fig2_omegas.split(",")]
+    lam_max = _parse_rat(cfg.lam_max)
+    fig_lambda = _parse_rat(cfg.fig_lambda)
+    if min(omegas) <= 0:
+        raise ValueError("every --fig2-omegas value must be positive")
+    for flag, value in (("--lam-max", lam_max), ("--fig-lambda", fig_lambda)):
+        if value < 0:
+            raise ValueError(f"{flag} must be nonnegative, got {value}")
     if cfg.lam_points < 2:
         raise ValueError("--lam-points must be at least 2")
-    step = cfg.lam_max / (cfg.lam_points - 1)
-    return [i * step for i in range(cfg.lam_points)]
-
-
-def cmd_figures(cfg: Namespace) -> int:
-    sweep = [(lam, _dec12(lam)) for lam in _lambda_sweep(cfg)]
+    step = lam_max / (cfg.lam_points - 1)
+    sweep = [(lam, _dec12(lam))
+             for lam in (i * step for i in range(cfg.lam_points))]
     outdir = Path(cfg.out) if cfg.out else Path(".")
     outdir.mkdir(parents=True, exist_ok=True)
     level = fh_oscillator.spectrum_closed_physical
@@ -573,7 +573,7 @@ def cmd_figures(cfg: Namespace) -> int:
     _write_lines(lines, outdir / "fig1.csv")
 
     lines = ["lambda,omega_hz,E"]
-    for omega in cfg.fig2_omegas:
+    for omega in omegas:
         omega_text = _dec12(omega)
         for lam, lam_text in sweep:
             lines.append(f"{lam_text},{omega_text},{_dec12(level(1, omega, lam))}")
@@ -582,13 +582,13 @@ def cmd_figures(cfg: Namespace) -> int:
     lines = ["n,omega_hz,E"]
     for omega in (10, 20, 30):
         for n in range(10):
-            lines.append(f"{n},{omega},{_dec12(level(n, omega, cfg.fig_lambda))}")
+            lines.append(f"{n},{omega},{_dec12(level(n, omega, fig_lambda))}")
     _write_lines(lines, outdir / "fig3.csv")
 
     lines = ["omega,n,E"]
     for n in (1, 2, 3):
         for w in range(1, 31):
-            lines.append(f"{w},{n},{_dec12(level(n, w, cfg.fig_lambda))}")
+            lines.append(f"{w},{n},{_dec12(level(n, w, fig_lambda))}")
     _write_lines(lines, outdir / "fig4.csv")
     return 0
 
@@ -596,10 +596,7 @@ def cmd_figures(cfg: Namespace) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = _resolve(args)
-        run = {"spectrum": cmd_spectrum, "verify": cmd_verify,
-               "wavefunction": cmd_wavefunction, "figures": cmd_figures}
-        return run[cfg.command](cfg)
+        return args.run(_model(args))
     except NotNormalizable as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -30,7 +30,6 @@ from .exactalg import (
     horner,
     poly_add,
     poly_diff_tau,
-    poly_is_zero,
     poly_mul,
     poly_new,
     poly_scale,
@@ -329,8 +328,6 @@ def residual_check(ef: EigenFunction,
     drift = poly_new({(1, 0): 2 * (1 - lt)})
     exact = poly_sub(poly_mul(u, fpp), poly_mul(drift, fp))
     exact = poly_add(exact, poly_scale(f, ef.e_tilde - 1))
-    if poly_is_zero(exact):
-        exact = {}
 
     ode = tuple(zip(samples, _full_ode_residuals(ef, samples)))
     return ResidualReport(series_residual=exact, ode_samples=ode)

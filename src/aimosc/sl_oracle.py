@@ -89,8 +89,12 @@ class Grid:
             raise ValueError("N must be at least 3")
 
     def step(self, s: float) -> float:
-        """h = 2 asinh(T/s) / (N + 1), the x spacing at scale s."""
-        return 2.0 * math.asinh(self.T / s) / (self.N + 1)
+        """h = 2 asinh(T/s) / (N + 1), the x spacing at scale s; ValueError
+        where 2 h^2 leaves floating-point range."""
+        h = 2.0 * math.asinh(self.T / s) / (self.N + 1)
+        if not 0.0 < 2.0 * h * h < math.inf:
+            raise ValueError(f"h^2 = {h * h:g} is out of floating-point range")
+        return h
 
 
 @dataclass(frozen=True)
@@ -219,14 +223,6 @@ class OracleResult:
                 raise UnresolvedLevels(j)
 
 
-def _step(grid: Grid, s: float) -> float:
-    """grid.step(s), or ValueError where 2 h^2 leaves floating-point range."""
-    h = grid.step(s)
-    if not 0.0 < 2.0 * h * h < math.inf:
-        raise ValueError(f"h^2 = {h * h:g} is out of floating-point range")
-    return h
-
-
 Points = tuple[list[float], list[float]]
 
 
@@ -237,7 +233,7 @@ def mapped_points(params: ModelParams, grid: Grid) -> Points:
     x < asinh(T/s), so sinh(x) does not overflow."""
     s = _scale(params)
     n = grid.N
-    half = 0.5 * _step(grid, s)
+    half = 0.5 * grid.step(s)
     xs = [j * half for j in range(2 * (n // 2) - n, n + 1)]
     return ([s * v for v in map(math.sinh, xs)],
             [s * v for v in map(math.cosh, xs)])
@@ -278,7 +274,7 @@ def discretize(params: ModelParams, grid: Grid,
     lam = float(params.lam)
     w2 = float(params.omega) ** 2
     n = grid.N
-    h = _step(grid, _scale(params))
+    h = grid.step(_scale(params))
     inv2h2 = 1.0 / (2.0 * h * h)
     ts, gs = mapped_points(params, grid) if points is None else points
     # p/g at the half-nodes m + k (k = 0 .. n - m), which alternate with

@@ -464,7 +464,8 @@ def test_dec12_matches_localcontext_formatter(value):
 
 
 # each subcommand takes only the flags it reads
-NOT_TAKEN = [("verify", ["--format", "json"])] + [
+NOT_TAKEN = [("verify", ["--format", "json"]),
+             ("spectrum", ["--printed-signs"])] + [
     (command, flag)
     for command in ("wavefunction", "figures")
     for flag in (["--n-max", "3"], ["--kmax", "8"], ["--tau0", "0"],
@@ -562,6 +563,24 @@ class TestInputValidation:
     def test_tau_min_finite(self, capsys, tmp_path):
         self.rejected(capsys, tmp_path, ["wavefunction", "--tau-min", "nan"],
                       "--tau-min")
+
+    def test_n_nonnegative(self, capsys, tmp_path):
+        self.rejected(capsys, tmp_path, ["wavefunction", "--n", "-1"], "--n ")
+
+    @pytest.mark.parametrize("argv, flag, later", [
+        (["figures", "--lam-points", "1", "--lam-max", "-1"],
+         "--lam-max", "--lam-points"),
+        (["spectrum", "--method", "aim", "--n-max", "-1", "--kmax", "0"],
+         "--n-max", "--kmax"),
+        (["verify", "--kmax", "0", "--grid-N", "2"], "--grid-N", "--kmax"),
+        (["wavefunction", "--lambda-tilde", "1e-400", "--points", "1"],
+         "--lambda-tilde", "--points"),
+    ])
+    def test_first_fault_named(self, capsys, tmp_path, argv, flag, later):
+        # each subcommand checks its flags in a fixed order: of two bad
+        # flags, the message names the one checked first
+        err = self.rejected(capsys, tmp_path, argv, flag)
+        assert later not in err
 
     def test_tau_grid_finite(self, capsys, tmp_path):
         # finite ends whose span overflows a float, and finite ends whose

@@ -547,7 +547,7 @@ class TestLowestEigenvalues:
         assert e_tight > e_wide
 
 
-class TestConvergeStudy:
+class TestStencilOrder:
     def test_second_order_and_extrapolation(self):
         # grid refinement of the stencil over h, h/2, h/4: the differences
         # shrink by about 4 per halving, and Richardson extrapolation at
