@@ -381,8 +381,10 @@ def cmd_verify(cfg: Namespace) -> int:
             _float(1 / lt, "1/lambda_tilde", cfg.lam_flag)
         if lt >= 1:  # the seed, the census and the eigenfunctions need lt < 1
             raise ValueError(f"lam_tilde must lie in [0, 1), got {lt}")
-        checks = [_check_aim_exact(cfg), _check_oracle(cfg),
-                  _check_residuals(cfg)]
+        # the oracle runs first, so that its errors exit before the
+        # iteration: the AIM check reports its own failures as a check
+        oracle = _check_oracle(cfg)
+        checks = [_check_aim_exact(cfg), oracle, _check_residuals(cfg)]
 
     doc = {
         "params": _params_json(cfg),
@@ -416,9 +418,9 @@ def _check_aim_exact(cfg: Namespace) -> dict:
     }
 
 
-# Half-width of the hints around a coarse level, relative to the level
-# (absolute below 1): wider than the fine level's distance from it, about
-# 3 estimates, yet narrow enough to skip most of the descent.
+# Half-width of the fallback hints around a coarse level, relative to the
+# level (absolute below 1): wider than the fine level's distance from it,
+# about 3 estimates, yet narrow enough to skip most of the descent.
 _HINT_REL = 1e-5
 
 
@@ -435,10 +437,15 @@ def _check_oracle(cfg: Namespace) -> dict:
     Each |delta| must lie within twice that estimate plus the bisection
     width, and within --tol.
 
-    The coarse grid is solved first: E_H -+ w, a little wider than the
-    fine level's distance from it, are hints for the fine bisection.  A
-    hint cannot change a fine level, only spare sweeps.  Every error of
-    the fine grid is still reported before any of the coarse grid."""
+    The coarse grid is solved first, and each fine level gets two pairs
+    of hints: P -+ 3 widths around the Richardson point P = E_c + (E_H -
+    E_c) / r^2 of the coarse level E_H and the closed form E_c, which lies
+    within the bisection width of the fine level where h^2 is the leading
+    error; and E_H -+ _HINT_REL, the fallback where P misses (as at
+    --grid-T 4, where P's pair costs up to 2 more sweeps per level).  A
+    hint cannot change a fine level, only spare sweeps, so the closed form
+    never steers an oracle number.  Every error of the fine grid is still
+    reported before any of the coarse grid."""
     width, width_name = 1e-9, "the bisection width"
     n_top = _oracle_top(cfg)
     # lt E_n >= 1: at or above the edge 1/lt, of which lt = 0 has none
@@ -454,14 +461,19 @@ def _check_oracle(cfg: Namespace) -> dict:
     except ValueError as exc:
         failed = exc
     del points  # not held through the fine bisection
-    fine = _oracle_solve(op, name, n_top, width, width_name,
-                         [(e - w, e + w) for e in coarse
-                          for w in [_HINT_REL * max(1.0, abs(e))]])
+    ratio = (grid.N + 1) / (grid.N // 2 + 1)
+    level = fh_oscillator.spectrum_closed_physical
+    exact = [float(level(n, cfg.omega, cfg.lam)) for n in range(n_top + 1)]
+    hints = []
+    for c, H in zip(exact, coarse):
+        p = c + (H - c) / (ratio * ratio)
+        w = 3.0 * width * max(1.0, abs(p))
+        w_H = _HINT_REL * max(1.0, abs(H))
+        hints.append((p - w, p + w, H - w_H, H + w_H))
+    fine = _oracle_solve(op, name, n_top, width, width_name, hints)
     if failed is not None:
         raise failed
-    ratio = (grid.N + 1) / (grid.N // 2 + 1)
-    deltas = [abs(e - float(fh_oscillator.spectrum_closed_physical(
-        n, cfg.omega, cfg.lam))) for n, e in enumerate(fine)]
+    deltas = [abs(e - c) for e, c in zip(fine, exact)]
     estimates = [abs(h - H) / (ratio * ratio - 1.0)
                  for h, H in zip(fine, coarse)]
     worst = max(d / (2.0 * e + width) for d, e in zip(deltas, estimates))

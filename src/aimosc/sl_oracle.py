@@ -37,9 +37,10 @@ as its count settles the question.  Both rest on the floating-point count
 (a - x) - b^2/d being monotone in x (Kahan 1966; Demmel, Dhillon & Ren,
 ETNA 3, 1995): the midpoints and brackets are bit-identical to those of a
 separate bisection per level of the block.  The same holds for hints,
-points near the levels (such as their values on a coarser grid) counted
-before the bisection starts: each count only adds true facts to the shared
-brackets, so a hint can save sweeps but never move a midpoint.
+points near the levels counted before the bisection starts, such as their
+values on a coarser grid or a Richardson prediction from those and a
+closed form: each count only adds true facts to the shared brackets, so a
+hint can save sweeps but never move a midpoint, however good or bad it is.
 
 The stencil is built from lists of the mapped points (t, g), which a
 caller may pass in.  For odd N, (N + 1) = 2 (N//2 + 1), so the grid of

@@ -1,5 +1,8 @@
 """Command-line surface: formats, exit codes, figure data files."""
+import collections
+import contextlib
 import importlib
+import io
 import json
 import math
 import shutil
@@ -11,11 +14,11 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import aimosc
-from aimosc import aim_core, cli
+from aimosc import aim_core, cli, sl_oracle
 
 
 def run(capsys, argv):
@@ -243,6 +246,80 @@ class TestVerify:
         assert check["passed"] is True
         assert "-4/5" in check["detail"]
         assert doc["params"]["printed_signs"] is True
+
+
+def run_quiet(argv):
+    """Exit code and stdout of one main, without capsys (for properties)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+class TestOracleHints:
+    """verify's fine bisection counts hints first: the Richardson point of
+    the coarse level and the closed form, and the coarse level itself.
+    They steer only how many sweeps it takes, never what it reports."""
+
+    @staticmethod
+    def with_hints(argv, change):
+        solve = sl_oracle.lowest_eigenvalues
+
+        def changed(op, m, tol, hints=()):
+            return solve(op, m, tol, change(hints))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sl_oracle, "lowest_eigenvalues", changed)
+            return run_quiet(argv)
+
+    def assert_same_report(self, argv):
+        want = run_quiet(argv)
+        assert self.with_hints(argv, lambda hints: ()) == want
+        assert self.with_hints(argv, lambda hints: [
+            [x + 1e-3 for x in h] for h in hints]) == want
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(1, 12).flatmap(
+        lambda q: st.builds(F, st.integers(0, q - 1), st.just(q))))
+    def test_hints_steer_only_speed(self, lt):
+        self.assert_same_report(["verify", "--lambda-tilde", str(lt)])
+
+    @pytest.mark.parametrize("flags", [["--grid-N", "4000"],
+                                       ["--grid-T", "4"]])
+    def test_hints_steer_only_speed_off_the_default_grid(self, flags):
+        # an even grid, where H/h is not 2, and a truncated one, where h^2
+        # is not the leading error and the prediction misses
+        self.assert_same_report(["verify"] + flags)
+
+    @pytest.mark.parametrize("flags, most", [
+        # the coarse-level hints alone took 115 and 125 counts
+        (["--lambda-tilde", "1/10"], 40),
+        (["--lambda-tilde", "1/10", "--grid-N", "4000"], 40),
+        # the prediction misses by far more than its pair's width: 73
+        # counts with the coarse-level hints alone, plus 2 a level at most
+        (["--grid-T", "4"], 73 + 2 * 4),
+    ])
+    def test_fine_grid_count_calls(self, flags, most):
+        # the byte tests cannot see a prediction with a wrong sign or
+        # ratio, which costs sweeps but changes no level
+        solve = sl_oracle.lowest_eigenvalues
+        count = sl_oracle.eigen_count_below
+        calls, solving = collections.Counter(), []
+
+        def solve_counted(op, *args):
+            solving.append(op.n)
+            return solve(op, *args)
+
+        def counted(*args):
+            calls[solving[-1]] += 1
+            return count(*args)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sl_oracle, "lowest_eigenvalues", solve_counted)
+            mp.setattr(sl_oracle, "eigen_count_below", counted)
+            run_quiet(["verify"] + flags)
+        fine = int(flags[flags.index("--grid-N") + 1]) \
+            if "--grid-N" in flags else 7999
+        assert solving == [fine // 2, fine]
+        assert 0 < calls[fine] <= most
 
 
 class TestWavefunction:
@@ -654,6 +731,32 @@ class TestInputValidation:
                                 ["verify", f"--grid-N={n}", "--n-max=0"],
                                 f"--grid-N {n} // 2 is 2 rows")
             assert "raise --grid-N" in err
+
+    @pytest.mark.parametrize("argv, err", [
+        (["--grid-N", "5", "--n-max", "0"],
+         "--grid-N 5 // 2 is 2 rows, fewer than the 3 a grid needs: "
+         "raise --grid-N"),
+        (["--grid-N", "3"], "--n-max asks the oracle for n = 0..3, more "
+                            "than the 3 levels of --grid-N 3"),
+        (["--omega", "1e400", "--grid-N", "300"],
+         "omega^2 for the oracle is out of floating-point range: "
+         "change --omega"),
+        (["--grid-T=1e155", "--grid-N", "1000"],
+         "--grid-T 1e+155 is too small or too large for --grid-N 1000"),
+        (["--n-max", "9", "--grid-N", "12"],
+         "oracle levels n = 4 and 5 lie closer than the bisection width "
+         "1e-09 on --grid-N 12,"),
+    ])
+    def test_oracle_errors_exit_before_the_iteration(self, capsys, tmp_path,
+                                                     monkeypatch, argv, err):
+        # verify solves the oracle first, so a bad grid costs no iteration
+        def not_reached(*args, **kwargs):
+            pytest.fail("the iteration ran before the oracle's error")
+        monkeypatch.setattr(aim_core, "aim_eigenvalues", not_reached)
+        got = self.rejected(capsys, tmp_path,
+                            ["verify", "--lambda-tilde", "1/10"] + argv,
+                            "--")
+        assert got.startswith("error: " + err)
 
     def test_oracle_levels_within_grid_n(self, capsys, tmp_path):
         # an N-row oracle grid has N levels: asking for more must name the
