@@ -52,9 +52,8 @@ __all__ = [
     "TridiagOp", "ZeroPolynomial", "aim_eigenvalues", "aim_inputs",
     "aim_iterate", "aim_seed", "bound_state_info", "discretize",
     "eigen_count_below", "eigen_polynomial", "eigenfunction_via_alpha",
-    "isolate_real_roots",
-    "lowest_eigenvalues", "normalization_constant", "poly_diff_tau",
-    "poly_eval", "quantization_delta", "refine_root", "residual_check",
-    "spectrum_closed_dimensionless", "spectrum_closed_physical",
-    "wavefunction_eval",
+    "isolate_real_roots", "lowest_eigenvalues", "normalization_constant",
+    "poly_diff_tau", "poly_eval", "quantization_delta", "refine_root",
+    "residual_check", "spectrum_closed_dimensionless",
+    "spectrum_closed_physical", "wavefunction_eval",
 ]

@@ -16,9 +16,8 @@ read off alpha's reduced denominator exactly, with no quadrature.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .exactalg import (
     BiPoly,
@@ -62,8 +61,7 @@ class NotTerminated(ArithmeticError):
     """s_k/l_k is not a logarithmic derivative -f'/f at the requested E."""
 
 
-@dataclass(frozen=True)
-class AimState:
+class AimState(NamedTuple):
     """Iteration state: l_k = L/u^(k+1), s_k = S/u^(k+1).
 
     The seed numerators ride along because every step multiplies by them.
@@ -74,19 +72,17 @@ class AimState:
     L: BiPoly
     S: BiPoly
     u_poly: BiPoly
-    l0: BiPoly = field(repr=False)
-    s0: BiPoly = field(repr=False)
+    l0: BiPoly
+    s0: BiPoly
 
 
-@dataclass(frozen=True)
-class DeltaPoly:
+class DeltaPoly(NamedTuple):
     """Termination determinant at iteration k, univariate in E."""
     k: int
     poly: BiPoly
 
 
-@dataclass(frozen=True)
-class AimSpectrumReport:
+class AimSpectrumReport(NamedTuple):
     """Certified roots after iterating to k_max.
 
     accepted: (E, k) per distinct root, sorted by E, where E is an exact

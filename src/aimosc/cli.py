@@ -14,7 +14,6 @@ failure, 2 bad parameters, 3 not normalizable, 4 I/O trouble.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
@@ -414,7 +413,7 @@ def _check_aim_exact(cfg: Namespace) -> dict:
         "name": "aim_matches_closed_form",
         "passed": not missing,
         "detail": f"n <= {n_chk} at k_max = {cfg.kmax}" + verdict,
-        "accepted": sorted(_rat_or_none(v) for v in certified),
+        "accepted": [_rat_or_none(v) for v, _ in report.accepted],
     }
 
 
@@ -508,24 +507,22 @@ def _check_residuals(cfg: Namespace) -> dict:
 
 
 def _check_printed_signs(cfg: Namespace) -> dict:
-    """Flipped-sign convention demo: its own k = 1 quantization roots must
-    contain 2*lt - 1 and must not contain the closed-form first excited
-    level.  Passing means the discrepancy is demonstrated."""
+    """Flipped-sign convention demo: its own k = 1 quantization roots, by
+    value as isolation lists them, must contain 2*lt - 1 and not the
+    closed-form first excited level.  Passing demonstrates the discrepancy."""
     lt = cfg.lam_tilde
     seed = aim_core.aim_seed(*fh_oscillator.aim_inputs(lt, printed_signs=True))
     s1 = aim_core.aim_iterate(seed)
     delta = aim_core.quantization_delta(s1, seed, cfg.tau0)
-    roots = set()
-    for iv in aim_core.isolate_real_roots(delta.poly):
-        if iv.exact is not None:
-            roots.add(iv.exact)
+    roots = [iv.exact for iv in aim_core.isolate_real_roots(delta.poly)
+             if iv.exact is not None]
     flipped = 2 * lt - 1
     reference = fh_oscillator.spectrum_closed_dimensionless(1, lt)
     demonstrated = flipped in roots and reference not in roots
     return {
         "name": "printed_sign_discrepancy",
         "passed": demonstrated,
-        "detail": f"k=1 roots {sorted(_rat_or_none(r) for r in roots)}; "
+        "detail": f"k=1 roots {[_rat_or_none(r) for r in roots]}; "
                   f"contain {_rat_or_none(flipped)}, closed-form first "
                   f"excited {_rat_or_none(reference)} absent: {demonstrated}",
     }
@@ -550,8 +547,7 @@ def cmd_wavefunction(cfg: Namespace) -> int:
     if cfg.n < 0:
         raise ValueError("--n must be nonnegative")
     ef = fh_oscillator.eigen_polynomial(cfg.n, cfg.lam_tilde)
-    norm = fh_oscillator.normalization_constant(ef)
-    ef = dataclasses.replace(ef, norm_const=norm)
+    ef = ef._replace(norm_const=fh_oscillator.normalization_constant(ef))
     lines = ["tau,phi"]
     for i in range(cfg.points):
         tau = cfg.tau_min + i * step

@@ -19,10 +19,9 @@ moment ratios.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 BiPoly = Dict[Tuple[int, int], Fraction]
 
@@ -242,14 +241,17 @@ def _squarefree(ip: list[int]) -> list[int]:
 # ---------------------------------------------------------------------------
 # root isolation
 
-@dataclass(frozen=True)
-class RootInterval:
-    """One real root, either exactly (rational) or bracketed in [low, high]."""
+class _RootIntervalFields(NamedTuple):
     low: Fraction
     high: Fraction
     exact: Optional[Fraction] = None
 
-    def __post_init__(self) -> None:
+
+class RootInterval(_RootIntervalFields):
+    """One real root, either exactly (rational) or bracketed in [low, high]."""
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs) -> None:
         if self.exact is not None:
             if self.low != self.exact or self.high != self.exact:
                 raise ValueError("exact root must collapse the interval")
@@ -257,9 +259,7 @@ class RootInterval:
             raise ValueError("empty interval")
 
     @property
-    def midpoint(self) -> Fraction:
-        if self.exact is not None:
-            return self.exact
+    def midpoint(self) -> Fraction:  # exact roots have low = high = exact
         return (self.low + self.high) / 2
 
     @property

@@ -19,10 +19,9 @@ and residual verification.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .exactalg import (
     BiPoly,
@@ -49,42 +48,47 @@ class NotNormalizable(ValueError):
     """The envelope decays too slowly for this n to be square-integrable."""
 
 
-@dataclass(frozen=True)
-class ModelParams:
-    """Physical inputs in natural units (hbar = c = m0 = 1)."""
+class _ModelParamsFields(NamedTuple):
     omega: Fraction
     lam: Fraction
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "omega", Fraction(self.omega))
-        object.__setattr__(self, "lam", Fraction(self.lam))
-        if self.omega <= 0:
-            raise NonpositiveFrequency(f"omega = {self.omega}")
-        if self.lam < 0:
-            raise ValueError(f"lam must be nonnegative, got {self.lam}")
+
+class ModelParams(_ModelParamsFields):
+    """Physical inputs in natural units (hbar = c = m0 = 1), as Fractions."""
+    __slots__ = ()
+
+    def __new__(cls, omega: RatLike, lam: RatLike) -> ModelParams:
+        omega, lam = Fraction(omega), Fraction(lam)
+        if omega <= 0:
+            raise NonpositiveFrequency(f"omega = {omega}")
+        if lam < 0:
+            raise ValueError(f"lam must be nonnegative, got {lam}")
+        return super().__new__(cls, omega, lam)
 
     @property
     def lam_tilde(self) -> Fraction:
         return self.lam / self.omega
 
 
-@dataclass(frozen=True)
-class SpectrumEntry:
+class _SpectrumEntryFields(NamedTuple):
     n: int
     e_tilde: Fraction
     e_phys: Fraction
     bound: bool
     source: str
 
-    def __post_init__(self) -> None:
+
+class SpectrumEntry(_SpectrumEntryFields):
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs) -> None:
         if self.source not in ("closed_form", "aim", "oracle"):
             raise ValueError(f"unknown source {self.source!r}")
         if self.n < 0:
             raise ValueError("n must be nonnegative")
 
 
-@dataclass(frozen=True)
-class BoundStateInfo:
+class BoundStateInfo(NamedTuple):
     """The level census; both fields are None in the confining limit
     lam_tilde = 0, which has no edge and binds every level."""
     threshold: Optional[Fraction]       # continuum edge in E_tilde units
@@ -164,14 +168,7 @@ def bound_state_info(lam_tilde: RatLike) -> BoundStateInfo:
                           normalizable_max_n=(2 * q - p - 1) // (2 * p))
 
 
-@dataclass(frozen=True)
-class EigenFunction:
-    """Polynomial factor f_n plus its envelope data.
-
-    phi_n(tau) = norm_const * (1+lt*tau^2)^envelope_exponent * f_n(tau),
-    with envelope_exponent = -1/(2*lt); envelope_exponent None marks the
-    lt = 0 limit where the envelope is exp(-tau^2/2).
-    """
+class _EigenFunctionFields(NamedTuple):
     n: int
     lam_tilde: Fraction
     e_tilde: Fraction
@@ -179,7 +176,17 @@ class EigenFunction:
     envelope_exponent: Optional[Fraction]
     norm_const: Optional[float] = None
 
-    def __post_init__(self) -> None:
+
+class EigenFunction(_EigenFunctionFields):
+    """Polynomial factor f_n plus its envelope data.
+
+    phi_n(tau) = norm_const * (1+lt*tau^2)^envelope_exponent * f_n(tau),
+    with envelope_exponent = -1/(2*lt); envelope_exponent None marks the
+    lt = 0 limit where the envelope is exp(-tau^2/2).  The instance dict
+    holds the cached properties; `_replace` skips the checks below.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
         if len(self.coeffs) != self.n + 1:
             raise ValueError("coeffs must run c_0 .. c_n")
         for j, c in enumerate(self.coeffs):
@@ -188,9 +195,8 @@ class EigenFunction:
         if self.coeffs[self.n] == 0:
             raise ValueError("degree must be exactly n")
         for j in range(0, self.n - 1):
-            got = self.coeffs[j + 2]
             want = _next_coeff(j, self.lam_tilde, self.e_tilde, self.coeffs[j])
-            if got != want:
+            if self.coeffs[j + 2] != want:
                 raise ValueError(f"series recursion broken at c_{j + 2}")
         if self.n >= 1 and _next_coeff(self.n, self.lam_tilde, self.e_tilde,
                                        self.coeffs[self.n]) != 0:
@@ -308,8 +314,7 @@ def _beta_moment_0(lt: Fraction) -> float:
         (a - 1) * math.log1p(-0.5 / a) + 0.5 + tail(a - 0.5) - tail(a))
 
 
-@dataclass(frozen=True)
-class ResidualReport:
+class ResidualReport(NamedTuple):
     """series_residual: u f'' - 2(1-lt) tau f' + (E-1) f, exact (zero when
     the construction is right).  ode_samples: (tau, residual) of the full
     envelope-form equation evaluated with analytic derivatives."""

@@ -52,10 +52,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice, pairwise
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .fh_oscillator import ModelParams
 
@@ -76,14 +75,17 @@ def default_half_width(params: ModelParams) -> float:
     return _scale(params) * math.sinh(16.0)
 
 
-@dataclass(frozen=True)
-class Grid:
-    """N interior nodes of a uniform x grid on [-asinh(T/s), asinh(T/s)],
-    mapped to t = s sinh(x) on [-T, T]; s comes from the model."""
+class _GridFields(NamedTuple):
     T: float
     N: int
 
-    def __post_init__(self) -> None:
+
+class Grid(_GridFields):
+    """N interior nodes of a uniform x grid on [-asinh(T/s), asinh(T/s)],
+    mapped to t = s sinh(x) on [-T, T]; s comes from the model."""
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs) -> None:
         if not 0 < self.T < math.inf:
             raise ValueError(f"T must be positive and finite, got {self.T}")
         if self.N < 3:
@@ -98,8 +100,7 @@ class Grid:
         return h
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(NamedTuple):
     """A symmetric tridiagonal matrix in the form the inertia sweep reads,
     such as a parity block of the grid operator.
 
@@ -161,20 +162,21 @@ def _blocks(heads: Sequence[tuple[list[float], list[float]]],
     return blocks
 
 
-@dataclass
 class TridiagOp:
     """Rows N//2 .. N-1 of the grid operator, the centre row first; the
     other rows are their mirror image.  offdiag[k] couples row k + N % 2
     to the row before it, so for even N offdiag[0] couples the first row
     to its mirror."""
-    diag: list[float]
-    offdiag: list[float]
 
-    def __post_init__(self) -> None:
-        rows, couplings = len(self.diag), len(self.offdiag)
-        if not 1 <= couplings <= rows <= couplings + 1:
+    def __init__(self, diag: list[float], offdiag: list[float]) -> None:
+        if not 1 <= len(offdiag) <= len(diag) <= len(offdiag) + 1:
             raise ValueError("offdiag must be nonempty and as long as diag "
                              "or one shorter")
+        self.diag, self.offdiag = diag, offdiag
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, TridiagOp) and \
+            (self.diag, self.offdiag) == (other.diag, other.offdiag)
 
     @property
     def n(self) -> int:  # N, the rows of the whole operator
@@ -214,11 +216,14 @@ class UnresolvedLevels(ValueError):
         self.index = index
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class _OracleResultFields(NamedTuple):
     eigenvalues: tuple[float, ...]
 
-    def __post_init__(self) -> None:
+
+class OracleResult(_OracleResultFields):
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs) -> None:
         for j, (a, b) in enumerate(pairwise(self.eigenvalues)):
             if not a < b:
                 raise UnresolvedLevels(j)
@@ -437,5 +442,4 @@ def lowest_eigenvalues(op: TridiagOp, m: int, tol: float,
     for j, ((_, hi), (lo, _)) in enumerate(pairwise(brackets)):
         if hi > lo:
             raise UnresolvedLevels(j)
-    return OracleResult(
-        eigenvalues=tuple(0.5 * (lo + hi) for lo, hi in brackets))
+    return OracleResult(tuple(0.5 * (lo + hi) for lo, hi in brackets))

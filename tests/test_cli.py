@@ -235,6 +235,15 @@ class TestVerify:
         assert check["detail"] == "n <= 2 at k_max = 2; all exact"
         assert check["accepted"] == ["1", "14/5", "22/5"]
 
+    @pytest.mark.parametrize("lt", ["0", "1/10"])
+    def test_accepted_roots_in_increasing_order(self, capsys, lt):
+        # as the report lists them, distinct and by value, not by text
+        _, out, _ = run(capsys, ["verify", "--lambda-tilde", lt,
+                                 "--grid-N", "2001"])
+        accepted = [F(v) for v in json.loads(out)["checks"][0]["accepted"]]
+        assert len(accepted) == 9
+        assert all(a < b for a, b in zip(accepted, accepted[1:]))
+
     def test_printed_signs_demonstrates_discrepancy(self, capsys):
         code, out, _ = run(capsys, ["verify", "--lambda-tilde", "1/10",
                                     "--printed-signs"])

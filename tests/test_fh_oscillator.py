@@ -1,5 +1,4 @@
 """Model layer: reduction, spectrum, eigenfunctions, normalization."""
-import dataclasses
 import math
 
 import pytest
@@ -84,7 +83,7 @@ def line_integral(fn, panels=2000):
 
 
 def normalized(ef):
-    return dataclasses.replace(ef, norm_const=normalization_constant(ef))
+    return ef._replace(norm_const=normalization_constant(ef))
 
 
 class TestModelParams:
@@ -257,7 +256,7 @@ class TestEigenPolynomial:
         # overflows a float from tau ~ 1e5 on; the reference takes f/tau^99
         # exactly and tau^99 env(tau) in logarithms
         ef = eigen_polynomial(99, F(1, 100))
-        ef = dataclasses.replace(ef, norm_const=normalization_constant(ef))
+        ef = ef._replace(norm_const=normalization_constant(ef))
         for tau in (1e5, 1e100):
             f = horner(ef.coeffs, F(tau))
             with pytest.raises(OverflowError):
@@ -280,7 +279,7 @@ class TestEigenPolynomial:
         # the integer evaluation rounds the same rational as the Fraction
         # reference, once, so the two agree bit for bit
         ef = eigen_polynomial(*state)
-        ef = dataclasses.replace(ef, norm_const=normalization_constant(ef))
+        ef = ef._replace(norm_const=normalization_constant(ef))
         got = wavefunction_eval(ef, tau)
         assert got.hex() == fraction_wavefunction(ef, tau)[0].hex()
 
