@@ -46,19 +46,23 @@ def _parse_rat(text: str) -> Fraction:
 _DEC12 = Context(prec=12)
 
 
-def _dec12(value) -> str:
-    """12 significant digits, plain decimal, deterministic.
+def _ratio12(num: int, den: int) -> str:
+    """num/den (den > 0) to 12 significant digits, plain decimal, by one
+    correctly rounded division: an unreduced pair prints as its lowest
+    terms do, and a quotient that terminates within 12 digits comes out
+    exact, so downstream parsers can recover it losslessly."""
+    return _plain12(_DEC12.divide(num, den))
 
-    Exact rationals whose decimal expansion terminates within 12 digits
-    come out exact, so downstream parsers can recover them losslessly.
-    """
-    if isinstance(value, Fraction):
-        d = _DEC12.divide(Decimal(value.numerator), Decimal(value.denominator))
-    else:
-        d = _DEC12.plus(Decimal(repr(float(value))))
-    if d == 0:
-        return "0"
-    return format(d.normalize(_DEC12), "f")
+
+def _dec12(value) -> str:
+    """A Fraction by _ratio12; a float by its shortest repr, rounded."""
+    if type(value) is Fraction:
+        return _ratio12(value.numerator, value.denominator)
+    return _plain12(_DEC12.plus(Decimal(repr(float(value)))))
+
+
+def _plain12(d: Decimal) -> str:
+    return format(d.normalize(_DEC12), "f") if d else "0"
 
 
 def _write_lines(lines: Sequence[str], out: Optional[str | Path]) -> None:
@@ -191,19 +195,22 @@ def _levels(cfg: Namespace) -> None:
 # shared computation helpers
 
 def _closed_entries(cfg: Namespace) -> list[SpectrumEntry]:
+    # lam_tilde = p/q, omega = c/e: E_tilde_n = num/q, E_n = num c/(2 q e)
+    p, q = cfg.lam_tilde.numerator, cfg.lam_tilde.denominator
+    c, e = cfg.omega.numerator, cfg.omega.denominator
     out = []
     for n in range(cfg.n_max + 1):
-        et = fh_oscillator.spectrum_closed_dimensionless(n, cfg.lam_tilde)
-        ep = fh_oscillator.spectrum_closed_physical(n, cfg.omega, cfg.lam)
-        out.append(SpectrumEntry(n=n, e_tilde=et, e_phys=ep,
-                                 bound=cfg.census.bound(n),
-                                 source="closed_form"))
+        num = fh_oscillator.closed_numerator(n, p, q)
+        out.append(SpectrumEntry(n, Fraction(num, q),
+                                 Fraction(num * c, 2 * q * e),
+                                 cfg.census.bound(n), "closed_form"))
     return out
 
 
 def _is_marginal(n: int, cfg: Namespace) -> bool:
-    return fh_oscillator.spectrum_closed_dimensionless(
-        n, cfg.lam_tilde) == cfg.census.threshold
+    """E_tilde_n = num/q is on the edge q/p: num p = q^2, never at p = 0."""
+    p, q = cfg.lam_tilde.numerator, cfg.lam_tilde.denominator
+    return fh_oscillator.closed_numerator(n, p, q) * p == q * q
 
 
 def _aim_report(cfg: Namespace) -> aim_core.AimSpectrumReport:
@@ -213,14 +220,9 @@ def _aim_report(cfg: Namespace) -> aim_core.AimSpectrumReport:
 
 def _aim_entries(cfg: Namespace) -> list[SpectrumEntry]:
     certified = {v for v, _ in _aim_report(cfg).accepted}
-    out = []
-    for n in range(min(cfg.n_max, cfg.kmax) + 1):
-        et = fh_oscillator.spectrum_closed_dimensionless(n, cfg.lam_tilde)
-        if et in certified:
-            out.append(SpectrumEntry(n=n, e_tilde=et, e_phys=et * cfg.omega / 2,
-                                     bound=cfg.census.bound(n),
-                                     source="aim"))
-    return out
+    return [SpectrumEntry(e.n, e.e_tilde, e.e_phys, e.bound, "aim")
+            for e in _closed_entries(cfg)[:cfg.kmax + 1]
+            if e.e_tilde in certified]
 
 
 def _oracle_top(cfg: Namespace) -> int:
@@ -295,7 +297,7 @@ def _oracle_entries(cfg: Namespace) -> list[SpectrumEntry]:
 # output shaping
 
 def _rat_or_none(x) -> Optional[str]:
-    if isinstance(x, Fraction):
+    if type(x) is Fraction:
         return f"{x.numerator}/{x.denominator}" if x.denominator != 1 \
             else str(x.numerator)
     return None
@@ -547,11 +549,12 @@ def cmd_wavefunction(cfg: Namespace) -> int:
     if cfg.n < 0:
         raise ValueError("--n must be nonnegative")
     ef = fh_oscillator.eigen_polynomial(cfg.n, cfg.lam_tilde)
-    ef = ef._replace(norm_const=fh_oscillator.normalization_constant(ef))
+    norm = fh_oscillator.normalization_constant(ef)
     lines = ["tau,phi"]
     for i in range(cfg.points):
         tau = cfg.tau_min + i * step
-        lines.append(f"{_dec12(tau)},{_dec12(fh_oscillator.wavefunction_eval(ef, tau))}")
+        phi = fh_oscillator.wavefunction_eval(ef, tau, norm)
+        lines.append(f"{_dec12(tau)},{_dec12(phi)}")
     _write_lines(lines, cfg.out)
     return 0
 
@@ -567,37 +570,29 @@ def cmd_figures(cfg: Namespace) -> int:
             raise ValueError(f"{flag} must be nonnegative, got {value}")
     if cfg.lam_points < 2:
         raise ValueError("--lam-points must be at least 2")
-    step = lam_max / (cfg.lam_points - 1)
-    sweep = [(lam, _dec12(lam))
-             for lam in (i * step for i in range(cfg.lam_points))]
     outdir = Path(cfg.out) if cfg.out else Path(".")
     outdir.mkdir(parents=True, exist_ok=True)
-    level = fh_oscillator.spectrum_closed_physical
-
-    lines = ["lambda,n,E"]
-    for n in range(4):
-        for lam, lam_text in sweep:
-            lines.append(f"{lam_text},{n},{_dec12(level(n, 10, lam))}")
-    _write_lines(lines, outdir / "fig1.csv")
-
-    lines = ["lambda,omega_hz,E"]
-    for omega in omegas:
-        omega_text = _dec12(omega)
-        for lam, lam_text in sweep:
-            lines.append(f"{lam_text},{omega_text},{_dec12(level(1, omega, lam))}")
-    _write_lines(lines, outdir / "fig2.csv")
-
-    lines = ["n,omega_hz,E"]
-    for omega in (10, 20, 30):
-        for n in range(10):
-            lines.append(f"{n},{omega},{_dec12(level(n, omega, fig_lambda))}")
-    _write_lines(lines, outdir / "fig3.csv")
-
-    lines = ["omega,n,E"]
-    for n in (1, 2, 3):
-        for w in range(1, 31):
-            lines.append(f"{w},{n},{_dec12(level(n, w, fig_lambda))}")
-    _write_lines(lines, outdir / "fig4.csv")
+    # Every E is num/(2 m) in integers, with lambda and omega scaled by a
+    # common m (fh_oscillator.closed_numerator), printed by one division.
+    # Sweep point i is i a/d, with --lam-max = a/b, d = b (--lam-points - 1).
+    num = fh_oscillator.closed_numerator
+    a, d = lam_max.numerator, lam_max.denominator * (cfg.lam_points - 1)
+    sweep = [(i * a, _ratio12(i * a, d)) for i in range(cfg.lam_points)]
+    fig2 = [(w.numerator, w.denominator, _dec12(w)) for w in omegas]
+    r, s = fig_lambda.numerator, fig_lambda.denominator
+    _write_lines(["lambda,n,E"] + [
+        f"{lam_text},{n},{_ratio12(num(n, lam, 10 * d), 2 * d)}"
+        for n in range(4) for lam, lam_text in sweep], outdir / "fig1.csv")
+    _write_lines(["lambda,omega_hz,E"] + [
+        f"{lam_text},{w_text},{_ratio12(num(1, lam * e, c * d), 2 * e * d)}"
+        for c, e, w_text in fig2 for lam, lam_text in sweep],
+        outdir / "fig2.csv")
+    _write_lines(["n,omega_hz,E"] + [
+        f"{n},{w},{_ratio12(num(n, r, w * s), 2 * s)}"
+        for w in (10, 20, 30) for n in range(10)], outdir / "fig3.csv")
+    _write_lines(["omega,n,E"] + [
+        f"{w},{n},{_ratio12(num(n, r, w * s), 2 * s)}"
+        for n in (1, 2, 3) for w in range(1, 31)], outdir / "fig4.csv")
     return 0
 
 

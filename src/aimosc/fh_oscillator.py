@@ -126,13 +126,18 @@ def aim_inputs(lam_tilde: RatLike, printed_signs: bool = False
     return l0_num, s0_num, u
 
 
+def closed_numerator(n: int, p: int, q: int) -> int:
+    """(2n + 1) q - n(n + 1) p: E_tilde_n = num/q at lam_tilde = p/q, and
+    with p = lam d, q = omega d for a common d, E_n = num/(2d)."""
+    return (2 * n + 1) * q - n * (n + 1) * p
+
+
 def spectrum_closed_dimensionless(n: int, lam_tilde: RatLike) -> Fraction:
     if n < 0:
         raise ValueError("n must be nonnegative")
     lt = Fraction(lam_tilde)
-    # 2n + 1 - n(n + 1) lt over the denominator of lt, reduced once
-    p, q = lt.numerator, lt.denominator
-    return Fraction((2 * n + 1) * q - n * (n + 1) * p, q)
+    return Fraction(closed_numerator(n, lt.numerator, lt.denominator),
+                    lt.denominator)
 
 
 def spectrum_closed_physical(n: int, omega: RatLike, lam: RatLike) -> Fraction:
@@ -141,11 +146,10 @@ def spectrum_closed_physical(n: int, omega: RatLike, lam: RatLike) -> Fraction:
     w, lm = Fraction(omega), Fraction(lam)
     if w <= 0:
         raise NonpositiveFrequency(f"omega = {w}")
-    # ((2n + 1) w - n(n + 1) lam)/2 over the denominator 2 den(w) den(lam),
-    # reduced once
-    a, b = w.numerator, w.denominator
-    c, d = lm.numerator, lm.denominator
-    return Fraction((2 * n + 1) * a * d - n * (n + 1) * c * b, 2 * b * d)
+    # lam and omega scaled by den(w) den(lam)
+    b, d = w.denominator, lm.denominator
+    return Fraction(closed_numerator(n, lm.numerator * b, w.numerator * d),
+                    2 * b * d)
 
 
 def bound_state_info(lam_tilde: RatLike) -> BoundStateInfo:
@@ -174,16 +178,15 @@ class _EigenFunctionFields(NamedTuple):
     e_tilde: Fraction
     coeffs: tuple[Fraction, ...]
     envelope_exponent: Optional[Fraction]
-    norm_const: Optional[float] = None
 
 
 class EigenFunction(_EigenFunctionFields):
     """Polynomial factor f_n plus its envelope data.
 
-    phi_n(tau) = norm_const * (1+lt*tau^2)^envelope_exponent * f_n(tau),
-    with envelope_exponent = -1/(2*lt); envelope_exponent None marks the
-    lt = 0 limit where the envelope is exp(-tau^2/2).  The instance dict
-    holds the cached properties; `_replace` skips the checks below.
+    phi_n(tau) = N * (1+lt*tau^2)^envelope_exponent * f_n(tau), with
+    envelope_exponent = -1/(2*lt) and N from normalization_constant;
+    envelope_exponent None marks the lt = 0 limit where the envelope is
+    exp(-tau^2/2).  The instance dict holds the cached properties.
     """
 
     def __init__(self, *args, **kwargs) -> None:
@@ -246,13 +249,13 @@ def _log_envelope(ef: EigenFunction, tau: float) -> float:
     return exponent * math.log1p(lt * tau * tau)
 
 
-def wavefunction_eval(ef: EigenFunction, tau: float) -> float:
-    """N env(tau) f(tau).  f(tau) is evaluated exactly in integers, with
-    tau = a/b and the coefficients over one common denominator, and
+def wavefunction_eval(ef: EigenFunction, tau: float,
+                      n_const: float = 1.0) -> float:
+    """n_const env(tau) f(tau).  f(tau) is evaluated exactly in integers,
+    with tau = a/b and the coefficients over one common denominator, and
     rounded once.  Where f(tau) itself overflows a float, the product is
     taken in logarithms: the envelope wins for every normalizable n, so
     the value is finite (often 0)."""
-    n_const = ef.norm_const if ef.norm_const is not None else 1.0
     a, b = tau.as_integer_ratio()
     den, scaled = ef.integer_coeffs
     top = len(scaled) - 1

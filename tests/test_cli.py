@@ -8,7 +8,9 @@ import math
 import shutil
 import subprocess
 import sys
+import tempfile
 import time
+from argparse import Namespace
 from decimal import Decimal, localcontext
 from fractions import Fraction as F
 from pathlib import Path
@@ -18,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import aimosc
-from aimosc import aim_core, cli, sl_oracle
+from aimosc import aim_core, cli, fh_oscillator, sl_oracle
 
 
 def run(capsys, argv):
@@ -143,6 +145,23 @@ class TestSpectrum:
         flags = [(e["n"], e["bound"], e["marginal"]) for e in doc["entries"]]
         assert flags == [(0, True, False), (1, True, False),
                          (2, True, False), (3, True, True)]
+
+    def test_marginal_flag_is_the_census_edge(self):
+        # the integer identity num p = q^2 against E_tilde_n == the census
+        # threshold as Fractions, for lambda_tilde = p/q in [0, 2], q <= 40
+        marginal = []
+        for lt in sorted({F(p, q) for q in range(1, 41)
+                          for p in range(2 * q + 1)}):
+            edge = fh_oscillator.bound_state_info(lt).threshold
+            for n in range(61):
+                flag = cli._is_marginal(n, Namespace(lam_tilde=lt))
+                assert flag == (fh_oscillator.spectrum_closed_dimensionless(
+                    n, lt) == edge), (lt, n)
+                if flag:
+                    marginal.append((lt, n))
+        # lambda_tilde 1/4, n = 3 is the spectrum_json_marginal golden
+        assert (F(1, 2), 1) in marginal and (F(1, 4), 3) in marginal
+        assert all(lt for lt, _ in marginal)
 
 
 class TestVerify:
@@ -534,19 +553,77 @@ dec12_floats = st.one_of(
 )
 
 
-@given(st.one_of(dec12_fractions, dec12_floats))
-@example(F(0))
-@example(F(-1, 3))
-@example(F(1, 10 ** 1000))
-@example(5e-324)
-@example(-2.2250738585072014e-308)
-@example(1e300)
-@example(-1e300)
-@example(-0.0)
-@example(100000000000.5)
-@example(100000000001.5)
-def test_dec12_matches_localcontext_formatter(value):
-    assert cli._dec12(value) == dec12_localcontext(value)
+@given(st.one_of(dec12_fractions, dec12_floats), st.integers(1, 10 ** 30))
+@example(F(0), 5)
+@example(F(-1, 3), 7)
+@example(F(1, 10 ** 1000), 3)
+@example(F(1000000000005, 10 ** 13), 9)  # a tie at the 13th digit
+@example(5e-324, 1)
+@example(-2.2250738585072014e-308, 1)
+@example(1e300, 1)
+@example(-1e300, 1)
+@example(-0.0, 1)
+@example(100000000000.5, 1)
+@example(100000000001.5, 1)
+def test_dec12_matches_localcontext_formatter(value, k):
+    want = dec12_localcontext(value)
+    assert cli._dec12(value) == want
+    if type(value) is F:
+        # one correctly rounded division of the same quotient: the
+        # unreduced pair prints the digits of the reduced Fraction
+        assert cli._ratio12(k * value.numerator, k * value.denominator) == want
+
+
+def figures_reference(lam_max, points, omegas, fig_lambda):
+    """The four figure files from Fraction arithmetic and the localcontext
+    formatter."""
+    def level(n, omega, lam):
+        return F(2 * n + 1) * omega / 2 - F(n * (n + 1)) * lam / 2
+
+    fmt = dec12_localcontext
+    sweep = [i * lam_max / (points - 1) for i in range(points)]
+    files = {
+        "fig1.csv": ["lambda,n,E"] + [
+            f"{fmt(lam)},{n},{fmt(level(n, 10, lam))}"
+            for n in range(4) for lam in sweep],
+        "fig2.csv": ["lambda,omega_hz,E"] + [
+            f"{fmt(lam)},{fmt(w)},{fmt(level(1, w, lam))}"
+            for w in omegas for lam in sweep],
+        "fig3.csv": ["n,omega_hz,E"] + [
+            f"{n},{w},{fmt(level(n, w, fig_lambda))}"
+            for w in (10, 20, 30) for n in range(10)],
+        "fig4.csv": ["omega,n,E"] + [
+            f"{w},{n},{fmt(level(n, w, fig_lambda))}"
+            for n in (1, 2, 3) for w in range(1, 31)],
+    }
+    return {name: ("\n".join(rows) + "\n").encode("ascii")
+            for name, rows in files.items()}
+
+
+nonnegative_rats = st.builds(F, st.integers(0, 10 ** 12), st.integers(1, 10 ** 12))
+positive_rats = st.builds(F, st.integers(1, 10 ** 12), st.integers(1, 10 ** 12))
+
+
+@settings(max_examples=40, deadline=None)
+@given(nonnegative_rats, st.integers(2, 40),
+       st.lists(positive_rats, min_size=1, max_size=3), nonnegative_rats)
+@example(F(2), 81, [F(10), F(12), F(14)], F(1))  # the defaults
+@example(F(0), 2, [F(1, 3)], F(0))
+@example(F(3, 7), 40, [F(10), F(20), F(30)], F(3, 2))
+# fig1's E_1 = 15 - lambda is 1e-25 below a 12-digit tie, which the exact
+# quotient rounds down and a float quotient would round up
+@example(F(49999999999, 10 ** 10) - F(5, 10 ** 11) + F(1, 10 ** 25), 2,
+         [F(10)], F(1))
+def test_figure_bytes_match_fraction_reference(lam_max, points, omegas,
+                                               fig_lambda):
+    with tempfile.TemporaryDirectory() as out:
+        assert cli.main(["figures", "--out", out, "--lam-max", str(lam_max),
+                         "--lam-points", str(points),
+                         "--fig2-omegas", ",".join(map(str, omegas)),
+                         "--fig-lambda", str(fig_lambda)]) == 0
+        want = figures_reference(lam_max, points, omegas, fig_lambda)
+        for name, data in want.items():
+            assert (Path(out) / name).read_bytes() == data, name
 
 
 # each subcommand takes only the flags it reads

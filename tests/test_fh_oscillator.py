@@ -49,11 +49,10 @@ def normalizable_states(draw):
     return n, F(p, q)
 
 
-def fraction_wavefunction(ef, tau):
+def fraction_wavefunction(ef, tau, n_const=1.0):
     """Reference phi(tau): f(tau) by Fraction Horner at Fraction(tau), then
     the envelope; f in logarithms where float(f) overflows.  Returns the
     value and whether the logarithm branch was taken."""
-    n_const = ef.norm_const if ef.norm_const is not None else 1.0
     if ef.envelope_exponent is None:
         log_env = -0.5 * tau * tau
     else:
@@ -83,7 +82,9 @@ def line_integral(fn, panels=2000):
 
 
 def normalized(ef):
-    return ef._replace(norm_const=normalization_constant(ef))
+    """phi(tau) of ef, normalized."""
+    n_const = normalization_constant(ef)
+    return lambda tau: wavefunction_eval(ef, tau, n_const)
 
 
 class TestModelParams:
@@ -256,16 +257,17 @@ class TestEigenPolynomial:
         # overflows a float from tau ~ 1e5 on; the reference takes f/tau^99
         # exactly and tau^99 env(tau) in logarithms
         ef = eigen_polynomial(99, F(1, 100))
-        ef = ef._replace(norm_const=normalization_constant(ef))
+        phi = normalized(ef)
+        n_const = normalization_constant(ef)
         for tau in (1e5, 1e100):
             f = horner(ef.coeffs, F(tau))
             with pytest.raises(OverflowError):
                 float(f)
-            want = ef.norm_const * float(f / F(tau) ** 99) * math.exp(
+            want = n_const * float(f / F(tau) ** 99) * math.exp(
                 99 * math.log(tau)
                 + float(ef.envelope_exponent) * math.log1p(tau * tau / 100))
-            assert wavefunction_eval(ef, tau) == pytest.approx(want, rel=1e-10)
-            assert wavefunction_eval(ef, -tau) == -wavefunction_eval(ef, tau)
+            assert phi(tau) == pytest.approx(want, rel=1e-10)
+            assert phi(-tau) == -phi(tau)
 
     @settings(max_examples=150, deadline=None)
     @given(normalizable_states(),
@@ -279,9 +281,9 @@ class TestEigenPolynomial:
         # the integer evaluation rounds the same rational as the Fraction
         # reference, once, so the two agree bit for bit
         ef = eigen_polynomial(*state)
-        ef = ef._replace(norm_const=normalization_constant(ef))
-        got = wavefunction_eval(ef, tau)
-        assert got.hex() == fraction_wavefunction(ef, tau)[0].hex()
+        n_const = normalization_constant(ef)
+        got = wavefunction_eval(ef, tau, n_const)
+        assert got.hex() == fraction_wavefunction(ef, tau, n_const)[0].hex()
 
     def test_reference_takes_the_log_branch(self):
         # the overflow examples above do reach the logarithm branch
@@ -358,32 +360,30 @@ class TestNormalization:
         # 2/lt - 2n >= 6 (so n is normalizable) keeps phi^2 below tau^-6,
         # smooth enough at the ends of the tan map for the rule to reach 1e-10
         n_top = 6 if lt == 0 else min(6, math.floor(1 / lt) - 3)
-        ef = normalized(eigen_polynomial(data.draw(st.integers(0, n_top)), lt))
-        total = line_integral(lambda t: wavefunction_eval(ef, t) ** 2)
+        phi = normalized(eigen_polynomial(data.draw(st.integers(0, n_top)), lt))
+        total = line_integral(lambda t: phi(t) ** 2)
         assert abs(total - 1.0) < 1e-10
 
     def test_normalized_self_overlap_is_one(self):
         for n in range(3):
-            ef = normalized(eigen_polynomial(n, F(1, 10)))
-            total = line_integral(lambda t: wavefunction_eval(ef, t) ** 2)
+            phi = normalized(eigen_polynomial(n, F(1, 10)))
+            total = line_integral(lambda t: phi(t) ** 2)
             assert abs(total - 1.0) < 1e-6
 
     def test_orthogonality(self):
-        efs = [normalized(eigen_polynomial(n, F(1, 10))) for n in range(4)]
+        phis = [normalized(eigen_polynomial(n, F(1, 10))) for n in range(4)]
         for m in range(4):
             for n in range(m + 1, 4):
                 if (m + n) % 2:
                     continue  # odd product integrates to zero identically
-                overlap = line_integral(
-                    lambda t: wavefunction_eval(efs[m], t)
-                    * wavefunction_eval(efs[n], t))
+                overlap = line_integral(lambda t: phis[m](t) * phis[n](t))
                 assert abs(overlap) < 1e-6, (m, n)
 
     @pytest.mark.parametrize("n", [30, 60, 100, 170])
     def test_harmonic_limit_matches_hermite_recurrence(self, n):
         # at lt = 0, phi_n is the normalized Hermite function up to sign;
         # f(0) = 1 or f'(0) = 1 fixes the sign to (-1)^(n//2)
-        ef = normalized(eigen_polynomial(n, 0))
+        phi = normalized(eigen_polynomial(n, 0))
         sign = (-1) ** (n // 2)
         for i in range(41):
             tau = -2.0 + i / 10
@@ -391,7 +391,7 @@ class TestNormalization:
             for k in range(n):
                 prev, psi = psi, (math.sqrt(2 / (k + 1)) * tau * psi
                                   - math.sqrt(k / (k + 1)) * prev)
-            assert abs(wavefunction_eval(ef, tau) - sign * psi) < 1e-11, tau
+            assert abs(phi(tau) - sign * psi) < 1e-11, tau
 
 
 class TestResiduals:

@@ -100,7 +100,7 @@ def _records():
         (ModelParams(1, 0), "omega"),
         (SpectrumEntry(0, F(1), F(1, 2), True, "closed_form"), "source"),
         (fh_oscillator.bound_state_info(F(1, 10)), "threshold"),
-        (ef, "norm_const"),
+        (ef, "envelope_exponent"),
         (fh_oscillator.residual_check(ef), "ode_samples"),
         (Grid(T=1.0, N=3), "N"),
         (op.parity_blocks[0], "pivmin"),
