@@ -18,7 +18,6 @@ from .aim_core import (
 from .exactalg import (
     BiPoly,
     RootInterval,
-    ZeroPolynomial,
     isolate_real_roots,
     poly_diff_tau,
     poly_eval,
@@ -34,12 +33,10 @@ from .fh_oscillator import (
     normalization_constant,
     residual_check,
     spectrum_closed_dimensionless,
-    spectrum_closed_physical,
     wavefunction_eval,
 )
 from .sl_oracle import (
     Grid,
-    OracleResult,
     TridiagOp,
     discretize,
     eigen_count_below,
@@ -48,12 +45,11 @@ from .sl_oracle import (
 
 __all__ = [
     "AimSpectrumReport", "AimState", "BiPoly", "DeltaPoly", "EigenFunction",
-    "Grid", "ModelParams", "OracleResult", "RootInterval", "SpectrumEntry",
-    "TridiagOp", "ZeroPolynomial", "aim_eigenvalues", "aim_inputs",
-    "aim_iterate", "aim_seed", "bound_state_info", "discretize",
-    "eigen_count_below", "eigen_polynomial", "eigenfunction_via_alpha",
-    "isolate_real_roots", "lowest_eigenvalues", "normalization_constant",
-    "poly_diff_tau", "poly_eval", "quantization_delta", "refine_root",
-    "residual_check", "spectrum_closed_dimensionless",
-    "spectrum_closed_physical", "wavefunction_eval",
+    "Grid", "ModelParams", "RootInterval", "SpectrumEntry", "TridiagOp",
+    "aim_eigenvalues", "aim_inputs", "aim_iterate", "aim_seed",
+    "bound_state_info", "discretize", "eigen_count_below", "eigen_polynomial",
+    "eigenfunction_via_alpha", "isolate_real_roots", "lowest_eigenvalues",
+    "normalization_constant", "poly_diff_tau", "poly_eval",
+    "quantization_delta", "refine_root", "residual_check",
+    "spectrum_closed_dimensionless", "wavefunction_eval",
 ]

@@ -32,17 +32,12 @@ from .exactalg import (
     isolate_real_roots,
     poly_add,
     poly_diff_tau,
-    poly_is_zero,
     poly_mul,
     poly_restrict,
     poly_sub,
-    refine_root,  # noqa: F401  narrows a rejected irrational bracket
+    refine_root,  # noqa: F401  bench/tracing.py looks it up on aim_core
     uni_reduce,
 )
-
-
-class LambdaZero(ValueError):
-    """Seed rejected: the first-derivative coefficient must not vanish."""
 
 
 class DegenerateDelta(ArithmeticError):
@@ -77,7 +72,8 @@ class AimState(NamedTuple):
 
 
 class DeltaPoly(NamedTuple):
-    """Termination determinant at iteration k, univariate in E."""
+    """Termination determinant at iteration k, univariate in E;
+    `bench/tracing.py` reads .k and .poly of `quantization_delta`'s."""
     k: int
     poly: BiPoly
 
@@ -93,17 +89,15 @@ class AimSpectrumReport(NamedTuple):
     identity cannot check, keeps a rational bracket that `refine_root`
     narrows.
     """
-    k_max: int
-    tau0: Fraction
     accepted: tuple[tuple[Fraction, int], ...]
     rejected: tuple[tuple[RootInterval, int], ...]
 
 
 def aim_seed(l0_num: BiPoly, s0_num: BiPoly, u: BiPoly) -> AimState:
     """Start the iteration from l0 = l0_num/u, s0 = s0_num/u."""
-    if poly_is_zero(l0_num):
-        raise LambdaZero("seed coefficient of y' is identically zero")
-    if poly_is_zero(u):
+    if not l0_num:
+        raise ValueError("seed coefficient of y' is identically zero")
+    if not u:
         raise ValueError("denominator base u must be nonzero")
     return AimState(k=0, L=dict(l0_num), S=dict(s0_num), u_poly=dict(u),
                     l0=dict(l0_num), s0=dict(s0_num))
@@ -187,8 +181,7 @@ def aim_eigenvalues(seed: AimState, k_max: int = 12,
     if not accepted:
         raise NoStableRoots(
             f"no root terminated the iteration by k_max={k_max} at tau0={tau0}")
-    return AimSpectrumReport(k_max=k_max, tau0=Fraction(tau0),
-                             accepted=tuple(sorted(accepted.items())),
+    return AimSpectrumReport(accepted=tuple(sorted(accepted.items())),
                              rejected=tuple(rejected))
 
 
@@ -242,6 +235,8 @@ def eigenfunction_via_alpha(state: AimState, e_n: RatLike,
     f'(0) = 1 when 0 is a node.  Each value is the exact rational f(t),
     correctly rounded to a float.  Raises NotTerminated when alpha is not
     a logarithmic derivative: e_n is no eigenvalue, or k is too shallow.
+    No CLI path calls it yet: it is kept for a planned `verify` check of
+    the AIM eigenfunction against `fh_oscillator.eigen_polynomial`.
     """
     e_n = Fraction(e_n)
     num, den = poly_restrict((state.S, state.L), 1, e_n)

@@ -25,13 +25,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import aim_core, fh_oscillator, sl_oracle
-from .fh_oscillator import (
-    LambdaZeroSeed,
-    ModelParams,
-    NonpositiveFrequency,
-    NotNormalizable,
-    SpectrumEntry,
-)
+from .fh_oscillator import ModelParams, NotNormalizable, SpectrumEntry
 
 
 def _parse_rat(text: str) -> Fraction:
@@ -132,6 +126,8 @@ def build_parser() -> argparse.ArgumentParser:
     wf.add_argument("--tau-max", type=float, default=5.0)
     wf.add_argument("--points", type=int, default=201)
 
+    # figures reads only --out of the model flags; it keeps the others
+    # because bench/workloads.py sends them
     fig = sub.add_parser("figures", parents=[model],
                          help="emit fig1..fig4 CSV data files")
     fig.set_defaults(run=cmd_figures)
@@ -162,7 +158,7 @@ def _model(args: Namespace) -> Namespace:
     if lam is not None and lam_tilde is not None:
         raise ValueError("--lambda and --lambda-tilde are mutually exclusive")
     if omega <= 0:
-        raise NonpositiveFrequency(f"omega = {omega}")
+        raise ValueError(f"omega = {omega}")
     args.lam_flag = "--lambda" if lam is not None else "--lambda-tilde"
     if lam_tilde is not None:
         lam = lam_tilde * omega
@@ -273,13 +269,12 @@ def _oracle_solve(op: sl_oracle.TridiagOp, name: str, n_top: int,
     """Oracle energies of n = 0..n_top, bisected to tol; tol_name names
     that width in the error for levels the bisection cannot order."""
     try:
-        res = sl_oracle.lowest_eigenvalues(op, n_top + 1, tol, hints)
+        return sl_oracle.lowest_eigenvalues(op, n_top + 1, tol, hints)
     except sl_oracle.UnresolvedLevels as exc:
         raise ValueError(
             f"oracle levels n = {exc.index} and {exc.index + 1} lie closer "
             f"than {tol_name} {tol:g} on {name}, so the bisection cannot "
             f"order them; lower --n-max or change --grid-N") from None
-    return res.eigenvalues
 
 
 def _oracle_entries(cfg: Namespace) -> list[SpectrumEntry]:
@@ -371,6 +366,7 @@ def cmd_spectrum(cfg: Namespace) -> int:
 
 def cmd_verify(cfg: Namespace) -> int:
     _levels(cfg)
+    table = _closed_entries(cfg)  # the AIM and oracle checks read it too
     if cfg.printed_signs:
         checks = [_check_printed_signs(cfg)]
     else:
@@ -384,22 +380,22 @@ def cmd_verify(cfg: Namespace) -> int:
             raise ValueError(f"lam_tilde must lie in [0, 1), got {lt}")
         # the oracle runs first, so that its errors exit before the
         # iteration: the AIM check reports its own failures as a check
-        oracle = _check_oracle(cfg)
-        checks = [_check_aim_exact(cfg), oracle, _check_residuals(cfg)]
+        oracle = _check_oracle(cfg, table)
+        checks = [_check_aim_exact(cfg, table), oracle, _check_residuals(cfg)]
 
     doc = {
         "params": _params_json(cfg),
-        "entries": [_entry_json(e, cfg) for e in _closed_entries(cfg)],
+        "entries": [_entry_json(e, cfg) for e in table],
         "checks": checks,
     }
     _write_lines([json.dumps(doc, indent=2, sort_keys=True)], cfg.out)
     return 0 if all(c["passed"] for c in checks) else 1
 
 
-def _check_aim_exact(cfg: Namespace) -> dict:
-    """The certified roots must contain the closed-form level, exactly, for
-    every n <= min(n_max, k_max): a depth of k_max certifies E_0..E_k_max.
-    A run that certifies no root fails."""
+def _check_aim_exact(cfg: Namespace, table: list[SpectrumEntry]) -> dict:
+    """The certified roots must contain the closed-form level of the table,
+    exactly, for every n <= min(n_max, k_max): a depth of k_max certifies
+    E_0..E_k_max.  A run that certifies no root fails."""
     n_chk = min(cfg.n_max, cfg.kmax)
     try:
         report = _aim_report(cfg)
@@ -407,9 +403,7 @@ def _check_aim_exact(cfg: Namespace) -> dict:
         return {"name": "aim_matches_closed_form", "passed": False,
                 "detail": str(exc)}
     certified = {v for v, _ in report.accepted}
-    missing = [n for n in range(n_chk + 1)
-               if fh_oscillator.spectrum_closed_dimensionless(
-                   n, cfg.lam_tilde) not in certified]
+    missing = [e.n for e in table[:n_chk + 1] if e.e_tilde not in certified]
     verdict = f"; missing n = {missing}" if missing else "; all exact"
     return {
         "name": "aim_matches_closed_form",
@@ -425,13 +419,22 @@ def _check_aim_exact(cfg: Namespace) -> dict:
 _HINT_REL = 1e-5
 
 
-def _check_oracle(cfg: Namespace) -> dict:
+def _below_edge(n_top: int, lt: Fraction) -> int:
+    """The largest n <= n_top with lt E_n < 1, strictly below the
+    continuum edge, for a normalizable n_top.  lt E_n < 1 is
+    (1 - n lt)(1 - (n + 1) lt) > 0; a normalizable n has n lt < 1, so at
+    lt = p/q it is (n + 1) p < q: a prefix, which n = 0 joins."""
+    p, q = lt.numerator, lt.denominator
+    return min(n_top, (q - 1) // p - 1) if p else n_top
+
+
+def _check_oracle(cfg: Namespace, table: list[SpectrumEntry]) -> dict:
     """Finite-difference eigenvalues against the closed form, for every
     strictly bound n <= n_max: normalizable, and strictly below the
-    continuum edge (edge states converge too slowly).  Past n ~ 1/lt - 1/2
-    the spectrum folds back below the edge, so the filter is on n as well
-    as on E_n; up to normalizable_max_n the levels rise with n, so the kept
-    n form a prefix, and E_0 = 1 < 1/lt keeps it nonempty.
+    continuum edge (edge states converge too slowly; see `_below_edge`).
+    Past n ~ 1/lt - 1/2 the spectrum folds back below the edge, so the
+    filter is on n as well as on E_n.  The closed form E_c of each level
+    is the table's.
 
     The coarse grid spans the same x range, so with H/h = r the order-2
     stencil's error on the fine grid is about |E_h - E_H| / (r^2 - 1).
@@ -448,11 +451,7 @@ def _check_oracle(cfg: Namespace) -> dict:
     never steers an oracle number.  Every error of the fine grid is still
     reported before any of the coarse grid."""
     width, width_name = 1e-9, "the bisection width"
-    n_top = _oracle_top(cfg)
-    # lt E_n >= 1: at or above the edge 1/lt, of which lt = 0 has none
-    closed = fh_oscillator.spectrum_closed_dimensionless
-    while cfg.lam_tilde * closed(n_top, cfg.lam_tilde) >= 1:
-        n_top -= 1
+    n_top = _below_edge(_oracle_top(cfg), cfg.lam_tilde)
     grid, op, points, name = _oracle_op(cfg, n_top)
     failed, coarse = None, ()
     try:
@@ -463,8 +462,7 @@ def _check_oracle(cfg: Namespace) -> dict:
         failed = exc
     del points  # not held through the fine bisection
     ratio = (grid.N + 1) / (grid.N // 2 + 1)
-    level = fh_oscillator.spectrum_closed_physical
-    exact = [float(level(n, cfg.omega, cfg.lam)) for n in range(n_top + 1)]
+    exact = [float(e.e_phys) for e in table[:n_top + 1]]
     hints = []
     for c, H in zip(exact, coarse):
         p = c + (H - c) / (ratio * ratio)
@@ -603,8 +601,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except NotNormalizable as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, LambdaZeroSeed, NonpositiveFrequency,
-            aim_core.LambdaZero) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except aim_core.NoStableRoots as exc:

@@ -28,10 +28,6 @@ BiPoly = Dict[Tuple[int, int], Fraction]
 RatLike = int | Fraction | str
 
 
-class ZeroPolynomial(ValueError):
-    """Operation needs a nonzero polynomial but received the zero one."""
-
-
 # ---------------------------------------------------------------------------
 # construction and arithmetic
 
@@ -91,7 +87,8 @@ def poly_diff_tau(p: BiPoly) -> BiPoly:
 
 
 def poly_eval(p: BiPoly, tau: RatLike, e: RatLike) -> Fraction:
-    """Exact value of p at a rational point (tau, E)."""
+    """Exact value of p at a rational point (tau, E); the tests' reference
+    evaluator."""
     t = Fraction(tau)
     w = Fraction(e)
     total = Fraction(0)
@@ -124,38 +121,21 @@ def poly_restrict(polys: Sequence[BiPoly], var: int, value: RatLike) -> list[lis
     return rows
 
 
-def poly_is_zero(p: BiPoly) -> bool:
-    return not p
-
-
 # ---------------------------------------------------------------------------
 # univariate restriction
 
 def uni_coeffs(p: BiPoly) -> list[Fraction]:
-    """Ascending coefficient list of a univariate polynomial; the list of
-    an integer polynomial is integer.
-
-    Accepts polynomials in tau alone or in E alone (constants count as
-    either).  Raises ZeroPolynomial on the zero polynomial and ValueError
-    when both variables are genuinely present.
-    """
+    """Ascending coefficient list of a nonzero polynomial in E alone; the
+    list of an integer polynomial is integer.  ValueError on the zero
+    polynomial and on one in which tau is present."""
     if not p:
-        raise ZeroPolynomial("zero polynomial has no coefficient list")
-    dts = {k[0] for k in p}
-    des = {k[1] for k in p}
-    if dts == {0}:
-        deg = max(des)
-        out = [0] * (deg + 1)
-        for (_, de), c in p.items():
-            out[de] = c
-        return out
-    if des == {0}:
-        deg = max(dts)
-        out = [0] * (deg + 1)
-        for (dt, _), c in p.items():
-            out[dt] = c
-        return out
-    raise ValueError("polynomial is not univariate")
+        raise ValueError("zero polynomial has no coefficient list")
+    if any(dt for dt, _ in p):
+        raise ValueError("polynomial is not univariate in E")
+    out = [0] * (max(de for _, de in p) + 1)
+    for (_, de), c in p.items():
+        out[de] = c
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +230,7 @@ class _RootIntervalFields(NamedTuple):
 class RootInterval(_RootIntervalFields):
     """One real root, either exactly (rational) or bracketed in [low, high]."""
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
 
     def __init__(self, *args, **kwargs) -> None:
         if self.exact is not None:
@@ -262,21 +243,18 @@ class RootInterval(_RootIntervalFields):
     def midpoint(self) -> Fraction:  # exact roots have low = high = exact
         return (self.low + self.high) / 2
 
-    @property
-    def width(self) -> Fraction:
-        return self.high - self.low
-
 
 def isolate_real_roots(p: BiPoly) -> list[RootInterval]:
-    """Isolate every distinct real root of a univariate polynomial.
+    """Isolate every distinct real root of a polynomial in E.
 
     Rational roots come back exact; irrational ones come back as rational
     brackets each holding exactly one root, with endpoints that are not
     roots.  Results are sorted ascending.  A square-free part c0 + c1 x has
     the one root -c0/c1, returned without the continued-fraction descent.
+    `bench/tracing.py` wraps it by name and reads p as a BiPoly dict.
     """
     if not p:
-        raise ZeroPolynomial("cannot isolate roots of the zero polynomial")
+        raise ValueError("cannot isolate roots of the zero polynomial")
     coeffs = uni_coeffs(p)
     if len(coeffs) == 1:
         return []
@@ -369,6 +347,7 @@ def refine_root(p: BiPoly, iv: RootInterval, tol: RatLike) -> Fraction:
     The bracket must hold one irrational root of p and have endpoints that
     are not roots, as every bracket `isolate_real_roots` returns does, so
     no midpoint is a root and the sign test alone keeps the root inside.
+    No CLI path calls it; `bench/tracing.py` wraps it by name on `aim_core`.
     """
     tol = Fraction(tol)
     if tol <= 0:
@@ -376,7 +355,7 @@ def refine_root(p: BiPoly, iv: RootInterval, tol: RatLike) -> Fraction:
     if iv.exact is not None:
         return iv.exact
     if not p:
-        raise ZeroPolynomial("cannot refine a root of the zero polynomial")
+        raise ValueError("cannot refine a root of the zero polynomial")
     ip = _squarefree(_int_scaled(uni_coeffs(p)))
     a, b = iv.low, iv.high
     positive_at_a = horner(ip, a) > 0
@@ -395,11 +374,12 @@ def uni_reduce(num: list[Fraction], den: list[Fraction]) -> tuple[list[int], lis
     Both come back as integer lists on one common scale: the inputs times a
     single positive rational (clearing every denominator and the joint
     content), divided by the same primitive gcd, so their ratio is kept.
+    `aim_core.eigenfunction_via_alpha` reads f off alpha with it.
     """
     num = _trim(list(num))
     den = _trim(list(den))
     if not den:
-        raise ZeroPolynomial("zero denominator")
+        raise ValueError("zero denominator")
     if not num:
         return [], [1]  # zero function: no spurious denominator roots
     ints = _int_scaled(num + den)

@@ -84,6 +84,7 @@ class Grid(_GridFields):
     """N interior nodes of a uniform x grid on [-asinh(T/s), asinh(T/s)],
     mapped to t = s sinh(x) on [-T, T]; s comes from the model."""
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
 
     def __init__(self, *args, **kwargs) -> None:
         if not 0 < self.T < math.inf:
@@ -118,7 +119,7 @@ class Block(NamedTuple):
     span: tuple[float, float]
 
     @property
-    def n(self) -> int:
+    def n(self) -> int:  # rows; bench/tracing.py tags each count with it
         return len(self.diag)
 
 
@@ -174,10 +175,6 @@ class TridiagOp:
                              "or one shorter")
         self.diag, self.offdiag = diag, offdiag
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, TridiagOp) and \
-            (self.diag, self.offdiag) == (other.diag, other.offdiag)
-
     @property
     def n(self) -> int:  # N, the rows of the whole operator
         return len(self.diag) + len(self.offdiag)
@@ -214,19 +211,6 @@ class UnresolvedLevels(ValueError):
         super().__init__(f"eigenvalues {index} and {index + 1} are not "
                          f"resolved by the bisection")
         self.index = index
-
-
-class _OracleResultFields(NamedTuple):
-    eigenvalues: tuple[float, ...]
-
-
-class OracleResult(_OracleResultFields):
-    __slots__ = ()
-
-    def __init__(self, *args, **kwargs) -> None:
-        for j, (a, b) in enumerate(pairwise(self.eigenvalues)):
-            if not a < b:
-                raise UnresolvedLevels(j)
 
 
 Points = tuple[list[float], list[float]]
@@ -430,16 +414,19 @@ def _level_brackets(op: TridiagOp, m: int, tol: float,
 
 def lowest_eigenvalues(op: TridiagOp, m: int, tol: float,
                        hints: Sequence[Iterable[float]] = ()
-                       ) -> OracleResult:
-    """The lowest m levels, each bisected to width tol.  hints[j], for
-    j < m, are points near level j, such as its value on a coarser grid;
-    they can only save sweeps, never change a result (see `_bisect`)."""
+                       ) -> tuple[float, ...]:
+    """The lowest m levels, the midpoints of brackets bisected to width
+    tol; UnresolvedLevels(j) where the brackets of levels j and j + 1
+    overlap or their midpoints do not increase.  hints[j], for j < m, are
+    points near level j, such as its value on a coarser grid; they can
+    only save sweeps, never change a result (see `_bisect`)."""
     if not 1 <= m <= op.n:
         raise ValueError(f"m must lie in 1..{op.n}")
     if not tol > 0:
         raise ValueError("tol must be positive")
     brackets = _level_brackets(op, m, tol, hints)
+    levels = tuple(0.5 * (lo + hi) for lo, hi in brackets)
     for j, ((_, hi), (lo, _)) in enumerate(pairwise(brackets)):
-        if hi > lo:
+        if hi > lo or not levels[j] < levels[j + 1]:
             raise UnresolvedLevels(j)
-    return OracleResult(tuple(0.5 * (lo + hi) for lo, hi in brackets))
+    return levels

@@ -4,7 +4,6 @@ It shares only the square-free step with the isolation it checks.
 """
 from aimosc.exactalg import (
     BiPoly,
-    ZeroPolynomial,
     _ideriv,
     _int_scaled,
     _prem,
@@ -36,7 +35,7 @@ def _cauchy_bound(ip: list[int]) -> int:
 def sturm_count(p: BiPoly) -> int:
     """Number of distinct real roots over the whole line."""
     if not p:
-        raise ZeroPolynomial("zero polynomial")
+        raise ValueError("zero polynomial")
     coeffs = uni_coeffs(p)
     if len(coeffs) == 1:
         return 0

@@ -22,7 +22,7 @@ from aimosc.aim_core import (
     isolate_real_roots,
     quantization_delta,
 )
-from aimosc.exactalg import horner, poly_eval, poly_is_zero
+from aimosc.exactalg import horner, poly_eval
 from aimosc.fh_oscillator import (
     ModelParams,
     NotNormalizable,
@@ -125,11 +125,11 @@ def test_criterion_04_oracle_cross_check(capsys):
     grid = Grid(T=15.0, N=30000)
     op = discretize(ModelParams(omega=1, lam=F(1, 10)), grid)
     res = lowest_eigenvalues(op, 3, 1e-9)
-    dev = max(abs(v - w) for v, w in zip(res.eigenvalues, (0.5, 1.4, 2.2)))
+    dev = max(abs(v - w) for v, w in zip(res, (0.5, 1.4, 2.2)))
 
     op0 = discretize(ModelParams(omega=1, lam=0), grid)
     res0 = lowest_eigenvalues(op0, 3, 1e-9)
-    dev0 = max(abs(v - w) for v, w in zip(res0.eigenvalues, (0.5, 1.5, 2.5)))
+    dev0 = max(abs(v - w) for v, w in zip(res0, (0.5, 1.5, 2.5)))
 
     elapsed = time.perf_counter() - t0
     ok = dev <= 1e-3 and dev0 <= 1e-4 and elapsed <= 20.0
@@ -146,7 +146,7 @@ def test_criterion_05_convergence_order(capsys):
     # and d2 the two successive differences.
     grids = (Grid(T=15.0, N=1874), Grid(T=15.0, N=3749), Grid(T=15.0, N=7499))
     params = ModelParams(omega=1, lam=F(1, 10))
-    levels = [lowest_eigenvalues(discretize(params, g), 2, 1e-12).eigenvalues
+    levels = [lowest_eigenvalues(discretize(params, g), 2, 1e-12)
               for g in grids]
     orders = [math.log2((a - b) / (b - c)) for a, b, c in zip(*levels)]
     ok = all(1.8 <= o <= 2.2 for o in orders)
@@ -168,7 +168,7 @@ def test_criterion_06_eigenfunction_exactness(capsys):
         for n in range(6):
             rep = residual_check(eigen_polynomial(n, lt),
                                  samples=taus if n <= 3 else (0.5,))
-            if not poly_is_zero(rep.series_residual):
+            if rep.series_residual:
                 series_ok = False
             if n <= 3:
                 worst = max(worst, max(abs(r) for _, r in rep.ode_samples))
@@ -272,7 +272,7 @@ def test_criterion_09_bound_state_census(capsys):
         op = discretize(params, Grid(T=T, N=30000))
         strict = sum(eigen_count_below(b, threshold_e)
                      for b in op.parity_blocks)
-        edge, nxt = lowest_eigenvalues(op, strict + 2, 1e-8).eigenvalues[-2:]
+        edge, nxt = lowest_eigenvalues(op, strict + 2, 1e-8)[-2:]
         shift, gap = edge - threshold_e, nxt - edge
         census = strict + (1 if 0 < shift < 0.25 * gap else 0)
         counts.append((strict, census))

@@ -220,6 +220,27 @@ class TestVerify:
         for d, e in zip(oracle["deltas"], oracle["estimates"]):
             assert d <= 2 * e + 1e-9 and d < 1e-4
 
+    def test_strictly_bound_cut_is_the_integer_rule(self):
+        # the n the oracle check keeps, by (n + 1) p < q at lt = p/q, are
+        # those n <= n_max that are normalizable and have lt E_n < 1, by the
+        # census and the closed form in Fractions, for every p/q in [0, 1)
+        # with q <= 80 and every n_max < 60
+        closed = fh_oscillator.spectrum_closed_dimensionless
+        for q in range(1, 81):
+            for p in range(q):
+                lt = F(p, q)
+                if lt.denominator != q:
+                    continue
+                census = fh_oscillator.bound_state_info(lt)
+                kept = [census.bound(n) and lt * closed(n, lt) < 1
+                        for n in range(60)]
+                for n_max in range(60):
+                    top = cli._oracle_top(Namespace(n_max=n_max, census=census,
+                                                    omega=F(1)))
+                    want = [n for n in range(n_max + 1) if kept[n]]
+                    assert list(range(cli._below_edge(top, lt) + 1)) == want, \
+                        (lt, n_max)
+
     def test_error_bar_gates_below_tol(self, capsys):
         # at --grid-T 4 the truncated domain lifts the levels by up to
         # 1.7e-3, inside --tol 1e-2 but far outside the discretization

@@ -13,11 +13,10 @@ from aimosc.exactalg import RootInterval
 from aimosc.fh_oscillator import (
     EigenFunction,
     ModelParams,
-    NonpositiveFrequency,
     SpectrumEntry,
     eigen_polynomial,
 )
-from aimosc.sl_oracle import Grid, OracleResult, TridiagOp, UnresolvedLevels
+from aimosc.sl_oracle import Grid, TridiagOp
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -34,7 +33,7 @@ class TestConstructorChecks:
             RootInterval(low=F(1), high=F(1))
 
     def test_model_params(self):
-        with _raises(NonpositiveFrequency, "omega = -1/2"):
+        with _raises(ValueError, "omega = -1/2"):
             ModelParams(omega=F(-1, 2), lam=0)
         with _raises(ValueError, "lam must be nonnegative, got -3/4"):
             ModelParams(omega=1, lam=-0.75)
@@ -42,8 +41,11 @@ class TestConstructorChecks:
     def test_model_params_coerce_to_fraction(self):
         p = ModelParams(omega=2, lam=0.25)
         assert type(p.omega) is F and type(p.lam) is F
-        assert (p.omega, p.lam, p.lam_tilde) == (2, F(1, 4), F(1, 8))
+        assert (p.omega, p.lam) == (2, F(1, 4))
         assert ModelParams("3/2", "1/3") == ModelParams(F(3, 2), F(1, 3))
+        made = ModelParams._make(("3/2", "1/3"))
+        assert made == (F(3, 2), F(1, 3)) and type(made.omega) is F
+        assert type(made) is ModelParams
 
     def test_spectrum_entry(self):
         with _raises(ValueError, "unknown source 'guess'"):
@@ -79,11 +81,47 @@ class TestConstructorChecks:
                                  "diag or one shorter"):
             TridiagOp(diag=[1.0, 2.0, 3.0], offdiag=[0.5])
 
-    def test_oracle_result(self):
-        with _raises(UnresolvedLevels, "eigenvalues 1 and 2 are not resolved "
-                                       "by the bisection") as info:
-            OracleResult(eigenvalues=(1.0, 2.0, 2.0, 3.0))
-        assert info.value.index == 1
+
+
+# A record, a field change that its constructor refuses, and the message:
+# _replace and _make build through the constructor, so they refuse it too.
+_BAD_REPLACEMENTS = [
+    ("RootInterval", lambda: RootInterval(F(0), F(1)), {"low": F(2)},
+     "empty interval"),
+    ("RootInterval", lambda: RootInterval(F(1), F(1), F(1)), {"high": F(2)},
+     "exact root must collapse the interval"),
+    ("ModelParams", lambda: ModelParams(1, 0), {"omega": F(-1, 2)},
+     "omega = -1/2"),
+    ("ModelParams", lambda: ModelParams(1, 0), {"lam": -1},
+     "lam must be nonnegative, got -1"),
+    ("SpectrumEntry", lambda: SpectrumEntry(0, F(1), F(1, 2), True, "aim"),
+     {"source": "guess"}, "unknown source 'guess'"),
+    ("SpectrumEntry", lambda: SpectrumEntry(0, F(1), F(1, 2), True, "aim"),
+     {"n": -1}, "n must be nonnegative"),
+    ("EigenFunction", lambda: eigen_polynomial(2, F(1, 10)),
+     {"coeffs": (F(1), F(0), F(0))}, "degree must be exactly n"),
+    ("EigenFunction", lambda: eigen_polynomial(2, F(1, 10)),
+     {"e_tilde": F(3)}, "series recursion broken at c_2"),
+    ("Grid", lambda: Grid(1.0, 3), {"N": 1}, "N must be at least 3"),
+    ("Grid", lambda: Grid(1.0, 3), {"T": float("nan")},
+     "T must be positive and finite, got nan"),
+]
+
+
+@pytest.mark.parametrize("make, change, message", [
+    pytest.param(make, change, message, id=f"{name}-{next(iter(change))}")
+    for name, make, change, message in _BAD_REPLACEMENTS])
+def test_replace_and_make_run_the_checks(make, change, message):
+    record = make()
+    with _raises(ValueError, message):
+        record._replace(**change)
+    fields = [change.get(name, value)
+              for name, value in zip(record._fields, record)]
+    with _raises(ValueError, message):
+        type(record)._make(fields)
+    # with no change, _replace gives an equal record of the same type
+    same = record._replace()
+    assert type(same) is type(record) and same == record
 
 
 def _records():
@@ -104,7 +142,6 @@ def _records():
         (fh_oscillator.residual_check(ef), "ode_samples"),
         (Grid(T=1.0, N=3), "N"),
         (op.parity_blocks[0], "pivmin"),
-        (OracleResult((1.0, 2.0)), "eigenvalues"),
     ]
 
 

@@ -13,8 +13,8 @@ from aimosc import sl_oracle
 from aimosc.fh_oscillator import ModelParams
 from aimosc.sl_oracle import (
     Grid,
-    OracleResult,
     TridiagOp,
+    UnresolvedLevels,
     default_half_width,
     discretize,
     eigen_count_below,
@@ -62,8 +62,22 @@ class TestGrid:
         assert TridiagOp(diag=[1.0, 2.0], offdiag=[0.1, 0.2]).n == 4
 
     def test_result_ordering_guard(self):
-        with pytest.raises(ValueError):
-            OracleResult(eigenvalues=(1.0, 1.0))
+        # lowest_eigenvalues names level j where its bracket overlaps that
+        # of level j + 1, or their midpoints do not increase
+        op = discretize(HARMONIC, Grid(T=2.0, N=10))
+        for brackets, index in (
+                # midpoints 0.5, 2, 2, 3.5: disjoint brackets, not increasing
+                ([(0.0, 1.0), (2.0, 2.0), (2.0, 2.0), (3.0, 4.0)], 1),
+                # the brackets of levels 2 and 3 overlap
+                ([(0.0, 1.0), (1.0, 2.0), (2.0, 3.5), (3.0, 4.0)], 2)):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(sl_oracle, "_level_brackets", lambda *a: brackets)
+                with pytest.raises(UnresolvedLevels,
+                                   match=f"eigenvalues {index} and "
+                                         f"{index + 1} are not resolved"
+                                   ) as info:
+                    lowest_eigenvalues(op, 4, 1e-9)
+            assert info.value.index == index
 
 
 def _stencil(params, g):
@@ -174,7 +188,8 @@ class TestDiscretize:
             g = Grid(T=9.0, N=n)
             ts, gs = mapped_points(params, g)
             assert len(ts) == len(gs) == 2 * (n - n // 2) + 1
-            assert discretize(params, g, (ts, gs)) == discretize(params, g)
+            given, own = discretize(params, g, (ts, gs)), discretize(params, g)
+            assert given.diag == own.diag and given.offdiag == own.offdiag
 
 
 class TestNestedGrid:
@@ -381,7 +396,7 @@ class TestSharedBrackets:
             levels = len(range(p, m, 2))
             values, errors, sweeps = _per_level_bisection(
                 lambda x: _block_count(block, x), *block.span, levels, tol)
-            assert res.eigenvalues[p::2] == values
+            assert res[p::2] == values
             assert tuple(halves[p::2]) == errors
             own = sum(1 for a in calls if a[0] is block)
             assert own < sweeps if levels >= 2 else own <= sweeps
@@ -512,21 +527,21 @@ class TestLowestEigenvalues:
     def test_flat_mass_levels(self):
         op = discretize(HARMONIC, Grid(T=10.0, N=4000))
         res = lowest_eigenvalues(op, 3, 1e-9)
-        for v, want in zip(res.eigenvalues, (0.5, 1.5, 2.5)):
+        for v, want in zip(res, (0.5, 1.5, 2.5)):
             assert abs(v - want) < 1e-4
 
     def test_decaying_mass_levels(self):
         # closed form: E_n = -n(n+1)/20 + (2n+1)/2
         op = discretize(DECAY, Grid(T=15.0, N=6000))
         res = lowest_eigenvalues(op, 3, 1e-9)
-        for v, want in zip(res.eigenvalues, (0.5, 1.4, 2.2)):
+        for v, want in zip(res, (0.5, 1.4, 2.2)):
             assert abs(v - want) < 1e-4
 
     def test_physical_units(self):
         op = discretize(ModelParams(omega=10, lam=1), Grid(T=10.0, N=6000))
         res = lowest_eigenvalues(op, 2, 1e-9)
-        assert abs(res.eigenvalues[0] - 5.0) < 1e-2
-        assert abs(res.eigenvalues[1] - 14.0) < 1e-2
+        assert abs(res[0] - 5.0) < 1e-2
+        assert abs(res[1] - 14.0) < 1e-2
 
     def test_argument_guards(self):
         op = discretize(HARMONIC, Grid(T=2.0, N=10))
@@ -540,8 +555,8 @@ class TestLowestEigenvalues:
     def test_truncation_raises_levels(self):
         tight = discretize(HARMONIC, Grid(T=2.0, N=1000))
         wide = discretize(HARMONIC, Grid(T=8.0, N=1000))
-        e_tight = lowest_eigenvalues(tight, 1, 1e-9).eigenvalues[0]
-        e_wide = lowest_eigenvalues(wide, 1, 1e-9).eigenvalues[0]
+        e_tight = lowest_eigenvalues(tight, 1, 1e-9)[0]
+        e_wide = lowest_eigenvalues(wide, 1, 1e-9)[0]
         assert e_tight > 0.5005
         assert abs(e_wide - 0.5) < 1e-3
         assert e_tight > e_wide
@@ -555,7 +570,7 @@ class TestStencilOrder:
         grids = (Grid(T=15.0, N=1874), Grid(T=15.0, N=3749),
                  Grid(T=15.0, N=7499))
         levels = [lowest_eigenvalues(discretize(DECAY, g), 2, 1e-12)
-                  .eigenvalues for g in grids]
+                  for g in grids]
         for (a, b, c), want in zip(zip(*levels), (0.5, 1.4)):
             assert 1.8 < math.log2((a - b) / (b - c)) < 2.2
             assert abs(c - (b - c) / 3.0 - want) < 1e-8
@@ -580,7 +595,7 @@ class TestMappedGrid:
         params = ModelParams(omega=1, lam=lt)
         T, width = default_half_width(params), 1e-9
         fine, coarse = (lowest_eigenvalues(discretize(params, Grid(T, N)),
-                                           len(ns), width).eigenvalues
+                                           len(ns), width)
                         for N in (7999, 3999))
         for n, e_h, e_H in zip(ns, fine, coarse):
             delta = abs(e_h - float(2 * n + 1 - n * (n + 1) * lt) / 2)
@@ -599,7 +614,7 @@ class TestMappedGrid:
             params = ModelParams(omega=omega, lam=lt * omega)
             op = discretize(params, Grid(T=default_half_width(params),
                                          N=7999))
-            levels = lowest_eigenvalues(op, 2, 1e-9).eigenvalues
+            levels = lowest_eigenvalues(op, 2, 1e-9)
             for j, (block, e) in enumerate(zip(op.parity_blocks, levels)):
                 cut = bisect_right(block.slack_min, e)
                 assert cut < block.n
