@@ -16,7 +16,7 @@ from aimosc.fh_oscillator import (
     SpectrumEntry,
     eigen_polynomial,
 )
-from aimosc.sl_oracle import Grid, TridiagOp
+from aimosc.sl_oracle import Grid, TridiagOp, UnresolvedLevels
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -81,6 +81,15 @@ class TestConstructorChecks:
                                  "diag or one shorter"):
             TridiagOp(diag=[1.0, 2.0, 3.0], offdiag=[0.5])
 
+    def test_oracle_result(self, monkeypatch):
+        # lowest_eigenvalues refuses levels that do not strictly increase
+        op = sl_oracle.discretize(ModelParams(1, 0), Grid(T=2.0, N=10))
+        monkeypatch.setattr(sl_oracle, "_level_brackets", lambda *a: [
+            (v, v) for v in (1.0, 2.0, 2.0, 3.0)])
+        with _raises(UnresolvedLevels, "eigenvalues 1 and 2 are not resolved "
+                                       "by the bisection") as info:
+            sl_oracle.lowest_eigenvalues(op, 4, 1e-9)
+        assert info.value.index == 1
 
 
 # A record, a field change that its constructor refuses, and the message:
