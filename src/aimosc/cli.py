@@ -190,12 +190,14 @@ def _levels(cfg: Namespace) -> None:
 # ---------------------------------------------------------------------------
 # shared computation helpers
 
-def _closed_entries(cfg: Namespace) -> list[SpectrumEntry]:
+def _closed_entries(cfg: Namespace,
+                    n_max: Optional[int] = None) -> list[SpectrumEntry]:
+    """The closed-form rows n = 0..n_max, by default --n-max."""
     # lam_tilde = p/q, omega = c/e: E_tilde_n = num/q, E_n = num c/(2 q e)
     p, q = cfg.lam_tilde.numerator, cfg.lam_tilde.denominator
     c, e = cfg.omega.numerator, cfg.omega.denominator
     out = []
-    for n in range(cfg.n_max + 1):
+    for n in range((cfg.n_max if n_max is None else n_max) + 1):
         num = fh_oscillator.closed_numerator(n, p, q)
         out.append(SpectrumEntry(n, Fraction(num, q),
                                  Fraction(num * c, 2 * q * e),
@@ -292,10 +294,7 @@ def _oracle_entries(cfg: Namespace) -> list[SpectrumEntry]:
 # output shaping
 
 def _rat_or_none(x) -> Optional[str]:
-    if type(x) is Fraction:
-        return f"{x.numerator}/{x.denominator}" if x.denominator != 1 \
-            else str(x.numerator)
-    return None
+    return str(x) if type(x) is Fraction else None  # "p/q", or "p" at q = 1
 
 
 def _entry_json(e: SpectrumEntry, cfg: Namespace) -> dict:
@@ -366,8 +365,8 @@ def cmd_spectrum(cfg: Namespace) -> int:
 
 def cmd_verify(cfg: Namespace) -> int:
     _levels(cfg)
-    table = _closed_entries(cfg)  # the AIM and oracle checks read it too
     if cfg.printed_signs:
+        table = _closed_entries(cfg)
         checks = [_check_printed_signs(cfg)]
     else:
         lt = cfg.lam_tilde
@@ -378,9 +377,11 @@ def cmd_verify(cfg: Namespace) -> int:
             _float(1 / lt, "1/lambda_tilde", cfg.lam_flag)
         if lt >= 1:  # the seed, the census and the eigenfunctions need lt < 1
             raise ValueError(f"lam_tilde must lie in [0, 1), got {lt}")
-        # the oracle runs first, so that its errors exit before the
-        # iteration: the AIM check reports its own failures as a check
-        oracle = _check_oracle(cfg, table)
+        # the oracle runs first, so that its errors exit before the table of
+        # --n-max rows is built and the iteration runs; every other check
+        # reports its own failures as a check
+        oracle = _check_oracle(cfg)
+        table = _closed_entries(cfg)  # the AIM check reads it too
         checks = [_check_aim_exact(cfg, table), oracle, _check_residuals(cfg)]
 
     doc = {
@@ -392,25 +393,28 @@ def cmd_verify(cfg: Namespace) -> int:
     return 0 if all(c["passed"] for c in checks) else 1
 
 
+def _check(name: str, covered: list[int], failed: list[int], detail: str,
+           **extra) -> dict:
+    """Every check's record; it passes if it compared some n and none
+    of them missed its gate, so no check passes on nothing."""
+    return {"name": name, "passed": bool(covered) and not failed,
+            "covered": covered, "failed": failed, "detail": detail, **extra}
+
+
 def _check_aim_exact(cfg: Namespace, table: list[SpectrumEntry]) -> dict:
     """The certified roots must contain the closed-form level of the table,
     exactly, for every n <= min(n_max, k_max): a depth of k_max certifies
-    E_0..E_k_max.  A run that certifies no root fails."""
+    E_0..E_k_max.  A run that certifies no root covers no n."""
     n_chk = min(cfg.n_max, cfg.kmax)
     try:
-        report = _aim_report(cfg)
+        accepted = [v for v, _ in _aim_report(cfg).accepted]
     except aim_core.NoStableRoots as exc:
-        return {"name": "aim_matches_closed_form", "passed": False,
-                "detail": str(exc)}
-    certified = {v for v, _ in report.accepted}
-    missing = [e.n for e in table[:n_chk + 1] if e.e_tilde not in certified]
-    verdict = f"; missing n = {missing}" if missing else "; all exact"
-    return {
-        "name": "aim_matches_closed_form",
-        "passed": not missing,
-        "detail": f"n <= {n_chk} at k_max = {cfg.kmax}" + verdict,
-        "accepted": [_rat_or_none(v) for v, _ in report.accepted],
-    }
+        return _check("aim_matches_closed_form", [], [], str(exc), accepted=[])
+    failed = [e.n for e in table[:n_chk + 1] if e.e_tilde not in accepted]
+    verdict = f"; missing n = {failed}" if failed else "; all exact"
+    return _check("aim_matches_closed_form", list(range(n_chk + 1)), failed,
+                  f"n <= {n_chk} at k_max = {cfg.kmax}" + verdict,
+                  accepted=[_rat_or_none(v) for v in accepted])
 
 
 # Half-width of the fallback hints around a coarse level, relative to the
@@ -428,18 +432,18 @@ def _below_edge(n_top: int, lt: Fraction) -> int:
     return min(n_top, (q - 1) // p - 1) if p else n_top
 
 
-def _check_oracle(cfg: Namespace, table: list[SpectrumEntry]) -> dict:
+def _check_oracle(cfg: Namespace) -> dict:
     """Finite-difference eigenvalues against the closed form, for every
     strictly bound n <= n_max: normalizable, and strictly below the
     continuum edge (edge states converge too slowly; see `_below_edge`).
     Past n ~ 1/lt - 1/2 the spectrum folds back below the edge, so the
     filter is on n as well as on E_n.  The closed form E_c of each level
-    is the table's.
+    is the table's, by `_closed_entries`; with no such n, nothing is solved.
 
     The coarse grid spans the same x range, so with H/h = r the order-2
     stencil's error on the fine grid is about |E_h - E_H| / (r^2 - 1).
-    Each |delta| must lie within twice that estimate plus the bisection
-    width, and within --tol.
+    Each n fails unless its |delta| lies within twice that estimate plus
+    the bisection width, and within --tol.
 
     The coarse grid is solved first, and each fine level gets two pairs
     of hints: P -+ 3 widths around the Richardson point P = E_c + (E_H -
@@ -452,17 +456,20 @@ def _check_oracle(cfg: Namespace, table: list[SpectrumEntry]) -> dict:
     reported before any of the coarse grid."""
     width, width_name = 1e-9, "the bisection width"
     n_top = _below_edge(_oracle_top(cfg), cfg.lam_tilde)
+    if n_top < 0:
+        return _check("oracle_matches_closed_form", [], [], "no strictly "
+                      "bound n <= --n-max", deltas=[], estimates=[])
     grid, op, points, name = _oracle_op(cfg, n_top)
-    failed, coarse = None, ()
+    error, coarse = None, ()
     try:
         _, coarse_op, _, coarse_name = _oracle_op(cfg, n_top, points)
         coarse = _oracle_solve(coarse_op, coarse_name, n_top, width,
                                width_name)
     except ValueError as exc:
-        failed = exc
+        error = exc
     del points  # not held through the fine bisection
     ratio = (grid.N + 1) / (grid.N // 2 + 1)
-    exact = [float(e.e_phys) for e in table[:n_top + 1]]
+    exact = [float(e.e_phys) for e in _closed_entries(cfg, n_top)]
     hints = []
     for c, H in zip(exact, coarse):
         p = c + (H - c) / (ratio * ratio)
@@ -470,40 +477,42 @@ def _check_oracle(cfg: Namespace, table: list[SpectrumEntry]) -> dict:
         w_H = _HINT_REL * max(1.0, abs(H))
         hints.append((p - w, p + w, H - w_H, H + w_H))
     fine = _oracle_solve(op, name, n_top, width, width_name, hints)
-    if failed is not None:
-        raise failed
+    if error is not None:
+        raise error
     deltas = [abs(e - c) for e, c in zip(fine, exact)]
     estimates = [abs(h - H) / (ratio * ratio - 1.0)
                  for h, H in zip(fine, coarse)]
-    worst = max(d / (2.0 * e + width) for d, e in zip(deltas, estimates))
-    return {
-        "name": "oracle_matches_closed_form",
-        "passed": worst <= 1.0 and max(deltas) <= cfg.tol,
-        "detail": f"n <= {len(deltas) - 1}, T = {grid.T:g}, N = {grid.N} "
-                  f"and {grid.N // 2}, max |delta| = {max(deltas):.3e}, "
-                  f"max |delta| / (2 estimate + {width:g}) = {worst:.3f}, "
-                  f"tol = {cfg.tol:g}",
-        "deltas": deltas,
-        "estimates": estimates,
-    }
+    ratios = [d / (2.0 * e + width) for d, e in zip(deltas, estimates)]
+    failed = [n for n, (d, r) in enumerate(zip(deltas, ratios))
+              if not (r <= 1.0 and d <= cfg.tol)]
+    return _check(
+        "oracle_matches_closed_form", list(range(n_top + 1)), failed,
+        f"n <= {n_top}, T = {grid.T:g}, N = {grid.N} and {grid.N // 2}, "
+        f"max |delta| = {max(deltas):.3e}, max |delta| / (2 estimate + "
+        f"{width:g}) = {max(ratios):.3f}, tol = {cfg.tol:g}",
+        deltas=deltas, estimates=estimates)
 
 
 def _check_residuals(cfg: Namespace) -> dict:
-    worst = 0.0
-    for n in range(min(cfg.n_max, 5) + 1):
-        if not cfg.census.bound(n):
-            break
-        ef = fh_oscillator.eigen_polynomial(n, cfg.lam_tilde)
-        rep = fh_oscillator.residual_check(ef)
-        if rep.series_residual:
-            return {"name": "eigenfunction_residuals", "passed": False,
-                    "detail": f"nonzero series residual at n = {n}"}
-        worst = max(worst, max(abs(r) for _, r in rep.ode_samples))
-    return {
-        "name": "eigenfunction_residuals",
-        "passed": worst < 1e-9,
-        "detail": f"series residuals zero; worst sampled residual {worst:.3e}",
-    }
+    """Each bound n <= min(n_max, 5) fails on a nonzero series residual,
+    a sampled one of 1e-9 or more, or a series that does not terminate:
+    every input was checked, so that is an inconsistency, not bad input."""
+    covered = [n for n in range(min(cfg.n_max, 5) + 1) if cfg.census.bound(n)]
+    failed, worst = [], 0.0
+    for n in covered:
+        try:
+            rep = fh_oscillator.residual_check(
+                fh_oscillator.eigen_polynomial(n, cfg.lam_tilde))
+        except ValueError:
+            failed.append(n)
+            continue
+        sampled = [abs(r) for _, r in rep.ode_samples]
+        worst = max(worst, *sampled)
+        if rep.series_residual or not all(r < 1e-9 for r in sampled):
+            failed.append(n)
+    verdict = f"n = {failed} fail" if failed else "series residuals zero"
+    return _check("eigenfunction_residuals", covered, failed,
+                  f"{verdict}; worst sampled residual {worst:.3e}")
 
 
 def _check_printed_signs(cfg: Namespace) -> dict:
@@ -519,13 +528,10 @@ def _check_printed_signs(cfg: Namespace) -> dict:
     flipped = 2 * lt - 1
     reference = fh_oscillator.spectrum_closed_dimensionless(1, lt)
     demonstrated = flipped in roots and reference not in roots
-    return {
-        "name": "printed_sign_discrepancy",
-        "passed": demonstrated,
-        "detail": f"k=1 roots {[_rat_or_none(r) for r in roots]}; "
-                  f"contain {_rat_or_none(flipped)}, closed-form first "
-                  f"excited {_rat_or_none(reference)} absent: {demonstrated}",
-    }
+    return _check("printed_sign_discrepancy", [1], [] if demonstrated else [1],
+                  f"k=1 roots {[_rat_or_none(r) for r in roots]}; contain "
+                  f"{_rat_or_none(flipped)}, closed-form first excited "
+                  f"{_rat_or_none(reference)} absent: {demonstrated}")
 
 
 def cmd_wavefunction(cfg: Namespace) -> int:
@@ -598,18 +604,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.run(_model(args))
-    except NotNormalizable as exc:
+    except (ValueError, aim_core.NoStableRoots, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except aim_core.NoStableRoots as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        if isinstance(exc, ValueError):  # NotNormalizable is one
+            return 3 if isinstance(exc, NotNormalizable) else 2
+        return 1 if isinstance(exc, aim_core.NoStableRoots) else 4
 
 
 if __name__ == "__main__":

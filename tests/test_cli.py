@@ -263,8 +263,80 @@ class TestVerify:
         assert code == 1
         check = json.loads(out)["checks"][0]
         assert check["name"] == "aim_matches_closed_form"
+        assert check["covered"] == check["failed"] == check["accepted"] == []
         assert check["passed"] is False
         assert "no root terminated" in check["detail"]
+
+    @pytest.mark.parametrize("lt, lowered", [
+        ("2/3", 1),    # normalizable_max_n 0 lowered to -1
+        ("1/10", 10),  # normalizable_max_n 9 lowered to -1
+    ])
+    def test_zero_coverage_fails_in_oracle_and_residuals(
+            self, capsys, monkeypatch, lt, lowered):
+        # a census that binds no level leaves the oracle and the residual
+        # check nothing to compare: both fail, and the oracle solves for no
+        # level instead of asking the bisection for none (once exit 2)
+        census = fh_oscillator.bound_state_info
+
+        def lowered_census(lam_tilde):
+            info = census(lam_tilde)
+            return info._replace(
+                normalizable_max_n=info.normalizable_max_n - lowered)
+        monkeypatch.setattr(fh_oscillator, "bound_state_info", lowered_census)
+        code, out, err = run(capsys, ["verify", "--lambda-tilde", lt,
+                                      "--grid-N", "500"])
+        assert (code, err) == (1, "")
+        aim, oracle, residuals = json.loads(out)["checks"]
+        assert aim["passed"] is True
+        for check in (oracle, residuals):
+            assert check["covered"] == check["failed"] == [], check["name"]
+            assert check["passed"] is False, check["name"]
+        assert oracle["deltas"] == oracle["estimates"] == []
+
+    @pytest.mark.parametrize("lt", ["0", "1/10"])
+    def test_inconsistent_eigenfunction_is_a_failed_check(
+            self, capsys, monkeypatch, lt):
+        # a closed form that gives E_(n+1) for n >= 2 makes those series
+        # run past degree n; every flag is valid, so that is a failed
+        # check (exit 1), not bad input (exit 2)
+        closed = fh_oscillator.spectrum_closed_dimensionless
+        monkeypatch.setattr(fh_oscillator, "spectrum_closed_dimensionless",
+                            lambda n, lam_tilde: closed(n + (n >= 2),
+                                                        lam_tilde))
+        code, out, err = run(capsys, ["verify", "--lambda-tilde", lt,
+                                      "--grid-N", "2001"])
+        assert (code, err) == (1, "")
+        check = json.loads(out)["checks"][2]
+        assert check["name"] == "eigenfunction_residuals"
+        assert check["covered"] == [0, 1, 2, 3]
+        assert check["failed"] == [2, 3]
+        assert check["passed"] is False
+
+    def test_sampled_residual_fails_its_own_n(self, capsys, monkeypatch):
+        residuals = fh_oscillator.residual_check
+
+        def off_at_1(ef):
+            rep = residuals(ef)
+            if ef.n != 1:
+                return rep
+            return rep._replace(ode_samples=tuple(
+                (tau, r + 2e-9) for tau, r in rep.ode_samples))
+        monkeypatch.setattr(fh_oscillator, "residual_check", off_at_1)
+        code, out, _ = run(capsys, ["verify", "--grid-N", "2001"])
+        assert code == 1
+        check = json.loads(out)["checks"][2]
+        assert (check["covered"], check["failed"]) == ([0, 1, 2, 3], [1])
+        assert check["detail"].startswith("n = [1] fail; ")
+
+    def test_n_max_past_the_oracle_rows_rejected_before_the_table(
+            self, capsys, monkeypatch):
+        def no_table(cfg):
+            raise AssertionError("the closed-form table was built")
+        monkeypatch.setattr(cli, "_closed_entries", no_table)
+        code, out, err = run(capsys, ["verify", "--n-max", "100000"])
+        assert (code, out) == (2, "")
+        assert err == ("error: --n-max asks the oracle for n = 0..100000, "
+                       "more than the 7999 levels of --grid-N 7999\n")
 
     def test_shallowest_depth_covers_kmax_levels(self, capsys):
         code, out, _ = run(capsys, ["verify", "--lambda-tilde", "1/10",
@@ -305,6 +377,39 @@ def run_quiet(argv):
     return code, out.getvalue()
 
 
+lt_draws = st.integers(1, 12).flatmap(
+    lambda q: st.builds(F, st.integers(0, q - 1), st.just(q)))
+
+
+class TestPassRule:
+    """Every verify check passes exactly when it covered some n and none
+    of them failed; it fails only n it covered, and covers only n that
+    the table lists."""
+
+    @staticmethod
+    def assert_pass_rule(doc):
+        table = set(range(doc["params"]["n_max"] + 1))
+        for c in doc["checks"]:
+            assert c["passed"] == (bool(c["covered"]) and not c["failed"]), c
+            assert set(c["failed"]) <= set(c["covered"]) <= table, c
+
+    @pytest.mark.parametrize("name", ["verify_lt0", "verify_lt1_10",
+                                      "verify_lt1_3", "verify_lt1_7",
+                                      "verify_printed_signs"])
+    def test_goldens(self, name):
+        path = Path(__file__).resolve().parent / "golden" / f"{name}.stdout"
+        self.assert_pass_rule(json.loads(path.read_text()))
+
+    @settings(max_examples=25, deadline=None)
+    @given(lt_draws)
+    def test_over_lambda_tilde(self, lt):
+        code, out = run_quiet(["verify", "--lambda-tilde", str(lt),
+                               "--grid-N", "2001"])
+        doc = json.loads(out)
+        self.assert_pass_rule(doc)
+        assert code == (0 if all(c["passed"] for c in doc["checks"]) else 1)
+
+
 class TestOracleHints:
     """verify's fine bisection counts hints first: the Richardson point of
     the coarse level and the closed form, and the coarse level itself.
@@ -327,8 +432,7 @@ class TestOracleHints:
             [x + 1e-3 for x in h] for h in hints]) == want
 
     @settings(max_examples=10, deadline=None)
-    @given(st.integers(1, 12).flatmap(
-        lambda q: st.builds(F, st.integers(0, q - 1), st.just(q))))
+    @given(lt_draws)
     def test_hints_steer_only_speed(self, lt):
         self.assert_same_report(["verify", "--lambda-tilde", str(lt)])
 
