@@ -48,6 +48,8 @@ CASES = {
                         "1/10", "--grid-N", "3000", "--format", "json"],
     "spectrum_oracle_n20": ["spectrum", "--method", "oracle", "--n-max", "20",
                             "--grid-N", "3000", "--format", "json"],
+    "spectrum_oracle_csv": ["spectrum", "--method", "oracle", "--lambda-tilde",
+                            "1/10", "--grid-N", "3000", "--format", "csv"],
     "verify_lt0": ["verify", "--grid-N", "4000"],
     "verify_lt1_10": ["verify", "--lambda-tilde", "1/10", "--grid-N", "4000"],
     "verify_lt1_3": ["verify", "--lambda-tilde", "1/3", "--grid-N", "4000"],
@@ -63,6 +65,10 @@ CASES = {
                         "--points", "21", "--tau-min", "-3", "--tau-max", "7"],
     "wavefunction_n3": ["wavefunction", "--lambda-tilde", "1/4", "--n", "3",
                         "--points", "21"],
+    # 13-digit ties: .12g alone would print 5 of these 10 taus differently
+    "wavefunction_ties": ["wavefunction", "--lambda-tilde", "1/10", "--n", "1",
+                          "--tau-min", "1.000000000005",
+                          "--tau-max", "1.000000000095", "--points", "10"],
     "figures_default": ["figures"],
     "figures_caption_omegas": ["figures", "--fig2-omegas", "10,20,30",
                                "--lam-points", "11", "--fig-lambda", "3/2"],
