@@ -7,7 +7,8 @@ eigenstate; `figures` emits the four sweep CSV files.  Each subcommand
 checks its own flags, before it writes any output.
 
 Rational inputs are accepted as "p/q" strings and kept exact internally.
-CSV output prints 12 significant digits (exact for terminating decimals),
+CSV output prints a float as its shortest repr rounded half-even to 12
+significant digits and a Fraction by one correctly rounded division,
 comma-separated, LF endings.  Exit codes: 0 success, 1 verification
 failure, 2 bad parameters, 3 not normalizable, 4 I/O trouble.
 """
@@ -49,10 +50,25 @@ def _ratio12(num: int, den: int) -> str:
 
 
 def _dec12(value) -> str:
-    """A Fraction by _ratio12; a float by its shortest repr, rounded."""
+    """A Fraction by _ratio12; a float x as its shortest repr D, rounded
+    half-even to 12 digits by the Decimal line at the end.  format(x,
+    ".12g") rounds x itself to the same digits: if D has at most 12
+    digits, both give D; if 13, ".13g" gives D, and x and D round apart
+    only when D ends in 5, a tie; if 14 or more, no 12-digit rounding
+    boundary lies between x and D, for it would be a shorter string that
+    round-trips.  Zero, non-finite x, an exponent in the text and a
+    13-digit tie take the Decimal line."""
     if type(value) is Fraction:
         return _ratio12(value.numerator, value.denominator)
-    return _plain12(_DEC12.plus(Decimal(repr(float(value)))))
+    x = float(value)
+    text = format(x, ".12g")
+    if x and math.isfinite(x) and "e" not in text:
+        d = format(x, ".13g")
+        mantissa = d.partition("e")[0]
+        if (mantissa[-1] != "5" or float(d) != x
+                or len(mantissa.strip("-.0").replace(".", "")) != 13):
+            return text
+    return _plain12(_DEC12.plus(Decimal(repr(x))))
 
 
 def _plain12(d: Decimal) -> str:
@@ -349,16 +365,19 @@ def _emit_entries(entries: list[SpectrumEntry], cfg: Namespace) -> None:
 
 def cmd_spectrum(cfg: Namespace) -> int:
     _levels(cfg)
-    if "aim" in (cfg.method or ()) and cfg.kmax < 2:
+    methods = cfg.method or ("closed",)
+    if "aim" in methods and cfg.kmax < 2:
         raise ValueError(f"--kmax must be at least 2, got {cfg.kmax}")
+    # the oracle runs first, so its errors exit before any row is built
+    oracle = _oracle_entries(cfg) if "oracle" in methods else []
     entries: list[SpectrumEntry] = []
-    for method in cfg.method or ("closed",):
+    for method in methods:
         if method == "closed":
             entries.extend(_closed_entries(cfg))
         elif method == "aim":
             entries.extend(_aim_entries(cfg))
         else:
-            entries.extend(_oracle_entries(cfg))
+            entries.extend(oracle)
     _emit_entries(entries, cfg)
     return 0
 
@@ -554,12 +573,10 @@ def cmd_wavefunction(cfg: Namespace) -> int:
         raise ValueError("--n must be nonnegative")
     ef = fh_oscillator.eigen_polynomial(cfg.n, cfg.lam_tilde)
     norm = fh_oscillator.normalization_constant(ef)
-    lines = ["tau,phi"]
-    for i in range(cfg.points):
-        tau = cfg.tau_min + i * step
-        phi = fh_oscillator.wavefunction_eval(ef, tau, norm)
-        lines.append(f"{_dec12(tau)},{_dec12(phi)}")
-    _write_lines(lines, cfg.out)
+    taus = [cfg.tau_min + i * step for i in range(cfg.points)]
+    phis = fh_oscillator.wavefunction_eval(ef, taus, norm)
+    _write_lines(["tau,phi"] + [f"{_dec12(tau)},{_dec12(phi)}"
+                                for tau, phi in zip(taus, phis)], cfg.out)
     return 0
 
 

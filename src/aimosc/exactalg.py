@@ -12,7 +12,7 @@ isolates every real root, hitting each rational root exactly and returning
 each irrational one as a rational bracket whose ends are not roots;
 `refine_root` narrows such a bracket by exact bisection.
 
-`horner`, the package's one polynomial evaluator (exact on rationals, plain
+`horner`, the evaluator of coefficient lists (exact on rationals, plain
 floating point on floats), also lives here for the other layers.  No
 quadrature is left in the package: eigenfunctions are normalized from exact
 moment ratios.

@@ -221,32 +221,35 @@ def eigen_polynomial(n: int, lam_tilde: RatLike) -> EigenFunction:
                          envelope_exponent=exponent)
 
 
-def _log_envelope(ef: EigenFunction, tau: float) -> float:
-    lt, exponent = ef.envelope_floats
-    if exponent is None:
-        return -0.5 * tau * tau
-    return exponent * math.log1p(lt * tau * tau)
-
-
-def wavefunction_eval(ef: EigenFunction, tau: float,
-                      n_const: float = 1.0) -> float:
-    """n_const env(tau) f(tau).  f(tau) is evaluated exactly in integers,
-    with tau = a/b and the coefficients over one common denominator, and
-    rounded once.  Where f(tau) itself overflows a float, the product is
-    taken in logarithms: the envelope wins for every normalizable n, so
-    the value is finite (often 0)."""
-    a, b = tau.as_integer_ratio()
+def wavefunction_eval(ef: EigenFunction, taus: Sequence[float],
+                      n_const: float = 1.0) -> list[float]:
+    """n_const env(tau) f(tau) at each tau.  f(tau) = num/(den 2^(e top))
+    is evaluated exactly in integers, with tau = a/2^e, the coefficients
+    over one common denominator den and num by Horner's rule in
+    homogeneous form, and rounded once.  Where f(tau) itself overflows a
+    float, the product is taken in logarithms: the envelope wins for every
+    normalizable n, so the value is finite (often 0)."""
     den, scaled = ef.integer_coeffs
-    top = len(scaled) - 1
-    num = horner([c * b ** (top - j) for j, c in enumerate(scaled)], a)
-    den *= b ** top                     # f(tau) = num/den
-    try:
-        return n_const * math.exp(_log_envelope(ef, tau)) * (num / den)
-    except OverflowError:
-        f = Fraction(num, den)
-        log_abs = (math.log(n_const) + _log_envelope(ef, tau)
-                   + math.log(abs(f.numerator)) - math.log(f.denominator))
-        return -math.exp(log_abs) if f < 0 else math.exp(log_abs)
+    lt, exponent = ef.envelope_floats
+    top, descending = len(scaled) - 1, scaled[::-1]
+    out = []
+    for tau in taus:
+        a, b = tau.as_integer_ratio()
+        e = b.bit_length() - 1          # b = 2^e
+        num = shift = 0
+        for c in descending:            # c_j a^j 2^(e (top - j)) summed
+            num = num * a + (c << shift)
+            shift += e
+        log_env = (-0.5 * tau * tau if exponent is None
+                   else exponent * math.log1p(lt * tau * tau))
+        try:
+            out.append(n_const * math.exp(log_env) * (num / (den << e * top)))
+        except OverflowError:
+            f = Fraction(num, den << e * top)
+            log_abs = (math.log(n_const) + log_env
+                       + math.log(abs(f.numerator)) - math.log(f.denominator))
+            out.append(-math.exp(log_abs) if f < 0 else math.exp(log_abs))
+    return out
 
 
 def normalization_constant(ef: EigenFunction) -> float:

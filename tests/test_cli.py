@@ -163,6 +163,21 @@ class TestSpectrum:
         assert (F(1, 2), 1) in marginal and (F(1, 4), 3) in marginal
         assert all(lt for lt, _ in marginal)
 
+    @pytest.mark.parametrize("first", ["closed", "aim"])
+    def test_n_max_past_the_oracle_rows_rejected_before_any_row(
+            self, capsys, monkeypatch, first):
+        # the same exit, whichever method comes before the oracle
+        def no_rows(cfg):
+            raise AssertionError(f"the {first} rows were built")
+        monkeypatch.setattr(cli, "_closed_entries", no_rows)
+        monkeypatch.setattr(cli, "_aim_report", no_rows)
+        code, out, err = run(capsys, ["spectrum", "--method", first,
+                                      "--method", "oracle", "--n-max",
+                                      "100000"])
+        assert (code, out) == (2, "")
+        assert err == ("error: --n-max asks the oracle for n = 0..100000, "
+                       "more than the 7999 levels of --grid-N 7999\n")
+
 
 class TestVerify:
     def test_all_checks_pass(self, capsys):
@@ -675,7 +690,23 @@ dec12_floats = st.one_of(
     st.integers(10 ** 11, 10 ** 12 - 1).map(lambda k: k + 0.5),
     st.integers(10 ** 11, 10 ** 12 - 1).map(lambda k: float(10 * k + 5)),
     st.integers(-10 ** 20, 10 ** 20),
+    # shortest repr k5e<e>: 13 digits ending in 5, a tie at 12 digits, of
+    # either sign and with .12g in and out of exponent form
+    st.builds(lambda sign, k, e: sign * float(f"{k}5e{e}"),
+              st.sampled_from((-1, 1)), st.integers(10 ** 11, 10 ** 12 - 1),
+              st.integers(-20, 2)),
 )
+
+
+def test_dec12_rounds_13_digit_ties_as_the_repr():
+    # x lies off its shortest repr, a tie: .12g of x alone rounds about
+    # half of these the other way
+    ties = [sign * float(f"{k}5e{e}") for sign in (-1, 1)
+            for k in range(10 ** 11, 10 ** 11 + 25)
+            for e in (-16, -12, -8, -3)]
+    want = [dec12_localcontext(x) for x in ties]
+    assert [cli._dec12(x) for x in ties] == want
+    assert sum(format(x, ".12g") != w for x, w in zip(ties, want)) > 50
 
 
 @given(st.one_of(dec12_fractions, dec12_floats), st.integers(1, 10 ** 30))

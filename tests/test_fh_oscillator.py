@@ -81,7 +81,7 @@ def line_integral(fn, panels=2000):
 def normalized(ef):
     """phi(tau) of ef, normalized."""
     n_const = normalization_constant(ef)
-    return lambda tau: wavefunction_eval(ef, tau, n_const)
+    return lambda tau: wavefunction_eval(ef, [tau], n_const)[0]
 
 
 class TestModelParams:
@@ -253,8 +253,7 @@ class TestEigenPolynomial:
         for n in range(5):
             ef = eigen_polynomial(n, F(1, 10))
             for tau in (0.3, 1.1, 2.6):
-                left = wavefunction_eval(ef, -tau)
-                right = wavefunction_eval(ef, tau)
+                left, right = wavefunction_eval(ef, [-tau, tau])
                 assert abs(left - (-1.0) ** n * right) < 1e-12 * (1 + abs(right))
 
     def test_value_where_the_polynomial_overflows(self):
@@ -287,8 +286,20 @@ class TestEigenPolynomial:
         # reference, once, so the two agree bit for bit
         ef = eigen_polynomial(*state)
         n_const = normalization_constant(ef)
-        got = wavefunction_eval(ef, tau, n_const)
+        got, = wavefunction_eval(ef, [tau], n_const)
         assert got.hex() == fraction_wavefunction(ef, tau, n_const)[0].hex()
+
+    def test_grid_mixes_overflowing_and_ordinary_samples(self):
+        # each sample takes its own branch: a grid through both gives
+        # every value bit for bit as the Fraction reference does
+        ef = eigen_polynomial(99, F(1, 100))
+        n_const = normalization_constant(ef)
+        taus = [-1e100, -1e5, -2.6, -0.3, 0.0, 0.3, 2.6, 1e5, 1e100]
+        want = [fraction_wavefunction(ef, tau, n_const) for tau in taus]
+        assert [logs for _, logs in want] == [True] * 2 + [False] * 5 \
+            + [True] * 2
+        got = wavefunction_eval(ef, taus, n_const)
+        assert [g.hex() for g in got] == [w.hex() for w, _ in want]
 
     def test_reference_takes_the_log_branch(self):
         # the overflow examples above do reach the logarithm branch
