@@ -20,8 +20,11 @@ import json
 import math
 import sys
 from argparse import Namespace
+from bisect import bisect_left, bisect_right
 from decimal import Context, Decimal
 from fractions import Fraction
+from itertools import repeat
+from operator import add, mul
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -451,6 +454,53 @@ def _below_edge(n_top: int, lt: Fraction) -> int:
     return min(n_top, (q - 1) // p - 1) if p else n_top
 
 
+def _coarse_hints(cfg: Namespace, op: sl_oracle.TridiagOp,
+                  points: sl_oracle.Points, exact: list) -> list[tuple]:
+    """R -+ w, w = 1e-8 max(1, |R|) + 4 (R - exact[n])^2, for each n whose
+    f_n builds: R is the Rayleigh quotient on op's block n % 2 of the state
+    sqrt(g) env(tau) f_n(tau), tau^2 = omega t^2, at op's held nodes and
+    folded as `TridiagOp.parity_blocks` folds rows.  The sample stops
+    before the last row or where env(tau) max(1, tau)^n falls below 1e-12
+    of its peak, at tau^2 = max(1, n / (1 - n lt))."""
+    omega = float(cfg.omega)
+    tau2 = [omega * t * t for t in points[0][1::2]]
+    weight, pairs = [], []  # weight: sqrt(g) env, as far as a level needs
+    for n, e_c in enumerate(exact):
+        try:
+            ef = fh_oscillator.eigen_polynomial(n, cfg.lam_tilde)
+            coeffs = [float(c) for c in ef.coeffs[ef.n % 2::2]]
+        except (ValueError, OverflowError):
+            pairs.append(())
+            continue
+        lt, a = ef.envelope_floats
+
+        def drop(y: float) -> float:  # -log(env max(1, tau)^n), tau^2 = y
+            return (0.5 * y if a is None else -a * math.log1p(lt * y)
+                    ) - 0.5 * n * math.log(max(1.0, y))
+        peak = max(1.0, n / (1.0 - n * lt))
+        cut = min(len(tau2) - 1, bisect_right(
+            tau2, 12.0 * math.log(10.0) + min(0.0, drop(peak)),
+            bisect_left(tau2, peak), key=drop))
+        rows = zip(tau2[len(weight):cut], points[1][2 * len(weight) + 1::2])
+        weight += ([math.sqrt(g) * math.exp(-0.5 * y) for y, g in rows]
+                   if a is None else
+                   [math.sqrt(g) * (1.0 + lt * y) ** a for y, g in rows])
+        v = weight[:cut]  # times f_n(tau) = tau^(n % 2) P(tau^2) up to scale
+        if len(coeffs) > 1:
+            f = repeat(coeffs[-1])
+            for c in reversed(coeffs[:-1]):
+                f = map(add, map(mul, f, tau2[:cut]), repeat(c))
+            v = list(map(mul, v, f))
+        if ef.n % 2:
+            v = list(map(mul, v, map(math.sqrt, tau2[:cut])))
+        if v and len(op.diag) > len(op.offdiag):  # odd N: the centre row
+            v = v[1:] if n % 2 else [v[0] * math.sqrt(0.5), *v[1:]]
+        r = sl_oracle.rayleigh_quotient(op.parity_blocks[n % 2], v)
+        w = 1e-8 * max(1.0, abs(r)) + 4.0 * (r - e_c) * (r - e_c)
+        pairs.append((r - w, r + w))
+    return pairs
+
+
 def _check_oracle(cfg: Namespace) -> dict:
     """Finite-difference eigenvalues against the closed form, for every
     strictly bound n <= n_max: normalizable, and strictly below the
@@ -464,31 +514,29 @@ def _check_oracle(cfg: Namespace) -> dict:
     Each n fails unless its |delta| lies within twice that estimate plus
     the bisection width, and within --tol.
 
-    The coarse grid is solved first, and each fine level gets two pairs
-    of hints: P -+ 3 widths around the Richardson point P = E_c + (E_H -
-    E_c) / r^2 of the coarse level E_H and the closed form E_c, which lies
-    within the bisection width of the fine level where h^2 is the leading
-    error; and E_H -+ _HINT_REL, the fallback where P misses (as at
-    --grid-T 4, where P's pair costs up to 2 more sweeps per level).  A
-    hint cannot change a fine level, only spare sweeps, so the closed form
-    never steers an oracle number.  Every error of the fine grid is still
-    reported before any of the coarse grid."""
+    The coarse grid is solved first.  Hints count first on both grids:
+    `_coarse_hints` on the coarse one; on the fine one P -+ 3 widths
+    around the Richardson point P = E_c + (E_H - E_c) / r^2, and E_H -+
+    _HINT_REL where P misses (README).  No hint changes a level, so the
+    closed form never steers an oracle number.  Every error of the fine
+    grid is still reported before any of the coarse grid."""
     width, width_name = 1e-9, "the bisection width"
     n_top = _below_edge(_oracle_top(cfg), cfg.lam_tilde)
     if n_top < 0:
         return _check("oracle_matches_closed_form", [], [], "no strictly "
                       "bound n <= --n-max", deltas=[], estimates=[])
     grid, op, points, name = _oracle_op(cfg, n_top)
+    exact = [float(e.e_phys) for e in _closed_entries(cfg, n_top)]
     error, coarse = None, ()
     try:
-        _, coarse_op, _, coarse_name = _oracle_op(cfg, n_top, points)
-        coarse = _oracle_solve(coarse_op, coarse_name, n_top, width,
-                               width_name)
+        _, coarse_op, points, coarse_name = _oracle_op(cfg, n_top, points)
+        coarse = _oracle_solve(
+            coarse_op, coarse_name, n_top, width, width_name,
+            _coarse_hints(cfg, coarse_op, points, exact))
     except ValueError as exc:
         error = exc
     del points  # not held through the fine bisection
     ratio = (grid.N + 1) / (grid.N // 2 + 1)
-    exact = [float(e.e_phys) for e in _closed_entries(cfg, n_top)]
     hints = []
     for c, H in zip(exact, coarse):
         p = c + (H - c) / (ratio * ratio)

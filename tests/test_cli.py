@@ -426,9 +426,11 @@ class TestPassRule:
 
 
 class TestOracleHints:
-    """verify's fine bisection counts hints first: the Richardson point of
-    the coarse level and the closed form, and the coarse level itself.
-    They steer only how many sweeps it takes, never what it reports."""
+    """verify's bisections count hints first.  The coarse grid's are the
+    Rayleigh quotient of the closed-form state on that grid; the fine
+    grid's are the Richardson point of the coarse level and the closed
+    form, and the coarse level itself.  They steer only how many sweeps
+    the bisections take, never what verify reports."""
 
     @staticmethod
     def with_hints(argv, change):
@@ -441,10 +443,13 @@ class TestOracleHints:
             return run_quiet(argv)
 
     def assert_same_report(self, argv):
+        # each change reaches the hints of both grids
         want = run_quiet(argv)
         assert self.with_hints(argv, lambda hints: ()) == want
         assert self.with_hints(argv, lambda hints: [
             [x + 1e-3 for x in h] for h in hints]) == want
+        assert self.with_hints(argv, lambda hints: [
+            [math.nan] * len(h) for h in hints]) == want
 
     @settings(max_examples=10, deadline=None)
     @given(lt_draws)
@@ -458,17 +463,32 @@ class TestOracleHints:
         # is not the leading error and the prediction misses
         self.assert_same_report(["verify"] + flags)
 
-    @pytest.mark.parametrize("flags, most", [
-        # the coarse-level hints alone took 115 and 125 counts
-        (["--lambda-tilde", "1/10"], 40),
-        (["--lambda-tilde", "1/10", "--grid-N", "4000"], 40),
-        # the prediction misses by far more than its pair's width: 73
-        # counts with the coarse-level hints alone, plus 2 a level at most
-        (["--grid-T", "4"], 73 + 2 * 4),
-    ])
-    def test_fine_grid_count_calls(self, flags, most):
-        # the byte tests cannot see a prediction with a wrong sign or
-        # ratio, which costs sweeps but changes no level
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--lambda-tilde", "1/10", "--n-max", "9"],
+        ["verify", "--lambda-tilde", "5/6", "--grid-N", "2000"]])
+    def test_wrong_coarse_quotients_steer_only_speed(self, argv, monkeypatch):
+        # quotients 1e-3 off, and those of the other parity's states, miss
+        # their levels; neither changes a byte
+        want = run_quiet(argv)
+        quotient = sl_oracle.rayleigh_quotient
+        hints = cli._coarse_hints
+        build = fh_oscillator.eigen_polynomial
+
+        def other_parity(*args):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(fh_oscillator, "eigen_polynomial",
+                           lambda n, lt: build(n ^ 1, lt))
+                return hints(*args)
+        with monkeypatch.context() as mp:
+            mp.setattr(sl_oracle, "rayleigh_quotient",
+                       lambda block, v: quotient(block, v) + 1e-3)
+            assert run_quiet(argv) == want
+        monkeypatch.setattr(cli, "_coarse_hints", other_parity)
+        assert run_quiet(argv) == want
+
+    @staticmethod
+    def count_calls(flags):
+        """The grids verify solves, in order, and the count calls on each."""
         solve = sl_oracle.lowest_eigenvalues
         count = sl_oracle.eigen_count_below
         calls, solving = collections.Counter(), []
@@ -487,6 +507,31 @@ class TestOracleHints:
         fine = int(flags[flags.index("--grid-N") + 1]) \
             if "--grid-N" in flags else 7999
         assert solving == [fine // 2, fine]
+        return fine, calls
+
+    @pytest.mark.parametrize("flags, most", [
+        # without hints the coarse grid took 156, 46 and 166 counts
+        (["--lambda-tilde", "1/10"], 50),
+        (["--lambda-tilde", "5/6"], 12),
+        # the state, cut off at T = 4, misses its pair: 2 counts a level
+        (["--grid-T", "4"], 166 + 2 * 4),
+    ])
+    def test_coarse_grid_count_calls(self, flags, most):
+        fine, calls = self.count_calls(flags)
+        assert 0 < calls[fine // 2] <= most
+
+    @pytest.mark.parametrize("flags, most", [
+        # the coarse-level hints alone took 115 and 125 counts
+        (["--lambda-tilde", "1/10"], 40),
+        (["--lambda-tilde", "1/10", "--grid-N", "4000"], 40),
+        # the prediction misses by far more than its pair's width: 73
+        # counts with the coarse-level hints alone, plus 2 a level at most
+        (["--grid-T", "4"], 73 + 2 * 4),
+    ])
+    def test_fine_grid_count_calls(self, flags, most):
+        # the byte tests cannot see a prediction with a wrong sign or
+        # ratio, which costs sweeps but changes no level
+        fine, calls = self.count_calls(flags)
         assert 0 < calls[fine] <= most
 
 
