@@ -83,6 +83,32 @@ CASES = {
                                "--n", "4", "--points", "5"],
     "error_not_normalizable_half": ["wavefunction", "--lambda-tilde", "1/2",
                                     "--n", "2"],
+    # an odd grid keeps the centre row
+    "verify_odd_grid": ["verify", "--grid-N", "2001"],
+    # the ground state falls off as t^(-1.2): its coarse-grid quotient spans
+    # the whole block
+    "verify_slow_tail": ["verify", "--lambda-tilde", "5/6", "--omega", "31"],
+    # every strictly bound n <= 8 against its own error bar
+    "verify_lt1_10_n9": ["verify", "--lambda-tilde", "1/10", "--n-max", "9"],
+    # the default grid scales with omega^(-1/2)
+    "spectrum_oracle_large_omega": ["spectrum", "--method", "oracle",
+                                    "--omega", "1e4", "--grid-N", "3000",
+                                    "--format", "json"],
+    # f(tau) overflows a float from tau ~ 1e5 on: the outer samples take
+    # the logarithm branch
+    "wavefunction_overflow": ["wavefunction", "--lambda-tilde", "1/100",
+                              "--n", "99", "--tau-min=-1e100",
+                              "--tau-max", "1e100", "--points", "5"],
+    "spectrum_aim_deep_large_denominator": [
+        "spectrum", "--method", "aim", "--lambda-tilde", "12345/1000003",
+        "--kmax", "16", "--n-max", "16", "--format", "json"],
+    # a folded spectrum certified from a nonzero anchor
+    "spectrum_aim_folded_tau0": ["spectrum", "--method", "aim",
+                                 "--lambda-tilde", "3/5", "--tau0=-1/2",
+                                 "--kmax", "16", "--n-max", "16",
+                                 "--format", "json"],
+    # figures takes the model flags and reads none of them
+    "figures_model_flags": ["figures", "--lambda-tilde", "1/10"],
 }
 
 
