@@ -3,7 +3,7 @@
 Layers: `exactalg` (rational polynomial arithmetic and root isolation),
 `aim_core` (the iterative quantization engine), `fh_oscillator` (model,
 closed-form spectrum, eigenfunctions), `sl_oracle` (finite-difference
-cross-check), `cli` (command-line front end).
+oracle), `cli` (command-line front end) and `verify` (its cross-checks).
 """
 from .aim_core import (
     AimSpectrumReport,

@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import aimosc
-from aimosc import aim_core, cli, fh_oscillator, sl_oracle
+from aimosc import aim_core, cli, fh_oscillator, sl_oracle, verify
 
 
 def run(capsys, argv):
@@ -253,7 +253,8 @@ class TestVerify:
                     top = cli._oracle_top(Namespace(n_max=n_max, census=census,
                                                     omega=F(1)))
                     want = [n for n in range(n_max + 1) if kept[n]]
-                    assert list(range(cli._below_edge(top, lt) + 1)) == want, \
+                    assert list(range(verify._below_edge(top, lt) + 1)) \
+                        == want, \
                         (lt, n_max)
 
     def test_error_bar_gates_below_tol(self, capsys):
@@ -343,15 +344,45 @@ class TestVerify:
         assert (check["covered"], check["failed"]) == ([0, 1, 2, 3], [1])
         assert check["detail"].startswith("n = [1] fail; ")
 
+    @staticmethod
+    def count_builds(monkeypatch):
+        """A Counter of the `eigen_polynomial` calls, by n, from now on."""
+        build = fh_oscillator.eigen_polynomial
+        builds = collections.Counter()
+
+        def counted(n, lam_tilde):
+            builds[n] += 1
+            return build(n, lam_tilde)
+        monkeypatch.setattr(fh_oscillator, "eigen_polynomial", counted)
+        return builds
+
     def test_n_max_past_the_oracle_rows_rejected_before_the_table(
             self, capsys, monkeypatch):
         def no_table(cfg):
             raise AssertionError("the closed-form table was built")
+        builds = self.count_builds(monkeypatch)
         monkeypatch.setattr(cli, "_closed_entries", no_table)
         code, out, err = run(capsys, ["verify", "--n-max", "100000"])
         assert (code, out) == (2, "")
         assert err == ("error: --n-max asks the oracle for n = 0..100000, "
                        "more than the 7999 levels of --grid-N 7999\n")
+        assert builds == {}
+
+    @pytest.mark.parametrize("flags, want", [
+        # the oracle reads n <= 3, the residuals n <= 3
+        ([], {0: 1, 1: 1, 2: 1, 3: 1}),
+        # the oracle reads the strictly bound n <= 8, the residuals n <= 5
+        (["--lambda-tilde", "1/10", "--n-max", "9"],
+         dict.fromkeys(range(9), 1)),
+        # only n = 0 is normalizable: both read it, and no other n is built
+        (["--lambda-tilde", "5/6"], {0: 1}),
+    ])
+    def test_each_read_eigenfunction_built_once(self, capsys, monkeypatch,
+                                                flags, want):
+        builds = self.count_builds(monkeypatch)
+        code, _, err = run(capsys, ["verify"] + flags)
+        assert (code, err) == (0, "")
+        assert builds == want
 
     def test_shallowest_depth_covers_kmax_levels(self, capsys):
         code, out, _ = run(capsys, ["verify", "--lambda-tilde", "1/10",
@@ -468,22 +499,21 @@ class TestOracleHints:
         ["verify", "--lambda-tilde", "5/6", "--grid-N", "2000"]])
     def test_wrong_coarse_quotients_steer_only_speed(self, argv, monkeypatch):
         # quotients 1e-3 off, and those of the other parity's states, miss
-        # their levels; neither changes a byte
+        # their levels; neither changes a byte.  The hints alone get the
+        # other parity's states: the residual check reads the right ones
         want = run_quiet(argv)
         quotient = sl_oracle.rayleigh_quotient
-        hints = cli._coarse_hints
-        build = fh_oscillator.eigen_polynomial
+        hints = verify._coarse_hints
 
-        def other_parity(*args):
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(fh_oscillator, "eigen_polynomial",
-                           lambda n, lt: build(n ^ 1, lt))
-                return hints(*args)
+        def other_parity(cfg, op, points, exact, efs):
+            return hints(cfg, op, points, exact, [
+                fh_oscillator.eigen_polynomial(n ^ 1, cfg.lam_tilde)
+                for n in range(len(exact))])
         with monkeypatch.context() as mp:
             mp.setattr(sl_oracle, "rayleigh_quotient",
                        lambda block, v: quotient(block, v) + 1e-3)
             assert run_quiet(argv) == want
-        monkeypatch.setattr(cli, "_coarse_hints", other_parity)
+        monkeypatch.setattr(verify, "_coarse_hints", other_parity)
         assert run_quiet(argv) == want
 
     @staticmethod

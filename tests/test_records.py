@@ -181,3 +181,22 @@ def test_start_up_does_not_import_dataclasses():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["spectrum"], False),
+    (["wavefunction", "--points", "5"], False),
+    (["figures", "--out", "{tmp}"], False),
+    (["verify", "--grid-N", "2001"], True),
+])
+def test_only_verify_imports_its_checks(argv, loaded, tmp_path):
+    # the other commands never compile the checks of aimosc.verify
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    code = ("import contextlib, io, sys; sys.path.insert(0, 'src'); "
+            "from aimosc.cli import main\n"
+            f"with contextlib.redirect_stdout(io.StringIO()): main({argv!r})\n"
+            "print('aimosc.verify' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", code], cwd=ROOT,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{loaded}\n"
