@@ -90,7 +90,7 @@ def _below_edge(n_top: int, lt: Fraction) -> int:
 
 
 def _coarse_hints(cfg: Namespace, op: sl_oracle.TridiagOp,
-                  points: sl_oracle.Points, exact: list, efs: list) -> list:
+                  points: sl_oracle.Points, exact: list, efs: list) -> list[tuple]:
     """R -+ w, w = 1e-8 max(1, |R|) + 4 (R - exact[n])^2, for each n whose
     f_n = efs[n] built: R is the Rayleigh quotient on op's block n % 2 of
     the state sqrt(g) env(tau) f_n(tau), tau^2 = omega t^2, at op's held
