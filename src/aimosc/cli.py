@@ -219,12 +219,6 @@ def _closed_entries(cfg: Namespace) -> list[SpectrumEntry]:
     return out
 
 
-def _is_marginal(n: int, cfg: Namespace) -> bool:
-    """E_tilde_n = num/q is on the edge q/p: num p = q^2, never at p = 0."""
-    p, q = cfg.lam_tilde.numerator, cfg.lam_tilde.denominator
-    return fh_oscillator.closed_numerator(n, p, q) * p == q * q
-
-
 def _aim_report(cfg: Namespace) -> aim_core.AimSpectrumReport:
     seed = aim_core.aim_seed(*fh_oscillator.aim_inputs(cfg.lam_tilde))
     return aim_core.aim_eigenvalues(seed, k_max=cfg.kmax, tau0=cfg.tau0)
@@ -320,7 +314,7 @@ def _entry_json(e: SpectrumEntry, cfg: Namespace) -> dict:
         "E_dec": _float(e.e_phys, f"E at n = {e.n}", "--omega"),
         "method": e.source,
         "bound": e.bound,
-        "marginal": _is_marginal(e.n, cfg),
+        "marginal": cfg.census.marginal(e.n),
     }
 
 
@@ -344,7 +338,7 @@ def _emit_entries(entries: list[SpectrumEntry], cfg: Namespace) -> None:
         return
     rows = [(str(e.n), _dec12(e.e_tilde), _dec12(e.e_phys), e.source,
              str(e.bound).lower(),
-             str(_is_marginal(e.n, cfg)).lower())
+             str(cfg.census.marginal(e.n)).lower())
             for e in entries]
     header = ("n", "E_tilde", "E", "method", "bound", "marginal")
     if cfg.fmt == "csv":
@@ -459,4 +453,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 if __name__ == "__main__":
+    # `python -m aimosc.cli`: verify's `from . import cli` finds this
+    # module instead of running a second copy of it
+    sys.modules["aimosc.cli"] = sys.modules[__name__]
     sys.exit(main())

@@ -12,10 +12,10 @@ isolates every real root, hitting each rational root exactly and returning
 each irrational one as a rational bracket whose ends are not roots;
 `refine_root` narrows such a bracket by exact bisection.
 
-`horner`, the evaluator of coefficient lists (exact on rationals, plain
-floating point on floats), also lives here for the other layers.  No
-quadrature is left in the package: eigenfunctions are normalized from exact
-moment ratios.
+`horner` evaluates coefficient lists (exact on rationals, plain floating
+point on floats) for the other layers; `fh_oscillator.wavefunction_eval`
+and `verify._coarse_hints` run their own Horner loops.  No quadrature is
+left in the package: eigenfunctions are normalized from exact moment ratios.
 """
 from __future__ import annotations
 
@@ -84,17 +84,6 @@ def poly_diff_tau(p: BiPoly) -> BiPoly:
         if dt > 0:
             out[(dt - 1, de)] = c * dt
     return out
-
-
-def poly_eval(p: BiPoly, tau: RatLike, e: RatLike) -> Fraction:
-    """Exact value of p at a rational point (tau, E); the tests' reference
-    evaluator."""
-    t = Fraction(tau)
-    w = Fraction(e)
-    total = Fraction(0)
-    for (dt, de), c in p.items():
-        total += c * t ** dt * w ** de
-    return total
 
 
 def poly_restrict(polys: Sequence[BiPoly], var: int, value: RatLike) -> list[list]:

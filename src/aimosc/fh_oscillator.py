@@ -80,12 +80,30 @@ class SpectrumEntry(_SpectrumEntryFields):
 
 class BoundStateInfo(NamedTuple):
     """The level census; both fields are None in the confining limit
-    lam_tilde = 0, which has no edge and binds every level."""
+    lam_tilde = 0, which has no edge and binds every level.  The integer
+    rules read lam_tilde = p/q off the edge threshold = q/p."""
     threshold: Optional[Fraction]       # continuum edge in E_tilde units
     normalizable_max_n: Optional[int]   # largest n with a square-integrable state
 
     def bound(self, n: int) -> bool:
         return self.normalizable_max_n is None or n <= self.normalizable_max_n
+
+    def below_edge(self, n_top: int) -> int:
+        """The largest n <= n_top with lt E_n < 1, strictly below the
+        continuum edge, for a normalizable n_top.  lt E_n < 1 is
+        (1 - n lt)(1 - (n + 1) lt) > 0; a normalizable n has n lt < 1, so at
+        lt = p/q it is (n + 1) p < q: a prefix, which n = 0 joins."""
+        if self.threshold is None:
+            return n_top
+        q, p = self.threshold.numerator, self.threshold.denominator
+        return min(n_top, (q - 1) // p - 1)
+
+    def marginal(self, n: int) -> bool:
+        """E_tilde_n = num/q is on the edge q/p: num p = q^2."""
+        if self.threshold is None:
+            return False
+        q, p = self.threshold.numerator, self.threshold.denominator
+        return closed_numerator(n, p, q) * p == q * q
 
 
 def aim_inputs(lam_tilde: RatLike, printed_signs: bool = False

@@ -6,7 +6,6 @@ import json
 import math
 from argparse import Namespace
 from bisect import bisect_left, bisect_right
-from fractions import Fraction
 from itertools import repeat
 from operator import add, mul
 
@@ -29,7 +28,7 @@ def cmd_verify(cfg: Namespace) -> int:
         if lt >= 1:  # the seed, the census and the eigenfunctions need lt < 1
             raise ValueError(f"lam_tilde must lie in [0, 1), got {lt}")
         # the fine grid first: its errors exit before any row is built
-        n_top = _below_edge(cli._oracle_top(cfg), lt)
+        n_top = cfg.census.below_edge(cli._oracle_top(cfg))
         fine_op = [cli._oracle_op(cfg, n_top)] if n_top >= 0 else []
         table = cli._closed_entries(cfg)
         covered = list(filter(cfg.census.bound, range(min(cfg.n_max, 5) + 1)))
@@ -78,15 +77,6 @@ def _check_aim_exact(cfg: Namespace, table: list[SpectrumEntry]) -> dict:
 # level (absolute below 1): wider than the fine level's distance from it,
 # about 3 estimates, yet narrow enough to skip most of the descent.
 _HINT_REL = 1e-5
-
-
-def _below_edge(n_top: int, lt: Fraction) -> int:
-    """The largest n <= n_top with lt E_n < 1, strictly below the
-    continuum edge, for a normalizable n_top.  lt E_n < 1 is
-    (1 - n lt)(1 - (n + 1) lt) > 0; a normalizable n has n lt < 1, so at
-    lt = p/q it is (n + 1) p < q: a prefix, which n = 0 joins."""
-    p, q = lt.numerator, lt.denominator
-    return min(n_top, (q - 1) // p - 1) if p else n_top
 
 
 def _coarse_hints(cfg: Namespace, op: sl_oracle.TridiagOp,
@@ -142,7 +132,7 @@ def _check_oracle(cfg: Namespace, n_top: int, fine_op: list,
     """Finite-difference eigenvalues against the table's closed form E_c
     for each n <= n_top: normalizable and strictly below the continuum
     edge, where states converge too slowly.  Past n ~ 1/lt - 1/2 the
-    spectrum folds back below the edge, so `_below_edge` filters on n.
+    spectrum folds back below the edge, so `census.below_edge` filters on n.
     With no such n, nothing is solved; else fine_op's grid is popped.
 
     The coarse grid spans the same x range, so with H/h = r the order-2

@@ -19,7 +19,6 @@ from aimosc.aim_core import (
 )
 from aimosc.exactalg import (
     horner,
-    poly_eval,
     poly_mul,
     poly_new,
     poly_restrict,
@@ -31,6 +30,7 @@ from aimosc.fh_oscillator import (
     residual_check,
     spectrum_closed_dimensionless,
 )
+from poly_ref import poly_eval
 
 
 def chain(seed, k):

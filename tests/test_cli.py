@@ -19,7 +19,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import aimosc
 from aimosc import aim_core, cli, fh_oscillator, sl_oracle, verify
 
 
@@ -152,11 +151,11 @@ class TestSpectrum:
         marginal = []
         for lt in sorted({F(p, q) for q in range(1, 41)
                           for p in range(2 * q + 1)}):
-            edge = fh_oscillator.bound_state_info(lt).threshold
+            census = fh_oscillator.bound_state_info(lt)
             for n in range(61):
-                flag = cli._is_marginal(n, Namespace(lam_tilde=lt))
+                flag = census.marginal(n)
                 assert flag == (fh_oscillator.spectrum_closed_dimensionless(
-                    n, lt) == edge), (lt, n)
+                    n, lt) == census.threshold), (lt, n)
                 if flag:
                     marginal.append((lt, n))
         # lambda_tilde 1/4, n = 3 is the spectrum_json_marginal golden
@@ -253,8 +252,7 @@ class TestVerify:
                     top = cli._oracle_top(Namespace(n_max=n_max, census=census,
                                                     omega=F(1)))
                     want = [n for n in range(n_max + 1) if kept[n]]
-                    assert list(range(verify._below_edge(top, lt) + 1)) \
-                        == want, \
+                    assert list(range(census.below_edge(top) + 1)) == want, \
                         (lt, n_max)
 
     def test_error_bar_gates_below_tol(self, capsys):
@@ -308,6 +306,24 @@ class TestVerify:
             assert check["covered"] == check["failed"] == [], check["name"]
             assert check["passed"] is False, check["name"]
         assert oracle["deltas"] == oracle["estimates"] == []
+
+    @pytest.mark.xfail(strict=True, reason="no check counts the levels "
+                       "below the edge yet: ROADMAP item 4 must catch it")
+    @pytest.mark.parametrize("shift", [1, -1])
+    def test_census_off_by_one_is_a_failed_check(
+            self, capsys, monkeypatch, shift):
+        # a census whose normalizable_max_n is one too high or too low
+        census = fh_oscillator.bound_state_info
+
+        def shifted_census(lam_tilde):
+            info = census(lam_tilde)
+            return info._replace(
+                normalizable_max_n=info.normalizable_max_n + shift)
+        monkeypatch.setattr(fh_oscillator, "bound_state_info", shifted_census)
+        codes = [run(capsys, ["verify", "--lambda-tilde", lt, "--n-max", "9",
+                              "--grid-N", "2001"])[0]
+                 for lt in ("1/10", "1/3")]
+        assert codes == [1, 1]
 
     @pytest.mark.parametrize("lt", ["0", "1/10"])
     def test_inconsistent_eigenfunction_is_a_failed_check(
@@ -1171,13 +1187,6 @@ def test_console_script_installed(capsys):
     assert entry(["spectrum", "--omega", "10", "--lambda", "1",
                   "--format", "csv"]) == 0
     assert "29" in capsys.readouterr().out
-
-
-def test_star_import_binds_every_export():
-    # a stale name in __all__ makes the star import fail or leave it unbound
-    namespace = {}
-    exec("from aimosc import *", namespace)
-    assert [n for n in aimosc.__all__ if n not in namespace] == []
 
 
 @pytest.mark.skipif(shutil.which("aimosc") is None,

@@ -13,7 +13,6 @@ from aimosc.exactalg import (
     isolate_real_roots,
     poly_add,
     poly_diff_tau,
-    poly_eval,
     poly_mul,
     poly_new,
     poly_scale,
@@ -23,6 +22,7 @@ from aimosc.exactalg import (
     uni_coeffs,
     uni_reduce,
 )
+from poly_ref import poly_eval
 from sturm_ref import sturm_count
 
 rationals = st.fractions(

@@ -1,5 +1,6 @@
 """Record contracts: constructor checks, read-only fields, cached values,
 and the modules a command imports before it reads its arguments."""
+import os
 import re
 import subprocess
 import sys
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from aimosc import aim_core, fh_oscillator, sl_oracle
+from aimosc import aim_core, cli, fh_oscillator, sl_oracle
 from aimosc.exactalg import RootInterval
 from aimosc.fh_oscillator import (
     EigenFunction,
@@ -200,3 +201,29 @@ def test_only_verify_imports_its_checks(argv, loaded, tmp_path):
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == f"{loaded}\n"
+
+
+def test_package_import_loads_no_layer():
+    # every name is imported from its layer; the package itself is a
+    # docstring, so importing it compiles none of them
+    code = ("import sys; sys.path.insert(0, 'src'); import aimosc; "
+            "print(sorted(m for m in sys.modules if m.startswith('aimosc.')))")
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", code], cwd=ROOT,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_module_entry_runs_cli_once(capsys):
+    # `python -m aimosc.cli` runs cli.py as __main__; verify's import of
+    # aimosc.cli must find that module, not compile and run a second copy
+    argv = ["verify", "--grid-N", "2001"]
+    proc = subprocess.run(
+        [sys.executable, "-S", "-X", "importtime", "-m", "aimosc.cli", *argv],
+        cwd=ROOT, capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert proc.returncode == 0, proc.stderr
+    imported = re.findall(r"\| +(aimosc\S*)$", proc.stderr, re.M)
+    assert "aimosc.verify" in imported and "aimosc.cli" not in imported
+    assert cli.main(argv) == 0
+    assert proc.stdout == capsys.readouterr().out
