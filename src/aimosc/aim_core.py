@@ -25,7 +25,6 @@ from .exactalg import (
     RootInterval,
     _idivexact,
     _ideriv,
-    _igcd,
     _int_scaled,
     _trim,
     horner,
@@ -140,34 +139,30 @@ def aim_eigenvalues(seed: AimState, k_max: int = 12,
                     tau0: RatLike = 0) -> AimSpectrumReport:
     """Iterate to k_max and certify every root at which delta_k terminates.
 
-    An E at which delta_k vanishes identically in tau is a root of both
-    anchored determinants delta_k(tau0, E) and delta_k(tau1, E), with the
-    fixed second anchor tau1 = 0 (1 when tau0 = 0), so it is a root of
-    their gcd.  Termination persists to later k, so g_(k-1), the product
-    of (E - root) over the roots certified so far, divides both
-    determinants exactly, and only the gcd of the two quotients holds new
+    An E at which delta_k vanishes identically in tau is a root of the
+    anchored determinant delta_k(tau0, E), whatever tau0 is, so reading
+    delta_k at tau0 alone loses no level.  Termination persists to later
+    k, so g_(k-1), the product of (E - root) over the roots certified so
+    far, divides delta_k(tau0, E) exactly, and only the quotient holds new
     candidates.  A rational candidate is certified when delta_k(tau, root)
     is zero identically in tau, and (E - root) joins g_k; every other
-    candidate is rejected.  For the oscillator the new candidate at each
-    k >= 2 is E_k alone, so the certified set at k_max is
-    {E_n : n <= k_max} whatever the anchor.  Each state is restricted to
-    each anchor once, and the next k reuses that restriction.
+    candidate is rejected.  That identity alone decides acceptance, so a
+    root of delta_k at tau0 only is never accepted.  For the oscillator
+    the new candidate at each k >= 2 is E_k alone, so the certified set at
+    k_max is {E_n : n <= k_max} whatever the anchor.  Each state is
+    restricted to tau0 once, and the next k reuses that restriction.
     """
     if k_max < 2:
         raise ValueError("k_max must be at least 2")
-    anchors = (tau0, int(Fraction(tau0) == 0))
     content = [1]  # g_(k-1), ascending integer coefficients in E
     accepted: dict[Fraction, int] = {}
     rejected = []
     state = seed
-    rows = [poly_restrict((seed.L, seed.S), 0, t) for t in anchors]
+    row = poly_restrict((seed.L, seed.S), 0, tau0)
     for k in range(1, k_max + 1):
-        prev, state = state, aim_iterate(state)
-        prev_rows = rows
-        rows = [poly_restrict((state.L, state.S), 0, t) for t in anchors]
-        fresh = _igcd(*[
-            _idivexact(_anchored_delta(curr_ls, prev_ls, t), content)
-            for curr_ls, prev_ls, t in zip(rows, prev_rows, anchors)])
+        prev, state, prev_row = state, aim_iterate(state), row
+        row = poly_restrict((state.L, state.S), 0, tau0)
+        fresh = _idivexact(_anchored_delta(row, prev_row, tau0), content)
         candidates = {(0, de): c for de, c in enumerate(fresh) if c}
         for iv in isolate_real_roots(candidates):
             root = iv.exact

@@ -107,6 +107,11 @@ CASES = {
                                  "--lambda-tilde", "3/5", "--tau0=-1/2",
                                  "--kmax", "16", "--n-max", "16",
                                  "--format", "json"],
+    # an anchor far from the origin certifies the same levels
+    "spectrum_aim_far_anchor": ["spectrum", "--method", "aim",
+                                "--lambda-tilde", "2/7", "--tau0=-17/3",
+                                "--kmax", "12", "--n-max", "12",
+                                "--format", "json"],
     # figures takes the model flags and reads none of them
     "figures_model_flags": ["figures", "--lambda-tilde", "1/10"],
 }

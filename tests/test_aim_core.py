@@ -6,6 +6,7 @@ import pytest
 from fractions import Fraction as F
 from hypothesis import assume, example, given, settings, strategies as st
 
+from aimosc import aim_core
 from aimosc.aim_core import (
     DegenerateDelta,
     NoStableRoots,
@@ -45,9 +46,9 @@ def harmonic_seed():
 
 
 @st.composite
-def lam_tildes(draw):
-    """Rational lambda_tilde in [0, 1) with denominator at most 60."""
-    q = draw(st.integers(1, 60))
+def lam_tildes(draw, max_q=60):
+    """Rational lambda_tilde in [0, 1) with denominator at most max_q."""
+    q = draw(st.integers(1, max_q))
     return F(draw(st.integers(0, q - 1)), q)
 
 
@@ -269,7 +270,8 @@ class TestEigenvalues:
 
     def test_common_anchor_root_is_rejected(self):
         # s0 = E + tau(tau-1)(2tau-1): delta_1 = s0^2 - s0' is E^2 - 1 at
-        # both anchors 0 and 1, yet not identically zero in tau at E = +-1
+        # the anchors 0 and 1, yet not identically zero in tau at E = +-1,
+        # so the identity test refuses both roots of the anchor 0
         seed = aim_seed(poly_new({(0, 0): 1}),
                         poly_new({(0, 1): 1, (3, 0): 2, (2, 0): -3, (1, 0): 1}),
                         poly_new({(0, 0): 1}))
@@ -373,6 +375,23 @@ class TestDifferential:
         assert {v for v, _ in rep.accepted} == closed_levels(lt, k_max)
         assert rep.rejected == ()
         assert certified(lt, k_max, tau1).accepted == rep.accepted
+
+    @given(lam_tildes(12),
+           st.builds(F, st.integers(-24, 24), st.integers(1, 12)),
+           st.integers(2, 12))
+    @settings(max_examples=30, deadline=None)
+    def test_one_new_candidate_per_k(self, lt, tau0, k_max):
+        # the quotient of delta_k(tau0, E) by the certified levels' product
+        # holds E_0 and E_1 at k = 1 and E_k alone at each later k
+        degrees, isolate = [], aim_core.isolate_real_roots
+
+        def recording(poly):
+            degrees.append(max(de for _, de in poly))
+            return isolate(poly)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(aim_core, "isolate_real_roots", recording)
+            certified(lt, k_max, tau0)
+        assert degrees == [2] + [1] * (k_max - 1)
 
     @given(lam_tildes())
     @settings(max_examples=30, deadline=None)

@@ -1,0 +1,105 @@
+"""The mutant gallery: every route-level fact that `verify` must guard.
+
+Each mutant monkeypatches one fact and runs `verify` in-process, which
+must exit 1 with the named checks failed.  A mutant that survives today
+is `xfail(strict=True)` and names the ROADMAP item that must catch it;
+the change that lands that item turns it into a plain test.
+"""
+import json
+
+import pytest
+
+from aimosc import cli, fh_oscillator, sl_oracle
+
+GRID_N = 2001
+
+
+def run(capsys, argv):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def failed_checks(capsys, lt):
+    """Exit code and failed check names of `verify` at lambda_tilde lt."""
+    code, out, err = run(capsys, ["verify", "--lambda-tilde", lt,
+                                  "--grid-N", str(GRID_N), "--n-max", "9"])
+    assert err == ""
+    return code, [c["name"] for c in json.loads(out)["checks"]
+                  if not c["passed"]]
+
+
+lam_tildes = pytest.mark.parametrize("lt", ["0", "1/10"])
+
+
+@lam_tildes
+def test_control_passes(capsys, lt):
+    assert failed_checks(capsys, lt) == (0, [])
+
+
+@lam_tildes
+def test_flipped_l0_fails_the_aim_check(capsys, monkeypatch, lt):
+    inputs = fh_oscillator.aim_inputs
+
+    def flipped(lam_tilde, printed_signs=False):
+        l0, s0, u = inputs(lam_tilde, printed_signs)
+        return {key: -c for key, c in l0.items()}, s0, u
+    monkeypatch.setattr(fh_oscillator, "aim_inputs", flipped)
+    assert failed_checks(capsys, lt) == (1, ["aim_matches_closed_form"])
+
+
+@lam_tildes
+def test_closed_form_one_level_up_fails_every_check(capsys, monkeypatch, lt):
+    # E_(n+1) for n >= 2; at lambda_tilde 1/3 and n <= 3 that changes
+    # nothing, because there E_2 = E_3
+    closed = fh_oscillator.closed_numerator
+    monkeypatch.setattr(fh_oscillator, "closed_numerator",
+                        lambda n, p, q: closed(n + (n >= 2), p, q))
+    assert failed_checks(capsys, lt) == (1, [
+        "aim_matches_closed_form", "oracle_matches_closed_form",
+        "eigenfunction_residuals"])
+
+
+@pytest.mark.xfail(strict=True, reason="verify checks no normalization: "
+                   "ROADMAP item 6 must catch it")
+@lam_tildes
+def test_normalization_off_by_one_percent_is_caught(capsys, monkeypatch, lt):
+    norm = fh_oscillator.normalization_constant
+    monkeypatch.setattr(fh_oscillator, "normalization_constant",
+                        lambda ef: 1.01 * norm(ef))
+    assert failed_checks(capsys, lt)[0] == 1
+
+
+@pytest.mark.xfail(strict=True, reason="the oracle gate is as wide as the "
+                   "error it measures: ROADMAP item 1 must catch it")
+@lam_tildes
+def test_fine_oracle_level_8_raised_is_caught(capsys, monkeypatch, lt):
+    # the fine grid is the operator with GRID_N rows; its level 8 lies
+    # below the closed form, so the raised level moves closer to it
+    lowest = sl_oracle.lowest_eigenvalues
+
+    def raised(op, m, tol, hints=()):
+        levels = lowest(op, m, tol, hints)
+        if op.n == GRID_N and m > 8:
+            levels = levels[:8] + (levels[8] + 1e-4,) + levels[9:]
+        return levels
+    monkeypatch.setattr(sl_oracle, "lowest_eigenvalues", raised)
+    assert failed_checks(capsys, lt)[0] == 1
+
+
+@pytest.mark.xfail(strict=True, reason="no check counts the levels "
+                   "below the edge yet: ROADMAP item 4 must catch it")
+@pytest.mark.parametrize("shift", [1, -1])
+def test_census_off_by_one_is_a_failed_check(capsys, monkeypatch, shift):
+    # a census whose normalizable_max_n is one too high or too low
+    census = fh_oscillator.bound_state_info
+
+    def shifted_census(lam_tilde):
+        info = census(lam_tilde)
+        return info._replace(
+            normalizable_max_n=info.normalizable_max_n + shift)
+    monkeypatch.setattr(fh_oscillator, "bound_state_info", shifted_census)
+    codes = [run(capsys, ["verify", "--lambda-tilde", lt, "--n-max", "9",
+                          "--grid-N", "2001"])[0]
+             for lt in ("1/10", "1/3")]
+    assert codes == [1, 1]
