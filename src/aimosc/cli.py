@@ -110,8 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
     levels.add_argument("--tau0", default="0", help="quantization anchor, p/q")
     levels.add_argument("--grid-T", dest="grid_t", type=float, default=None,
                         help="oracle half-width in t; omega^-1/2 sinh(16)")
-    levels.add_argument("--grid-N", dest="grid_n", type=int, default=7999,
-                        help="oracle rows; verify adds --grid-N // 2")
     signs = argparse.ArgumentParser(add_help=False)
     signs.add_argument("--printed-signs", action="store_true",
                        help="use the sign convention whose first excited "
@@ -127,11 +125,16 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=("table", "csv", "json"))
     sp.add_argument("--tol", type=float, default=1e-10,
                     help="oracle bisection width")
+    sp.add_argument("--grid-N", dest="grid_n", type=int, default=7999,
+                    help="oracle rows, default 7999")
 
     vf = sub.add_parser("verify", parents=[model, levels, signs],
                         help="cross-check matrix, JSON report")
     vf.add_argument("--tol", type=float, default=1e-2,
                     help="gate on |oracle - closed form|")
+    vf.add_argument("--grid-N", dest="grid_n", type=int, default=3999,
+                    help="oracle rows, default 3999; verify adds --grid-N "
+                         "// 2 and // 4")
 
     wf = sub.add_parser("wavefunction", parents=[model],
                         help="sample one normalized eigenstate")
@@ -243,15 +246,15 @@ def _oracle_top(cfg: Namespace) -> int:
     return n_top
 
 
-def _oracle_op(cfg: Namespace, n_top: int,
-               fine: Optional[sl_oracle.Points] = None
+def _oracle_op(cfg: Namespace, n_top: int, div: int = 1,
+               above: Optional[sl_oracle.Points] = None
                ) -> tuple[sl_oracle.Grid, sl_oracle.TridiagOp,
                           sl_oracle.Points, str]:
-    """The operator for n = 0..n_top on --grid-N rows, its grid, points and
-    flag name; given the points of that grid, the operator on --grid-N // 2
-    rows instead, nested in them for odd --grid-N."""
-    rows = cfg.grid_n if fine is None else cfg.grid_n // 2
-    name = f"--grid-N {cfg.grid_n}" + ("" if fine is None else " // 2")
+    """The operator for n = 0..n_top on --grid-N // div rows, its grid,
+    points and flag name; its points are taken from `above`, those of an
+    odd grid of twice as many rows plus one over the same T, if given."""
+    rows = cfg.grid_n // div
+    name = f"--grid-N {cfg.grid_n}" + (f" // {div}" if div > 1 else "")
     if n_top + 1 > rows:
         raise ValueError(f"--n-max asks the oracle for n = 0..{n_top}, more "
                          f"than the {rows} levels of {name}")
@@ -263,8 +266,7 @@ def _oracle_op(cfg: Namespace, n_top: int,
         else sl_oracle.default_half_width(params)
     grid = sl_oracle.Grid(T=t_half, N=rows)
     try:
-        points = (sl_oracle.nested_points(fine)
-                  if fine is not None and cfg.grid_n % 2
+        points = (sl_oracle.nested_points(above) if above is not None
                   else sl_oracle.mapped_points(params, grid))
         op = sl_oracle.discretize(params, grid, points)
     except ValueError as exc:
@@ -273,26 +275,19 @@ def _oracle_op(cfg: Namespace, n_top: int,
     return grid, op, points, name
 
 
-def _oracle_solve(op: sl_oracle.TridiagOp, name: str, n_top: int,
-                  tol: float, tol_name: str,
-                  hints: Sequence[Sequence[float]] = ()) -> tuple[float, ...]:
-    """Oracle energies of n = 0..n_top, bisected to tol; tol_name names
-    that width in the error for levels the bisection cannot order."""
-    try:
-        return sl_oracle.lowest_eigenvalues(op, n_top + 1, tol, hints)
-    except sl_oracle.UnresolvedLevels as exc:
-        raise ValueError(
-            f"oracle levels n = {exc.index} and {exc.index + 1} lie closer "
-            f"than {tol_name} {tol:g} on {name}, so the bisection cannot "
-            f"order them; lower --n-max or change --grid-N") from None
-
-
 def _oracle_entries(cfg: Namespace) -> list[SpectrumEntry]:
     n_top = _oracle_top(cfg)
     levels = ()
     if n_top >= 0:
         _, op, _, name = _oracle_op(cfg, n_top)
-        levels = _oracle_solve(op, name, n_top, cfg.tol, "--tol")
+        try:
+            levels = sl_oracle.lowest_eigenvalues(op, n_top + 1, cfg.tol)
+        except sl_oracle.UnresolvedLevels as exc:
+            raise ValueError(
+                f"oracle levels n = {exc.index} and {exc.index + 1} lie "
+                f"closer than --tol {cfg.tol:g} on {name}, so the bisection "
+                f"cannot order them; lower --n-max or change --grid-N"
+            ) from None
     return [SpectrumEntry(n=n, e_tilde=2.0 * e / float(cfg.omega), e_phys=e,
                           bound=cfg.census.bound(n), source="oracle")
             for n, e in enumerate(levels)]

@@ -6,7 +6,7 @@ import json
 import math
 from argparse import Namespace
 from bisect import bisect_left, bisect_right
-from itertools import repeat
+from itertools import pairwise, repeat
 from operator import add, mul
 
 from . import aim_core, cli, fh_oscillator, sl_oracle
@@ -135,54 +135,109 @@ def _check_oracle(cfg: Namespace, n_top: int, fine_op: list,
     spectrum folds back below the edge, so `census.below_edge` filters on n.
     With no such n, nothing is solved; else fine_op's grid is popped.
 
-    The coarse grid spans the same x range, so with H/h = r the order-2
-    stencil's error on the fine grid is about |E_h - E_H| / (r^2 - 1).
-    Each n fails unless its |delta| lies within twice that estimate plus
-    the bisection width, and within --tol.
+    Three grids span the same x range: N = --grid-N rows (step h), N // 2
+    and N // 4, each nested in the one above where that one is odd.  With
+    H/h = r, the order-2 stencil's levels E_h and E_H extrapolate to P =
+    E_h + (E_h - E_H) / (r^2 - 1), whose h^4 error est_h is |P - P_H| /
+    (r^4 - 1), P_H the same point one grid down.  est_T is `_truncation`'s.
+    Each n fails unless |P - E_c| lies within its resolution 2 (est_h +
+    est_T) plus the bisection width, and that resolution within --tol.
+    Levels that a grid cannot order fail the check with their pair.
 
-    The coarse grid is solved first.  Hints count first on both grids:
-    `_coarse_hints` on the coarse one; on the fine one P -+ 3 widths
-    around the Richardson point P = E_c + (E_H - E_c) / r^2, and E_H -+
-    _HINT_REL where P misses (README).  No hint changes a level, so the
-    closed form never steers an oracle number.  Every error of the fine
-    grid is still reported before any of the coarse grid."""
-    width, width_name = 1e-9, "the bisection width"
+    The grids are solved coarsest first.  Hints count first: `_coarse_hints`
+    on the two coarser grids; on the fine one Q -+ 3 widths around the
+    Richardson point Q = E_c + (E_H - E_c) / r^2, and E_H -+ _HINT_REL
+    where Q misses (README).  No hint changes a level, so the closed form
+    never steers an oracle number."""
+    name, width = "oracle_matches_closed_form", 1e-9
+    unsolved = dict.fromkeys(("deltas", "estimates_h", "estimates_T",
+                              "resolutions"), [])
     if n_top < 0:
-        return _check("oracle_matches_closed_form", [], [], "no strictly "
-                      "bound n <= --n-max", deltas=[], estimates=[])
-    grid, op, points, name = fine_op.pop()
+        return _check(name, [], [], "no strictly bound n <= --n-max",
+                      **unsolved)
+    grid, op, points, flag = fine_op.pop()
     exact = [float(e.e_phys) for e in table[:n_top + 1]]
-    error, coarse = None, ()
-    try:
-        _, coarse_op, points, coarse_name = cli._oracle_op(cfg, n_top, points)
-        coarse = cli._oracle_solve(
-            coarse_op, coarse_name, n_top, width, width_name,
-            _coarse_hints(cfg, coarse_op, points, exact, efs))
-    except ValueError as exc:
-        error = exc
-    del points  # not held through the fine bisection
-    ratio = (grid.N + 1) / (grid.N // 2 + 1)
-    hints = []
-    for c, H in zip(exact, coarse):
-        p = c + (H - c) / (ratio * ratio)
-        w = 3.0 * width * max(1.0, abs(p))
-        w_H = _HINT_REL * max(1.0, abs(H))
-        hints.append((p - w, p + w, H - w_H, H + w_H))
-    fine = cli._oracle_solve(op, name, n_top, width, width_name, hints)
-    if error is not None:
-        raise error
-    deltas = [abs(e - c) for e, c in zip(fine, exact)]
-    estimates = [abs(h - H) / (ratio * ratio - 1.0)
-                 for h, H in zip(fine, coarse)]
-    ratios = [d / (2.0 * e + width) for d, e in zip(deltas, estimates)]
-    failed = [n for n, (d, r) in enumerate(zip(deltas, ratios))
-              if not (r <= 1.0 and d <= cfg.tol)]
+    grids = [(op, flag, None)]
+    for div in (2, 4):
+        _, op, points, flag = cli._oracle_op(cfg, n_top, div,
+                                             points if op.n % 2 else None)
+        grids.append((op, flag, _coarse_hints(cfg, op, points, exact, efs)))
+    del points  # not held through the bisections
+    r, r_mid = ((a.n + 1) / (b.n + 1) for (a, *_), (b, *_) in pairwise(grids))
+    covered, solved = list(range(n_top + 1)), []
+    for op, flag, hints in reversed(grids):  # the coarsest first
+        if hints is None:  # the fine grid's, from the middle grid's levels
+            hints = []
+            for c, H in zip(exact, solved[-1]):
+                q = c + (H - c) / (r * r)
+                w = 3.0 * width * max(1.0, abs(q))
+                w_H = _HINT_REL * max(1.0, abs(H))
+                hints.append((q - w, q + w, H - w_H, H + w_H))
+        try:
+            solved.append(sl_oracle.lowest_eigenvalues(op, n_top + 1, width,
+                                                       hints))
+        except sl_oracle.UnresolvedLevels as exc:
+            pair = [exc.index, exc.index + 1]
+            return _check(name, covered, pair, f"oracle levels n = {pair[0]} "
+                          f"and {pair[1]} lie closer than the bisection width "
+                          f"{width:g} on {flag}", **unsolved)
+    coarse, mid, fine = solved
+    extra = [h + (h - H) / (r * r - 1.0) for h, H in zip(fine, mid)]
+    extra_mid = [h + (h - H) / (r_mid * r_mid - 1.0)
+                 for h, H in zip(mid, coarse)]
+    est_h = [abs(p - q) / (r ** 4 - 1.0) for p, q in zip(extra, extra_mid)]
+    est_t = _truncation(cfg, grid, grids[0][0], fine, width)
+    deltas = [abs(p - c) for p, c in zip(extra, exact)]
+    res = [2.0 * (a + b) + width for a, b in zip(est_h, est_t)]
+    failed = [n for n, (d, b) in enumerate(zip(deltas, res))
+              if not d <= b <= cfg.tol]
     return _check(
-        "oracle_matches_closed_form", list(range(n_top + 1)), failed,
-        f"n <= {n_top}, T = {grid.T:g}, N = {grid.N} and {grid.N // 2}, "
-        f"max |delta| = {max(deltas):.3e}, max |delta| / (2 estimate + "
-        f"{width:g}) = {max(ratios):.3f}, tol = {cfg.tol:g}",
-        deltas=deltas, estimates=estimates)
+        name, covered, failed,
+        f"n <= {n_top}, T = {grid.T:g}, N = {grid.N}, {grid.N // 2} and "
+        f"{grid.N // 4}, max |delta| = {max(deltas):.3e}, max |delta| / "
+        f"resolution = {max(d / b for d, b in zip(deltas, res)):.3f}, max "
+        f"est_T = {max(est_t):.3e}, tol = {cfg.tol:g}",
+        deltas=deltas, estimates_h=est_h, estimates_T=est_t, resolutions=res)
+
+
+def _truncation(cfg: Namespace, grid: sl_oracle.Grid, op: sl_oracle.TridiagOp,
+                fine: tuple[float, ...], width: float) -> list[float]:
+    """est_T for each level n of op, fine[n] its value: the shift D of the
+    level when the wall moves in from T to T/4 at the same h, over 4^g - 1.
+    Near a wall at tau, tau^2 = omega t^2, the error falls as tau^(-g(tau))
+    with g(tau) = 2 tau^2 / (1 + lt tau^2) - 2n - 1, the log-slope of the
+    weight (1 + lt tau^2)^(-1/lt) tau^(2n + 1) of a state with tail tau^(n -
+    1/lt), which rises with tau to g = 2/lt - 2n - 1 > 1 for every strictly
+    bound n (e^(-tau^2) tau^(2n + 1) at lt = 0).  Taken at T/4 it is the
+    least g between the walls, so D / (4^g - 1) bounds the error at T; it
+    is the tail's own g wherever lt tau^2 >> 1 at T/4, as on the default
+    grid.  Where g < 1/2 there is no tail yet, and D is taken raw.
+
+    The wall at T/4 cuts the leading rows out of each parity block, those
+    below x = asinh(T / 4s), s = omega^(-1/2): the same stencil, whose last
+    row only gains slack, so the block's slack cut holds for it.  By Cauchy
+    interlacing the cut block's level k = n // 2 lies at or above the
+    block's, so a count at fine[n] + width that finds k + 1 levels bounds D
+    by the width; only where it does not is the cut block bisected."""
+    lt, s = float(cfg.lam_tilde), float(cfg.omega) ** -0.5
+    tau2 = (0.25 * grid.T / s) ** 2  # tau^2 at the wall T/4
+    drop = round(0.5 * (grid.N + 1) * (1.0 - math.asinh(0.25 * grid.T / s)
+                                       / math.asinh(grid.T / s)))
+    cut = [sl_oracle.Block(b.diag[:b.n - drop], b.b2[:b.n - drop], b.pivmin,
+                           b.slack_min[:b.n - drop], b.span)
+           for b in op.parity_blocks]
+    out = []
+    for n, e in enumerate(fine):
+        block, k = cut[n % 2], n // 2
+        shift = width
+        if sl_oracle.eigen_count_below(block, e + width, k + 1) <= k:
+            lo, hi = sl_oracle._bisect(block, k + 1, width,
+                                       fine[n % 2:n + 1:2])[k]
+            shift = 0.5 * (lo + hi) - e
+        # D / (4^g - 1) = D q / (1 - q) with q = 4^-g, which cannot overflow
+        q = 0.25 ** max(0.5, 2.0 * tau2 / (1.0 + lt * tau2) - 2 * n - 1)
+        out.append(shift * q / (1.0 - q))
+    return out
 
 
 def _check_residuals(covered: list[int], efs: list) -> dict:

@@ -114,6 +114,12 @@ CASES = {
                                 "--format", "json"],
     # figures takes the model flags and reads none of them
     "figures_model_flags": ["figures", "--lambda-tilde", "1/10"],
+    # h^2 errors up to 1.6e-2 on a 7999-row grid once failed --tol here
+    "verify_lt0_omega31": ["verify", "--lambda-tilde", "0", "--omega", "31",
+                           "--n-max", "10"],
+    # the wall at T sets the error of n = 0, which est_T carries
+    "verify_slow_tail_11_12": ["verify", "--lambda-tilde", "11/12",
+                               "--omega", "31"],
 }
 
 

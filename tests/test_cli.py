@@ -192,9 +192,9 @@ class TestVerify:
         assert all(c["passed"] for c in doc["checks"])
 
     def test_coarse_grid_fails_oracle_check(self, capsys):
-        # max |delta| is about 1.5e-4 here, within the run's own error
-        # bar; a stricter --tol must gate more strictly, never fall back to
-        # a looser default
+        # max |delta| is about 1e-6 here, above the run's own resolution of
+        # 1e-7 at n = 3; a stricter --tol must gate more strictly, never
+        # fall back to a looser default
         for tol in ("1e-5", "1e-12"):
             code, out, _ = run(capsys, ["verify", "--lambda-tilde", "1/10",
                                         "--grid-T", "15", "--grid-N", "500",
@@ -223,16 +223,19 @@ class TestVerify:
 
     def test_every_strictly_bound_level_checked(self, capsys):
         # at lt = 1/10 the levels n <= 8 lie below the edge 10, and each
-        # reports its |delta| and its error estimate from the coarse grid
+        # reports its |delta|, its two error estimates and its resolution
         code, out, _ = run(capsys, ["verify", "--lambda-tilde", "1/10",
                                     "--n-max", "9"])
         assert code == 0
         oracle = json.loads(out)["checks"][1]
         assert oracle["passed"] is True
-        assert len(oracle["deltas"]) == len(oracle["estimates"]) == 9
+        per_n = [oracle[key] for key in ("deltas", "estimates_h",
+                                         "estimates_T", "resolutions")]
+        assert [len(v) for v in per_n] == [9] * 4
         assert oracle["detail"].startswith("n <= 8, ")
-        for d, e in zip(oracle["deltas"], oracle["estimates"]):
-            assert d <= 2 * e + 1e-9 and d < 1e-4
+        for d, e_h, e_t, res in zip(*per_n):
+            assert res == 2 * (e_h + e_t) + 1e-9
+            assert d <= res and d < 1e-7
 
     def test_strictly_bound_cut_is_the_integer_rule(self):
         # the n the oracle check keeps, by (n + 1) p < q at lt = p/q, are
@@ -258,14 +261,53 @@ class TestVerify:
     def test_error_bar_gates_below_tol(self, capsys):
         # at --grid-T 4 the truncated domain lifts the levels by up to
         # 1.7e-3, inside --tol 1e-2 but far outside the discretization
-        # error the coarse grid estimates, which truncation does not move
+        # error, which truncation does not move; the truncation estimate
+        # sees it, and a resolution wider than --tol certifies nothing
         code, out, _ = run(capsys, ["verify", "--grid-T", "4"])
         assert code == 1
         oracle = json.loads(out)["checks"][1]
         assert oracle["passed"] is False
         assert max(oracle["deltas"]) < 1e-2
-        assert any(d > 2 * e + 1e-9
-                   for d, e in zip(oracle["deltas"], oracle["estimates"]))
+        assert all(d > 2 * e + 1e-9
+                   for d, e in zip(oracle["deltas"], oracle["estimates_h"]))
+        assert all(d <= res and res > 1e-2 for d, res in
+                   zip(oracle["deltas"], oracle["resolutions"]))
+
+    @pytest.mark.parametrize("lt, omega", [("6/7", "31")] + [
+        (f"{q - 1}/{q}", omega) for q in range(8, 13) for omega in ("1", "31")])
+    def test_slow_tail_error_is_the_wall(self, capsys, lt, omega):
+        # n = 0 falls off as tau^(-1/lt): its error, up to 1.8e-7, is the
+        # Dirichlet wall at T, which the h^4 estimate misses; the
+        # truncation term brings the level within its resolution
+        code, out, _ = run(capsys, ["verify", "--lambda-tilde", lt,
+                                    "--omega", omega])
+        assert code == 0
+        oracle = json.loads(out)["checks"][1]
+        (d,), (e_h,), (e_t,), (res,) = (oracle[key] for key in (
+            "deltas", "estimates_h", "estimates_T", "resolutions"))
+        assert 2 * e_h + 1e-9 < d <= res and e_t > 0
+
+    @pytest.mark.parametrize("argv, pair, grid", [
+        (["--n-max", "300", "--grid-N", "2001"], [47, 48],
+         "--grid-N 2001 // 4"),
+        (["--lambda-tilde", "1/10", "--n-max", "9", "--grid-N", "40"],
+         [6, 7], "--grid-N 40 // 2"),
+    ])
+    def test_unresolved_oracle_levels_fail_the_check(self, capsys, argv,
+                                                     pair, grid):
+        # every flag is valid input, and each grid has the rows the levels
+        # need; two levels that a grid's bisection cannot order are the
+        # oracle failing to separate them, a failed check (exit 1), which
+        # names them and the grid.  The other checks still run
+        code, out, err = run(capsys, ["verify"] + argv)
+        assert (code, err) == (1, "")
+        aim, oracle, residuals = json.loads(out)["checks"]
+        assert oracle["failed"] == pair and oracle["passed"] is False
+        assert oracle["detail"] == (
+            f"oracle levels n = {pair[0]} and {pair[1]} lie closer than the "
+            f"bisection width 1e-09 on {grid}")
+        assert oracle["deltas"] == oracle["resolutions"] == []
+        assert aim["passed"] is True and residuals["passed"] is True
 
     def test_zero_coverage_fails(self, capsys, monkeypatch):
         # a run that certifies no root covers no level and must fail
@@ -305,7 +347,8 @@ class TestVerify:
         for check in (oracle, residuals):
             assert check["covered"] == check["failed"] == [], check["name"]
             assert check["passed"] is False, check["name"]
-        assert oracle["deltas"] == oracle["estimates"] == []
+        assert oracle["deltas"] == oracle["estimates_h"] == []
+        assert oracle["estimates_T"] == oracle["resolutions"] == []
 
     @pytest.mark.parametrize("lt", ["0", "1/10"])
     def test_inconsistent_eigenfunction_is_a_failed_check(
@@ -363,7 +406,7 @@ class TestVerify:
         code, out, err = run(capsys, ["verify", "--n-max", "100000"])
         assert (code, out) == (2, "")
         assert err == ("error: --n-max asks the oracle for n = 0..100000, "
-                       "more than the 7999 levels of --grid-N 7999\n")
+                       "more than the 3999 levels of --grid-N 3999\n")
         assert builds == {}
 
     @pytest.mark.parametrize("flags, want", [
@@ -454,11 +497,43 @@ class TestPassRule:
         assert code == (0 if all(c["passed"] for c in doc["checks"]) else 1)
 
 
+omega_draws = st.builds(F, st.integers(1, 50), st.integers(1, 50))
+
+
+@settings(max_examples=50, deadline=None)
+@given(lt_draws, omega_draws, st.integers(0, 12), st.just(8))
+# the two runs that exited 1 on --tol while the two-grid gate stood
+@example(F(0), F(31), 10, 8)
+@example(F(0), F(1), 30, 31)
+# the slow tails: n = 0 falls off as tau^(-1.17) to tau^(-1.09), and its
+# error is the wall at T, which the h^4 estimate misses
+@example(F(6, 7), F(31), 0, 8)
+@example(F(7, 8), F(1), 0, 8)
+@example(F(7, 8), F(31), 0, 8)
+@example(F(8, 9), F(1), 0, 8)
+@example(F(8, 9), F(31), 0, 8)
+@example(F(9, 10), F(1), 0, 8)
+@example(F(9, 10), F(31), 0, 8)
+@example(F(10, 11), F(1), 0, 8)
+@example(F(10, 11), F(31), 0, 8)
+@example(F(11, 12), F(1), 0, 8)
+@example(F(11, 12), F(31), 0, 8)
+def test_every_level_within_its_resolution(lt, omega, n_max, kmax):
+    code, out = run_quiet(["verify", "--lambda-tilde", str(lt), "--omega",
+                           str(omega), "--n-max", str(n_max), "--kmax",
+                           str(kmax)])
+    oracle = json.loads(out)["checks"][1]
+    assert oracle["covered"] == list(range(len(oracle["deltas"]))) != []
+    assert all(d <= res for d, res in zip(oracle["deltas"],
+                                          oracle["resolutions"])), oracle
+    assert code == 0, out
+
+
 class TestOracleHints:
-    """verify's bisections count hints first.  The coarse grid's are the
-    Rayleigh quotient of the closed-form state on that grid; the fine
-    grid's are the Richardson point of the coarse level and the closed
-    form, and the coarse level itself.  They steer only how many sweeps
+    """verify's bisections count hints first.  The two coarser grids' are
+    the Rayleigh quotient of the closed-form state on that grid; the fine
+    grid's are the Richardson point of the middle grid's level and the
+    closed form, and that level itself.  They steer only how many sweeps
     the bisections take, never what verify reports."""
 
     @staticmethod
@@ -516,25 +591,31 @@ class TestOracleHints:
 
     @staticmethod
     def count_calls(flags):
-        """The grids verify solves, in order, and the count calls on each."""
+        """The grids verify solves, in order, and the count calls on each;
+        those made after the last solve, by the truncation estimate, under
+        the key "truncation"."""
         solve = sl_oracle.lowest_eigenvalues
         count = sl_oracle.eigen_count_below
-        calls, solving = collections.Counter(), []
+        calls, solving, current = collections.Counter(), [], [None]
 
         def solve_counted(op, *args):
             solving.append(op.n)
-            return solve(op, *args)
+            current[0] = op.n
+            try:
+                return solve(op, *args)
+            finally:
+                current[0] = "truncation"
 
         def counted(*args):
-            calls[solving[-1]] += 1
+            calls[current[0]] += 1
             return count(*args)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sl_oracle, "lowest_eigenvalues", solve_counted)
             mp.setattr(sl_oracle, "eigen_count_below", counted)
             run_quiet(["verify"] + flags)
         fine = int(flags[flags.index("--grid-N") + 1]) \
-            if "--grid-N" in flags else 7999
-        assert solving == [fine // 2, fine]
+            if "--grid-N" in flags else 3999
+        assert solving == [fine // 4, fine // 2, fine]
         return fine, calls
 
     @pytest.mark.parametrize("flags, most", [
@@ -546,7 +627,27 @@ class TestOracleHints:
     ])
     def test_coarse_grid_count_calls(self, flags, most):
         fine, calls = self.count_calls(flags)
+        assert 0 < calls[fine // 4] <= most
+
+    @pytest.mark.parametrize("flags, most", [
+        # the caps of the coarse grid of 3999 rows when it was the only
+        # one below the fine grid, which took 34, 8 and 147 counts
+        (["--lambda-tilde", "1/10"], 50),
+        (["--lambda-tilde", "5/6"], 12),
+        (["--grid-T", "4"], 166 + 2 * 4),
+    ])
+    def test_middle_grid_count_calls(self, flags, most):
+        fine, calls = self.count_calls(flags)
         assert 0 < calls[fine // 2] <= most
+
+    @pytest.mark.parametrize("flags, want", [
+        # the count at each level plus the width finds it: no bisection
+        (["--lambda-tilde", "1/10"], 4),
+        (["--lambda-tilde", "1/10", "--n-max", "9"], 9),
+    ])
+    def test_truncation_counts_once_per_level(self, flags, want):
+        _, calls = self.count_calls(flags)
+        assert calls["truncation"] == want
 
     @pytest.mark.parametrize("flags, most", [
         # the coarse-level hints alone took 115 and 125 counts
@@ -1040,11 +1141,12 @@ class TestInputValidation:
         for n in ("0", "2", "-5"):
             self.rejected(capsys, tmp_path, ["verify", f"--grid-N={n}"],
                           "--grid-N")
-        # verify's coarse grid has --grid-N // 2 rows, which must be 3 too
-        for n in ("4", "5"):
+        # verify's coarser grids have --grid-N // 2 and // 4 rows, which
+        # must be 3 too
+        for n, div in (("4", 2), ("5", 2), ("8", 4), ("11", 4)):
             err = self.rejected(capsys, tmp_path,
                                 ["verify", f"--grid-N={n}", "--n-max=0"],
-                                f"--grid-N {n} // 2 is 2 rows")
+                                f"--grid-N {n} // {div} is 2 rows")
             assert "raise --grid-N" in err
 
     @pytest.mark.parametrize("argv, err", [
@@ -1058,9 +1160,9 @@ class TestInputValidation:
          "change --omega"),
         (["--grid-T=1e155", "--grid-N", "1000"],
          "--grid-T 1e+155 is too small or too large for --grid-N 1000"),
-        (["--n-max", "9", "--grid-N", "12"],
-         "oracle levels n = 4 and 5 lie closer than the bisection width "
-         "1e-09 on --grid-N 12,"),
+        (["--n-max", "9", "--grid-N", "25"],
+         "--n-max asks the oracle for n = 0..8, more than the 6 levels of "
+         "--grid-N 25 // 4"),
     ])
     def test_oracle_errors_exit_before_the_iteration(self, capsys, tmp_path,
                                                      monkeypatch, argv, err):
@@ -1095,29 +1197,8 @@ class TestInputValidation:
         assert err == ("error: oracle levels n = 33 and 34 lie closer than "
                        "--tol 1e-10 on --grid-N 300, so the bisection cannot "
                        "order them; lower --n-max or change --grid-N\n")
-        # verify bisects to a fixed width; its --tol is the gate.  It
-        # names the grid whose levels it cannot order, the fine grid first
-        for n, grid in (("12", "--grid-N 12"), ("20", "--grid-N 20 // 2")):
-            err = self.rejected(capsys, tmp_path, ["verify", "--grid-N", n],
-                                grid)
-            assert f"n = 2 and 3 lie closer than the bisection width 1e-09 " \
-                   f"on {grid}," in err
-        # an odd grid takes its coarse points from its own and bisects the
-        # coarse grid first, for hints; still a fine-grid failure comes
-        # first: at --grid-N 25 both fail (the 12-row grid at n = 4 and 5),
-        # at --grid-N 13 only the 6-row coarse grid does
-        for argv, pair, grid in (
-                (["--lambda-tilde", "1/10", "--n-max", "9", "--grid-N", "25"],
-                 "7 and 8", "--grid-N 25"),
-                (["--grid-N", "13"], "2 and 3", "--grid-N 13 // 2")):
-            err = self.rejected(capsys, tmp_path, ["verify"] + argv, grid)
-            assert f"n = {pair} lie closer than the bisection width 1e-09 " \
-                   f"on {grid}," in err
-        err = self.rejected(capsys, tmp_path,
-                            ["verify", "--lambda-tilde", "1/10", "--n-max",
-                             "9", "--grid-N", "12"], "--grid-N 12")
-        assert "n = 4 and 5 lie closer than the bisection width 1e-09 " \
-               "on --grid-N 12," in err
+        # verify bisects to a fixed width, and its levels that the
+        # bisection cannot order fail a check instead (TestVerify)
 
     def test_kmax_at_least_two(self, capsys, tmp_path):
         # the iteration needs two rounds to tell a stable root
