@@ -1,16 +1,18 @@
 """Exact bivariate polynomial arithmetic and real-root isolation.
 
 Polynomials in the two symbols tau (scaled time) and E (scaled energy) are
-sparse maps from exponent pairs to rational coefficients.  `poly_restrict`
-sets one symbol to a rational value and yields coefficient lists in the
-other, integer for integer input.  A univariate polynomial is cleared of
-denominators into a primitive integer coefficient list, and its gcds,
-remainders and exact quotients stay in integers (the primitive remainder
-sequence), as does root finding: a linear square-free part gives its root
-directly, and otherwise the continued-fraction form of Descartes' method
-isolates every real root, hitting each rational root exactly and returning
-each irrational one as a rational bracket whose ends are not roots;
-`refine_root` narrows such a bracket by exact bisection.
+sparse maps from exponent pairs to nonzero rational coefficients.
+`poly_mul` takes the smaller factor one term at a time and sums the partial
+products in place.  `poly_restrict` sets one symbol to a rational value and
+yields coefficient lists in the other, integer for integer input; at 0 it
+reads only the terms free of that symbol.  A univariate polynomial is
+cleared of denominators into a primitive integer coefficient list, and its
+gcds, remainders and exact quotients stay in integers (the primitive
+remainder sequence), as does root finding: a linear square-free part gives
+its root directly, and otherwise the continued-fraction form of Descartes'
+method isolates every real root, hitting each rational root exactly and
+returning each irrational one as a rational bracket whose ends are not
+roots; `refine_root` narrows such a bracket by exact bisection.
 
 `horner` evaluates coefficient lists (exact on rationals, plain floating
 point on floats) for the other layers; `fh_oscillator.wavefunction_eval`
@@ -44,10 +46,9 @@ def poly_new(terms: Mapping[Tuple[int, int], RatLike]) -> BiPoly:
 
 
 def _collect(terms: Iterable[Tuple[Tuple[int, int], Fraction]],
-             base: Optional[BiPoly] = None) -> BiPoly:
-    """Sum (exponent pair, coefficient) terms onto a copy of base; zero
-    coefficients are dropped."""
-    out = dict(base) if base else {}
+             out: BiPoly) -> BiPoly:
+    """Sum (exponent pair, coefficient) terms into out, which the caller
+    owns, and return it; a coefficient that sums to zero is dropped."""
     for key, c in terms:
         s = out.get(key, 0) + c
         if s:
@@ -58,16 +59,25 @@ def _collect(terms: Iterable[Tuple[Tuple[int, int], Fraction]],
 
 
 def poly_add(a: BiPoly, b: BiPoly) -> BiPoly:
-    return _collect(b.items(), a)
+    return _collect(b.items(), dict(a))
 
 
 def poly_sub(a: BiPoly, b: BiPoly) -> BiPoly:
-    return _collect(((k, -c) for k, c in b.items()), a)
+    return _collect(((k, -c) for k, c in b.items()), dict(a))
 
 
 def poly_mul(a: BiPoly, b: BiPoly) -> BiPoly:
-    return _collect(((i + k, j + l), ca * cb)
-                    for (i, j), ca in a.items() for (k, l), cb in b.items())
+    """Product, one term of the smaller factor at a time: a shift maps
+    distinct keys to distinct keys and nonzero terms have a nonzero
+    product, so only the sums of partial products need a merge."""
+    if len(a) > len(b):
+        a, b = b, a
+    out: BiPoly = {}
+    for (i, j), ca in a.items():
+        if ca:
+            part = {(i + k, j + l): ca * cb for (k, l), cb in b.items() if cb}
+            out = _collect(part.items(), out) if out else part
+    return out
 
 
 def poly_scale(a: BiPoly, c: RatLike) -> BiPoly:
@@ -79,11 +89,7 @@ def poly_scale(a: BiPoly, c: RatLike) -> BiPoly:
 
 def poly_diff_tau(p: BiPoly) -> BiPoly:
     """Exact partial derivative with respect to tau; E held constant."""
-    out: BiPoly = {}
-    for (dt, de), c in p.items():
-        if dt > 0:
-            out[(dt - 1, de)] = c * dt
-    return out
+    return {(dt - 1, de): c * dt for (dt, de), c in p.items() if dt}
 
 
 def poly_restrict(polys: Sequence[BiPoly], var: int, value: RatLike) -> list[list]:
@@ -99,10 +105,12 @@ def poly_restrict(polys: Sequence[BiPoly], var: int, value: RatLike) -> list[lis
     v = Fraction(value)
     a, b = v.numerator, v.denominator
     keep = 1 - var
-    top = max([key[var] for p in polys for key in p], default=0)
+    top = max([key[var] for p in polys for key in p], default=0) if a else 0
     pw = [a ** i * b ** (top - i) for i in range(top + 1)]
     rows = []
     for p in polys:
+        if not a:  # b = 1, and only the terms free of the symbol are left
+            p = {key: c for key, c in p.items() if not key[var]}
         row = [0] * (max([key[keep] for key in p], default=-1) + 1)
         for key, c in p.items():
             row[key[keep]] += c * pw[key[var]]

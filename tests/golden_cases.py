@@ -112,6 +112,11 @@ CASES = {
                                 "--lambda-tilde", "2/7", "--tau0=-17/3",
                                 "--kmax", "12", "--n-max", "12",
                                 "--format", "json"],
+    # u = 1 at lambda_tilde 0, so every product of the iteration but s0 L
+    # has a one-term factor; route 2 runs past verify's k_max of 8
+    "spectrum_aim_harmonic_deep": ["spectrum", "--method", "aim",
+                                   "--lambda-tilde", "0", "--kmax", "20",
+                                   "--n-max", "17", "--format", "json"],
     # figures takes the model flags and reads none of them
     "figures_model_flags": ["figures", "--lambda-tilde", "1/10"],
     # h^2 errors up to 1.6e-2 on a 7999-row grid once failed --tol here

@@ -501,27 +501,29 @@ omega_draws = st.builds(F, st.integers(1, 50), st.integers(1, 50))
 
 
 @settings(max_examples=50, deadline=None)
-@given(lt_draws, omega_draws, st.integers(0, 12), st.just(8))
+# route 2 over its whole domain: any anchor tau0 = a/b and depth k_max
+@given(lt_draws, omega_draws, st.integers(0, 12), st.integers(2, 14),
+       st.builds(F, st.integers(-20, 20), st.integers(1, 9)))
 # the two runs that exited 1 on --tol while the two-grid gate stood
-@example(F(0), F(31), 10, 8)
-@example(F(0), F(1), 30, 31)
+@example(F(0), F(31), 10, 8, F(0))
+@example(F(0), F(1), 30, 31, F(0))
 # the slow tails: n = 0 falls off as tau^(-1.17) to tau^(-1.09), and its
 # error is the wall at T, which the h^4 estimate misses
-@example(F(6, 7), F(31), 0, 8)
-@example(F(7, 8), F(1), 0, 8)
-@example(F(7, 8), F(31), 0, 8)
-@example(F(8, 9), F(1), 0, 8)
-@example(F(8, 9), F(31), 0, 8)
-@example(F(9, 10), F(1), 0, 8)
-@example(F(9, 10), F(31), 0, 8)
-@example(F(10, 11), F(1), 0, 8)
-@example(F(10, 11), F(31), 0, 8)
-@example(F(11, 12), F(1), 0, 8)
-@example(F(11, 12), F(31), 0, 8)
-def test_every_level_within_its_resolution(lt, omega, n_max, kmax):
+@example(F(6, 7), F(31), 0, 8, F(0))
+@example(F(7, 8), F(1), 0, 8, F(0))
+@example(F(7, 8), F(31), 0, 8, F(0))
+@example(F(8, 9), F(1), 0, 8, F(0))
+@example(F(8, 9), F(31), 0, 8, F(0))
+@example(F(9, 10), F(1), 0, 8, F(0))
+@example(F(9, 10), F(31), 0, 8, F(0))
+@example(F(10, 11), F(1), 0, 8, F(0))
+@example(F(10, 11), F(31), 0, 8, F(0))
+@example(F(11, 12), F(1), 0, 8, F(0))
+@example(F(11, 12), F(31), 0, 8, F(0))
+def test_every_level_within_its_resolution(lt, omega, n_max, kmax, tau0):
     code, out = run_quiet(["verify", "--lambda-tilde", str(lt), "--omega",
                            str(omega), "--n-max", str(n_max), "--kmax",
-                           str(kmax)])
+                           str(kmax), f"--tau0={tau0}"])
     oracle = json.loads(out)["checks"][1]
     assert oracle["covered"] == list(range(len(oracle["deltas"]))) != []
     assert all(d <= res for d, res in zip(oracle["deltas"],

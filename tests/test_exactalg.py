@@ -109,6 +109,88 @@ class TestRingLaws:
         assert lhs == rhs
 
 
+coefficients = st.one_of(st.integers(-3, 3),
+                         st.fractions(min_value=-3, max_value=3,
+                                      max_denominator=4))
+
+
+@st.composite
+def raw_polys(draw, max_terms=6):
+    """Dicts as a caller may pass them, not built by poly_new: int and
+    Fraction coefficients, explicit zeros among them, and exponents close
+    enough together that products collide and sums cancel."""
+    size = draw(st.sampled_from([0, 1, 2, max_terms]))
+    return draw(st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 2)),
+                                coefficients, max_size=size))
+
+
+def generator_product(a, b):
+    """The product as one stream of every pair of terms, each merged into
+    the result in turn and dropped where the sum is zero."""
+    out = {}
+    for (i, j), ca in a.items():
+        for (k, l), cb in b.items():
+            s = out.get((i + k, j + l), 0) + ca * cb
+            if s:
+                out[(i + k, j + l)] = s
+            else:
+                out.pop((i + k, j + l), None)
+    return out
+
+
+def restrict_by_formula(polys, var, value):
+    """b^top p at tau (var 0) or E (var 1) = a/b, term by term."""
+    a, b = F(value).numerator, F(value).denominator
+    top = max([key[var] for p in polys for key in p], default=0)
+    rows = []
+    for p in polys:
+        row = [0] * (max([key[1 - var] for key in p], default=-1) + 1)
+        for key, c in p.items():
+            row[key[1 - var]] += c * a ** key[var] * b ** (top - key[var])
+        while row and row[-1] == 0:
+            row.pop()
+        rows.append(row)
+    return rows
+
+
+class TestKernel:
+    """poly_mul merges partial products in place, and poly_restrict reads
+    only the symbol-free terms at 0; both must give what the plain rules
+    give, on any dict a caller passes."""
+
+    @given(raw_polys(), raw_polys())
+    @example({(0, 0): 1, (1, 0): 1}, {(0, 0): 1, (1, 0): -1})
+    @example({(0, 0): F(1, 2), (1, 0): 0}, {(1, 1): 2, (0, 0): -3})
+    @example({(1, 0): 1, (0, 1): 1}, {(1, 0): 1, (0, 1): -1, (2, 0): 0})
+    @settings(max_examples=200)
+    def test_mul_matches_the_generator_product(self, a, b):
+        product = poly_mul(a, b)
+        assert product == generator_product(a, b)
+        assert all(product.values())
+
+    @given(raw_polys(), raw_polys(), st.integers(0, 1), rationals)
+    @settings(max_examples=100)
+    def test_inputs_are_left_unchanged(self, a, b, var, value):
+        before = list(a.items()), list(b.items())
+        poly_add(a, b)
+        poly_sub(a, b)
+        poly_mul(a, b)
+        poly_mul(b, a)
+        poly_diff_tau(a)
+        poly_restrict((a, b), var, value)
+        poly_restrict((a, b), var, 0)
+        assert (list(a.items()), list(b.items())) == before
+
+    @given(st.lists(raw_polys(), max_size=3), st.integers(0, 1),
+           st.sampled_from([0, F(0), "0"]))
+    @example([{}], 0, 0)
+    @example([{}, {(2, 1): 5, (0, 1): 0}], 1, 0)
+    @example([{(1, 0): F(3, 2), (0, 2): 0}, {}], 0, 0)
+    def test_restrict_at_zero_is_the_formula(self, polys, var, zero):
+        assert poly_restrict(polys, var, zero) == \
+            restrict_by_formula(polys, var, zero)
+
+
 class TestIsolation:
     @given(st.lists(st.fractions(min_value=-8, max_value=8,
                                  max_denominator=12),

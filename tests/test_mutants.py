@@ -70,6 +70,20 @@ def test_normalization_off_by_one_percent_is_caught(capsys, monkeypatch, lt):
     assert failed_checks(capsys, lt)[0] == 1
 
 
+@pytest.mark.xfail(strict=True, reason="verify reads the envelope only "
+                   "to hint its bisections: ROADMAP item 6 must catch it")
+def test_envelope_exponent_stretched_is_caught(capsys, monkeypatch):
+    # at lambda_tilde 0 the exponent is None and the envelope exp(-tau^2/2),
+    # so the mutant changes nothing there; a property, not a cached one,
+    # also overrides a value an EigenFunction has cached already
+    def stretched(ef):
+        e = ef.envelope_exponent
+        return float(ef.lam_tilde), None if e is None else 1.001 * float(e)
+    monkeypatch.setattr(fh_oscillator.EigenFunction, "envelope_floats",
+                        property(stretched))
+    assert failed_checks(capsys, "1/10")[0] == 1
+
+
 @lam_tildes
 def test_fine_oracle_level_8_raised_is_caught(capsys, monkeypatch, lt):
     # the fine grid is the operator with GRID_N rows; at 1/10 its level 8
