@@ -73,9 +73,9 @@ def _check_aim_exact(cfg: Namespace, table: list[SpectrumEntry]) -> dict:
                   accepted=[cli._rat_or_none(v) for v in accepted])
 
 
-# Half-width of the fallback hints around a coarse level, relative to the
-# level (absolute below 1): wider than the fine level's distance from it,
-# about 3 estimates, yet narrow enough to skip most of the descent.
+# Half-width of the fine grid's fallback hints around a middle-grid level,
+# relative to it (absolute below 1): wider than the fine level's distance
+# from it, about 3 estimates, yet narrow enough to skip most of the descent.
 _HINT_REL = 1e-5
 
 
@@ -144,11 +144,11 @@ def _check_oracle(cfg: Namespace, n_top: int, fine_op: list,
     est_T) plus the bisection width, and that resolution within --tol.
     Levels that a grid cannot order fail the check with their pair.
 
-    The grids are solved coarsest first.  Hints count first: `_coarse_hints`
-    on the two coarser grids; on the fine one Q -+ 3 widths around the
-    Richardson point Q = E_c + (E_H - E_c) / r^2, and E_H -+ _HINT_REL
-    where Q misses (README).  No hint changes a level, so the closed form
-    never steers an oracle number."""
+    Hints count first, the coarsest grid first: `_coarse_hints` there, and
+    Q -+ w on each finer grid, Q = E_c + (E_H - E_c) / r^2 the Richardson
+    point of its level E_H below, w = 3 widths + (E_H - E_c)^2 on the middle
+    grid and 3 widths, plus E_H -+ _HINT_REL, on the fine one (README).  No
+    hint changes a level, so the closed form never steers an oracle number."""
     name, width = "oracle_matches_closed_form", 1e-9
     unsolved = dict.fromkeys(("deltas", "estimates_h", "estimates_T",
                               "resolutions"), [])
@@ -157,22 +157,28 @@ def _check_oracle(cfg: Namespace, n_top: int, fine_op: list,
                       **unsolved)
     grid, op, points, flag = fine_op.pop()
     exact = [float(e.e_phys) for e in table[:n_top + 1]]
-    grids = [(op, flag, None)]
+    grids = [(op, flag)]
     for div in (2, 4):
         _, op, points, flag = cli._oracle_op(cfg, n_top, div,
                                              points if op.n % 2 else None)
-        grids.append((op, flag, _coarse_hints(cfg, op, points, exact, efs)))
+        grids.append((op, flag))
+    hints = _coarse_hints(cfg, op, points, exact, efs)
     del points  # not held through the bisections
-    r, r_mid = ((a.n + 1) / (b.n + 1) for (a, *_), (b, *_) in pairwise(grids))
+    r, r_mid = ((a.n + 1) / (b.n + 1) for (a, _), (b, _) in pairwise(grids))
     covered, solved = list(range(n_top + 1)), []
-    for op, flag, hints in reversed(grids):  # the coarsest first
-        if hints is None:  # the fine grid's, from the middle grid's levels
-            hints = []
+    for op, flag in reversed(grids):  # the coarsest first
+        if solved:  # Richardson points from the levels of the grid below
+            hints, mid = [], len(solved) == 1
+            ratio = r_mid if mid else r
             for c, H in zip(exact, solved[-1]):
-                q = c + (H - c) / (r * r)
+                q = c + (H - c) / (ratio * ratio)
                 w = 3.0 * width * max(1.0, abs(q))
-                w_H = _HINT_REL * max(1.0, abs(H))
-                hints.append((q - w, q + w, H - w_H, H + w_H))
+                if mid:  # widened where E_H and E_c part
+                    w += (H - c) * (H - c)
+                    hints.append((q - w, q + w))
+                else:
+                    w_H = _HINT_REL * max(1.0, abs(H))
+                    hints.append((q - w, q + w, H - w_H, H + w_H))
         try:
             solved.append(sl_oracle.lowest_eigenvalues(op, n_top + 1, width,
                                                        hints))

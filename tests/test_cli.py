@@ -532,11 +532,12 @@ def test_every_level_within_its_resolution(lt, omega, n_max, kmax, tau0):
 
 
 class TestOracleHints:
-    """verify's bisections count hints first.  The two coarser grids' are
-    the Rayleigh quotient of the closed-form state on that grid; the fine
-    grid's are the Richardson point of the middle grid's level and the
-    closed form, and that level itself.  They steer only how many sweeps
-    the bisections take, never what verify reports."""
+    """verify's bisections count hints first.  The coarsest grid's are the
+    Rayleigh quotient of the closed-form state on that grid, the only
+    states verify samples.  Each finer grid's are the Richardson point of
+    the level of the grid below and the closed form; the fine grid's also
+    that level itself.  They steer only how many sweeps the bisections
+    take, never what verify reports."""
 
     @staticmethod
     def with_hints(argv, change):
@@ -549,7 +550,7 @@ class TestOracleHints:
             return run_quiet(argv)
 
     def assert_same_report(self, argv):
-        # each change reaches the hints of both grids
+        # each change reaches the hints of every grid
         want = run_quiet(argv)
         assert self.with_hints(argv, lambda hints: ()) == want
         assert self.with_hints(argv, lambda hints: [
@@ -558,16 +559,33 @@ class TestOracleHints:
             [math.nan] * len(h) for h in hints]) == want
 
     @settings(max_examples=10, deadline=None)
-    @given(lt_draws)
-    def test_hints_steer_only_speed(self, lt):
-        self.assert_same_report(["verify", "--lambda-tilde", str(lt)])
+    @given(lt_draws, omega_draws, st.integers(0, 12))
+    def test_hints_steer_only_speed(self, lt, omega, n_max):
+        self.assert_same_report(["verify", "--lambda-tilde", str(lt),
+                                 "--omega", str(omega), "--n-max", str(n_max)])
 
     @pytest.mark.parametrize("flags", [["--grid-N", "4000"],
+                                       ["--grid-N", "4001"],
                                        ["--grid-T", "4"]])
     def test_hints_steer_only_speed_off_the_default_grid(self, flags):
-        # an even grid, where H/h is not 2, and a truncated one, where h^2
-        # is not the leading error and the prediction misses
+        # an even grid, where H/h is not 2; an odd one whose coarsest grid
+        # takes its own points, where the middle grid's ratio is 2001/1001;
+        # and a truncated one, where h^2 is not the leading error and the
+        # prediction misses
         self.assert_same_report(["verify"] + flags)
+
+    @pytest.mark.parametrize("flags, coarsest", [
+        ([], 999), (["--grid-N", "4000"], 1000), (["--grid-N", "4001"], 1000)])
+    def test_only_the_coarsest_grid_samples_states(self, flags, coarsest,
+                                                   monkeypatch):
+        hints, sampled = verify._coarse_hints, []
+
+        def counted(cfg, op, *args):
+            sampled.append(op.n)
+            return hints(cfg, op, *args)
+        monkeypatch.setattr(verify, "_coarse_hints", counted)
+        run_quiet(["verify"] + flags)
+        assert sampled == [coarsest]
 
     @pytest.mark.parametrize("argv", [
         ["verify", "--lambda-tilde", "1/10", "--n-max", "9"],
@@ -637,6 +655,8 @@ class TestOracleHints:
         (["--lambda-tilde", "1/10"], 50),
         (["--lambda-tilde", "5/6"], 12),
         (["--grid-T", "4"], 166 + 2 * 4),
+        # 117 counts, 100 with the Rayleigh hints the middle grid had before
+        (["--lambda-tilde", "1/10", "--n-max", "9"], 122),
     ])
     def test_middle_grid_count_calls(self, flags, most):
         fine, calls = self.count_calls(flags)
