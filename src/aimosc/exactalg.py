@@ -246,8 +246,9 @@ def isolate_real_roots(p: BiPoly) -> list[RootInterval]:
 
     Rational roots come back exact; irrational ones come back as rational
     brackets each holding exactly one root, with endpoints that are not
-    roots.  Results are sorted ascending.  A square-free part c0 + c1 x has
-    the one root -c0/c1, returned without the continued-fraction descent.
+    roots.  Results are sorted ascending.  A linear p, or a square-free
+    part, c0 + c1 x has the one root -c0/c1, returned without the
+    continued-fraction descent; a linear p skips the square-free part too.
     `bench/tracing.py` wraps it by name and reads p as a BiPoly dict.
     """
     if not p:
@@ -255,7 +256,7 @@ def isolate_real_roots(p: BiPoly) -> list[RootInterval]:
     coeffs = uni_coeffs(p)
     if len(coeffs) == 1:
         return []
-    ip = _squarefree(_int_scaled(coeffs))
+    ip = coeffs if len(coeffs) == 2 else _squarefree(_int_scaled(coeffs))
     if len(ip) == 2:
         r = Fraction(-ip[0], ip[1])
         return [RootInterval(r, r, r)]

@@ -38,10 +38,10 @@ as its count settles the question.  Both rest on the floating-point count
 ETNA 3, 1995): the midpoints and brackets are bit-identical to those of a
 separate bisection per level of the block.  The same holds for hints,
 points near the levels counted before the bisection starts, such as their
-values on a coarser grid, a Richardson prediction from those and a closed
-form, or a closed-form state's `rayleigh_quotient`: each count only adds
-true facts to the shared brackets, so a hint can save sweeps but never
-move a midpoint, however good or bad it is.
+values on a coarser grid, a Richardson prediction or the nodes of the
+`bisection_leaves` around it, or a closed-form state's `rayleigh_quotient`:
+each count only adds true facts to the shared brackets, so a hint can save
+sweeps but never move a midpoint, however good or bad it is.
 
 The stencil is built from lists of the mapped points (t, g), which a
 caller may pass in.  For odd N, (N + 1) = 2 (N//2 + 1), so the grid of
@@ -56,7 +56,7 @@ from bisect import bisect_right
 from functools import cached_property
 from itertools import chain, islice, pairwise
 from operator import mul
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .fh_oscillator import ModelParams
 
@@ -363,6 +363,23 @@ def rayleigh_quotient(block: Block, v: Sequence[float]) -> float:
             - cut) / den
 
 
+def _descend(lo: float, hi: float, tol: float,
+             below: Callable[[float], bool]) -> tuple[float, float]:
+    """The leaf one level's bisection from (lo, hi) ends in, halving until
+    hi - lo <= tol or no float lies between; below(mid): the level is < mid."""
+    for _ in range(300):
+        if hi - lo <= tol:
+            break
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if below(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
 def _bisect(block: Block, m: int, tol: float,
             hints: Iterable[float] = ()) -> list[tuple[float, float]]:
     """Brackets (lo, hi) of the block's lowest m levels.
@@ -389,35 +406,45 @@ def _bisect(block: Block, m: int, tol: float,
                 above[j] = min(above[j], x)
             for j in range(c, m):
                 below[j] = max(below[j], x)
-    brackets = []
-    lo = glo
+
+    def lies_below(mid: float) -> bool:  # level k < mid
+        if mid <= below[k]:
+            return False
+        if mid >= above[k]:
+            return True
+        stop = m if mid > below[-1] else k + 1
+        c = eigen_count_below(block, mid, stop)
+        for j in range(k, c):  # mid < above[k] <= above[j]
+            above[j] = mid
+        if c < stop:  # an exact count, not a lower bound
+            for j in range(max(c, k), m):
+                below[j] = max(below[j], mid)
+        return c > k
+
+    brackets, lo = [], glo
     for k in range(m):
-        hi = ghi
-        for _ in range(300):
-            if hi - lo <= tol:
-                break
-            mid = 0.5 * (lo + hi)
-            if mid <= lo or mid >= hi:
-                break
-            if mid <= below[k]:
-                lo = mid
-                continue
-            if mid >= above[k]:
-                hi = mid
-                continue
-            stop = m if mid > below[-1] else k + 1
-            c = eigen_count_below(block, mid, stop)
-            for j in range(k, c):  # mid < above[k] <= above[j]
-                above[j] = mid
-            if c < stop:  # an exact count, not a lower bound
-                for j in range(max(c, k), m):
-                    below[j] = max(below[j], mid)
-            if c > k:
-                hi = mid
-            else:
-                lo = mid
+        lo, hi = _descend(lo, ghi, tol, lies_below)
         brackets.append((lo, hi))
     return brackets
+
+
+def bisection_leaves(op: TridiagOp, guesses: Sequence[float], tol: float
+                     ) -> list[tuple[float, float, float]]:
+    """(lo, hi, near) for each level j < len(guesses): the leaf of
+    `_bisect`'s descent that holds guesses[j], chained from the leaf of the
+    level before in block j % 2, and the far node of the next leaf on the
+    guess's nearer side.  Counted first as hints, the three settle every
+    midpoint of a level that lies in either leaf."""
+    starts = [b.span[0] for b in op.parity_blocks]
+    out = []
+    for j, g in enumerate(guesses):
+        start, top = starts[j % 2], op.parity_blocks[j % 2].span[1]
+        lo, hi = _descend(start, top, tol, lambda mid: g < mid)
+        x = math.nextafter(lo, -math.inf) if g - lo <= hi - g else hi
+        a, b = _descend(start, top, tol, lambda mid: x < mid)
+        starts[j % 2] = lo
+        out.append((lo, hi, a if x < lo else b))
+    return out
 
 
 def _level_brackets(op: TridiagOp, m: int, tol: float,

@@ -147,8 +147,11 @@ def _check_oracle(cfg: Namespace, n_top: int, fine_op: list,
     Hints count first, the coarsest grid first: `_coarse_hints` there, and
     Q -+ w on each finer grid, Q = E_c + (E_H - E_c) / r^2 the Richardson
     point of its level E_H below, w = 3 widths + (E_H - E_c)^2 on the middle
-    grid and 3 widths, plus E_H -+ _HINT_REL, on the fine one (README).  No
-    hint changes a level, so the closed form never steers an oracle number."""
+    grid and 3 widths on the fine one.  There the h^4 term that the middle
+    grid's Q missed by moves Q to Q' (README); where it moves Q by w at most,
+    the level's hints are the nodes of `bisection_leaves` around Q', else
+    Q -+ w and E_H -+ _HINT_REL.  No hint changes a level, so the closed
+    form never steers an oracle number."""
     name, width = "oracle_matches_closed_form", 1e-9
     unsolved = dict.fromkeys(("deltas", "estimates_h", "estimates_T",
                               "resolutions"), [])
@@ -170,15 +173,24 @@ def _check_oracle(cfg: Namespace, n_top: int, fine_op: list,
         if solved:  # Richardson points from the levels of the grid below
             hints, mid = [], len(solved) == 1
             ratio = r_mid if mid else r
-            for c, H in zip(exact, solved[-1]):
-                q = c + (H - c) / (ratio * ratio)
+            qs = [c + (H - c) / (ratio * ratio)
+                  for c, H in zip(exact, solved[-1])]
+            if not mid:  # Q' = Q + the h^4 term the middle grid's Q missed
+                fix = (r * r - 1.0) / (r ** 4 * (r_mid * r_mid - 1.0))
+                fixed = [q + (H - p) * fix
+                         for q, H, p in zip(qs, solved[-1], q_mid)]
+                leaves = sl_oracle.bisection_leaves(op, fixed, width)
+            for n, (c, H, q) in enumerate(zip(exact, solved[-1], qs)):
                 w = 3.0 * width * max(1.0, abs(q))
                 if mid:  # widened where E_H and E_c part
                     w += (H - c) * (H - c)
                     hints.append((q - w, q + w))
+                elif abs(fixed[n] - q) <= w:  # trusted: Q''s leaf nodes
+                    hints.append(leaves[n])
                 else:
                     w_H = _HINT_REL * max(1.0, abs(H))
                     hints.append((q - w, q + w, H - w_H, H + w_H))
+            q_mid = qs
         try:
             solved.append(sl_oracle.lowest_eigenvalues(op, n_top + 1, width,
                                                        hints))

@@ -536,8 +536,10 @@ class TestOracleHints:
     Rayleigh quotient of the closed-form state on that grid, the only
     states verify samples.  Each finer grid's are the Richardson point of
     the level of the grid below and the closed form; the fine grid's also
-    that level itself.  They steer only how many sweeps the bisections
-    take, never what verify reports."""
+    that level itself, or, where the h^4 term the middle grid measured
+    moves the point by no more than its pair's half-width, the nodes of the
+    bisection leaves around the moved point instead.  They steer only how
+    many sweeps the bisections take, never what verify reports."""
 
     @staticmethod
     def with_hints(argv, change):
@@ -684,6 +686,18 @@ class TestOracleHints:
         # ratio, which costs sweeps but changes no level
         fine, calls = self.count_calls(flags)
         assert 0 < calls[fine] <= most
+
+    def test_fine_grid_counts_its_leaves_alone(self):
+        # the default verify at each lambda_tilde = p/q in [0, 1), q <= 6:
+        # 25 fine levels, each found in the leaves around Q' in 3 counts;
+        # 216 counts with the pair Q -+ w and the fallback pair instead
+        lts = sorted({F(p, q) for q in range(1, 7) for p in range(q)})
+        assert len(lts) == 12
+        total = 0
+        for lt in lts:
+            fine, calls = self.count_calls(["--lambda-tilde", str(lt)])
+            total += calls[fine]
+        assert 0 < total <= 90
 
 
 class TestWavefunction:

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 from hypothesis import example, given, settings, strategies as st
 
+from aimosc import exactalg
 from aimosc.exactalg import (
     RootInterval,
     _idivexact,
@@ -212,6 +213,27 @@ class TestIsolation:
         r = F(-b, sign * a)
         assert isolate_real_roots(p) == [RootInterval(r, r, r)]
         assert sturm_count(p) == 1
+
+    @given(rationals.filter(bool), rationals)
+    @example(F(3, 4), F(-5, 6))     # coefficients on different denominators
+    @example(F(6), F(4))            # not primitive
+    @example(F(-2), F(3))           # a negative leading coefficient
+    @example(F(-9, 10), F(0))       # the root 0
+    @settings(max_examples=60, deadline=None)
+    def test_linear_input_skips_the_square_free_part(self, c1, c0):
+        # c1 E + c0 as it comes: the root -c0/c1 with no gcd taken, while
+        # its square still goes through the square-free part
+        p = poly_new({(0, 1): c1, (0, 0): c0})
+        r = -c0 / c1
+        squarefree, seen = exactalg._squarefree, []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(exactalg, "_squarefree",
+                       lambda ip: seen.append(ip) or squarefree(ip))
+            assert isolate_real_roots(p) == [RootInterval(r, r, r)]
+            assert seen == []
+            assert isolate_real_roots(poly_mul(p, p)) \
+                == [RootInterval(r, r, r)]
+        assert len(seen) == 1
 
     @given(st.integers(-10 ** 6, 10 ** 6).filter(bool),
            st.integers(-10 ** 6, 10 ** 6), st.integers(1, 9))

@@ -485,6 +485,66 @@ class TestHints:
             assert lowest_eigenvalues(op, m, tol, hints) == want
 
 
+def _counted_brackets(op, m, tol, hints):
+    """_level_brackets with its hints, and the count calls it made."""
+    calls = []
+    count = sl_oracle.eigen_count_below
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sl_oracle, "eigen_count_below",
+                   lambda *a: calls.append(a) or count(*a))
+        return sl_oracle._level_brackets(op, m, tol, hints), len(calls)
+
+
+class TestBisectionLeaves:
+    @given(st.fractions(min_value=0, max_value=1, max_denominator=12)
+           .filter(lambda lt: lt < 1),
+           st.integers(7, 160), st.integers(1, 12),
+           st.sampled_from((1e-6, 1e-9, 1e-12)))
+    @settings(max_examples=60, deadline=None)
+    def test_midpoints_walk_to_the_plain_brackets(self, lt, n, m, tol):
+        # odd and even N, levels of both parity blocks: guessed at their
+        # own midpoints, the levels walk to the brackets bit for bit, and
+        # the three nodes of each, counted first, settle every midpoint
+        params = ModelParams(omega=1, lam=lt)
+        op = discretize(params, Grid(T=default_half_width(params), N=n))
+        m = min(m, n)
+        plain = sl_oracle._level_brackets(op, m, tol)
+        # a leaf of one ulp, where floats ran out, may round its midpoint
+        # up to hi, the next leaf's lo: it is guessed at its lo instead
+        mids = [0.5 * (lo + hi) for lo, hi in plain]
+        leaves = sl_oracle.bisection_leaves(
+            op, [x if x < hi else lo for x, (lo, hi) in zip(mids, plain)], tol)
+        assert [(lo, hi) for lo, hi, _ in leaves] == plain
+        for lo, hi, near in leaves:  # a leaf next door, on either side,
+            # as wide as the leaf or the tol, where floats run out first
+            assert near <= lo or near >= hi
+            assert abs(near - (lo if near <= lo else hi)) \
+                <= 2 * max(tol, hi - lo)
+        brackets, calls = _counted_brackets(op, m, tol, leaves)
+        assert brackets == plain and calls <= 3 * m
+
+    @given(st.fractions(min_value=0, max_value=1, max_denominator=12)
+           .filter(lambda lt: lt < 1),
+           st.integers(7, 160), st.sampled_from((1e-6, 1e-9, 1e-12)),
+           st.sampled_from((-0.25, 0.25, 0.75, 1.25)))
+    @settings(max_examples=40, deadline=None)
+    def test_a_near_miss_keeps_the_level_in_its_two_leaves(self, lt, n, tol,
+                                                          at):
+        # each block's lowest level guessed a quarter leaf outside its
+        # bracket, or inside it nearer a node: the leaf next to the
+        # guess's on its nearer side holds the level, and the three nodes
+        # settle every midpoint
+        params = ModelParams(omega=1, lam=lt)
+        op = discretize(params, Grid(T=default_half_width(params), N=n))
+        plain = sl_oracle._level_brackets(op, 2, tol)
+        leaves = sl_oracle.bisection_leaves(
+            op, [lo + at * (hi - lo) for lo, hi in plain], tol)
+        for (lo, hi), nodes in zip(plain, leaves):
+            assert lo in nodes and hi in nodes
+        brackets, calls = _counted_brackets(op, 2, tol, leaves)
+        assert brackets == plain and calls <= 6
+
+
 class TestParityFold:
     @given(persymmetric_ops(), st.data())
     @settings(max_examples=150, deadline=None)
