@@ -125,6 +125,8 @@ CASES = {
     # the wall at T sets the error of n = 0, which est_T carries
     "verify_slow_tail_11_12": ["verify", "--lambda-tilde", "11/12",
                                "--omega", "31"],
+    # the deepest default-grid verify: 31 levels on each grid
+    "verify_lt0_n30": ["verify", "--n-max", "30", "--kmax", "31"],
 }
 
 
