@@ -16,8 +16,8 @@ roots; `refine_root` narrows such a bracket by exact bisection.
 
 `horner` evaluates coefficient lists (exact on rationals, plain floating
 point on floats) for the other layers; `fh_oscillator.wavefunction_eval`
-and `verify._coarse_hints` run their own Horner loops.  No quadrature is
-left in the package: eigenfunctions are normalized from exact moment ratios.
+runs its own Horner loop, in integers.  No quadrature is left in the
+package: eigenfunctions are normalized from exact moment ratios.
 """
 from __future__ import annotations
 

@@ -39,9 +39,9 @@ ETNA 3, 1995): the midpoints and brackets are bit-identical to those of a
 separate bisection per level of the block.  The same holds for hints,
 points near the levels counted before the bisection starts, such as their
 values on a coarser grid, a Richardson prediction or the nodes of the
-`bisection_leaves` around it, or a closed-form state's `rayleigh_quotient`:
-each count only adds true facts to the shared brackets, so a hint can save
-sweeps but never move a midpoint, however good or bad it is.
+`bisection_leaves` around it: each count only adds true facts to the
+shared brackets, so a hint can save sweeps but never move a midpoint,
+however good or bad it is.
 
 The stencil is built from lists of the mapped points (t, g), which a
 caller may pass in.  For odd N, (N + 1) = 2 (N//2 + 1), so the grid of
@@ -55,7 +55,6 @@ import math
 from bisect import bisect_right
 from functools import cached_property
 from itertools import chain, islice, pairwise
-from operator import mul
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .fh_oscillator import ModelParams
@@ -344,23 +343,6 @@ def eigen_count_below(block: Block, x: float,
             if count == stop:
                 break
     return count
-
-
-def rayleigh_quotient(block: Block, v: Sequence[float]) -> float:
-    """sum (s_i v_i^2 + c_i (v_i - v_(i-1))^2) / sum v_i^2 over the rows
-    i < m = len(v), c_i = sqrt(b2[i]) (0 at i = 0, n), s_i = a_i - c_i -
-    c_(i+1): the Rayleigh quotient for the off-diagonal -c_i, with the
-    tail terms of rows i >= m, each >= 0 where s_i >= 0, left out; NaN for
-    a zero v.  It telescopes to v^T A v on rows < m less c_m v_(m-1)^2."""
-    m = len(v)
-    den = sum(map(mul, v, v))
-    if not den:
-        return math.nan
-    cross = sum(map(mul, map(math.sqrt, islice(block.b2, 1, m)),
-                    map(mul, islice(v, 1, None), v)))
-    cut = math.sqrt(block.b2[m]) * v[-1] * v[-1] if m < block.n else 0.0
-    return (sum(map(mul, block.diag, map(mul, v, v))) - 2.0 * cross
-            - cut) / den
 
 
 def _descend(lo: float, hi: float, tol: float,

@@ -5,9 +5,8 @@ from __future__ import annotations
 import json
 import math
 from argparse import Namespace
-from bisect import bisect_left, bisect_right
-from itertools import pairwise, repeat
-from operator import add, mul
+from fractions import Fraction
+from itertools import pairwise
 
 from . import aim_core, cli, fh_oscillator, sl_oracle
 from .fh_oscillator import SpectrumEntry
@@ -32,16 +31,10 @@ def cmd_verify(cfg: Namespace) -> int:
         fine_op = [cli._oracle_op(cfg, n_top)] if n_top >= 0 else []
         table = cli._closed_entries(cfg)
         covered = list(filter(cfg.census.bound, range(min(cfg.n_max, 5) + 1)))
-        efs = []  # n <= n_top for the oracle, n in covered for the residuals
-        for n in range(max(n_top + 1, len(covered))):
-            try:
-                efs.append(fh_oscillator.eigen_polynomial(n, lt))
-            except ValueError as exc:
-                efs.append(exc)
         # the oracle's errors exit before the iteration runs
-        oracle = _check_oracle(cfg, n_top, fine_op, table, efs)
+        oracle = _check_oracle(cfg, n_top, fine_op, table)
         checks = [_check_aim_exact(cfg, table), oracle,
-                  _check_residuals(covered, efs)]
+                  _check_residuals(covered, lt)]
 
     doc = {"params": cli._params_json(cfg), "checks": checks,
            "entries": [cli._entry_json(e, cfg) for e in table]}
@@ -79,56 +72,8 @@ def _check_aim_exact(cfg: Namespace, table: list[SpectrumEntry]) -> dict:
 _HINT_REL = 1e-5
 
 
-def _coarse_hints(cfg: Namespace, op: sl_oracle.TridiagOp,
-                  points: sl_oracle.Points, exact: list, efs: list) -> list[tuple]:
-    """R -+ w, w = 1e-8 max(1, |R|) + 4 (R - exact[n])^2, for each n whose
-    f_n = efs[n] built: R is the Rayleigh quotient on op's block n % 2 of
-    the state sqrt(g) env(tau) f_n(tau), tau^2 = omega t^2, at op's held
-    nodes and folded as `TridiagOp.parity_blocks` folds rows.  The sample
-    stops before the last row or where env(tau) max(1, tau)^n falls below
-    1e-12 of its peak, at tau^2 = max(1, n / (1 - n lt))."""
-    omega = float(cfg.omega)
-    tau2 = [omega * t * t for t in points[0][1::2]]
-    weight, pairs = [], []  # weight: sqrt(g) env, as far as a level needs
-    for n, (e_c, ef) in enumerate(zip(exact, efs)):
-        try:
-            if isinstance(ef, ValueError):
-                raise ef
-            coeffs = [float(c) for c in ef.coeffs[ef.n % 2::2]]
-        except (ValueError, OverflowError):
-            pairs.append(())
-            continue
-        lt, a = ef.envelope_floats
-
-        def drop(y: float) -> float:  # -log(env max(1, tau)^n), tau^2 = y
-            return (0.5 * y if a is None else -a * math.log1p(lt * y)
-                    ) - 0.5 * n * math.log(max(1.0, y))
-        peak = max(1.0, n / (1.0 - n * lt))
-        cut = min(len(tau2) - 1, bisect_right(
-            tau2, 12.0 * math.log(10.0) + min(0.0, drop(peak)),
-            bisect_left(tau2, peak), key=drop))
-        rows = zip(tau2[len(weight):cut], points[1][2 * len(weight) + 1::2])
-        weight += ([math.sqrt(g) * math.exp(-0.5 * y) for y, g in rows]
-                   if a is None else
-                   [math.sqrt(g) * (1.0 + lt * y) ** a for y, g in rows])
-        v = weight[:cut]  # times f_n(tau) = tau^(n % 2) P(tau^2) up to scale
-        if len(coeffs) > 1:
-            f = repeat(coeffs[-1])
-            for c in reversed(coeffs[:-1]):
-                f = map(add, map(mul, f, tau2[:cut]), repeat(c))
-            v = list(map(mul, v, f))
-        if ef.n % 2:
-            v = list(map(mul, v, map(math.sqrt, tau2[:cut])))
-        if v and len(op.diag) > len(op.offdiag):  # odd N: the centre row
-            v = v[1:] if n % 2 else [v[0] * math.sqrt(0.5), *v[1:]]
-        r = sl_oracle.rayleigh_quotient(op.parity_blocks[n % 2], v)
-        w = 1e-8 * max(1.0, abs(r)) + 4.0 * (r - e_c) * (r - e_c)
-        pairs.append((r - w, r + w))
-    return pairs
-
-
 def _check_oracle(cfg: Namespace, n_top: int, fine_op: list,
-                  table: list[SpectrumEntry], efs: list) -> dict:
+                  table: list[SpectrumEntry]) -> dict:
     """Finite-difference eigenvalues against the table's closed form E_c
     for each n <= n_top: normalizable and strictly below the continuum
     edge, where states converge too slowly.  Past n ~ 1/lt - 1/2 the
@@ -144,14 +89,14 @@ def _check_oracle(cfg: Namespace, n_top: int, fine_op: list,
     est_T) plus the bisection width, and that resolution within --tol.
     Levels that a grid cannot order fail the check with their pair.
 
-    Hints count first, the coarsest grid first: `_coarse_hints` there, and
-    Q -+ w on each finer grid, Q = E_c + (E_H - E_c) / r^2 the Richardson
-    point of its level E_H below, w = 3 widths + (E_H - E_c)^2 on the middle
-    grid and 3 widths on the fine one.  There the h^4 term that the middle
-    grid's Q missed by moves Q to Q' (README); where it moves Q by w at most,
-    the level's hints are the nodes of `bisection_leaves` around Q', else
-    Q -+ w and E_H -+ _HINT_REL.  No hint changes a level, so the closed
-    form never steers an oracle number."""
+    The coarsest grid is bisected without hints.  Each finer grid counts
+    hints first, Q -+ w, Q = E_c + (E_H - E_c) / r^2 the Richardson point
+    of its level E_H on the grid below, w = 3 widths + (E_H - E_c)^2 on the
+    middle grid and 3 widths on the fine one.  There the h^4 term that the
+    middle grid's Q missed by moves Q to Q' (README); where it moves Q by w
+    at most, the level's hints are the nodes of `bisection_leaves` around
+    Q', else Q -+ w and E_H -+ _HINT_REL.  No hint changes a level, so the
+    closed form never steers an oracle number."""
     name, width = "oracle_matches_closed_form", 1e-9
     unsolved = dict.fromkeys(("deltas", "estimates_h", "estimates_T",
                               "resolutions"), [])
@@ -165,11 +110,10 @@ def _check_oracle(cfg: Namespace, n_top: int, fine_op: list,
         _, op, points, flag = cli._oracle_op(cfg, n_top, div,
                                              points if op.n % 2 else None)
         grids.append((op, flag))
-    hints = _coarse_hints(cfg, op, points, exact, efs)
     del points  # not held through the bisections
     r, r_mid = ((a.n + 1) / (b.n + 1) for (a, _), (b, _) in pairwise(grids))
-    covered, solved = list(range(n_top + 1)), []
-    for op, flag in reversed(grids):  # the coarsest first
+    covered, solved, hints = list(range(n_top + 1)), [], ()
+    for op, flag in reversed(grids):  # the coarsest first, unhinted
         if solved:  # Richardson points from the levels of the grid below
             hints, mid = [], len(solved) == 1
             ratio = r_mid if mid else r
@@ -258,16 +202,18 @@ def _truncation(cfg: Namespace, grid: sl_oracle.Grid, op: sl_oracle.TridiagOp,
     return out
 
 
-def _check_residuals(covered: list[int], efs: list) -> dict:
+def _check_residuals(covered: list[int], lt: Fraction) -> dict:
     """Each covered n fails on a nonzero series residual, a sampled one of
-    1e-9 or more, or a series that does not terminate (efs[n] is its
+    1e-9 or more, or a series that does not terminate (its build raises
     ValueError): every input was checked, so that is an inconsistency."""
     failed, worst = [], 0.0
     for n in covered:
-        if isinstance(efs[n], ValueError):
+        try:
+            ef = fh_oscillator.eigen_polynomial(n, lt)
+        except ValueError:
             failed.append(n)
             continue
-        rep = fh_oscillator.residual_check(efs[n])
+        rep = fh_oscillator.residual_check(ef)
         sampled = [abs(r) for _, r in rep.ode_samples]
         worst = max(worst, *sampled)
         if rep.series_residual or not all(r < 1e-9 for r in sampled):

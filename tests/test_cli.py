@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from aimosc import aim_core, cli, fh_oscillator, sl_oracle, verify
+from aimosc import aim_core, cli, fh_oscillator, sl_oracle
 
 
 def run(capsys, argv):
@@ -410,12 +410,12 @@ class TestVerify:
         assert builds == {}
 
     @pytest.mark.parametrize("flags, want", [
-        # the oracle reads n <= 3, the residuals n <= 3
+        # the residuals read n <= 3
         ([], {0: 1, 1: 1, 2: 1, 3: 1}),
-        # the oracle reads the strictly bound n <= 8, the residuals n <= 5
+        # the residuals read n <= 5; the oracle reads no EigenFunction now
         (["--lambda-tilde", "1/10", "--n-max", "9"],
-         dict.fromkeys(range(9), 1)),
-        # only n = 0 is normalizable: both read it, and no other n is built
+         dict.fromkeys(range(6), 1)),
+        # only n = 0 is normalizable: no other n is built
         (["--lambda-tilde", "5/6"], {0: 1}),
     ])
     def test_each_read_eigenfunction_built_once(self, capsys, monkeypatch,
@@ -532,14 +532,14 @@ def test_every_level_within_its_resolution(lt, omega, n_max, kmax, tau0):
 
 
 class TestOracleHints:
-    """verify's bisections count hints first.  The coarsest grid's are the
-    Rayleigh quotient of the closed-form state on that grid, the only
-    states verify samples.  Each finer grid's are the Richardson point of
-    the level of the grid below and the closed form; the fine grid's also
-    that level itself, or, where the h^4 term the middle grid measured
-    moves the point by no more than its pair's half-width, the nodes of the
-    bisection leaves around the moved point instead.  They steer only how
-    many sweeps the bisections take, never what verify reports."""
+    """verify's finer bisections count hints first; the coarsest grid has
+    none, and verify samples no state.  Each finer grid's hints are the
+    Richardson point of the level of the grid below and the closed form;
+    the fine grid's also that level itself, or, where the h^4 term the
+    middle grid measured moves the point by no more than its pair's
+    half-width, the nodes of the bisection leaves around the moved point
+    instead.  They steer only how many sweeps the bisections take, never
+    what verify reports."""
 
     @staticmethod
     def with_hints(argv, change):
@@ -576,41 +576,6 @@ class TestOracleHints:
         # prediction misses
         self.assert_same_report(["verify"] + flags)
 
-    @pytest.mark.parametrize("flags, coarsest", [
-        ([], 999), (["--grid-N", "4000"], 1000), (["--grid-N", "4001"], 1000)])
-    def test_only_the_coarsest_grid_samples_states(self, flags, coarsest,
-                                                   monkeypatch):
-        hints, sampled = verify._coarse_hints, []
-
-        def counted(cfg, op, *args):
-            sampled.append(op.n)
-            return hints(cfg, op, *args)
-        monkeypatch.setattr(verify, "_coarse_hints", counted)
-        run_quiet(["verify"] + flags)
-        assert sampled == [coarsest]
-
-    @pytest.mark.parametrize("argv", [
-        ["verify", "--lambda-tilde", "1/10", "--n-max", "9"],
-        ["verify", "--lambda-tilde", "5/6", "--grid-N", "2000"]])
-    def test_wrong_coarse_quotients_steer_only_speed(self, argv, monkeypatch):
-        # quotients 1e-3 off, and those of the other parity's states, miss
-        # their levels; neither changes a byte.  The hints alone get the
-        # other parity's states: the residual check reads the right ones
-        want = run_quiet(argv)
-        quotient = sl_oracle.rayleigh_quotient
-        hints = verify._coarse_hints
-
-        def other_parity(cfg, op, points, exact, efs):
-            return hints(cfg, op, points, exact, [
-                fh_oscillator.eigen_polynomial(n ^ 1, cfg.lam_tilde)
-                for n in range(len(exact))])
-        with monkeypatch.context() as mp:
-            mp.setattr(sl_oracle, "rayleigh_quotient",
-                       lambda block, v: quotient(block, v) + 1e-3)
-            assert run_quiet(argv) == want
-        monkeypatch.setattr(verify, "_coarse_hints", other_parity)
-        assert run_quiet(argv) == want
-
     @staticmethod
     def count_calls(flags):
         """The grids verify solves, in order, and the count calls on each;
@@ -640,16 +605,21 @@ class TestOracleHints:
         assert solving == [fine // 4, fine // 2, fine]
         return fine, calls
 
-    @pytest.mark.parametrize("flags, most", [
-        # without hints the coarse grid took 156, 46 and 166 counts
-        (["--lambda-tilde", "1/10"], 50),
-        (["--lambda-tilde", "5/6"], 12),
-        # the state, cut off at T = 4, misses its pair: 2 counts a level
-        (["--grid-T", "4"], 166 + 2 * 4),
+    @pytest.mark.parametrize("flags, want", [
+        (["--lambda-tilde", "1/10"], 146),
+        (["--lambda-tilde", "5/6"], 42),
+        (["--grid-T", "4"], 157),
     ])
-    def test_coarse_grid_count_calls(self, flags, most):
+    def test_coarse_grid_count_calls(self, flags, want):
+        # the coarsest grid counts no hints: as many counts as a bisection
+        # of the same operator with every hint dropped
         fine, calls = self.count_calls(flags)
-        assert 0 < calls[fine // 4] <= most
+        solve = sl_oracle.lowest_eigenvalues
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sl_oracle, "lowest_eigenvalues",
+                       lambda op, m, tol, hints=(): solve(op, m, tol))
+            _, bare = self.count_calls(flags)
+        assert calls[fine // 4] == bare[fine // 4] == want
 
     @pytest.mark.parametrize("flags, most", [
         # the caps of the coarse grid of 3999 rows when it was the only

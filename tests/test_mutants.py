@@ -71,7 +71,9 @@ def test_normalization_off_by_one_percent_is_caught(capsys, monkeypatch, lt):
 
 
 @pytest.mark.xfail(strict=True, reason="verify reads the envelope only "
-                   "to hint its bisections: ROADMAP item 6 must catch it")
+                   "in _full_ode_residuals, where the exponent enters as "
+                   "the common factor u^a of every term: ROADMAP item 6 "
+                   "must catch it")
 def test_envelope_exponent_stretched_is_caught(capsys, monkeypatch):
     # at lambda_tilde 0 the exponent is None and the envelope exp(-tau^2/2),
     # so the mutant changes nothing there; a property, not a cached one,

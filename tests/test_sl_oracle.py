@@ -21,7 +21,6 @@ from aimosc.sl_oracle import (
     lowest_eigenvalues,
     mapped_points,
     nested_points,
-    rayleigh_quotient,
 )
 
 HARMONIC = ModelParams(omega=1, lam=0)
@@ -582,94 +581,6 @@ class TestParityFold:
         for (lo, hi), value in zip(brackets, want):
             assert hi - lo <= tol
             assert abs(0.5 * (lo + hi) - value) <= slack
-
-
-def _inverse_iteration(block, shift, steps=3):
-    """The block's eigenvector nearest shift, by a few steps of inverse
-    iteration: Thomas elimination on A - shift I, off-diagonal -c_i."""
-    c = [math.sqrt(b) for b in block.b2] + [0.0]
-    x = [1.0] * block.n
-    for _ in range(steps):
-        d, y = [block.diag[0] - shift], [x[0]]
-        for i in range(1, block.n):
-            y.append(x[i] + c[i] * y[-1] / d[-1])
-            d.append(block.diag[i] - shift - c[i] * c[i] / d[-1])
-        x = [y[-1] / d[-1]]
-        for i in reversed(range(block.n - 1)):
-            x.append((y[i] + c[i + 1] * x[-1]) / d[i])
-        top = max(map(abs, x))
-        x = [v / top for v in reversed(x)]
-    return x
-
-
-class TestRayleighQuotient:
-    @pytest.mark.parametrize("lt", [F(0), F(1, 10)])
-    @pytest.mark.parametrize("n", [401, 402])
-    def test_own_eigenvector_gives_the_bisected_level(self, lt, n):
-        # whole, and cut where the vector has fallen below 1e-12 of its
-        # largest entry
-        params = ModelParams(omega=1, lam=lt)
-        op = discretize(params, Grid(T=default_half_width(params), N=n))
-        levels = lowest_eigenvalues(op, 4, 1e-13)
-        for j, level in enumerate(levels):
-            block = op.parity_blocks[j % 2]
-            v = _inverse_iteration(block, level + 1e-9 * max(1.0, level))
-            cut = max(i for i, x in enumerate(v) if abs(x) >= 1e-12) + 1
-            assert cut < block.n
-            for sample in (v, v[:cut]):
-                got = rayleigh_quotient(block, sample)
-                assert abs(got - level) <= 1e-12 * max(1.0, abs(level))
-
-    @given(persymmetric_ops(), st.booleans(), st.data())
-    @settings(max_examples=100, deadline=None)
-    def test_slack_form_at_any_cut(self, sym, odd, data):
-        # the definition, term by term, for a vector cut where it has not
-        # vanished: the rows from m on drop out
-        block = sym[0].parity_blocks[odd]
-        m = data.draw(st.integers(1, block.n))
-        v = data.draw(st.lists(st.floats(1 / 8, 4), min_size=m, max_size=m))
-        c = [math.sqrt(b) for b in block.b2] + [0.0]
-        want = sum((block.diag[i] - c[i] - c[i + 1]) * v[i] ** 2
-                   + c[i] * (v[i] - (v[i - 1] if i else 0.0)) ** 2
-                   for i in range(m)) / sum(x * x for x in v)
-        scale = max(map(abs, block.diag)) + 2.0 * max(c)
-        assert abs(rayleigh_quotient(block, v) - want) <= 1e-12 * scale
-
-    @given(persymmetric_ops(), st.booleans(), st.data())
-    @settings(max_examples=100, deadline=None)
-    def test_folded_quotient_is_that_of_the_whole_matrix(self, sym, odd,
-                                                         data):
-        # with negative couplings, as the stencil's are: a symmetric (or
-        # antisymmetric) vector that vanishes before the cut has, on the
-        # even (odd) block, the quotient v^T A v / v^T v of the whole
-        # matrix; this pins the sqrt(2) fold of the centre row for odd N
-        op, diag, offdiag = sym
-        op = TridiagOp(diag=op.diag, offdiag=[-abs(b) for b in op.offdiag])
-        offdiag = [-abs(b) for b in offdiag]
-        block = op.parity_blocks[odd]
-        right = len(op.diag)  # held rows, the centre row first for odd N
-        support = data.draw(st.integers(1, block.n))
-        entry = st.one_of(st.just(0.0), st.floats(1 / 8, 4),
-                          st.floats(-4, -1 / 8))
-        entries = data.draw(st.lists(entry, min_size=support,
-                                     max_size=support).filter(any))
-        m = data.draw(st.integers(min(support + 1, block.n), block.n))
-        held = entries + [0.0] * (right - support)
-        if op.n % 2 and odd:
-            held = [0.0] + held[:-1]  # the odd states vanish at the centre
-        mirror = [-x if odd else x for x in reversed(held)]
-        whole = mirror[:-1] + held if op.n % 2 else mirror + held
-        if op.n % 2 and not odd:
-            folded = [held[0] / math.sqrt(2.0)] + held[1:]
-        else:
-            folded = held[op.n % 2:]
-        want = (sum(a * x * x for a, x in zip(diag, whole))
-                + 2.0 * sum(b * x * y for b, x, y in
-                            zip(offdiag, whole, whole[1:])))
-        want /= sum(x * x for x in whole)
-        scale = max(map(abs, diag)) + 2.0 * max(map(abs, offdiag))
-        got = rayleigh_quotient(block, folded[:m])
-        assert abs(got - want) <= 1e-12 * scale
 
 
 class TestLowestEigenvalues:
