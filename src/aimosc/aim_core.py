@@ -47,10 +47,6 @@ class NoStableRoots(RuntimeError):
     """No root terminated the iteration by k_max."""
 
 
-class DivisionByZero(ZeroDivisionError):
-    """The ratio s_k/l_k was requested where l_k vanishes."""
-
-
 class NotTerminated(ArithmeticError):
     """s_k/l_k is not a logarithmic derivative -f'/f at the requested E."""
 
@@ -228,15 +224,16 @@ def eigenfunction_via_alpha(state: AimState, e_n: RatLike,
     the reduced numerator must then equal minus its derivative, exactly.
     f is scaled so that its lowest-degree coefficient is 1: f(0) = 1, or
     f'(0) = 1 when 0 is a node.  Each value is the exact rational f(t),
-    correctly rounded to a float.  Raises NotTerminated when alpha is not
-    a logarithmic derivative: e_n is no eigenvalue, or k is too shallow.
+    correctly rounded to a float.  Raises ZeroDivisionError where l_k
+    vanishes identically at e_n, and NotTerminated when alpha is not a
+    logarithmic derivative: e_n is no eigenvalue, or k is too shallow.
     No CLI path calls it yet: it is kept for a planned `verify` check of
     the AIM eigenfunction against `fh_oscillator.eigen_polynomial`.
     """
     e_n = Fraction(e_n)
     num, den = poly_restrict((state.S, state.L), 1, e_n)
     if not den:
-        raise DivisionByZero("l_k is identically zero at this E")
+        raise ZeroDivisionError("l_k is identically zero at this E")
     num, den = uni_reduce(num, den)
     if num != [-c for c in _ideriv(den)]:
         raise NotTerminated(

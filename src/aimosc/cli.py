@@ -246,40 +246,44 @@ def _oracle_top(cfg: Namespace) -> int:
     return n_top
 
 
-def _oracle_op(cfg: Namespace, n_top: int, div: int = 1,
-               above: Optional[sl_oracle.Points] = None
-               ) -> tuple[sl_oracle.Grid, sl_oracle.TridiagOp,
-                          sl_oracle.Points, str]:
-    """The operator for n = 0..n_top on --grid-N // div rows, its grid,
-    points and flag name; its points are taken from `above`, those of an
-    odd grid of twice as many rows plus one over the same T, if given."""
-    rows = cfg.grid_n // div
-    name = f"--grid-N {cfg.grid_n}" + (f" // {div}" if div > 1 else "")
-    if n_top + 1 > rows:
-        raise ValueError(f"--n-max asks the oracle for n = 0..{n_top}, more "
-                         f"than the {rows} levels of {name}")
-    if rows < 3:
-        raise ValueError(f"{name} is {rows} rows, fewer than the 3 a grid "
-                         f"needs: raise --grid-N")
+def _oracle_grids(cfg: Namespace, n_top: int, count: int = 1
+                  ) -> list[tuple[sl_oracle.Grid, sl_oracle.TridiagOp, str]]:
+    """(grid, operator, flag name) for n = 0..n_top on --grid-N // 2^i rows
+    over the same T, for each i < count, finest first; a grid's errors exit
+    before the next is built.  The grid under an odd one takes its points
+    by `sl_oracle.nested_points`, so that H = 2h exactly; any other grid
+    maps its own."""
     params = ModelParams(omega=cfg.omega, lam=cfg.lam)
     t_half = cfg.grid_t if cfg.grid_t is not None \
         else sl_oracle.default_half_width(params)
-    grid = sl_oracle.Grid(T=t_half, N=rows)
-    try:
-        points = (sl_oracle.nested_points(above) if above is not None
-                  else sl_oracle.mapped_points(params, grid))
-        op = sl_oracle.discretize(params, grid, points)
-    except ValueError as exc:
-        raise ValueError(f"--grid-T {t_half:g} is too small or too large for "
-                         f"{name}: {exc}") from None
-    return grid, op, points, name
+    grids, points = [], None
+    for i in range(count):
+        rows = cfg.grid_n >> i
+        name = f"--grid-N {cfg.grid_n}" + (f" // {2 ** i}" if i else "")
+        if n_top + 1 > rows:
+            raise ValueError(f"--n-max asks the oracle for n = 0..{n_top}, "
+                             f"more than the {rows} levels of {name}")
+        if rows < 3:
+            raise ValueError(f"{name} is {rows} rows, fewer than the 3 a grid "
+                             f"needs: raise --grid-N")
+        grid = sl_oracle.Grid(T=t_half, N=rows)
+        try:
+            points = (sl_oracle.mapped_points(params, grid) if points is None
+                      else sl_oracle.nested_points(points))
+            op = sl_oracle.discretize(params, grid, points)
+        except ValueError as exc:
+            raise ValueError(f"--grid-T {t_half:g} is too small or too large "
+                             f"for {name}: {exc}") from None
+        grids.append((grid, op, name))
+        points = points if rows % 2 else None
+    return grids
 
 
 def _oracle_entries(cfg: Namespace) -> list[SpectrumEntry]:
     n_top = _oracle_top(cfg)
     levels = ()
     if n_top >= 0:
-        _, op, _, name = _oracle_op(cfg, n_top)
+        [(_, op, name)] = _oracle_grids(cfg, n_top)
         try:
             levels = sl_oracle.lowest_eigenvalues(op, n_top + 1, cfg.tol)
         except sl_oracle.UnresolvedLevels as exc:

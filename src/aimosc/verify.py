@@ -26,13 +26,13 @@ def cmd_verify(cfg: Namespace) -> int:
             cli._float(1 / lt, "1/lambda_tilde", cfg.lam_flag)
         if lt >= 1:  # the seed, the census and the eigenfunctions need lt < 1
             raise ValueError(f"lam_tilde must lie in [0, 1), got {lt}")
-        # the fine grid first: its errors exit before any row is built
+        # the grids first: their errors exit before any row is built
         n_top = cfg.census.below_edge(cli._oracle_top(cfg))
-        fine_op = [cli._oracle_op(cfg, n_top)] if n_top >= 0 else []
+        grids = cli._oracle_grids(cfg, n_top, 3) if n_top >= 0 else []
         table = cli._closed_entries(cfg)
         covered = list(filter(cfg.census.bound, range(min(cfg.n_max, 5) + 1)))
         # the oracle's errors exit before the iteration runs
-        oracle = _check_oracle(cfg, n_top, fine_op, table)
+        oracle = _check_oracle(cfg, n_top, grids, table)
         checks = [_check_aim_exact(cfg, table), oracle,
                   _check_residuals(covered, lt)]
 
@@ -72,16 +72,16 @@ def _check_aim_exact(cfg: Namespace, table: list[SpectrumEntry]) -> dict:
 _HINT_REL = 1e-5
 
 
-def _check_oracle(cfg: Namespace, n_top: int, fine_op: list,
+def _check_oracle(cfg: Namespace, n_top: int, grids: list,
                   table: list[SpectrumEntry]) -> dict:
     """Finite-difference eigenvalues against the table's closed form E_c
     for each n <= n_top: normalizable and strictly below the continuum
     edge, where states converge too slowly.  Past n ~ 1/lt - 1/2 the
     spectrum folds back below the edge, so `census.below_edge` filters on n.
-    With no such n, nothing is solved; else fine_op's grid is popped.
+    With no such n, nothing is solved and grids is empty.
 
-    Three grids span the same x range: N = --grid-N rows (step h), N // 2
-    and N // 4, each nested in the one above where that one is odd.  With
+    grids holds `cli._oracle_grids`' three, which span the same x range:
+    N = --grid-N rows (step h), N // 2 and N // 4, finest first.  With
     H/h = r, the order-2 stencil's levels E_h and E_H extrapolate to P =
     E_h + (E_h - E_H) / (r^2 - 1), whose h^4 error est_h is |P - P_H| /
     (r^4 - 1), P_H the same point one grid down.  est_T is `_truncation`'s.
@@ -90,30 +90,25 @@ def _check_oracle(cfg: Namespace, n_top: int, fine_op: list,
     Levels that a grid cannot order fail the check with their pair.
 
     The coarsest grid is bisected without hints.  Each finer grid counts
-    hints first, Q -+ w, Q = E_c + (E_H - E_c) / r^2 the Richardson point
-    of its level E_H on the grid below, w = 3 widths + (E_H - E_c)^2 on the
-    middle grid and 3 widths on the fine one.  There the h^4 term that the
-    middle grid's Q missed by moves Q to Q' (README); where it moves Q by w
-    at most, the level's hints are the nodes of `bisection_leaves` around
-    Q', else Q -+ w and E_H -+ _HINT_REL.  No hint changes a level, so the
-    closed form never steers an oracle number."""
+    hints first, from Q = E_c + (E_H - E_c) / r^2, the Richardson point of
+    its level E_H on the grid below.  On the middle grid they are Q -+ w,
+    w = 3 widths + (E_H - E_c)^2.  On the fine one, the h^4 term that the
+    middle grid's Q missed by moves Q to Q' (README), and the hints are the
+    nodes of `bisection_leaves` around Q': all three where Q' lies within
+    w = 3 widths of Q, else the two ends of Q''s leaf and E_H -+ _HINT_REL.
+    No hint changes a level, so the closed form never steers an oracle
+    number."""
     name, width = "oracle_matches_closed_form", 1e-9
     unsolved = dict.fromkeys(("deltas", "estimates_h", "estimates_T",
                               "resolutions"), [])
     if n_top < 0:
         return _check(name, [], [], "no strictly bound n <= --n-max",
                       **unsolved)
-    grid, op, points, flag = fine_op.pop()
     exact = [float(e.e_phys) for e in table[:n_top + 1]]
-    grids = [(op, flag)]
-    for div in (2, 4):
-        _, op, points, flag = cli._oracle_op(cfg, n_top, div,
-                                             points if op.n % 2 else None)
-        grids.append((op, flag))
-    del points  # not held through the bisections
-    r, r_mid = ((a.n + 1) / (b.n + 1) for (a, _), (b, _) in pairwise(grids))
+    r, r_mid = ((a.N + 1) / (b.N + 1) for (a, _, _), (b, _, _)
+                in pairwise(grids))
     covered, solved, hints = list(range(n_top + 1)), [], ()
-    for op, flag in reversed(grids):  # the coarsest first, unhinted
+    for _, op, flag in reversed(grids):  # the coarsest first, unhinted
         if solved:  # Richardson points from the levels of the grid below
             hints, mid = [], len(solved) == 1
             ratio = r_mid if mid else r
@@ -131,9 +126,9 @@ def _check_oracle(cfg: Namespace, n_top: int, fine_op: list,
                     hints.append((q - w, q + w))
                 elif abs(fixed[n] - q) <= w:  # trusted: Q''s leaf nodes
                     hints.append(leaves[n])
-                else:
+                else:  # Q''s leaf ends, and E_H for a prediction that missed
                     w_H = _HINT_REL * max(1.0, abs(H))
-                    hints.append((q - w, q + w, H - w_H, H + w_H))
+                    hints.append((*leaves[n][:2], H - w_H, H + w_H))
             q_mid = qs
         try:
             solved.append(sl_oracle.lowest_eigenvalues(op, n_top + 1, width,
@@ -148,7 +143,8 @@ def _check_oracle(cfg: Namespace, n_top: int, fine_op: list,
     extra_mid = [h + (h - H) / (r_mid * r_mid - 1.0)
                  for h, H in zip(mid, coarse)]
     est_h = [abs(p - q) / (r ** 4 - 1.0) for p, q in zip(extra, extra_mid)]
-    est_t = _truncation(cfg, grid, grids[0][0], fine, width)
+    grid, op, _ = grids[0]
+    est_t = _truncation(cfg, grid, op, fine, width)
     deltas = [abs(p - c) for p, c in zip(extra, exact)]
     res = [2.0 * (a + b) + width for a, b in zip(est_h, est_t)]
     failed = [n for n, (d, b) in enumerate(zip(deltas, res))

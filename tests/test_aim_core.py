@@ -360,6 +360,23 @@ class TestEigenfunctionViaAlpha:
         with pytest.raises(NotTerminated):
             eigenfunction_via_alpha(state, 2, [0.0, 0.5, 1.0])
 
+    @pytest.mark.parametrize("lt, n, k", [(F(1, 2), 0, 2), (F(1, 3), 0, 4)])
+    def test_vanishing_l_k_raises(self, lt, n, k):
+        # at lambda_tilde = 1/m, L(., E_n) and S(., E_n) can both vanish
+        state = chain(aim_seed(*aim_inputs(lt)), k)[k]
+        en = spectrum_closed_dimensionless(n, lt)
+        assert not poly_restrict((state.L,), 1, en)[0]
+        with pytest.raises(ZeroDivisionError):
+            eigenfunction_via_alpha(state, en, [0.0, 0.5, 1.0])
+
+    def test_nonvanishing_l_k_returns_values(self):
+        # l_k need not vanish at 1/m: here alpha = -f'/f, f = 1 - 1.7 t^2
+        lt = F(1, 10)
+        state = chain(aim_seed(*aim_inputs(lt)), 3)[3]
+        en = spectrum_closed_dimensionless(2, lt)
+        assert eigenfunction_via_alpha(state, en, [0.0, 0.5, 1.0]) == [
+            1.0, 0.575, -0.7]
+
 
 class TestDifferential:
     """AIM census and series polynomials against the closed form, at random

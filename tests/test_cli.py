@@ -403,10 +403,15 @@ class TestVerify:
             raise AssertionError("the closed-form table was built")
         builds = self.count_builds(monkeypatch)
         monkeypatch.setattr(cli, "_closed_entries", no_table)
-        code, out, err = run(capsys, ["verify", "--n-max", "100000"])
-        assert (code, out) == (2, "")
-        assert err == ("error: --n-max asks the oracle for n = 0..100000, "
-                       "more than the 3999 levels of --grid-N 3999\n")
+        # each of the three grids is built before the table
+        for flags, levels in [
+                (["--n-max", "100000"],
+                 "n = 0..100000, more than the 3999 levels of --grid-N 3999"),
+                (["--grid-N", "40", "--n-max", "15"],
+                 "n = 0..15, more than the 10 levels of --grid-N 40 // 4")]:
+            code, out, err = run(capsys, ["verify"] + flags)
+            assert (code, out) == (2, "")
+            assert err == f"error: --n-max asks the oracle for {levels}\n"
         assert builds == {}
 
     @pytest.mark.parametrize("flags, want", [
@@ -533,13 +538,13 @@ def test_every_level_within_its_resolution(lt, omega, n_max, kmax, tau0):
 
 class TestOracleHints:
     """verify's finer bisections count hints first; the coarsest grid has
-    none, and verify samples no state.  Each finer grid's hints are the
-    Richardson point of the level of the grid below and the closed form;
-    the fine grid's also that level itself, or, where the h^4 term the
-    middle grid measured moves the point by no more than its pair's
-    half-width, the nodes of the bisection leaves around the moved point
-    instead.  They steer only how many sweeps the bisections take, never
-    what verify reports."""
+    none, and verify samples no state.  The middle grid's hints are the
+    Richardson point of the level of the grid below and the closed form.
+    The fine grid's are the ends of the bisection leaf around that point
+    moved by the h^4 term the middle grid measured, with the leaf's third
+    node where the move is no more than the point's half-width, else with
+    a pair around the level of the grid below.  They steer only how many
+    sweeps the bisections take, never what verify reports."""
 
     @staticmethod
     def with_hints(argv, change):
@@ -650,6 +655,9 @@ class TestOracleHints:
         # the prediction misses by far more than its pair's width: 73
         # counts with the coarse-level hints alone, plus 2 a level at most
         (["--grid-T", "4"], 73 + 2 * 4),
+        # the top levels' predictions miss: 125 counts with the pair Q -+ w
+        # in place of the ends of the leaf around Q'
+        (["--lambda-tilde", "1/10", "--n-max", "9"], 40),
     ])
     def test_fine_grid_count_calls(self, flags, most):
         # the byte tests cannot see a prediction with a wrong sign or
@@ -660,7 +668,7 @@ class TestOracleHints:
     def test_fine_grid_counts_its_leaves_alone(self):
         # the default verify at each lambda_tilde = p/q in [0, 1), q <= 6:
         # 25 fine levels, each found in the leaves around Q' in 3 counts;
-        # 216 counts with the pair Q -+ w and the fallback pair instead
+        # 216 counts when each took the pairs around Q and E_H instead
         lts = sorted({F(p, q) for q in range(1, 7) for p in range(q)})
         assert len(lts) == 12
         total = 0
