@@ -43,17 +43,19 @@ values on a coarser grid, a Richardson prediction or the nodes of the
 shared brackets, so a hint can save sweeps but never move a midpoint,
 however good or bad it is.
 
-The stencil is built from lists of the mapped points (t, g), which a
-caller may pass in.  For odd N, (N + 1) = 2 (N//2 + 1), so the grid of
-N//2 rows over the same T has the step H = 2h exactly, and its points are
-fine points: `nested_points` takes them from the fine grid's without a
-second sinh or cosh.
+The stencil is built from sequences of the mapped points (t, g), which a
+caller may pass in.  Each grid's map is computed once per process for each
+(omega, T, N), so a sweep over lam at fixed omega reuses it.  For odd N,
+(N + 1) = 2 (N//2 + 1), so the grid of N//2 rows over the same T has the
+step H = 2h exactly, and its points are fine points: `nested_points` takes
+them from the fine grid's without a second sinh or cosh.
 """
 from __future__ import annotations
 
 import math
+import struct
 from bisect import bisect_right
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain, islice, pairwise
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
@@ -214,20 +216,27 @@ class UnresolvedLevels(ValueError):
         self.index = index
 
 
-Points = tuple[list[float], list[float]]
+Points = tuple[Sequence[float], Sequence[float]]
 
 
 def mapped_points(params: ModelParams, grid: Grid) -> Points:
     """(t, g) = (s sinh(x), s cosh(x)) at x = j h/2 for j = 2 (N//2) - N
     .. N: the half-nodes and the held nodes of the right half, alternating,
     the half-node left of the centre row first (see `discretize`).
-    x < asinh(T/s), so sinh(x) does not overflow."""
-    s = _scale(params)
+    x < asinh(T/s), so sinh(x) does not overflow.  Every call with the same
+    s and grid shares them for the life of the process, as read-only views
+    of 8 bytes a value."""
+    return _mapped(_scale(params), grid)
+
+
+@lru_cache(maxsize=3)  # an even --grid-N maps each of verify's three grids
+def _mapped(s: float, grid: Grid) -> Points:
     n = grid.N
     half = 0.5 * grid.step(s)
     xs = [j * half for j in range(2 * (n // 2) - n, n + 1)]
-    return ([s * v for v in map(math.sinh, xs)],
-            [s * v for v in map(math.cosh, xs)])
+    pack = struct.Struct(f"{len(xs)}d").pack
+    return (memoryview(pack(*[s * v for v in map(math.sinh, xs)])).cast("d"),
+            memoryview(pack(*[s * v for v in map(math.cosh, xs)])).cast("d"))
 
 
 def nested_points(points: Points) -> Points:
@@ -238,8 +247,7 @@ def nested_points(points: Points) -> Points:
     t, g = points
     t, g = t[1::2], g[1::2]   # fine points j = 0, 2, .., 2M
     if len(t) % 2 == 0:       # M odd
-        t.insert(0, -t[1])
-        g.insert(0, g[1])
+        t, g = (-t[1], *t), (g[1], *g)
     return t, g
 
 
@@ -256,8 +264,7 @@ def discretize(params: ModelParams, grid: Grid,
     Only rows N//2 .. N-1 and couplings (N-1)//2 .. N-2 are built.  The
     points are x = j h/2 with j an integer, node i at j = 2i - N - 1 and
     half-node i + 1/2 at j = 2i - N, so mirrored points are exact negatives.
-    They are `mapped_points(params, grid)`, computed here unless the caller
-    passes them.
+    They are `mapped_points(params, grid)` unless the caller passes them.
 
     A grid whose entries overflow, or whose couplings vanish because h^2
     underflows or overflows, has no such operator and raises ValueError.

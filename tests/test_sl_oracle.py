@@ -9,7 +9,7 @@ import pytest
 from fractions import Fraction as F
 from hypothesis import given, settings, strategies as st
 
-from aimosc import sl_oracle
+from aimosc import cli, sl_oracle
 from aimosc.fh_oscillator import ModelParams
 from aimosc.sl_oracle import (
     Grid,
@@ -190,6 +190,61 @@ class TestDiscretize:
             assert len(ts) == len(gs) == 2 * (n - n // 2) + 1
             given, own = discretize(params, g, (ts, gs)), discretize(params, g)
             assert given.diag == own.diag and given.offdiag == own.offdiag
+
+
+class TestMappedPointsReuse:
+    """The map depends on s = omega^(-1/2), T and N alone, and each map is
+    computed once per process: its points are shared, read-only views."""
+
+    @pytest.mark.parametrize("omega, T, n", [
+        (F(1), None, 3999), (F(1), None, 4000), (F(31), 40.0, 2001),
+        (F(1, 7), 9.0, 300)])
+    def test_lambda_reuses_the_points(self, omega, T, n):
+        params = ModelParams(omega=omega, lam=0)
+        grid = Grid(T=T or default_half_width(params), N=n)
+        ts, gs = mapped_points(params, grid)
+        again = mapped_points(ModelParams(omega=omega, lam=omega / 10), grid)
+        assert again[0] is ts and again[1] is gs
+        fresh = sl_oracle._mapped.__wrapped__(float(omega) ** -0.5, grid)
+        assert [a.tobytes() for a in (ts, gs)] == \
+            [a.tobytes() for a in fresh]
+        for shared in (ts, gs):
+            with pytest.raises(TypeError):
+                shared[0] = 0.0
+        # another omega, T or N maps other points
+        for other_params, other in (
+                (ModelParams(omega=2 * omega, lam=0), grid),
+                (params, grid._replace(T=2.0 * grid.T)),
+                (params, grid._replace(N=n + 1))):
+            tt, gg = mapped_points(other_params, other)
+            assert tt != ts and gg != gs
+
+    def test_cli_runs_leave_the_points_as_mapped(self, capsys, monkeypatch):
+        handed = []
+
+        def recorded(s, grid):
+            points = cached(s, grid)
+            handed.append((s, grid, points))
+            return points
+        cached = sl_oracle._mapped
+        monkeypatch.setattr(sl_oracle, "_mapped", recorded)
+        runs = (["verify", "--lambda-tilde", "1/10", "--grid-N", "1000"],
+                ["verify", "--grid-N", "1001", "--omega", "3"],
+                ["spectrum", "--method", "oracle", "--grid-N", "500",
+                 "--n-max", "3"])
+        cli.main(runs[0])
+        misses = cached.cache_info().misses
+        for argv in runs:
+            cli.main(argv)
+        # the even 1000 maps all three of verify's grids, which fit, so its
+        # second run maps none; the odd 1001 hands its points to 500, which
+        # maps 250 itself; the spectrum maps its one grid
+        assert cached.cache_info().misses == misses + 0 + 2 + 1
+        capsys.readouterr()
+        assert len(handed) == 3 + 3 + 2 + 1
+        for s, grid, points in handed:
+            assert [a.tobytes() for a in points] == \
+                [a.tobytes() for a in cached.__wrapped__(s, grid)]
 
 
 class TestNestedGrid:
