@@ -86,8 +86,9 @@ def _check_oracle(cfg: Namespace, n_top: int, grids: list,
     E_h + (E_h - E_H) / (r^2 - 1), whose h^4 error est_h is |P - P_H| /
     (r^4 - 1), P_H the same point one grid down.  est_T is `_truncation`'s.
     Each n fails unless |P - E_c| lies within its resolution 2 (est_h +
-    est_T) plus the bisection width, and that resolution within --tol.
-    Levels that a grid cannot order fail the check with their pair.
+    est_T) plus the bisection width 1e-9 min(1, omega), and that
+    resolution within --tol.  Levels that a grid cannot order fail the check
+    with their pair.
 
     The coarsest grid is bisected without hints.  Each finer grid counts
     hints first, from Q = E_c + (E_H - E_c) / r^2, the Richardson point of
@@ -98,7 +99,8 @@ def _check_oracle(cfg: Namespace, n_top: int, grids: list,
     w = 3 widths of Q, else the two ends of Q''s leaf and E_H -+ _HINT_REL.
     No hint changes a level, so the closed form never steers an oracle
     number."""
-    name, width = "oracle_matches_closed_form", 1e-9
+    name = "oracle_matches_closed_form"
+    width = 1e-9 * float(min(1, cfg.omega))  # shrinks with the levels
     unsolved = dict.fromkeys(("deltas", "estimates_h", "estimates_T",
                               "resolutions"), [])
     if n_top < 0:

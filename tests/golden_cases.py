@@ -127,6 +127,8 @@ CASES = {
                                "--omega", "31"],
     # the deepest default-grid verify: 31 levels on each grid
     "verify_lt0_n30": ["verify", "--n-max", "30", "--kmax", "31"],
+    # levels of order 1e-9: the bisection width shrinks with omega
+    "verify_small_omega": ["verify", "--omega", "1/1000000000"],
 }
 
 

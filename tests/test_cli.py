@@ -273,6 +273,23 @@ class TestVerify:
         assert all(d <= res and res > 1e-2 for d, res in
                    zip(oracle["deltas"], oracle["resolutions"]))
 
+    @pytest.mark.parametrize("omega", ["1/1000000000", "1/10000000000"])
+    def test_small_omega_is_checked_at_its_own_scale(self, capsys, omega):
+        # the levels, the stencil and its margins scale with omega, and so
+        # does the bisection width 1e-9 min(1, omega); a width of 1e-9 at
+        # every omega passed n = 0 off by 58% at omega 1e-9, and could not
+        # order n = 0 and 1 at 1e-10
+        code, out, _ = run(capsys, ["verify", "--omega", omega])
+        assert code == 0
+        doc = json.loads(out)
+        oracle = doc["checks"][1]
+        levels = [float(e["E_dec"]) for e in doc["entries"]]
+        assert [d / e < 3e-9 for d, e in zip(oracle["deltas"], levels)] \
+            == [True] * 4
+        # a coarse grid still fails there, as it does at omega 1
+        assert run(capsys, ["verify", "--omega", omega, "--grid-N", "101"]
+                   )[0] == 1
+
     @pytest.mark.parametrize("lt, omega", [("6/7", "31")] + [
         (f"{q - 1}/{q}", omega) for q in range(8, 13) for omega in ("1", "31")])
     def test_slow_tail_error_is_the_wall(self, capsys, lt, omega):
