@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import aim_core, fh_oscillator, sl_oracle
-from .fh_oscillator import ModelParams, NotNormalizable, SpectrumEntry
+from .fh_oscillator import NotNormalizable, SpectrumEntry
 
 
 def _parse_rat(text: str) -> Fraction:
@@ -124,14 +124,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--format", dest="fmt", default="table",
                     choices=("table", "csv", "json"))
     sp.add_argument("--tol", type=float, default=1e-10,
-                    help="oracle bisection width")
+                    help="oracle bisection width, in units of omega")
     sp.add_argument("--grid-N", dest="grid_n", type=int, default=7999,
                     help="oracle rows, default 7999")
 
     vf = sub.add_parser("verify", parents=[model, levels, signs],
                         help="cross-check matrix, JSON report")
     vf.add_argument("--tol", type=float, default=1e-2,
-                    help="gate on |oracle - closed form|")
+                    help="gate on |oracle - closed form|, in units of omega")
     vf.add_argument("--grid-N", dest="grid_n", type=int, default=3999,
                     help="oracle rows, default 3999; verify adds --grid-N "
                          "// 2 and // 4")
@@ -239,10 +239,11 @@ def _oracle_top(cfg: Namespace) -> int:
     is."""
     census = cfg.census
     n_top = cfg.n_max if census.bound(cfg.n_max) else census.normalizable_max_n
-    if n_top >= 0:
-        # the oracle takes omega^2 as a float and divides by its root
-        for w2 in (cfg.omega ** 2, cfg.omega ** -2):
-            _float(w2, "omega^2 for the oracle", "--omega")
+    # route 3 scales its levels by omega as a finite, normal float
+    what = "omega for the oracle"
+    if n_top >= 0 and _float(cfg.omega, what, "--omega") < sys.float_info.min:
+        raise ValueError(f"{what} is out of floating-point range: "
+                         f"change --omega")
     return n_top
 
 
@@ -250,12 +251,12 @@ def _oracle_grids(cfg: Namespace, n_top: int, count: int = 1
                   ) -> list[tuple[sl_oracle.Grid, sl_oracle.TridiagOp, str]]:
     """(grid, operator, flag name) for n = 0..n_top on --grid-N // 2^i rows
     over the same T, for each i < count, finest first; a grid's errors exit
-    before the next is built.  The grid under an odd one takes its points
-    by `sl_oracle.nested_points`, so that H = 2h exactly; any other grid
-    maps its own."""
-    params = ModelParams(omega=cfg.omega, lam=cfg.lam)
-    t_half = cfg.grid_t if cfg.grid_t is not None \
-        else sl_oracle.default_half_width(params)
+    before the next is built.  Each operator is H~ at omega = 1 (see
+    `sl_oracle`), over T = --grid-T sqrt(omega), or sinh(16).  The grid
+    under an odd one takes its points by `sl_oracle.nested_points`, so that
+    H = 2h exactly; any other grid maps its own."""
+    root = math.sqrt(cfg.omega)
+    t_half = sl_oracle.DEFAULT_T if cfg.grid_t is None else cfg.grid_t * root
     grids, points = [], None
     for i in range(count):
         rows = cfg.grid_n >> i
@@ -266,14 +267,15 @@ def _oracle_grids(cfg: Namespace, n_top: int, count: int = 1
         if rows < 3:
             raise ValueError(f"{name} is {rows} rows, fewer than the 3 a grid "
                              f"needs: raise --grid-N")
-        grid = sl_oracle.Grid(T=t_half, N=rows)
         try:
-            points = (sl_oracle.mapped_points(params, grid) if points is None
+            grid = sl_oracle.Grid(T=t_half, N=rows)
+            points = (sl_oracle.mapped_points(grid) if points is None
                       else sl_oracle.nested_points(points))
-            op = sl_oracle.discretize(params, grid, points)
+            op = sl_oracle.discretize(cfg.lam_tilde, grid, points)
         except ValueError as exc:
-            raise ValueError(f"--grid-T {t_half:g} is too small or too large "
-                             f"for {name}: {exc}") from None
+            raise ValueError(f"--grid-T {cfg.grid_t or t_half / root:g} is "
+                             f"too small or too large for {name}: {exc}"
+                             ) from None
         grids.append((grid, op, name))
         points = points if rows % 2 else None
     return grids
@@ -292,7 +294,11 @@ def _oracle_entries(cfg: Namespace) -> list[SpectrumEntry]:
                 f"closer than --tol {cfg.tol:g} on {name}, so the bisection "
                 f"cannot order them; lower --n-max or change --grid-N"
             ) from None
-    return [SpectrumEntry(n=n, e_tilde=2.0 * e / float(cfg.omega), e_phys=e,
+    omega = float(cfg.omega)
+    if levels and not math.isfinite(omega * levels[-1]):  # the top level
+        raise ValueError(f"E at n = {n_top} is out of floating-point range: "
+                         f"change --omega")
+    return [SpectrumEntry(n=n, e_tilde=2.0 * e, e_phys=omega * e,
                           bound=cfg.census.bound(n), source="oracle")
             for n, e in enumerate(levels)]
 

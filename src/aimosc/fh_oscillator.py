@@ -40,25 +40,6 @@ class NotNormalizable(ValueError):
     """The envelope decays too slowly for this n to be square-integrable."""
 
 
-class _ModelParamsFields(NamedTuple):
-    omega: Fraction
-    lam: Fraction
-
-
-class ModelParams(_ModelParamsFields):
-    """Physical inputs in natural units (hbar = c = m0 = 1), as Fractions."""
-    __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
-
-    def __new__(cls, omega: RatLike, lam: RatLike) -> ModelParams:
-        omega, lam = Fraction(omega), Fraction(lam)
-        if omega <= 0:
-            raise ValueError(f"omega = {omega}")
-        if lam < 0:
-            raise ValueError(f"lam must be nonnegative, got {lam}")
-        return super().__new__(cls, omega, lam)
-
-
 class _SpectrumEntryFields(NamedTuple):
     n: int
     e_tilde: Fraction

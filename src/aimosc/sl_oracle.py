@@ -1,17 +1,20 @@
 """Finite-difference cross-check for the decaying-mass oscillator.
 
-The time-domain equation -1/2 d/dt[(1+lam t^2) dphi/dt] + V(t) phi
-= E phi with V(t) = omega^2 t^2 / (2 (1 + lam t^2)) is discretized on a
-mapped grid (Boyd, Chebyshev and Fourier Spectral Methods, ch. 17):
-t = s sinh(x) with the oscillator length s = omega^(-1/2), x uniform on
-[-asinh(T/s), asinh(T/s)] with Dirichlet ends, and the conservative
-three-point flux stencil in x.  The map turns the power-law tails
-tau^(n - 1/lt) of the bound states into exponentials in x, so a few
-thousand rows reach t = 4.4e6 s at x = 16.  Scaling out the weight dt/dx
-symmetrically gives a symmetric tridiagonal matrix.  Eigenvalues come
-from bisection on LDL^T inertia counts: dependency-free,
-bitwise-deterministic, and structurally independent of the iteration
-engine it checks.
+The time-domain operator -1/2 d/dt[(1 + lam t^2) d/dt] + omega^2 t^2 /
+(2 (1 + lam t^2)) is exactly omega H~ in tau = sqrt(omega) t, where H~ =
+-1/2 d/dtau[(1 + lt tau^2) d/dtau] + tau^2 / (2 (1 + lt tau^2)) is its form
+at omega = 1 and lt = lam / omega.  This module solves H~ alone, on tau in
+[-T, T]: the caller passes T as sqrt(omega) times the half-width in t and
+multiplies the levels by omega.  Below, t stands for tau.  H~ is
+discretized on a mapped grid (Boyd, Chebyshev and Fourier Spectral
+Methods, ch. 17): t = sinh(x), x uniform on [-asinh(T), asinh(T)] with
+Dirichlet ends, and the conservative three-point flux stencil in x.  The
+map turns the power-law tails t^(n - 1/lt) of the bound states into
+exponentials in x, so a few thousand rows reach t = 4.4e6 at x = 16.
+Scaling out the weight dt/dx symmetrically gives a symmetric tridiagonal
+matrix.  Eigenvalues come from bisection on LDL^T inertia counts:
+dependency-free, bitwise-deterministic, and structurally independent of
+the iteration engine it checks.
 
 The grid is symmetric about t = 0, so the matrix is persymmetric: its
 left half is the mirror image of its right half, and only the right half
@@ -45,7 +48,7 @@ however good or bad it is.
 
 The stencil is built from sequences of the mapped points (t, g), which a
 caller may pass in.  Each grid's map is computed once per process for each
-(omega, T, N), so a sweep over lam at fixed omega reuses it.  For odd N,
+(T, N), so a sweep over lambda_tilde or omega reuses it.  For odd N,
 (N + 1) = 2 (N//2 + 1), so the grid of N//2 rows over the same T has the
 step H = 2h exactly, and its points are fine points: `nested_points` takes
 them from the fine grid's without a second sinh or cosh.
@@ -57,25 +60,17 @@ import struct
 from bisect import bisect_right
 from functools import cached_property, lru_cache
 from itertools import chain, islice, pairwise
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
-
-from .fh_oscillator import ModelParams
+from typing import (Callable, Iterable, NamedTuple, Optional, Sequence,
+                    SupportsFloat)
 
 # Relative part of the row margin of a Block: 2^-48 is 32 units of
 # rounding, where the proof in `eigen_count_below` needs about 10.
 _MARGIN_REL = 2.0 ** -48
 
-
-def _scale(params: ModelParams) -> float:
-    """s = omega^(-1/2), the oscillator length, in time units."""
-    return float(params.omega) ** -0.5
-
-
-def default_half_width(params: ModelParams) -> float:
-    """T = s sinh(16), about 4.4e6 s: there the slowest tail of a strictly
-    bound state, tau^(n - 1/lt) with n < 1/lt - 1, is below e^-15 of its
-    size at t = s."""
-    return _scale(params) * math.sinh(16.0)
+# The default half-width T = sinh(16), about 4.4e6: there the slowest tail
+# of a strictly bound state, t^(n - 1/lt) with n < 1/lt - 1, is below e^-15
+# of its size at t = 1.
+DEFAULT_T = math.sinh(16.0)
 
 
 class _GridFields(NamedTuple):
@@ -84,8 +79,8 @@ class _GridFields(NamedTuple):
 
 
 class Grid(_GridFields):
-    """N interior nodes of a uniform x grid on [-asinh(T/s), asinh(T/s)],
-    mapped to t = s sinh(x) on [-T, T]; s comes from the model."""
+    """N interior nodes of a uniform x grid on [-asinh(T), asinh(T)],
+    mapped to t = sinh(x) on [-T, T]."""
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
 
@@ -95,10 +90,10 @@ class Grid(_GridFields):
         if self.N < 3:
             raise ValueError("N must be at least 3")
 
-    def step(self, s: float) -> float:
-        """h = 2 asinh(T/s) / (N + 1), the x spacing at scale s; ValueError
-        where 2 h^2 leaves floating-point range."""
-        h = 2.0 * math.asinh(self.T / s) / (self.N + 1)
+    def step(self) -> float:
+        """h = 2 asinh(T) / (N + 1), the x spacing; ValueError where 2 h^2
+        leaves floating-point range."""
+        h = 2.0 * math.asinh(self.T) / (self.N + 1)
         if not 0.0 < 2.0 * h * h < math.inf:
             raise ValueError(f"h^2 = {h * h:g} is out of floating-point range")
         return h
@@ -219,24 +214,20 @@ class UnresolvedLevels(ValueError):
 Points = tuple[Sequence[float], Sequence[float]]
 
 
-def mapped_points(params: ModelParams, grid: Grid) -> Points:
-    """(t, g) = (s sinh(x), s cosh(x)) at x = j h/2 for j = 2 (N//2) - N
-    .. N: the half-nodes and the held nodes of the right half, alternating,
-    the half-node left of the centre row first (see `discretize`).
-    x < asinh(T/s), so sinh(x) does not overflow.  Every call with the same
-    s and grid shares them for the life of the process, as read-only views
-    of 8 bytes a value."""
-    return _mapped(_scale(params), grid)
-
-
 @lru_cache(maxsize=3)  # an even --grid-N maps each of verify's three grids
-def _mapped(s: float, grid: Grid) -> Points:
+def mapped_points(grid: Grid) -> Points:
+    """(t, g) = (sinh(x), cosh(x)) at x = j h/2 for j = 2 (N//2) - N .. N:
+    the half-nodes and the held nodes of the right half, alternating, the
+    half-node left of the centre row first (see `discretize`).  x <
+    asinh(T), so sinh(x) does not overflow.  Every call with the same grid
+    shares them for the life of the process, as read-only views of 8 bytes
+    a value."""
     n = grid.N
-    half = 0.5 * grid.step(s)
+    half = 0.5 * grid.step()
     xs = [j * half for j in range(2 * (n // 2) - n, n + 1)]
     pack = struct.Struct(f"{len(xs)}d").pack
-    return (memoryview(pack(*[s * v for v in map(math.sinh, xs)])).cast("d"),
-            memoryview(pack(*[s * v for v in map(math.cosh, xs)])).cast("d"))
+    return (memoryview(pack(*map(math.sinh, xs))).cast("d"),
+            memoryview(pack(*map(math.cosh, xs))).cast("d"))
 
 
 def nested_points(points: Points) -> Points:
@@ -251,35 +242,34 @@ def nested_points(points: Points) -> Points:
     return t, g
 
 
-def discretize(params: ModelParams, grid: Grid,
+def discretize(lam_tilde: SupportsFloat, grid: Grid,
                points: Optional[Points] = None) -> TridiagOp:
-    """The right half of the conservative stencil on t = s sinh(x), with
-    weight g = dt/dx = s cosh(x) and p = 1 + lam t^2:
+    """The right half of H~ by the conservative stencil on t = sinh(x), with
+    weight g = dt/dx = cosh(x) and p = 1 + lt t^2, lt = lambda_tilde:
     (A phi)_i = [-(p/g)_(i+1/2) (phi_(i+1) - phi_i)
                  + (p/g)_(i-1/2) (phi_i - phi_(i-1))] / (2 h^2)
                 + g_i V_i phi_i = E g_i phi_i,
-    made symmetric as G^(-1/2) A G^(-1/2) with G = diag(g).  The map is
-    odd and g even, so the operator stays persymmetric.
+    V = t^2 / (2 p), made symmetric as G^(-1/2) A G^(-1/2), G = diag(g).
+    The map is odd and g even, so the operator stays persymmetric.
 
     Only rows N//2 .. N-1 and couplings (N-1)//2 .. N-2 are built.  The
     points are x = j h/2 with j an integer, node i at j = 2i - N - 1 and
     half-node i + 1/2 at j = 2i - N, so mirrored points are exact negatives.
-    They are `mapped_points(params, grid)` unless the caller passes them.
+    They are `mapped_points(grid)` unless the caller passes them.
 
     A grid whose entries overflow, or whose couplings vanish because h^2
     underflows or overflows, has no such operator and raises ValueError.
     """
-    lam = float(params.lam)
-    w2 = float(params.omega) ** 2
+    lam = float(lam_tilde)
     n = grid.N
-    h = grid.step(_scale(params))
+    h = grid.step()
     inv2h2 = 1.0 / (2.0 * h * h)
-    ts, gs = mapped_points(params, grid) if points is None else points
+    ts, gs = mapped_points(grid) if points is None else points
     # p/g at the half-nodes m + k (k = 0 .. n - m), which alternate with
     # the held nodes m + 1 + k
     q = [(1.0 + lam * t * t) / g for t, g in zip(ts[::2], gs[::2])]
     nt, ng = ts[1::2], gs[1::2]
-    diag = [(qa + qb) * inv2h2 / g + w2 * t * t / (2.0 * (1.0 + lam * t * t))
+    diag = [(qa + qb) * inv2h2 / g + t * t / (2.0 * (1.0 + lam * t * t))
             for qa, qb, t, g in zip(q, q[1:], nt, ng)]
     # coupling k joins the held rows k - 1 and k; for even N, row -1 is the
     # mirror of row 0

@@ -81,32 +81,39 @@ def _check_oracle(cfg: Namespace, n_top: int, grids: list,
     With no such n, nothing is solved and grids is empty.
 
     grids holds `cli._oracle_grids`' three, which span the same x range:
-    N = --grid-N rows (step h), N // 2 and N // 4, finest first.  With
-    H/h = r, the order-2 stencil's levels E_h and E_H extrapolate to P =
-    E_h + (E_h - E_H) / (r^2 - 1), whose h^4 error est_h is |P - P_H| /
-    (r^4 - 1), P_H the same point one grid down.  est_T is `_truncation`'s.
-    Each n fails unless |P - E_c| lies within its resolution 2 (est_h +
-    est_T) plus the bisection width 1e-9 min(1, omega), and that
-    resolution within --tol.  Levels that a grid cannot order fail the check
-    with their pair.
+    N = --grid-N rows (step h), N // 2 and N // 4, finest first.  Each is
+    H~, the operator at omega = 1, so every level, width and estimate below
+    is in units of omega until the gate.  With H/h = r, the order-2
+    stencil's levels E_h and E_H extrapolate to P = E_h + (E_h - E_H) /
+    (r^2 - 1), whose h^4 error est_h is |P - P_H| / (r^4 - 1), P_H the same
+    point one grid down.  est_T is `_truncation`'s.  Each n fails unless
+    |omega P - E_c| lies within its resolution omega (2 (est_h + est_T) +
+    the bisection width 1e-9), and that resolution within --tol omega: the
+    gate compares physical levels, and --tol is in units of omega.  Levels
+    that a grid cannot order fail the check with their pair.
 
     The coarsest grid is bisected without hints.  Each finer grid counts
-    hints first, from Q = E_c + (E_H - E_c) / r^2, the Richardson point of
-    its level E_H on the grid below.  On the middle grid they are Q -+ w,
-    w = 3 widths + (E_H - E_c)^2.  On the fine one, the h^4 term that the
-    middle grid's Q missed by moves Q to Q' (README), and the hints are the
-    nodes of `bisection_leaves` around Q': all three where Q' lies within
-    w = 3 widths of Q, else the two ends of Q''s leaf and E_H -+ _HINT_REL.
-    No hint changes a level, so the closed form never steers an oracle
+    hints first, from Q = e + (E_H - e) / r^2, the Richardson point of its
+    level E_H on the grid below, with e = E_tilde / 2 the closed form in
+    units of omega.  On the middle grid they are Q -+ w, w = 3 widths +
+    (E_H - e)^2.  On the fine one, the h^4 term that the middle grid's Q
+    missed by moves Q to Q' (README), and the hints are the nodes of
+    `bisection_leaves` around Q': all three where Q' lies within w = 3
+    widths of Q, else the two ends of Q''s leaf and E_H -+ _HINT_REL.  No
+    hint changes a level, so the closed form never steers an oracle
     number."""
     name = "oracle_matches_closed_form"
-    width = 1e-9 * float(min(1, cfg.omega))  # shrinks with the levels
+    width = 1e-9
     unsolved = dict.fromkeys(("deltas", "estimates_h", "estimates_T",
                               "resolutions"), [])
     if n_top < 0:
         return _check(name, [], [], "no strictly bound n <= --n-max",
                       **unsolved)
-    exact = [float(e.e_phys) for e in table[:n_top + 1]]
+    omega = float(cfg.omega)
+    entries = table[:n_top + 1]
+    phys = [cli._float(e.e_phys, f"E at n = {e.n}", "--omega")
+            for e in entries]  # before any grid is solved
+    exact = [float(e.e_tilde) / 2 for e in entries]
     r, r_mid = ((a.N + 1) / (b.N + 1) for (a, _, _), (b, _, _)
                 in pairwise(grids))
     covered, solved, hints = list(range(n_top + 1)), [], ()
@@ -139,50 +146,53 @@ def _check_oracle(cfg: Namespace, n_top: int, grids: list,
             pair = [exc.index, exc.index + 1]
             return _check(name, covered, pair, f"oracle levels n = {pair[0]} "
                           f"and {pair[1]} lie closer than the bisection width "
-                          f"{width:g} on {flag}", **unsolved)
+                          f"{width * omega:g} on {flag}", **unsolved)
     coarse, mid, fine = solved
     extra = [h + (h - H) / (r * r - 1.0) for h, H in zip(fine, mid)]
     extra_mid = [h + (h - H) / (r_mid * r_mid - 1.0)
                  for h, H in zip(mid, coarse)]
-    est_h = [abs(p - q) / (r ** 4 - 1.0) for p, q in zip(extra, extra_mid)]
     grid, op, _ = grids[0]
-    est_t = _truncation(cfg, grid, op, fine, width)
-    deltas = [abs(p - c) for p, c in zip(extra, exact)]
-    res = [2.0 * (a + b) + width for a, b in zip(est_h, est_t)]
+    est_t = _truncation(float(cfg.lam_tilde), grid, op, fine, width)
+    # physical units from here: the levels and estimates times omega
+    est_h = [omega * abs(p - q) / (r ** 4 - 1.0)
+             for p, q in zip(extra, extra_mid)]
+    est_t = [omega * e for e in est_t]
+    deltas = [abs(omega * p - c) for p, c in zip(extra, phys)]
+    res = [2.0 * (a + b) + omega * width for a, b in zip(est_h, est_t)]
     failed = [n for n, (d, b) in enumerate(zip(deltas, res))
-              if not d <= b <= cfg.tol]
+              if not d <= b <= cfg.tol * omega]
     return _check(
         name, covered, failed,
-        f"n <= {n_top}, T = {grid.T:g}, N = {grid.N}, {grid.N // 2} and "
-        f"{grid.N // 4}, max |delta| = {max(deltas):.3e}, max |delta| / "
-        f"resolution = {max(d / b for d, b in zip(deltas, res)):.3f}, max "
-        f"est_T = {max(est_t):.3e}, tol = {cfg.tol:g}",
+        f"n <= {n_top}, T = {grid.T / math.sqrt(omega):g}, N = {grid.N}, "
+        f"{grid.N // 2} and {grid.N // 4}, max |delta| = {max(deltas):.3e}, "
+        f"max |delta| / resolution = "
+        f"{max(d / b for d, b in zip(deltas, res)):.3f}, max est_T = "
+        f"{max(est_t):.3e}, tol = {cfg.tol:g}",
         deltas=deltas, estimates_h=est_h, estimates_T=est_t, resolutions=res)
 
 
-def _truncation(cfg: Namespace, grid: sl_oracle.Grid, op: sl_oracle.TridiagOp,
+def _truncation(lt: float, grid: sl_oracle.Grid, op: sl_oracle.TridiagOp,
                 fine: tuple[float, ...], width: float) -> list[float]:
     """est_T for each level n of op, fine[n] its value: the shift D of the
     level when the wall moves in from T to T/4 at the same h, over 4^g - 1.
-    Near a wall at tau, tau^2 = omega t^2, the error falls as tau^(-g(tau))
-    with g(tau) = 2 tau^2 / (1 + lt tau^2) - 2n - 1, the log-slope of the
-    weight (1 + lt tau^2)^(-1/lt) tau^(2n + 1) of a state with tail tau^(n -
-    1/lt), which rises with tau to g = 2/lt - 2n - 1 > 1 for every strictly
-    bound n (e^(-tau^2) tau^(2n + 1) at lt = 0).  Taken at T/4 it is the
-    least g between the walls, so D / (4^g - 1) bounds the error at T; it
-    is the tail's own g wherever lt tau^2 >> 1 at T/4, as on the default
-    grid.  Where g < 1/2 there is no tail yet, and D is taken raw.
+    Near a wall at tau the error falls as tau^(-g(tau)) with g(tau) = 2
+    tau^2 / (1 + lt tau^2) - 2n - 1, the log-slope of the weight (1 + lt
+    tau^2)^(-1/lt) tau^(2n + 1) of a state with tail tau^(n - 1/lt), which
+    rises with tau to g = 2/lt - 2n - 1 > 1 for every strictly bound n
+    (e^(-tau^2) tau^(2n + 1) at lt = 0).  Taken at T/4 it is the least g
+    between the walls, so D / (4^g - 1) bounds the error at T; it is the
+    tail's own g wherever lt tau^2 >> 1 at T/4, as on the default grid.
+    Where g < 1/2 there is no tail yet, and D is taken raw.
 
     The wall at T/4 cuts the leading rows out of each parity block, those
-    below x = asinh(T / 4s), s = omega^(-1/2): the same stencil, whose last
-    row only gains slack, so the block's slack cut holds for it.  By Cauchy
-    interlacing the cut block's level k = n // 2 lies at or above the
-    block's, so a count at fine[n] + width that finds k + 1 levels bounds D
-    by the width; only where it does not is the cut block bisected."""
-    lt, s = float(cfg.lam_tilde), float(cfg.omega) ** -0.5
-    tau2 = (0.25 * grid.T / s) ** 2  # tau^2 at the wall T/4
-    drop = round(0.5 * (grid.N + 1) * (1.0 - math.asinh(0.25 * grid.T / s)
-                                       / math.asinh(grid.T / s)))
+    below x = asinh(T / 4): the same stencil, whose last row only gains
+    slack, so the block's slack cut holds for it.  By Cauchy interlacing
+    the cut block's level k = n // 2 lies at or above the block's, so a
+    count at fine[n] + width that finds k + 1 levels bounds D by the width;
+    only where it does not is the cut block bisected."""
+    tau2 = (0.25 * grid.T) ** 2  # tau^2 at the wall T/4
+    drop = round(0.5 * (grid.N + 1) * (1.0 - math.asinh(0.25 * grid.T)
+                                       / math.asinh(grid.T)))
     cut = [sl_oracle.Block(b.diag[:b.n - drop], b.b2[:b.n - drop], b.pivmin,
                            b.slack_min[:b.n - drop], b.span)
            for b in op.parity_blocks]

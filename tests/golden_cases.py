@@ -127,8 +127,11 @@ CASES = {
                                "--omega", "31"],
     # the deepest default-grid verify: 31 levels on each grid
     "verify_lt0_n30": ["verify", "--n-max", "30", "--kmax", "31"],
-    # levels of order 1e-9: the bisection width shrinks with omega
+    # levels of order 1e-9: route 3 solves at omega = 1 and scales by omega
     "verify_small_omega": ["verify", "--omega", "1/1000000000"],
+    # levels of order 1e9: --tol is in units of omega, so an absolute gate
+    # of 1e-2 no longer fails all seven levels
+    "verify_large_omega": ["verify", "--n-max", "6", "--omega", "1000000000"],
 }
 
 

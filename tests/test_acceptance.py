@@ -24,7 +24,6 @@ from aimosc.aim_core import (
 )
 from aimosc.exactalg import horner
 from aimosc.fh_oscillator import (
-    ModelParams,
     NotNormalizable,
     aim_inputs,
     bound_state_info,
@@ -124,11 +123,11 @@ def test_criterion_04_oracle_cross_check(capsys):
     # <= 20 s.
     t0 = time.perf_counter()
     grid = Grid(T=15.0, N=30000)
-    op = discretize(ModelParams(omega=1, lam=F(1, 10)), grid)
+    op = discretize(F(1, 10), grid)
     res = lowest_eigenvalues(op, 3, 1e-9)
     dev = max(abs(v - w) for v, w in zip(res, (0.5, 1.4, 2.2)))
 
-    op0 = discretize(ModelParams(omega=1, lam=0), grid)
+    op0 = discretize(0, grid)
     res0 = lowest_eigenvalues(op0, 3, 1e-9)
     dev0 = max(abs(v - w) for v, w in zip(res0, (0.5, 1.5, 2.5)))
 
@@ -146,8 +145,7 @@ def test_criterion_05_convergence_order(capsys):
     # log2(d1 / d2) in [1.8, 2.2] for the two lowest eigenvalues, with d1
     # and d2 the two successive differences.
     grids = (Grid(T=15.0, N=1874), Grid(T=15.0, N=3749), Grid(T=15.0, N=7499))
-    params = ModelParams(omega=1, lam=F(1, 10))
-    levels = [lowest_eigenvalues(discretize(params, g), 2, 1e-12)
+    levels = [lowest_eigenvalues(discretize(F(1, 10), g), 2, 1e-12)
               for g in grids]
     orders = [math.log2((a - b) / (b - c)) for a, b, c in zip(*levels)]
     ok = all(1.8 <= o <= 2.2 for o in orders)
@@ -264,13 +262,12 @@ def test_criterion_09_bound_state_census(capsys):
     # Truncation pushes the marginal level n = 3 just above the edge, so
     # the census adds the first level above it when its overshoot is
     # under a quarter of the gap to the next level.
-    params = ModelParams(omega=1, lam=F(1, 4))
     info = bound_state_info(F(1, 4))
     threshold_e = float(info.threshold) / 2.0  # physical units at omega = 1
     details = []
     counts = []
     for T in (60.0, 100.0):
-        op = discretize(params, Grid(T=T, N=30000))
+        op = discretize(F(1, 4), Grid(T=T, N=30000))
         strict = sum(eigen_count_below(b, threshold_e)
                      for b in op.parity_blocks)
         edge, nxt = lowest_eigenvalues(op, strict + 2, 1e-8)[-2:]

@@ -100,17 +100,21 @@ class TestSpectrum:
         assert max(gaps) > 1e-5  # --tol 1e-3 was honoured, not tightened
 
     def test_oracle_at_large_omega(self, capsys):
-        # the default grid scales with s = omega^(-1/2), so E_tilde = 2E/omega
-        # comes out the same at every omega
-        for omega in ("1e4", "1e6", "1e7"):
+        # route 3 solves at omega = 1 on the default grid, so E_tilde comes
+        # out the same at every omega, and E is omega E_tilde / 2; no power
+        # of omega but omega itself need be a float
+        for omega in ("1e4", "1e6", "1e7", "1e300"):
             code, out, _ = run(capsys, ["spectrum", "--method", "oracle",
                                         "--omega", omega, "--grid-N", "3000",
                                         "--format", "json"])
             assert code == 0, omega
-            levels = [e["E_tilde_dec"] for e in json.loads(out)["entries"]]
+            entries = json.loads(out)["entries"]
+            levels = [e["E_tilde_dec"] for e in entries]
             assert len(levels) == 4
             for v, want in zip(levels, (1, 3, 5, 7)):
                 assert abs(v - want) < 1e-3, (omega, levels)
+            assert [e["E_dec"] for e in entries] == \
+                [float(omega) * v / 2 for v in levels]
 
     def test_methods_can_stack(self, capsys):
         _, out, _ = run(capsys, ["spectrum", "--method", "closed",
@@ -275,10 +279,10 @@ class TestVerify:
 
     @pytest.mark.parametrize("omega", ["1/1000000000", "1/10000000000"])
     def test_small_omega_is_checked_at_its_own_scale(self, capsys, omega):
-        # the levels, the stencil and its margins scale with omega, and so
-        # does the bisection width 1e-9 min(1, omega); a width of 1e-9 at
-        # every omega passed n = 0 off by 58% at omega 1e-9, and could not
-        # order n = 0 and 1 at 1e-10
+        # the levels scale with omega, and so does the bisection width,
+        # 1e-9 on the operator at omega = 1; a width of 1e-9 in E passed
+        # n = 0 off by 58% at omega 1e-9, and could not order n = 0 and 1
+        # at 1e-10
         code, out, _ = run(capsys, ["verify", "--omega", omega])
         assert code == 0
         doc = json.loads(out)
@@ -289,6 +293,19 @@ class TestVerify:
         # a coarse grid still fails there, as it does at omega 1
         assert run(capsys, ["verify", "--omega", omega, "--grid-N", "101"]
                    )[0] == 1
+
+    @pytest.mark.parametrize("omega", ["1/1000000000", "1", "1000000"])
+    def test_tol_is_in_units_of_omega(self, capsys, omega):
+        # the default verify's largest resolution is 1.67e-8 omega: --tol
+        # 1e-8 fails it and 1e-7 passes it at every omega.  An absolute
+        # --tol bound nothing below omega = 1, and its default 1e-2 failed
+        # n = 3 at omega 1e6, whose resolution is 1.67e-2
+        for tol, want in (("1e-8", 1), ("1e-7", 0), ("1e-2", 0)):
+            code, out, _ = run(capsys, ["verify", "--omega", omega,
+                                        "--tol", tol])
+            assert code == want, tol
+            oracle = json.loads(out)["checks"][1]
+            assert oracle["failed"] == ([3] if want else [])
 
     @pytest.mark.parametrize("lt, omega", [("6/7", "31")] + [
         (f"{q - 1}/{q}", omega) for q in range(8, 13) for omega in ("1", "31")])
@@ -551,6 +568,46 @@ def test_every_level_within_its_resolution(lt, omega, n_max, kmax, tau0):
     assert all(d <= res for d, res in zip(oracle["deltas"],
                                           oracle["resolutions"])), oracle
     assert code == 0, out
+
+
+def counted_verify(flags):
+    """Exit code, oracle check and entries of one verify, and its count
+    calls as (rows of the block, x, stop), in order."""
+    calls = []
+    count = sl_oracle.eigen_count_below
+
+    def counted(block, x, stop=None):
+        calls.append((block.n, x, stop))
+        return count(block, x, stop)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sl_oracle, "eigen_count_below", counted)
+        code, out = run_quiet(["verify"] + flags)
+    doc = json.loads(out)
+    return code, doc["checks"][1], doc["entries"], calls
+
+
+@settings(max_examples=30, deadline=None)
+@given(lt_draws, st.integers(-12, 12))
+# n = 3 once failed an absolute --tol at omega 1e6; at 1e-9 the middle
+# grid's hint pair once missed, 153 counts against 49 at omega 1
+@example(F(0), 6)
+@example(F(0), -9)
+def test_omega_scales_out_of_route_3(lt, k):
+    # the default grid is the same operator at every omega, solved at
+    # omega = 1 and scaled by omega once: the same count calls, bit for
+    # bit, the same exit code, and the same deltas and resolutions in units
+    # of omega, to 1e-9 relative or the rounding of the level (omega P,
+    # float(omega) and E each round by half an ulp)
+    flags = ["--lambda-tilde", str(lt)]
+    code, oracle, entries, calls = counted_verify(flags)
+    omega = F(10) ** k
+    code_w, oracle_w, _, calls_w = counted_verify(flags + ["--omega",
+                                                           str(omega)])
+    assert code_w == code and calls_w == calls
+    w = float(omega)
+    for key in ("deltas", "resolutions"):
+        for a, b, e in zip(oracle_w[key], oracle[key], entries):
+            assert abs(a / w - b) <= 1e-9 * b + 2 ** -51 * e["E_dec"], key
 
 
 class TestOracleHints:
@@ -1129,7 +1186,8 @@ class TestInputValidation:
     @pytest.mark.parametrize("argv, flag", [
         (["spectrum", "--method", "oracle", "--omega", "1e400",
           "--grid-N", "300"], "--omega"),
-        (["spectrum", "--method", "oracle", "--omega", "1e300",
+        # omega is a float, but E_3 = 3.5 omega is not
+        (["spectrum", "--method", "oracle", "--omega", "1e308",
           "--grid-N", "300"], "--omega"),
         (["spectrum", "--method", "oracle", "--omega", "1e-400",
           "--grid-N", "300"], "--omega"),
@@ -1142,6 +1200,8 @@ class TestInputValidation:
         (["wavefunction", "--lambda", "1", "--omega", "1e400"], "--lambda"),
         (["verify", "--lambda-tilde", "1e-400", "--grid-N", "300"],
          "--lambda-tilde"),
+        (["verify", "--omega", "1e-400", "--grid-N", "300"], "--omega"),
+        (["verify", "--omega", "1e308", "--grid-N", "300"], "--omega"),
     ])
     def test_model_values_out_of_float_range(self, capsys, tmp_path,
                                              argv, flag):
@@ -1187,7 +1247,7 @@ class TestInputValidation:
         (["--grid-N", "3"], "--n-max asks the oracle for n = 0..3, more "
                             "than the 3 levels of --grid-N 3"),
         (["--omega", "1e400", "--grid-N", "300"],
-         "omega^2 for the oracle is out of floating-point range: "
+         "omega for the oracle is out of floating-point range: "
          "change --omega"),
         (["--grid-T=1e155", "--grid-N", "1000"],
          "--grid-T 1e+155 is too small or too large for --grid-N 1000"),
@@ -1257,11 +1317,16 @@ class TestInputValidation:
                             ["verify", "--grid-T=1e155", "--grid-N", "1000"],
                             "--grid-T")
         assert "entries that are not finite" in err
-        # T/s overflows, so x and h are infinite
-        err = self.rejected(capsys, tmp_path,
-                            ["spectrum", "--method", "oracle", "--omega",
-                             "1e150", "--grid-T=1e300"], "--grid-T")
-        assert "h^2 = inf is out of floating-point range" in err
+        # T sqrt(omega), the half-width at omega = 1, overflows or
+        # underflows
+        for command in (["spectrum", "--method", "oracle"], ["verify"]):
+            for t, omega, got in (("1e300", "1e150", "inf"),
+                                  ("1e300", "1e300", "inf"),
+                                  ("1e-300", "1e-300", "0.0")):
+                err = self.rejected(capsys, tmp_path, command + [
+                    f"--grid-T={t}", "--omega", omega],
+                    f"--grid-T {float(t):g} is too small or too large")
+                assert f"T must be positive and finite, got {got}" in err
 
 
 def test_console_script_installed(capsys):

@@ -14,7 +14,6 @@ from aimosc.exactalg import (
 from aimosc.fh_oscillator import (
     BoundStateInfo,
     EigenFunction,
-    ModelParams,
     NotNormalizable,
     SpectrumEntry,
     aim_inputs,
@@ -84,22 +83,7 @@ def normalized(ef):
     return lambda tau: wavefunction_eval(ef, [tau], n_const)[0]
 
 
-class TestModelParams:
-    def test_coercion_and_lam_tilde(self):
-        p = ModelParams(omega=10, lam=1)
-        assert p.omega == F(10) and isinstance(p.omega, F)
-        assert p.lam / p.omega == F(1, 10)
-
-    def test_rejects_nonpositive_omega(self):
-        with pytest.raises(ValueError, match="omega = 0"):
-            ModelParams(omega=0, lam=1)
-        with pytest.raises(ValueError, match="omega = -3"):
-            ModelParams(omega=-3, lam=0)
-
-    def test_rejects_negative_lam(self):
-        with pytest.raises(ValueError):
-            ModelParams(omega=1, lam=-1)
-
+class TestSpectrumEntry:
     def test_spectrum_entry_validates_source(self):
         with pytest.raises(ValueError):
             SpectrumEntry(n=0, e_tilde=F(1), e_phys=F(1, 2),

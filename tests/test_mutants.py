@@ -20,10 +20,11 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
-def failed_checks(capsys, lt):
+def failed_checks(capsys, lt, omega="1"):
     """Exit code and failed check names of `verify` at lambda_tilde lt."""
     code, out, err = run(capsys, ["verify", "--lambda-tilde", lt,
-                                  "--grid-N", str(GRID_N), "--n-max", "9"])
+                                  "--omega", omega, "--grid-N", str(GRID_N),
+                                  "--n-max", "9"])
     assert err == ""
     return code, [c["name"] for c in json.loads(out)["checks"]
                   if not c["passed"]]
@@ -108,16 +109,27 @@ def test_stencil_without_the_weight_g_is_caught(capsys, monkeypatch, lt):
     # the levels of every grid move far off, or a grid cannot order them
     discretize = sl_oracle.discretize
 
-    def unweighted(params, grid, points=None):
-        op = discretize(params, grid, points)
-        ts, gs = points or sl_oracle.mapped_points(params, grid)
-        lam, w2 = float(params.lam), float(params.omega) ** 2
+    def unweighted(lam_tilde, grid, points=None):
+        op = discretize(lam_tilde, grid, points)
+        ts, gs = points or sl_oracle.mapped_points(grid)
+        lam = float(lam_tilde)
         for i, (t, g) in enumerate(zip(ts[1::2], gs[1::2])):
-            v = w2 * t * t / (2.0 * (1.0 + lam * t * t))
+            v = t * t / (2.0 * (1.0 + lam * t * t))
             op.diag[i] = (op.diag[i] - v) * g + v
         return op
     monkeypatch.setattr(sl_oracle, "discretize", unweighted)
     assert failed_checks(capsys, lt) == (1, ["oracle_matches_closed_form"])
+
+
+@pytest.mark.parametrize("omega", ["1", "31"])
+def test_physical_levels_off_by_two_are_caught(capsys, monkeypatch, omega):
+    # E = E_tilde omega / 2 with the 2 dropped: route 3 solves at omega = 1
+    # and never reads E, so only its gate on omega P against E sees it
+    closed = cli._closed_entries
+    monkeypatch.setattr(cli, "_closed_entries", lambda cfg: [
+        e._replace(e_phys=2 * e.e_phys) for e in closed(cfg)])
+    assert failed_checks(capsys, "1/10", omega) == (
+        1, ["oracle_matches_closed_form"])
 
 
 @pytest.mark.xfail(strict=True, reason="no check counts the levels "

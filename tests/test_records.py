@@ -13,7 +13,6 @@ from aimosc import aim_core, cli, fh_oscillator, sl_oracle
 from aimosc.exactalg import RootInterval
 from aimosc.fh_oscillator import (
     EigenFunction,
-    ModelParams,
     SpectrumEntry,
     eigen_polynomial,
 )
@@ -32,21 +31,6 @@ class TestConstructorChecks:
             RootInterval(low=F(0), high=F(1), exact=F(1))
         with _raises(ValueError, "empty interval"):
             RootInterval(low=F(1), high=F(1))
-
-    def test_model_params(self):
-        with _raises(ValueError, "omega = -1/2"):
-            ModelParams(omega=F(-1, 2), lam=0)
-        with _raises(ValueError, "lam must be nonnegative, got -3/4"):
-            ModelParams(omega=1, lam=-0.75)
-
-    def test_model_params_coerce_to_fraction(self):
-        p = ModelParams(omega=2, lam=0.25)
-        assert type(p.omega) is F and type(p.lam) is F
-        assert (p.omega, p.lam) == (2, F(1, 4))
-        assert ModelParams("3/2", "1/3") == ModelParams(F(3, 2), F(1, 3))
-        made = ModelParams._make(("3/2", "1/3"))
-        assert made == (F(3, 2), F(1, 3)) and type(made.omega) is F
-        assert type(made) is ModelParams
 
     def test_spectrum_entry(self):
         with _raises(ValueError, "unknown source 'guess'"):
@@ -84,7 +68,7 @@ class TestConstructorChecks:
 
     def test_oracle_result(self, monkeypatch):
         # lowest_eigenvalues refuses levels that do not strictly increase
-        op = sl_oracle.discretize(ModelParams(1, 0), Grid(T=2.0, N=10))
+        op = sl_oracle.discretize(0, Grid(T=2.0, N=10))
         monkeypatch.setattr(sl_oracle, "_level_brackets", lambda *a: [
             (v, v) for v in (1.0, 2.0, 2.0, 3.0)])
         with _raises(UnresolvedLevels, "eigenvalues 1 and 2 are not resolved "
@@ -100,10 +84,6 @@ _BAD_REPLACEMENTS = [
      "empty interval"),
     ("RootInterval", lambda: RootInterval(F(1), F(1), F(1)), {"high": F(2)},
      "exact root must collapse the interval"),
-    ("ModelParams", lambda: ModelParams(1, 0), {"omega": F(-1, 2)},
-     "omega = -1/2"),
-    ("ModelParams", lambda: ModelParams(1, 0), {"lam": -1},
-     "lam must be nonnegative, got -1"),
     ("SpectrumEntry", lambda: SpectrumEntry(0, F(1), F(1, 2), True, "aim"),
      {"source": "guess"}, "unknown source 'guess'"),
     ("SpectrumEntry", lambda: SpectrumEntry(0, F(1), F(1, 2), True, "aim"),
@@ -139,13 +119,12 @@ def _records():
     seed = aim_core.aim_seed(*fh_oscillator.aim_inputs(F(1, 10)))
     state = aim_core.aim_iterate(seed)
     ef = eigen_polynomial(2, F(1, 10))
-    op = sl_oracle.discretize(ModelParams(1, F(1, 10)), Grid(T=10.0, N=9))
+    op = sl_oracle.discretize(F(1, 10), Grid(T=10.0, N=9))
     return [
         (seed, "k"),
         (aim_core.quantization_delta(state, seed, 0), "poly"),
         (aim_core.aim_eigenvalues(seed, k_max=2), "accepted"),
         (RootInterval(F(0), F(1)), "low"),
-        (ModelParams(1, 0), "omega"),
         (SpectrumEntry(0, F(1), F(1, 2), True, "closed_form"), "source"),
         (fh_oscillator.bound_state_info(F(1, 10)), "threshold"),
         (ef, "envelope_exponent"),
@@ -169,7 +148,7 @@ def test_cached_values_are_computed_once():
     ef = eigen_polynomial(3, F(1, 7))
     assert ef.envelope_floats is ef.envelope_floats
     assert ef.integer_coeffs is ef.integer_coeffs
-    op = sl_oracle.discretize(ModelParams(1, F(1, 7)), Grid(T=10.0, N=11))
+    op = sl_oracle.discretize(F(1, 7), Grid(T=10.0, N=11))
     assert op.parity_blocks is op.parity_blocks
 
 

@@ -1,6 +1,8 @@
 """Finite-difference oracle: stencil, inertia counts, bisection, refinement."""
 import hashlib
+import json
 import math
+from argparse import Namespace
 from collections import Counter
 from bisect import bisect_right
 from itertools import accumulate, pairwise
@@ -10,12 +12,11 @@ from fractions import Fraction as F
 from hypothesis import given, settings, strategies as st
 
 from aimosc import cli, sl_oracle
-from aimosc.fh_oscillator import ModelParams
 from aimosc.sl_oracle import (
+    DEFAULT_T,
     Grid,
     TridiagOp,
     UnresolvedLevels,
-    default_half_width,
     discretize,
     eigen_count_below,
     lowest_eigenvalues,
@@ -23,25 +24,26 @@ from aimosc.sl_oracle import (
     nested_points,
 )
 
-HARMONIC = ModelParams(omega=1, lam=0)
-DECAY = ModelParams(omega=1, lam=F(1, 10))
+# lambda_tilde of the operator H~, which omega only scales
+HARMONIC = F(0)
+DECAY = F(1, 10)
 
 
 class TestGrid:
     def test_spacing_and_nodes(self):
-        # N + 1 steps of h span x in [-asinh(T/s), asinh(T/s)]; the default
-        # T reaches x = 16 at every scale s = omega^(-1/2)
-        g = Grid(T=math.sinh(1.0), N=3)
-        assert g.step(1.0) == pytest.approx(0.5, rel=1e-15)
-        assert Grid(T=2.0 * math.sinh(1.0), N=3).step(2.0) == \
+        # N + 1 steps of h span x in [-asinh(T), asinh(T)]; the default T
+        # reaches x = 16 at every omega, and a --grid-T of s sinh(1), with
+        # s = omega^(-1/2), reaches x = 1, as cli passes T sqrt(omega)
+        assert Grid(T=math.sinh(1.0), N=3).step() == \
             pytest.approx(0.5, rel=1e-15)
-        for omega in (F(1, 4), 1, 100, 10 ** 7):
-            params = ModelParams(omega=omega, lam=0)
+        for omega in (F(1, 4), F(1), F(100), F(10 ** 7)):
             s = float(omega) ** -0.5
-            assert default_half_width(params) == pytest.approx(
-                s * math.sinh(16.0), rel=1e-15)
-            assert Grid(T=default_half_width(params), N=7999).step(s) == \
-                pytest.approx(32.0 / 8000, rel=1e-14)
+            for grid_t, n, h in ((None, 7999, 32.0 / 8000),
+                                 (s * math.sinh(1.0), 3, 0.5)):
+                cfg = Namespace(omega=omega, lam_tilde=F(0), grid_t=grid_t,
+                                grid_n=n)
+                [(grid, _, _)] = cli._oracle_grids(cfg, 0)
+                assert grid.step() == pytest.approx(h, rel=1e-14)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -80,23 +82,22 @@ class TestGrid:
             assert info.value.index == index
 
 
-def _stencil(params, g):
-    """The whole grid operator by per-node formulas: diagonal and couplings
-    of rows 0 .. N-1, row i at node i + 1, x_i = -X + i h and
-    t = s sinh(x), with weight g = s cosh(x)."""
-    lam, w2 = float(params.lam), float(params.omega) ** 2
-    s = float(params.omega) ** -0.5
-    X = math.asinh(g.T / s)
+def _stencil(lam_tilde, g):
+    """The whole grid operator H~ by per-node formulas: diagonal and
+    couplings of rows 0 .. N-1, row i at node i + 1, x_i = -X + i h and
+    t = sinh(x), with weight g = cosh(x)."""
+    lam = float(lam_tilde)
+    X = math.asinh(g.T)
     h = 2.0 * X / (g.N + 1)
 
     def t_and_g(x):
-        return s * math.sinh(x), s * math.cosh(x)
+        return math.sinh(x), math.cosh(x)
 
     q = [(1.0 + lam * t * t) / w
          for t, w in (t_and_g(-X + (i + 0.5) * h) for i in range(g.N + 1))]
     nodes = [t_and_g(-X + (i + 1) * h) for i in range(g.N)]
     diag = [(q[i] + q[i + 1]) / (2.0 * h * h) / w
-            + w2 * t * t / (2.0 * (1.0 + lam * t * t))
+            + t * t / (2.0 * (1.0 + lam * t * t))
             for i, (t, w) in enumerate(nodes)]
     offdiag = [-q[i + 1] / (2.0 * h * h)
                / math.sqrt(nodes[i][1] * nodes[i + 1][1])
@@ -106,11 +107,11 @@ def _stencil(params, g):
 
 class TestDiscretize:
     def test_flat_mass_stencil_values(self):
-        # p = 1, omega = 1: the centre row of N = 3 sits at x = t = 0 with
+        # p = 1: the centre row of N = 3 sits at x = t = 0 with
         # g = 1, between half-nodes at x = +-h/2 where p/g = 1/cosh(h/2);
         # its coupling to the next row, at x = h, divides by sqrt(cosh h)
         g = Grid(T=10.0, N=3)
-        h = g.step(1.0)
+        h = g.step()
         op = discretize(HARMONIC, g)
         assert op.n == 3
         assert op.diag[0] == pytest.approx(1.0 / (h * h * math.cosh(h / 2)),
@@ -127,7 +128,7 @@ class TestDiscretize:
         g = Grid(T=5.0, N=99)
         op_flat = discretize(HARMONIC, g)
         op_soft = discretize(DECAY, g)
-        h = g.step(1.0)
+        h = g.step()
         # V = t^2 / (2(1 + lam t^2)) < t^2/2 away from the center, but
         # p = 1 + lam t^2 > 1 raises the kinetic part by more
         for k in (49, 39, 19):  # held row k sits at x = k h for odd N
@@ -139,12 +140,12 @@ class TestDiscretize:
     def test_matches_per_node_formulas(self):
         # the held rows and couplings agree with a per-node loop over the
         # whole grid, rows N//2 .. N-1 and couplings (N-1)//2 .. N-2, to
-        # the rounding of the node positions
-        params = ModelParams(omega=2, lam=F(1, 5))
+        # the rounding of the node positions; omega = 2, lambda = 1/5 and
+        # T = 7 in t make lambda_tilde 1/10 and T sqrt(omega) in tau
         for n in (300, 301):
-            g = Grid(T=7.0, N=n)
-            op = discretize(params, g)
-            diag, offdiag = _stencil(params, g)
+            g = Grid(T=7.0 * math.sqrt(2.0), N=n)
+            op = discretize(F(1, 10), g)
+            diag, offdiag = _stencil(F(1, 10), g)
             assert op.diag == pytest.approx(diag[n // 2:], rel=1e-13)
             assert op.offdiag == pytest.approx(offdiag[(n - 1) // 2:],
                                                rel=1e-13)
@@ -165,70 +166,72 @@ class TestDiscretize:
 
 
     def test_entries_pinned(self):
-        # every diagonal entry and coupling, bit for bit, as float.hex:
-        # the digest is that of the stencil before the builder read its
-        # points from lists, on odd and even grids of 3 to 30001 rows
+        # every diagonal entry and coupling, bit for bit, as float.hex, on
+        # odd and even grids of 3 to 30001 rows: the default grid at 1/10,
+        # whose entries are those of the stencil before the builder read
+        # its points from lists, and at 1/3 the grid of T = 50 at omega
+        # 10^4, T sqrt(omega) = 5000
         digest = hashlib.sha256()
-        for omega, lt, T in ((1, F(1, 10), None), (10 ** 4, F(1, 3), 50.0)):
-            params = ModelParams(omega=omega, lam=lt * omega)
+        for lt, T in ((F(1, 10), DEFAULT_T), (F(1, 3), 5000.0)):
             for n in (3, 4, 300, 3000, 30000, 30001):
-                op = discretize(params,
-                                Grid(T or default_half_width(params), n))
+                op = discretize(lt, Grid(T, n))
                 digest.update(" ".join(map(float.hex, op.diag + op.offdiag))
                               .encode())
                 digest.update(b"\n")
-        assert digest.hexdigest() == ("ef6083cf0f6a6c4cae0b1e1ebf005842"
-                                      "b65c4968c55efff6992523a6578603a4")
+        assert digest.hexdigest() == ("cccf172ec6582f5908a50fd4c9a8632c"
+                                      "1f6ecde528afbf2d0e7445c86c9a50a2")
 
     def test_passed_points_are_the_grid_points(self):
         # discretize builds from the same points whether it maps them
-        # itself or is given them
-        params = ModelParams(omega=3, lam=F(2, 3))
+        # itself or is given them; omega = 3, lambda = 2/3 and T = 9
         for n in (3, 4, 301):
-            g = Grid(T=9.0, N=n)
-            ts, gs = mapped_points(params, g)
+            g = Grid(T=9.0 * math.sqrt(3.0), N=n)
+            ts, gs = mapped_points(g)
             assert len(ts) == len(gs) == 2 * (n - n // 2) + 1
-            given, own = discretize(params, g, (ts, gs)), discretize(params, g)
+            given = discretize(F(2, 9), g, (ts, gs))
+            own = discretize(F(2, 9), g)
             assert given.diag == own.diag and given.offdiag == own.offdiag
 
 
 class TestMappedPointsReuse:
-    """The map depends on s = omega^(-1/2), T and N alone, and each map is
-    computed once per process: its points are shared, read-only views."""
+    """The map depends on T and N alone, and each map is computed once per
+    process: its points are shared, read-only views."""
 
     @pytest.mark.parametrize("omega, T, n", [
         (F(1), None, 3999), (F(1), None, 4000), (F(31), 40.0, 2001),
         (F(1, 7), 9.0, 300)])
     def test_lambda_reuses_the_points(self, omega, T, n):
-        params = ModelParams(omega=omega, lam=0)
-        grid = Grid(T=T or default_half_width(params), N=n)
-        ts, gs = mapped_points(params, grid)
-        again = mapped_points(ModelParams(omega=omega, lam=omega / 10), grid)
+        # the grid cli builds for --grid-T T at this omega, or by default
+        grid = Grid(T=DEFAULT_T if T is None else T * math.sqrt(omega), N=n)
+        ts, gs = mapped_points(grid)
+        hits = mapped_points.cache_info().hits
+        for lt in (F(0), F(1, 10)):
+            discretize(lt, grid)
+        again = mapped_points(Grid(*grid))
+        assert mapped_points.cache_info().hits == hits + 3
         assert again[0] is ts and again[1] is gs
-        fresh = sl_oracle._mapped.__wrapped__(float(omega) ** -0.5, grid)
+        fresh = mapped_points.__wrapped__(grid)
         assert [a.tobytes() for a in (ts, gs)] == \
             [a.tobytes() for a in fresh]
         for shared in (ts, gs):
             with pytest.raises(TypeError):
                 shared[0] = 0.0
-        # another omega, T or N maps other points
-        for other_params, other in (
-                (ModelParams(omega=2 * omega, lam=0), grid),
-                (params, grid._replace(T=2.0 * grid.T)),
-                (params, grid._replace(N=n + 1))):
-            tt, gg = mapped_points(other_params, other)
+        # another T or N maps other points
+        for other in (grid._replace(T=2.0 * grid.T), grid._replace(N=n + 1)):
+            tt, gg = mapped_points(other)
             assert tt != ts and gg != gs
 
     def test_cli_runs_leave_the_points_as_mapped(self, capsys, monkeypatch):
         handed = []
 
-        def recorded(s, grid):
-            points = cached(s, grid)
-            handed.append((s, grid, points))
+        def recorded(grid):
+            points = cached(grid)
+            handed.append((grid, points))
             return points
-        cached = sl_oracle._mapped
-        monkeypatch.setattr(sl_oracle, "_mapped", recorded)
+        cached = sl_oracle.mapped_points
+        monkeypatch.setattr(sl_oracle, "mapped_points", recorded)
         runs = (["verify", "--lambda-tilde", "1/10", "--grid-N", "1000"],
+                ["verify", "--grid-N", "1000", "--omega", "31"],
                 ["verify", "--grid-N", "1001", "--omega", "3"],
                 ["spectrum", "--method", "oracle", "--grid-N", "500",
                  "--n-max", "3"])
@@ -237,14 +240,15 @@ class TestMappedPointsReuse:
         for argv in runs:
             cli.main(argv)
         # the even 1000 maps all three of verify's grids, which fit, so its
-        # second run maps none; the odd 1001 hands its points to 500, which
-        # maps 250 itself; the spectrum maps its one grid
-        assert cached.cache_info().misses == misses + 0 + 2 + 1
+        # second run maps none, and another omega maps nothing new; the
+        # odd 1001 maps itself and hands its points to 500, and its 250 is
+        # the 1000's; so is the spectrum's 500
+        assert cached.cache_info().misses == misses + 0 + 0 + 1 + 0
         capsys.readouterr()
-        assert len(handed) == 3 + 3 + 2 + 1
-        for s, grid, points in handed:
+        assert len(handed) == 3 + 3 + 3 + 2 + 1
+        for grid, points in handed:
             assert [a.tobytes() for a in points] == \
-                [a.tobytes() for a in cached.__wrapped__(s, grid)]
+                [a.tobytes() for a in cached.__wrapped__(grid)]
 
 
 class TestNestedGrid:
@@ -252,18 +256,16 @@ class TestNestedGrid:
     def test_coarse_operator_from_fine_points(self, n):
         # for odd N, H = 2h exactly and the points of grid N // 2 are the
         # fine points with even j (and one mirror): the operator built from
-        # them equals the one built on its own, entry for entry
-        for omega, lt in ((F(1), F(1, 3)), (F(10 ** 4), F(1, 10)),
-                          (F(1), F(0))):
-            params = ModelParams(omega=omega, lam=lt * omega)
-            for T in (default_half_width(params), 40.0):
+        # them equals the one built on its own, entry for entry; T = 4000
+        # is T = 40 at omega 10^4
+        for lt in (F(1, 3), F(1, 10), F(0)):
+            for T in (DEFAULT_T, 40.0, 4000.0):
                 fine = Grid(T=T, N=n)
                 coarse = Grid(T=T, N=n // 2)
-                s = float(omega) ** -0.5
-                assert coarse.step(s) == 2.0 * fine.step(s)
-                nested = discretize(params, coarse, nested_points(
-                    mapped_points(params, fine)))
-                alone = discretize(params, coarse)
+                assert coarse.step() == 2.0 * fine.step()
+                nested = discretize(lt, coarse, nested_points(
+                    mapped_points(fine)))
+                alone = discretize(lt, coarse)
                 assert nested.diag == alone.diag
                 assert nested.offdiag == alone.offdiag
 
@@ -436,9 +438,13 @@ class TestSharedBrackets:
                                                   tol):
         # level j is level j // 2 of parity block j % 2; each block's
         # shared brackets equal a separate bisection per level of that
-        # block, and save sweeps wherever the block holds two levels or more
-        params = ModelParams(omega=omega, lam=lt * omega)
-        op = discretize(params, Grid(T=default_half_width(params), N=n))
+        # block, and save sweeps wherever the block holds two levels or
+        # more; the operator is omega H~ on the default grid, the physical
+        # operator up to rounding
+        h = discretize(lt, Grid(T=DEFAULT_T, N=n))
+        w = float(omega)
+        op = TridiagOp(diag=[w * a for a in h.diag],
+                       offdiag=[w * b for b in h.offdiag])
         calls = []
         count = sl_oracle.eigen_count_below
         with pytest.MonkeyPatch.context() as mp:
@@ -502,8 +508,7 @@ class TestHints:
         # the same brackets, levels or UnresolvedLevels as without hints,
         # whatever the hints; and the hints' facts do not depend on the
         # order they came in, so neither do the sweeps after them
-        params = ModelParams(omega=1, lam=lt)
-        op = discretize(params, Grid(T=default_half_width(params), N=n))
+        op = discretize(lt, Grid(T=DEFAULT_T, N=n))
         m = min(m, n)
         plain = sl_oracle._level_brackets(op, m, tol)
         levels = [0.5 * (lo + hi) for lo, hi in plain]
@@ -559,8 +564,7 @@ class TestBisectionLeaves:
         # odd and even N, levels of both parity blocks: guessed at their
         # own midpoints, the levels walk to the brackets bit for bit, and
         # the three nodes of each, counted first, settle every midpoint
-        params = ModelParams(omega=1, lam=lt)
-        op = discretize(params, Grid(T=default_half_width(params), N=n))
+        op = discretize(lt, Grid(T=DEFAULT_T, N=n))
         m = min(m, n)
         plain = sl_oracle._level_brackets(op, m, tol)
         # a leaf of one ulp, where floats ran out, may round its midpoint
@@ -588,8 +592,7 @@ class TestBisectionLeaves:
         # bracket, or inside it nearer a node: the leaf next to the
         # guess's on its nearer side holds the level, and the three nodes
         # settle every midpoint
-        params = ModelParams(omega=1, lam=lt)
-        op = discretize(params, Grid(T=default_half_width(params), N=n))
+        op = discretize(lt, Grid(T=DEFAULT_T, N=n))
         plain = sl_oracle._level_brackets(op, 2, tol)
         leaves = sl_oracle.bisection_leaves(
             op, [lo + at * (hi - lo) for lo, hi in plain], tol)
@@ -652,9 +655,14 @@ class TestLowestEigenvalues:
         for v, want in zip(res, (0.5, 1.4, 2.2)):
             assert abs(v - want) < 1e-4
 
-    def test_physical_units(self):
-        op = discretize(ModelParams(omega=10, lam=1), Grid(T=10.0, N=6000))
-        res = lowest_eigenvalues(op, 2, 1e-9)
+    def test_physical_units(self, capsys):
+        # omega = 10, lambda = 1 and T = 10: cli solves H~ at lambda_tilde
+        # 1/10 over T sqrt(omega) and multiplies its levels by omega
+        assert cli.main(["spectrum", "--method", "oracle", "--omega", "10",
+                         "--lambda", "1", "--grid-T", "10", "--grid-N",
+                         "6000", "--n-max", "1", "--format", "json"]) == 0
+        res = [e["E_dec"] for e in
+               json.loads(capsys.readouterr().out)["entries"]]
         assert abs(res[0] - 5.0) < 1e-2
         assert abs(res[1] - 14.0) < 1e-2
 
@@ -707,9 +715,8 @@ class TestMappedGrid:
         # Richardson estimate |E_h - E_H| / ((H/h)^2 - 1) plus the
         # bisection width, for every strictly bound n (n <= 5 at lt = 0)
         ns = [n for n in range(12 if lt else 6) if _strictly_bound(n, lt)]
-        params = ModelParams(omega=1, lam=lt)
-        T, width = default_half_width(params), 1e-9
-        fine, coarse = (lowest_eigenvalues(discretize(params, Grid(T, N)),
+        width = 1e-9
+        fine, coarse = (lowest_eigenvalues(discretize(lt, Grid(DEFAULT_T, N)),
                                            len(ns), width)
                         for N in (7999, 3999))
         for n, e_h, e_H in zip(ns, fine, coarse):
@@ -724,14 +731,12 @@ class TestMappedGrid:
         # on the default grid the weighted rows' slack rises above each
         # block's lowest level before the last row, so the sweep at that
         # level may take the tail exit; for a strictly bound level the cut
-        # lies in the first quarter of the block
-        for omega in (F(1), F(10 ** 4)):
-            params = ModelParams(omega=omega, lam=lt * omega)
-            op = discretize(params, Grid(T=default_half_width(params),
-                                         N=7999))
-            levels = lowest_eigenvalues(op, 2, 1e-9)
-            for j, (block, e) in enumerate(zip(op.parity_blocks, levels)):
-                cut = bisect_right(block.slack_min, e)
-                assert cut < block.n
-                if _strictly_bound(j, lt):
-                    assert cut < block.n // 4, (omega, j, cut)
+        # lies in the first quarter of the block.  The default grid is the
+        # same operator H~ at every omega
+        op = discretize(lt, Grid(T=DEFAULT_T, N=7999))
+        levels = lowest_eigenvalues(op, 2, 1e-9)
+        for j, (block, e) in enumerate(zip(op.parity_blocks, levels)):
+            cut = bisect_right(block.slack_min, e)
+            assert cut < block.n
+            if _strictly_bound(j, lt):
+                assert cut < block.n // 4, (j, cut)
