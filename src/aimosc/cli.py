@@ -2,9 +2,9 @@
 
 Four subcommands: `spectrum` computes levels by closed form, by the
 iteration engine, or by the finite-difference oracle; `verify` runs the
-cross-check matrix of `verify.py`, which only it imports, and reports
-JSON; `wavefunction` samples a normalized eigenstate; `figures` emits the
-four sweep CSV files.  Each checks its flags before it writes any output.
+cross-check matrix of `verify.py` and reports JSON; `wavefunction`
+samples a normalized eigenstate; `figures` emits the four sweep CSV
+files.  Each checks its flags before it writes any output.
 
 Rational inputs are accepted as "p/q" strings and kept exact internally.
 CSV output prints a float as its shortest repr rounded half-even to 12
@@ -110,6 +110,9 @@ def build_parser() -> argparse.ArgumentParser:
     levels.add_argument("--tau0", default="0", help="quantization anchor, p/q")
     levels.add_argument("--grid-T", dest="grid_t", type=float, default=None,
                         help="oracle half-width in t; omega^-1/2 sinh(16)")
+    levels.add_argument("--grid-N", dest="grid_n", type=int, default=3999,
+                        help="rows of the finest of the oracle's three "
+                             "grids; the others have // 2 and // 4")
     signs = argparse.ArgumentParser(add_help=False)
     signs.add_argument("--printed-signs", action="store_true",
                        help="use the sign convention whose first excited "
@@ -125,16 +128,11 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=("table", "csv", "json"))
     sp.add_argument("--tol", type=float, default=1e-10,
                     help="oracle bisection width, in units of omega")
-    sp.add_argument("--grid-N", dest="grid_n", type=int, default=7999,
-                    help="oracle rows, default 7999")
 
     vf = sub.add_parser("verify", parents=[model, levels, signs],
                         help="cross-check matrix, JSON report")
     vf.add_argument("--tol", type=float, default=1e-2,
                     help="gate on |oracle - closed form|, in units of omega")
-    vf.add_argument("--grid-N", dest="grid_n", type=int, default=3999,
-                    help="oracle rows, default 3999; verify adds --grid-N "
-                         "// 2 and // 4")
 
     wf = sub.add_parser("wavefunction", parents=[model],
                         help="sample one normalized eigenstate")
@@ -208,13 +206,14 @@ def _levels(cfg: Namespace) -> None:
 # ---------------------------------------------------------------------------
 # shared computation helpers
 
-def _closed_entries(cfg: Namespace) -> list[SpectrumEntry]:
-    """The closed-form rows n = 0..--n-max."""
+def _closed_entries(cfg: Namespace, n_top: Optional[int] = None
+                    ) -> list[SpectrumEntry]:
+    """The closed-form rows n = 0..n_top, by default --n-max."""
     # lam_tilde = p/q, omega = c/e: E_tilde_n = num/q, E_n = num c/(2 q e)
     p, q = cfg.lam_tilde.numerator, cfg.lam_tilde.denominator
     c, e = cfg.omega.numerator, cfg.omega.denominator
     out = []
-    for n in range(cfg.n_max + 1):
+    for n in range(1 + (cfg.n_max if n_top is None else n_top)):
         num = fh_oscillator.closed_numerator(n, p, q)
         out.append(SpectrumEntry(n, Fraction(num, q),
                                  Fraction(num * c, 2 * q * e),
@@ -235,10 +234,12 @@ def _aim_entries(cfg: Namespace) -> list[SpectrumEntry]:
 
 
 def _oracle_top(cfg: Namespace) -> int:
-    """The largest n <= --n-max whose state is normalizable; -1 when no n
-    is."""
+    """The largest n <= --n-max that route 3 solves: normalizable and
+    strictly below the continuum edge, where states converge too slowly
+    (past n ~ 1/lt - 1/2 the spectrum folds back below it); -1 if none."""
     census = cfg.census
-    n_top = cfg.n_max if census.bound(cfg.n_max) else census.normalizable_max_n
+    n_top = census.below_edge(cfg.n_max if census.bound(cfg.n_max)
+                              else census.normalizable_max_n)
     # route 3 scales its levels by omega as a finite, normal float
     what = "omega for the oracle"
     if n_top >= 0 and _float(cfg.omega, what, "--omega") < sys.float_info.min:
@@ -247,10 +248,10 @@ def _oracle_top(cfg: Namespace) -> int:
     return n_top
 
 
-def _oracle_grids(cfg: Namespace, n_top: int, count: int = 1
+def _oracle_grids(cfg: Namespace, n_top: int
                   ) -> list[tuple[sl_oracle.Grid, sl_oracle.TridiagOp, str]]:
     """(grid, operator, flag name) for n = 0..n_top on --grid-N // 2^i rows
-    over the same T, for each i < count, finest first; a grid's errors exit
+    over the same T, for i = 0, 1, 2, finest first; a grid's errors exit
     before the next is built.  Each operator is H~ at omega = 1 (see
     `sl_oracle`), over T = --grid-T sqrt(omega), or sinh(16).  The grid
     under an odd one takes its points by `sl_oracle.nested_points`, so that
@@ -258,7 +259,7 @@ def _oracle_grids(cfg: Namespace, n_top: int, count: int = 1
     root = math.sqrt(cfg.omega)
     t_half = sl_oracle.DEFAULT_T if cfg.grid_t is None else cfg.grid_t * root
     grids, points = [], None
-    for i in range(count):
+    for i in range(3):
         rows = cfg.grid_n >> i
         name = f"--grid-N {cfg.grid_n}" + (f" // {2 ** i}" if i else "")
         if n_top + 1 > rows:
@@ -282,25 +283,19 @@ def _oracle_grids(cfg: Namespace, n_top: int, count: int = 1
 
 
 def _oracle_entries(cfg: Namespace) -> list[SpectrumEntry]:
+    """Route 3's rows, omega P and its resolution, by `verify`'s solve."""
     n_top = _oracle_top(cfg)
-    levels = ()
-    if n_top >= 0:
-        [(_, op, name)] = _oracle_grids(cfg, n_top)
-        try:
-            levels = sl_oracle.lowest_eigenvalues(op, n_top + 1, cfg.tol)
-        except sl_oracle.UnresolvedLevels as exc:
-            raise ValueError(
-                f"oracle levels n = {exc.index} and {exc.index + 1} lie "
-                f"closer than --tol {cfg.tol:g} on {name}, so the bisection "
-                f"cannot order them; lower --n-max or change --grid-N"
-            ) from None
-    omega = float(cfg.omega)
-    if levels and not math.isfinite(omega * levels[-1]):  # the top level
-        raise ValueError(f"E at n = {n_top} is out of floating-point range: "
-                         f"change --omega")
-    return [SpectrumEntry(n=n, e_tilde=2.0 * e, e_phys=omega * e,
-                          bound=cfg.census.bound(n), source="oracle")
-            for n, e in enumerate(levels)]
+    if n_top < 0:
+        return []
+    from .verify import solve_oracle
+    try:  # the grids first, then the rows their hints read
+        levels, _, _, res = solve_oracle(cfg, _oracle_grids(cfg, n_top),
+                                         cfg.tol, _closed_entries(cfg, n_top))
+    except sl_oracle.UnresolvedLevels as exc:
+        raise ValueError(f"{exc}: lower --n-max or --tol, or change "
+                         f"--grid-N") from None
+    return [SpectrumEntry(n, 2.0 * p, float(cfg.omega) * p, True, "oracle", r)
+            for n, (p, r) in enumerate(zip(levels, res))]
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +315,7 @@ def _entry_json(e: SpectrumEntry, cfg: Namespace) -> dict:
         "method": e.source,
         "bound": e.bound,
         "marginal": cfg.census.marginal(e.n),
+        **({} if e.resolution is None else {"resolution": e.resolution}),
     }
 
 
@@ -349,12 +345,9 @@ def _emit_entries(entries: list[SpectrumEntry], cfg: Namespace) -> None:
     if cfg.fmt == "csv":
         _write_lines([",".join(header)] + [",".join(r) for r in rows], cfg.out)
         return
-    widths = [max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
-              for i, h in enumerate(header)]
-    lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(header))]
-    lines += ["  ".join(c.ljust(widths[i]) for i, c in enumerate(r))
-              for r in rows]
-    _write_lines(lines, cfg.out)
+    widths = [max(map(len, column)) for column in zip(header, *rows)]
+    _write_lines(["  ".join(c.ljust(w) for c, w in zip(r, widths))
+                  for r in (header, *rows)], cfg.out)
 
 
 # ---------------------------------------------------------------------------
@@ -367,15 +360,9 @@ def cmd_spectrum(cfg: Namespace) -> int:
         raise ValueError(f"--kmax must be at least 2, got {cfg.kmax}")
     # the oracle runs first, so its errors exit before any row is built
     oracle = _oracle_entries(cfg) if "oracle" in methods else []
-    entries: list[SpectrumEntry] = []
-    for method in methods:
-        if method == "closed":
-            entries.extend(_closed_entries(cfg))
-        elif method == "aim":
-            entries.extend(_aim_entries(cfg))
-        else:
-            entries.extend(oracle)
-    _emit_entries(entries, cfg)
+    rows = {"closed": _closed_entries, "aim": _aim_entries,
+            "oracle": lambda cfg: oracle}
+    _emit_entries([e for method in methods for e in rows[method](cfg)], cfg)
     return 0
 
 

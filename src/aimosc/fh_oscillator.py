@@ -46,6 +46,7 @@ class _SpectrumEntryFields(NamedTuple):
     e_phys: Fraction
     bound: bool
     source: str
+    resolution: Optional[float] = None  # an oracle level's error bar in E
 
 
 class SpectrumEntry(_SpectrumEntryFields):

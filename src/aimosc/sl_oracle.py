@@ -214,7 +214,7 @@ class UnresolvedLevels(ValueError):
 Points = tuple[Sequence[float], Sequence[float]]
 
 
-@lru_cache(maxsize=3)  # an even --grid-N maps each of verify's three grids
+@lru_cache(maxsize=3)  # an even --grid-N maps all three oracle grids
 def mapped_points(grid: Grid) -> Points:
     """(t, g) = (sinh(x), cosh(x)) at x = j h/2 for j = 2 (N//2) - N .. N:
     the half-nodes and the held nodes of the right half, alternating, the

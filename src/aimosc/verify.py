@@ -1,5 +1,6 @@
-"""The `verify` subcommand, which `cli.main` imports only to run it; helpers
-and layers are called through their modules, so a patch there reaches them."""
+"""The `verify` subcommand and route 3's solve, which `spectrum --method
+oracle` shares: `cli` imports this module only to run either; helpers and
+layers are called through their modules, so a patch there reaches them."""
 from __future__ import annotations
 
 import json
@@ -27,8 +28,8 @@ def cmd_verify(cfg: Namespace) -> int:
         if lt >= 1:  # the seed, the census and the eigenfunctions need lt < 1
             raise ValueError(f"lam_tilde must lie in [0, 1), got {lt}")
         # the grids first: their errors exit before any row is built
-        n_top = cfg.census.below_edge(cli._oracle_top(cfg))
-        grids = cli._oracle_grids(cfg, n_top, 3) if n_top >= 0 else []
+        n_top = cli._oracle_top(cfg)
+        grids = cli._oracle_grids(cfg, n_top) if n_top >= 0 else []
         table = cli._closed_entries(cfg)
         covered = list(filter(cfg.census.bound, range(min(cfg.n_max, 5) + 1)))
         # the oracle's errors exit before the iteration runs
@@ -66,31 +67,60 @@ def _check_aim_exact(cfg: Namespace, table: list[SpectrumEntry]) -> dict:
                   accepted=[cli._rat_or_none(v) for v in accepted])
 
 
+def _check_oracle(cfg: Namespace, n_top: int, grids: list,
+                  table: list[SpectrumEntry]) -> dict:
+    """`solve_oracle`'s P against the table's closed form E_c for each n <=
+    n_top (`cli._oracle_top`; with none, grids is empty).  n fails unless
+    |omega P - E_c| lies within its resolution, and that within --tol omega.
+    Levels that a grid cannot order fail the check with their pair."""
+    name = "oracle_matches_closed_form"
+    width = 1e-9
+    unsolved = dict.fromkeys(("deltas", "estimates_h", "estimates_T",
+                              "resolutions"), [])
+    if n_top < 0:
+        return _check(name, [], [], "no strictly bound n <= --n-max",
+                      **unsolved)
+    omega, covered = float(cfg.omega), list(range(n_top + 1))
+    try:
+        levels, est_h, est_t, res = solve_oracle(cfg, grids, width,
+                                                 table[:n_top + 1])
+    except sl_oracle.UnresolvedLevels as exc:
+        return _check(name, covered, [exc.index, exc.index + 1], str(exc),
+                      **unsolved)
+    deltas = [abs(omega * p - float(e.e_phys)) for p, e in zip(levels, table)]
+    failed = [n for n, (d, b) in enumerate(zip(deltas, res))
+              if not d <= b <= cfg.tol * omega]
+    grid = grids[0][0]
+    return _check(
+        name, covered, failed,
+        f"n <= {n_top}, T = {grid.T / math.sqrt(omega):g}, N = {grid.N}, "
+        f"{grid.N // 2} and {grid.N // 4}, max |delta| = {max(deltas):.3e}, "
+        f"max |delta| / resolution = "
+        f"{max(d / b for d, b in zip(deltas, res)):.3f}, max est_T = "
+        f"{max(est_t):.3e}, tol = {cfg.tol:g}",
+        deltas=deltas, estimates_h=est_h, estimates_T=est_t, resolutions=res)
+
+
 # Half-width of the fine grid's fallback hints around a middle-grid level,
 # relative to it (absolute below 1): wider than the fine level's distance
 # from it, about 3 estimates, yet narrow enough to skip most of the descent.
 _HINT_REL = 1e-5
 
 
-def _check_oracle(cfg: Namespace, n_top: int, grids: list,
-                  table: list[SpectrumEntry]) -> dict:
-    """Finite-difference eigenvalues against the table's closed form E_c
-    for each n <= n_top: normalizable and strictly below the continuum
-    edge, where states converge too slowly.  Past n ~ 1/lt - 1/2 the
-    spectrum folds back below the edge, so `census.below_edge` filters on n.
-    With no such n, nothing is solved and grids is empty.
+def solve_oracle(cfg: Namespace, grids: list, width: float,
+                 entries: list[SpectrumEntry]) -> tuple[list[float], ...]:
+    """Route 3 for the closed-form rows n = 0..m - 1 of entries: P, est_h,
+    est_T and the resolution 2 (est_h + est_T) + width of each, P in units
+    of omega and the rest in E units.  An E_c out of floating-point range
+    exits before any grid is solved; levels that a grid cannot order raise
+    `sl_oracle.UnresolvedLevels`, reworded to name the pair and the grid.
 
-    grids holds `cli._oracle_grids`' three, which span the same x range:
-    N = --grid-N rows (step h), N // 2 and N // 4, finest first.  Each is
-    H~, the operator at omega = 1, so every level, width and estimate below
-    is in units of omega until the gate.  With H/h = r, the order-2
-    stencil's levels E_h and E_H extrapolate to P = E_h + (E_h - E_H) /
-    (r^2 - 1), whose h^4 error est_h is |P - P_H| / (r^4 - 1), P_H the same
-    point one grid down.  est_T is `_truncation`'s.  Each n fails unless
-    |omega P - E_c| lies within its resolution omega (2 (est_h + est_T) +
-    the bisection width 1e-9), and that resolution within --tol omega: the
-    gate compares physical levels, and --tol is in units of omega.  Levels
-    that a grid cannot order fail the check with their pair.
+    grids holds `cli._oracle_grids`' three over the same x range, N =
+    --grid-N rows (step h), N // 2 and N // 4, finest first: each is H~ at
+    omega = 1, bisected to width, in units of omega.  With H/h = r, the
+    order-2 stencil's levels E_h and E_H extrapolate to P = E_h + (E_h -
+    E_H) / (r^2 - 1), whose h^4 error est_h is |P - P_H| / (r^4 - 1), P_H
+    the same point one grid down.  est_T is `_truncation`'s.
 
     The coarsest grid is bisected without hints.  Each finer grid counts
     hints first, from Q = e + (E_H - e) / r^2, the Richardson point of its
@@ -102,21 +132,13 @@ def _check_oracle(cfg: Namespace, n_top: int, grids: list,
     widths of Q, else the two ends of Q''s leaf and E_H -+ _HINT_REL.  No
     hint changes a level, so the closed form never steers an oracle
     number."""
-    name = "oracle_matches_closed_form"
-    width = 1e-9
-    unsolved = dict.fromkeys(("deltas", "estimates_h", "estimates_T",
-                              "resolutions"), [])
-    if n_top < 0:
-        return _check(name, [], [], "no strictly bound n <= --n-max",
-                      **unsolved)
-    omega = float(cfg.omega)
-    entries = table[:n_top + 1]
-    phys = [cli._float(e.e_phys, f"E at n = {e.n}", "--omega")
-            for e in entries]  # before any grid is solved
+    for e in entries:  # before any grid is solved
+        cli._float(e.e_phys, f"E at n = {e.n}", "--omega")
     exact = [float(e.e_tilde) / 2 for e in entries]
+    omega = float(cfg.omega)
     r, r_mid = ((a.N + 1) / (b.N + 1) for (a, _, _), (b, _, _)
                 in pairwise(grids))
-    covered, solved, hints = list(range(n_top + 1)), [], ()
+    solved, hints = [], ()
     for _, op, flag in reversed(grids):  # the coarsest first, unhinted
         if solved:  # Richardson points from the levels of the grid below
             hints, mid = [], len(solved) == 1
@@ -140,35 +162,24 @@ def _check_oracle(cfg: Namespace, n_top: int, grids: list,
                     hints.append((*leaves[n][:2], H - w_H, H + w_H))
             q_mid = qs
         try:
-            solved.append(sl_oracle.lowest_eigenvalues(op, n_top + 1, width,
+            solved.append(sl_oracle.lowest_eigenvalues(op, len(exact), width,
                                                        hints))
         except sl_oracle.UnresolvedLevels as exc:
-            pair = [exc.index, exc.index + 1]
-            return _check(name, covered, pair, f"oracle levels n = {pair[0]} "
-                          f"and {pair[1]} lie closer than the bisection width "
-                          f"{width * omega:g} on {flag}", **unsolved)
+            exc.args = (f"oracle levels n = {exc.index} and {exc.index + 1} "
+                        f"lie closer than the bisection width "
+                        f"{width * omega:g} on {flag}",)
+            raise
     coarse, mid, fine = solved
     extra = [h + (h - H) / (r * r - 1.0) for h, H in zip(fine, mid)]
     extra_mid = [h + (h - H) / (r_mid * r_mid - 1.0)
                  for h, H in zip(mid, coarse)]
-    grid, op, _ = grids[0]
-    est_t = _truncation(float(cfg.lam_tilde), grid, op, fine, width)
-    # physical units from here: the levels and estimates times omega
+    # E units from here: the estimates and the width times omega
     est_h = [omega * abs(p - q) / (r ** 4 - 1.0)
              for p, q in zip(extra, extra_mid)]
-    est_t = [omega * e for e in est_t]
-    deltas = [abs(omega * p - c) for p, c in zip(extra, phys)]
+    est_t = [omega * e for e in _truncation(float(cfg.lam_tilde),
+                                            *grids[0][:2], fine, width)]
     res = [2.0 * (a + b) + omega * width for a, b in zip(est_h, est_t)]
-    failed = [n for n, (d, b) in enumerate(zip(deltas, res))
-              if not d <= b <= cfg.tol * omega]
-    return _check(
-        name, covered, failed,
-        f"n <= {n_top}, T = {grid.T / math.sqrt(omega):g}, N = {grid.N}, "
-        f"{grid.N // 2} and {grid.N // 4}, max |delta| = {max(deltas):.3e}, "
-        f"max |delta| / resolution = "
-        f"{max(d / b for d, b in zip(deltas, res)):.3f}, max est_T = "
-        f"{max(est_t):.3e}, tol = {cfg.tol:g}",
-        deltas=deltas, estimates_h=est_h, estimates_T=est_t, resolutions=res)
+    return extra, est_h, est_t, res
 
 
 def _truncation(lt: float, grid: sl_oracle.Grid, op: sl_oracle.TridiagOp,

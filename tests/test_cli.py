@@ -96,7 +96,9 @@ class TestSpectrum:
                   json.loads(run(capsys, argv + ["--tol", "1e-3"])[1])["entries"]]
         gaps = [abs(a - b) for a, b in zip(fine, coarse)]
         assert len(gaps) == 4
-        assert all(g <= 0.5e-3 for g in gaps)  # midpoint of a 1e-3 bracket
+        # P = (r^2 E_h - E_H) / (r^2 - 1) of two midpoints of 1e-3 brackets
+        r = 2001 / 1001
+        assert all(g <= 0.5e-3 * (r * r + 1) / (r * r - 1) for g in gaps)
         assert max(gaps) > 1e-5  # --tol 1e-3 was honoured, not tightened
 
     def test_oracle_at_large_omega(self, capsys):
@@ -179,7 +181,7 @@ class TestSpectrum:
                                       "100000"])
         assert (code, out) == (2, "")
         assert err == ("error: --n-max asks the oracle for n = 0..100000, "
-                       "more than the 7999 levels of --grid-N 7999\n")
+                       "more than the 3999 levels of --grid-N 3999\n")
 
 
 class TestVerify:
@@ -752,6 +754,77 @@ class TestOracleHints:
         assert 0 < total <= 90
 
 
+class TestOracleSpectrum:
+    """spectrum --method oracle prints verify's extrapolated level P, times
+    omega: the same three grids, hints and n range, with each row's
+    resolution omega (2 (est_h + est_T) + --tol)."""
+
+    @staticmethod
+    def oracle_rows(lt, omega, n_max):
+        """The oracle rows, each checked against the closed form within its
+        resolution, and against verify's n range."""
+        flags = ["--lambda-tilde", str(lt), "--omega", str(omega),
+                 "--n-max", str(n_max)]
+        code, out = run_quiet(["spectrum", "--method", "oracle", "--method",
+                               "closed", "--format", "json"] + flags)
+        assert code == 0
+        entries = json.loads(out)["entries"]
+        rows = [e for e in entries if e["method"] == "oracle"]
+        closed = {e["n"]: F(e["E"]) for e in entries
+                  if e["method"] == "closed_form"}
+        for e in rows:
+            assert abs(F(e["E_dec"]) - closed[e["n"]]) <= F(e["resolution"]), e
+        _, report = run_quiet(["verify", "--kmax", "2"] + flags)
+        covered = json.loads(report)["checks"][1]["covered"]
+        assert [e["n"] for e in rows] == covered
+        return rows
+
+    @settings(max_examples=20, deadline=None)
+    @given(lt_draws, st.sampled_from([F(1), F(31), F(1, 7)]),
+           st.integers(0, 8))
+    # n = 1 lies above the continuum edge, and misses its bar: no row
+    @example(F(5, 8), F(1), 3)
+    @example(F(7, 11), F(1), 3)
+    def test_rows_within_their_resolution(self, lt, omega, n_max):
+        self.oracle_rows(lt, omega, n_max)
+
+    def test_deep_harmonic_rows(self):
+        # one grid of 7999 rows missed E_20 = 20.5 by 3.3e-3
+        rows = self.oracle_rows(F(0), F(1), 20)
+        assert len(rows) == 21
+        assert rows[-1]["resolution"] < 1e-4
+
+    def test_hints_build_only_the_solved_rows(self, monkeypatch):
+        # n = 0 alone lies below the edge at 1/2: a closed-form row for
+        # each n <= --n-max took 0.35 s
+        closed, built = cli._closed_entries, []
+
+        def counted(cfg, n_top=None):
+            built.append(closed(cfg, n_top))
+            return built[-1]
+        monkeypatch.setattr(cli, "_closed_entries", counted)
+        code, out = run_quiet(["spectrum", "--method", "oracle", "--format",
+                               "csv", "--lambda-tilde", "1/2", "--n-max",
+                               "100000"])
+        assert code == 0 and len(out.splitlines()) == 2
+        assert [len(rows) for rows in built] == [1]
+
+    @pytest.mark.parametrize("flags", [
+        ["--lambda-tilde", "0"], ["--lambda-tilde", "1/10"],
+        ["--lambda-tilde", "5/6"], ["--omega", "31"]])
+    def test_hints_never_steer_a_row(self, flags):
+        # the closed form hints the two finer grids, as on verify; with
+        # every hint dropped the same bytes come out
+        argv = ["spectrum", "--method", "oracle", "--format", "json"] + flags
+        seen = []
+
+        def dropped(hints):
+            seen.append(len(hints))
+            return ()
+        assert TestOracleHints.with_hints(argv, dropped) == run_quiet(argv)
+        assert seen[0] == 0 and all(seen[1:]) and len(seen) == 3
+
+
 class TestWavefunction:
     def test_ground_state_peak(self, capsys):
         code, out, _ = run(capsys, ["wavefunction"])
@@ -1276,18 +1349,18 @@ class TestInputValidation:
                                               "--grid-N")
 
     def test_unresolved_oracle_levels(self, capsys, tmp_path):
-        # on a 300-row grid the high levels sit in the far rows, where the
-        # mapped grid is coarse in t, and come in even/odd pairs closer
-        # than the bisection width; each level is bisected in its own parity
-        # block, and the first pair whose brackets overlap is rejected,
-        # whatever order its midpoints come out in, with an error naming the
-        # pair and the width
+        # on the 300-row grid of --grid-N 1200 // 4, bisected first, the
+        # high levels sit in the far rows, where the mapped grid is coarse
+        # in t, and come in even/odd pairs closer than the bisection width;
+        # each level is bisected in its own parity block, and the first pair
+        # whose brackets overlap is rejected, whatever order its midpoints
+        # come out in, with an error naming the pair and the width
         err = self.rejected(capsys, tmp_path,
                             ["spectrum", "--method", "oracle", "--n-max",
-                             "299", "--grid-N", "300"], "--grid-N 300")
+                             "299", "--grid-N", "1200"], "--grid-N 1200 // 4")
         assert err == ("error: oracle levels n = 33 and 34 lie closer than "
-                       "--tol 1e-10 on --grid-N 300, so the bisection cannot "
-                       "order them; lower --n-max or change --grid-N\n")
+                       "the bisection width 1e-10 on --grid-N 1200 // 4: "
+                       "lower --n-max or --tol, or change --grid-N\n")
         # verify bisects to a fixed width, and its levels that the
         # bisection cannot order fail a check instead (TestVerify)
 
@@ -1311,7 +1384,7 @@ class TestInputValidation:
             err = self.rejected(capsys, tmp_path,
                                 ["spectrum", "--method", "oracle",
                                  f"--grid-T={t}"], "--grid-T")
-            assert "too small or too large for --grid-N 7999" in err
+            assert "too small or too large for --grid-N 3999" in err
         # t^2 overflows in the potential on a coarser grid too
         err = self.rejected(capsys, tmp_path,
                             ["verify", "--grid-T=1e155", "--grid-N", "1000"],

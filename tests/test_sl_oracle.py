@@ -39,10 +39,10 @@ class TestGrid:
         for omega in (F(1, 4), F(1), F(100), F(10 ** 7)):
             s = float(omega) ** -0.5
             for grid_t, n, h in ((None, 7999, 32.0 / 8000),
-                                 (s * math.sinh(1.0), 3, 0.5)):
+                                 (s * math.sinh(1.0), 15, 0.125)):
                 cfg = Namespace(omega=omega, lam_tilde=F(0), grid_t=grid_t,
                                 grid_n=n)
-                [(grid, _, _)] = cli._oracle_grids(cfg, 0)
+                grid = cli._oracle_grids(cfg, 0)[0][0]
                 assert grid.step() == pytest.approx(h, rel=1e-14)
 
     def test_validation(self):
@@ -242,10 +242,10 @@ class TestMappedPointsReuse:
         # the even 1000 maps all three of verify's grids, which fit, so its
         # second run maps none, and another omega maps nothing new; the
         # odd 1001 maps itself and hands its points to 500, and its 250 is
-        # the 1000's; so is the spectrum's 500
-        assert cached.cache_info().misses == misses + 0 + 0 + 1 + 0
+        # the 1000's; so are the spectrum's 500 and 250, and its 125 is new
+        assert cached.cache_info().misses == misses + 0 + 0 + 1 + 1
         capsys.readouterr()
-        assert len(handed) == 3 + 3 + 3 + 2 + 1
+        assert len(handed) == 3 + 3 + 3 + 2 + 3
         for grid, points in handed:
             assert [a.tobytes() for a in points] == \
                 [a.tobytes() for a in cached.__wrapped__(grid)]
