@@ -5,5 +5,6 @@ Layers: `exactalg` (rational polynomial arithmetic and root isolation),
 closed-form spectrum, eigenfunctions), `sl_oracle` (finite-difference
 oracle), `cli` (command-line front end) and `verify` (its cross-checks).
 Each name is imported from the layer that defines it; importing the
-package loads none of them.
+package loads none of them, and `cli` loads a layer only for a command
+that runs it.
 """

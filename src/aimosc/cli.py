@@ -4,7 +4,10 @@ Four subcommands: `spectrum` computes levels by closed form, by the
 iteration engine, or by the finite-difference oracle; `verify` runs the
 cross-check matrix of `verify.py` and reports JSON; `wavefunction`
 samples a normalized eigenstate; `figures` emits the four sweep CSV
-files.  Each checks its flags before it writes any output.
+files.  Each checks its flags before it writes any output, and loads
+only the layers it runs: closed-form output needs `fh_oscillator` alone,
+`--method aim` adds `aim_core` and `exactalg`, and `--method oracle` and
+`verify` add `sl_oracle` and `verify.py` too.
 
 Rational inputs are accepted as "p/q" strings and kept exact internally.
 CSV output prints a float as its shortest repr rounded half-even to 12
@@ -23,10 +26,13 @@ from argparse import Namespace
 from decimal import Context, Decimal
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from . import aim_core, fh_oscillator, sl_oracle
+from . import fh_oscillator
 from .fh_oscillator import NotNormalizable, SpectrumEntry
+
+if TYPE_CHECKING:  # routes 2 and 3 load in the functions that run them
+    from . import aim_core, sl_oracle
 
 
 def _parse_rat(text: str) -> Fraction:
@@ -222,6 +228,7 @@ def _closed_entries(cfg: Namespace, n_top: Optional[int] = None
 
 
 def _aim_report(cfg: Namespace) -> aim_core.AimSpectrumReport:
+    from . import aim_core
     seed = aim_core.aim_seed(*fh_oscillator.aim_inputs(cfg.lam_tilde))
     return aim_core.aim_eigenvalues(seed, k_max=cfg.kmax, tau0=cfg.tau0)
 
@@ -229,7 +236,7 @@ def _aim_report(cfg: Namespace) -> aim_core.AimSpectrumReport:
 def _aim_entries(cfg: Namespace) -> list[SpectrumEntry]:
     certified = {v for v, _ in _aim_report(cfg).accepted}
     return [SpectrumEntry(e.n, e.e_tilde, e.e_phys, e.bound, "aim")
-            for e in _closed_entries(cfg)[:cfg.kmax + 1]
+            for e in _closed_entries(cfg, min(cfg.n_max, cfg.kmax))
             if e.e_tilde in certified]
 
 
@@ -256,6 +263,7 @@ def _oracle_grids(cfg: Namespace, n_top: int
     `sl_oracle`), over T = --grid-T sqrt(omega), or sinh(16).  The grid
     under an odd one takes its points by `sl_oracle.nested_points`, so that
     H = 2h exactly; any other grid maps its own."""
+    from . import sl_oracle
     root = math.sqrt(cfg.omega)
     t_half = sl_oracle.DEFAULT_T if cfg.grid_t is None else cfg.grid_t * root
     grids, points = [], None
@@ -287,6 +295,7 @@ def _oracle_entries(cfg: Namespace) -> list[SpectrumEntry]:
     n_top = _oracle_top(cfg)
     if n_top < 0:
         return []
+    from . import sl_oracle
     from .verify import solve_oracle
     try:  # the grids first, then the rows their hints read
         levels, _, _, res = solve_oracle(cfg, _oracle_grids(cfg, n_top),
@@ -437,11 +446,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args.run = cmd_verify
     try:
         return args.run(_model(args))
-    except (ValueError, aim_core.NoStableRoots, OSError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
+        if isinstance(exc, RuntimeError):  # route 2 loads only if it runs
+            from .aim_core import NoStableRoots
+            if not isinstance(exc, NoStableRoots):
+                raise
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, ValueError):  # NotNormalizable is one
             return 3 if isinstance(exc, NotNormalizable) else 2
-        return 1 if isinstance(exc, aim_core.NoStableRoots) else 4
+        return 1 if isinstance(exc, RuntimeError) else 4
 
 
 if __name__ == "__main__":

@@ -21,19 +21,10 @@ from __future__ import annotations
 import math
 from functools import cached_property
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
-from .exactalg import (
-    BiPoly,
-    RatLike,
-    horner,
-    poly_add,
-    poly_diff_tau,
-    poly_mul,
-    poly_new,
-    poly_scale,
-    poly_sub,
-)
+if TYPE_CHECKING:  # annotations only: the closed form never loads exactalg
+    from .exactalg import BiPoly, RatLike
 
 
 class NotNormalizable(ValueError):
@@ -185,6 +176,7 @@ class EigenFunction(_EigenFunctionFields):
             raise ValueError("series does not terminate at degree n")
 
     def poly(self) -> BiPoly:
+        from .exactalg import poly_new
         return poly_new({(j, 0): c for j, c in enumerate(self.coeffs) if c})
 
     @cached_property
@@ -311,6 +303,8 @@ def residual_check(ef: EigenFunction,
                    samples: Sequence[float] = (0.3, 0.7, 1.3, 2.1)
                    ) -> ResidualReport:
     """The ResidualReport of ef; `bench/tracing.py` wraps it by name."""
+    from .exactalg import (poly_add, poly_diff_tau, poly_mul, poly_new,
+                           poly_scale, poly_sub)
     lt = ef.lam_tilde
     f = ef.poly()
     fp = poly_diff_tau(f)
@@ -336,6 +330,7 @@ def _full_ode_residuals(ef: EigenFunction,
     Gaussian and the equation degenerates to phi'' + (E - tau^2) phi = 0.
     The model's numbers are taken as floats once, not per sample.
     """
+    from .exactalg import horner
     lt, a = ef.envelope_floats
     e = float(ef.e_tilde)
     fc = [float(c) for c in ef.coeffs]

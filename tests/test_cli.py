@@ -77,6 +77,20 @@ class TestSpectrum:
         assert [e["E_tilde"] for e in entries] == \
             ["1", "5/2", "7/2", "4", "4", "7/2", "5/2", "1", "-1"]
 
+    def test_iteration_builds_only_the_rows_it_keeps(self, monkeypatch):
+        # route 2 certifies only n <= --kmax, so only those closed rows
+        # are built, however large --n-max is
+        closed, built = cli._closed_entries, []
+
+        def counted(cfg, n_top=None):
+            built.append(closed(cfg, n_top))
+            return built[-1]
+        monkeypatch.setattr(cli, "_closed_entries", counted)
+        code, out = run_quiet(["spectrum", "--method", "aim", "--format",
+                               "csv", "--n-max", "100000", "--kmax", "2"])
+        assert code == 0 and len(out.splitlines()) == 4
+        assert [len(rows) for rows in built] == [3]
+
     def test_oracle_method(self, capsys):
         code, out, _ = run(capsys, ["spectrum", "--method", "oracle",
                                     "--grid-T", "10", "--grid-N", "2000",
@@ -1176,6 +1190,41 @@ class TestExitCodes:
                                     "--n", "4", "--points", "1"])
         assert code == 2
         assert "--points" in err
+
+    def test_no_stable_roots(self, capsys, monkeypatch):
+        # route 2 loads only when it runs, so main maps its NoStableRoots to
+        # exit 1 without importing it first; in-process it is loaded already
+        def nothing_certified(*args, **kwargs):
+            raise aim_core.NoStableRoots("no root terminated the iteration")
+        monkeypatch.setattr(aim_core, "aim_eigenvalues", nothing_certified)
+        argv = ["spectrum", "--method", "aim"]
+        error = "error: no root terminated the iteration\n"
+        assert run(capsys, argv) == (1, "", error)
+        code = ("import sys; sys.path.insert(0, 'src')\n"
+                "from aimosc import cli\n"
+                "assert 'aimosc.aim_core' not in sys.modules\n"
+                "report = cli._aim_report\n"
+                "def patched(cfg):\n"
+                "    from aimosc import aim_core\n"
+                "    def raised(*args, **kwargs):\n"
+                "        raise aim_core.NoStableRoots("
+                "'no root terminated the iteration')\n"
+                "    aim_core.aim_eigenvalues = raised\n"
+                "    return report(cfg)\n"
+                "cli._aim_report = patched\n"
+                f"sys.exit(cli.main({argv!r}))")
+        proc = subprocess.run([sys.executable, "-I", "-S", "-c", code],
+                              cwd=Path(__file__).resolve().parents[1],
+                              capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", error)
+
+    def test_other_runtime_errors_propagate(self, monkeypatch):
+        # only route 2's NoStableRoots is a documented exit
+        def broken(*args, **kwargs):
+            raise RuntimeError("not a level census")
+        monkeypatch.setattr(aim_core, "aim_eigenvalues", broken)
+        with pytest.raises(RuntimeError, match="not a level census"):
+            cli.main(["spectrum", "--method", "aim"])
 
     def test_zero_omega_with_lambda(self, capsys):
         code, _, err = run(capsys, ["spectrum", "--omega", "0",

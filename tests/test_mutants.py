@@ -62,7 +62,7 @@ def test_closed_form_one_level_up_fails_every_check(capsys, monkeypatch, lt):
 
 
 @pytest.mark.xfail(strict=True, reason="verify checks no normalization: "
-                   "ROADMAP item 6 must catch it")
+                   "ROADMAP item 4 must catch it")
 @lam_tildes
 def test_normalization_off_by_one_percent_is_caught(capsys, monkeypatch, lt):
     norm = fh_oscillator.normalization_constant
@@ -73,7 +73,7 @@ def test_normalization_off_by_one_percent_is_caught(capsys, monkeypatch, lt):
 
 @pytest.mark.xfail(strict=True, reason="verify reads the envelope only "
                    "in _full_ode_residuals, where the exponent enters as "
-                   "the common factor u^a of every term: ROADMAP item 6 "
+                   "the common factor u^a of every term: ROADMAP item 4 "
                    "must catch it")
 def test_envelope_exponent_stretched_is_caught(capsys, monkeypatch):
     # at lambda_tilde 0 the exponent is None and the envelope exp(-tau^2/2),
@@ -133,7 +133,7 @@ def test_physical_levels_off_by_two_are_caught(capsys, monkeypatch, omega):
 
 
 @pytest.mark.xfail(strict=True, reason="no check counts the levels "
-                   "below the edge yet: ROADMAP item 4 must catch it")
+                   "below the edge yet: ROADMAP item 3 must catch it")
 @pytest.mark.parametrize("shift", [1, -1])
 def test_census_off_by_one_is_a_failed_check(capsys, monkeypatch, shift):
     # a census whose normalizable_max_n is one too high or too low

@@ -163,19 +163,31 @@ def test_start_up_does_not_import_dataclasses():
     assert proc.stdout == "False\n"
 
 
+CLOSED = ["aimosc.cli", "aimosc.fh_oscillator"]
+ROUTE_2 = sorted(CLOSED + ["aimosc.aim_core", "aimosc.exactalg"])
+EVERY = sorted(ROUTE_2 + ["aimosc.sl_oracle", "aimosc.verify"])
+
+
 @pytest.mark.parametrize("argv, loaded", [
-    (["spectrum"], False),
-    (["wavefunction", "--points", "5"], False),
-    (["figures", "--out", "{tmp}"], False),
-    (["verify", "--grid-N", "2001"], True),
+    pytest.param(["spectrum"], CLOSED, id="spectrum"),
+    pytest.param(["spectrum", "--format", "csv"], CLOSED, id="spectrum-csv"),
+    pytest.param(["spectrum", "--format", "json"], CLOSED, id="spectrum-json"),
+    pytest.param(["wavefunction", "--points", "5"], CLOSED, id="wavefunction"),
+    pytest.param(["figures", "--out", "{tmp}"], CLOSED, id="figures"),
+    pytest.param(["spectrum", "--method", "aim"], ROUTE_2, id="spectrum-aim"),
+    pytest.param(["spectrum", "--method", "oracle", "--grid-N", "2001"],
+                 EVERY, id="spectrum-oracle"),
+    pytest.param(["verify", "--grid-N", "2001"], EVERY, id="verify"),
 ])
-def test_only_verify_imports_its_checks(argv, loaded, tmp_path):
-    # the other commands never compile the checks of aimosc.verify
+def test_each_command_loads_only_its_layers(argv, loaded, tmp_path):
+    # the closed form never compiles route 2 (aim_core, exactalg) or
+    # route 3 (sl_oracle, and verify, which holds its solve)
     argv = [a.format(tmp=tmp_path) for a in argv]
     code = ("import contextlib, io, sys; sys.path.insert(0, 'src'); "
             "from aimosc.cli import main\n"
-            f"with contextlib.redirect_stdout(io.StringIO()): main({argv!r})\n"
-            "print('aimosc.verify' in sys.modules)")
+            "with contextlib.redirect_stdout(io.StringIO()): "
+            f"assert main({argv!r}) == 0\n"
+            "print(sorted(m for m in sys.modules if m.startswith('aimosc.')))")
     proc = subprocess.run([sys.executable, "-I", "-S", "-c", code], cwd=ROOT,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
