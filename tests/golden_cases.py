@@ -94,6 +94,11 @@ CASES = {
     "spectrum_oracle_large_omega": ["spectrum", "--method", "oracle",
                                     "--omega", "1e4", "--grid-N", "3000",
                                     "--format", "json"],
+    # the default 3999 rows: the middle grid of 1999 rows is odd, so its
+    # points include the mirror of x = h left of the centre
+    "spectrum_oracle_default": ["spectrum", "--method", "oracle",
+                                "--lambda-tilde", "1/10", "--n-max", "5",
+                                "--format", "json"],
     # f(tau) overflows a float from tau ~ 1e5 on: the outer samples take
     # the logarithm branch
     "wavefunction_overflow": ["wavefunction", "--lambda-tilde", "1/100",
