@@ -260,13 +260,11 @@ def _oracle_grids(cfg: Namespace, n_top: int
     """(grid, operator, flag name) for n = 0..n_top on --grid-N // 2^i rows
     over the same T, for i = 0, 1, 2, finest first; a grid's errors exit
     before the next is built.  Each operator is H~ at omega = 1 (see
-    `sl_oracle`), over T = --grid-T sqrt(omega), or sinh(16).  The grid
-    under an odd one takes its points by `sl_oracle.nested_points`, so that
-    H = 2h exactly; any other grid maps its own."""
+    `sl_oracle`), over T = --grid-T sqrt(omega), or sinh(16)."""
     from . import sl_oracle
     root = math.sqrt(cfg.omega)
     t_half = sl_oracle.DEFAULT_T if cfg.grid_t is None else cfg.grid_t * root
-    grids, points = [], None
+    grids = []
     for i in range(3):
         rows = cfg.grid_n >> i
         name = f"--grid-N {cfg.grid_n}" + (f" // {2 ** i}" if i else "")
@@ -278,15 +276,12 @@ def _oracle_grids(cfg: Namespace, n_top: int
                              f"needs: raise --grid-N")
         try:
             grid = sl_oracle.Grid(T=t_half, N=rows)
-            points = (sl_oracle.mapped_points(grid) if points is None
-                      else sl_oracle.nested_points(points))
-            op = sl_oracle.discretize(cfg.lam_tilde, grid, points)
+            op = sl_oracle.discretize(cfg.lam_tilde, grid)
         except ValueError as exc:
             raise ValueError(f"--grid-T {cfg.grid_t or t_half / root:g} is "
                              f"too small or too large for {name}: {exc}"
                              ) from None
         grids.append((grid, op, name))
-        points = points if rows % 2 else None
     return grids
 
 

@@ -46,12 +46,11 @@ values on a coarser grid, a Richardson prediction or the nodes of the
 shared brackets, so a hint can save sweeps but never move a midpoint,
 however good or bad it is.
 
-The stencil is built from sequences of the mapped points (t, g), which a
-caller may pass in.  Each grid's map is computed once per process for each
-(T, N), so a sweep over lambda_tilde or omega reuses it.  For odd N,
-(N + 1) = 2 (N//2 + 1), so the grid of N//2 rows over the same T has the
-step H = 2h exactly, and its points are fine points: `nested_points` takes
-them from the fine grid's without a second sinh or cosh.
+The stencil is built from the mapped points (t, g) of its grid.  Each
+grid's map is computed once per process for each (T, N), so a sweep over
+lambda_tilde or omega reuses it.  For odd N, (N + 1) = 2 (N//2 + 1), so
+the grid of N//2 rows over the same T has the step H = 2h exactly, and its
+points equal the fine grid's bit for bit.
 """
 from __future__ import annotations
 
@@ -214,7 +213,7 @@ class UnresolvedLevels(ValueError):
 Points = tuple[Sequence[float], Sequence[float]]
 
 
-@lru_cache(maxsize=3)  # an even --grid-N maps all three oracle grids
+@lru_cache(maxsize=3)  # the three oracle grids of one --grid-N
 def mapped_points(grid: Grid) -> Points:
     """(t, g) = (sinh(x), cosh(x)) at x = j h/2 for j = 2 (N//2) - N .. N:
     the half-nodes and the held nodes of the right half, alternating, the
@@ -230,20 +229,7 @@ def mapped_points(grid: Grid) -> Points:
             memoryview(pack(*map(math.cosh, xs))).cast("d"))
 
 
-def nested_points(points: Points) -> Points:
-    """The points of grid N // 2 from those of an odd grid N over the same
-    T.  (N + 1) = 2 (N // 2 + 1), so H = 2h exactly, and coarse point j,
-    x = fl(j h), is fine point 2j, x = fl(2j (h/2)); for odd N // 2 the
-    coarse point j = -1 is the mirror (-t, g) of its point j = 1."""
-    t, g = points
-    t, g = t[1::2], g[1::2]   # fine points j = 0, 2, .., 2M
-    if len(t) % 2 == 0:       # M odd
-        t, g = (-t[1], *t), (g[1], *g)
-    return t, g
-
-
-def discretize(lam_tilde: SupportsFloat, grid: Grid,
-               points: Optional[Points] = None) -> TridiagOp:
+def discretize(lam_tilde: SupportsFloat, grid: Grid) -> TridiagOp:
     """The right half of H~ by the conservative stencil on t = sinh(x), with
     weight g = dt/dx = cosh(x) and p = 1 + lt t^2, lt = lambda_tilde:
     (A phi)_i = [-(p/g)_(i+1/2) (phi_(i+1) - phi_i)
@@ -255,7 +241,7 @@ def discretize(lam_tilde: SupportsFloat, grid: Grid,
     Only rows N//2 .. N-1 and couplings (N-1)//2 .. N-2 are built.  The
     points are x = j h/2 with j an integer, node i at j = 2i - N - 1 and
     half-node i + 1/2 at j = 2i - N, so mirrored points are exact negatives.
-    They are `mapped_points(grid)` unless the caller passes them.
+    They are `mapped_points(grid)`.
 
     A grid whose entries overflow, or whose couplings vanish because h^2
     underflows or overflows, has no such operator and raises ValueError.
@@ -264,7 +250,7 @@ def discretize(lam_tilde: SupportsFloat, grid: Grid,
     n = grid.N
     h = grid.step()
     inv2h2 = 1.0 / (2.0 * h * h)
-    ts, gs = mapped_points(grid) if points is None else points
+    ts, gs = mapped_points(grid)
     # p/g at the half-nodes m + k (k = 0 .. n - m), which alternate with
     # the held nodes m + 1 + k
     q = [(1.0 + lam * t * t) / g for t, g in zip(ts[::2], gs[::2])]
@@ -455,3 +441,41 @@ def lowest_eigenvalues(op: TridiagOp, m: int, tol: float,
         if hi > lo or not levels[j] < levels[j + 1]:
             raise UnresolvedLevels(j)
     return levels
+
+
+def truncation_errors(lt: float, grid: Grid, op: TridiagOp,
+                      fine: tuple[float, ...], width: float) -> list[float]:
+    """est_T for each level n of op, fine[n] its value: the shift D of the
+    level when the wall moves in from T to T/4 at the same h, over 4^g - 1.
+    Near a wall at tau the error falls as tau^(-g(tau)) with g(tau) = 2
+    tau^2 / (1 + lt tau^2) - 2n - 1, the log-slope of the weight (1 + lt
+    tau^2)^(-1/lt) tau^(2n + 1) of a state with tail tau^(n - 1/lt), which
+    rises with tau to g = 2/lt - 2n - 1 > 1 for every strictly bound n
+    (e^(-tau^2) tau^(2n + 1) at lt = 0).  Taken at T/4 it is the least g
+    between the walls, so D / (4^g - 1) bounds the error at T; it is the
+    tail's own g wherever lt tau^2 >> 1 at T/4, as on the default grid.
+    Where g < 1/2 there is no tail yet, and D is taken raw.
+
+    The wall at T/4 cuts the leading rows out of each parity block, those
+    below x = asinh(T / 4): the same stencil, whose last row only gains
+    slack, so the block's slack cut holds for it.  By Cauchy interlacing
+    the cut block's level k = n // 2 lies at or above the block's, so a
+    count at fine[n] + width that finds k + 1 levels bounds D by the width;
+    only where it does not is the cut block bisected."""
+    tau2 = (0.25 * grid.T) ** 2  # tau^2 at the wall T/4
+    drop = round(0.5 * (grid.N + 1) * (1.0 - math.asinh(0.25 * grid.T)
+                                       / math.asinh(grid.T)))
+    cut = [Block(b.diag[:b.n - drop], b.b2[:b.n - drop], b.pivmin,
+                 b.slack_min[:b.n - drop], b.span)
+           for b in op.parity_blocks]
+    out = []
+    for n, e in enumerate(fine):
+        block, k = cut[n % 2], n // 2
+        shift = width
+        if eigen_count_below(block, e + width, k + 1) <= k:
+            lo, hi = _bisect(block, k + 1, width, fine[n % 2:n + 1:2])[k]
+            shift = 0.5 * (lo + hi) - e
+        # D / (4^g - 1) = D q / (1 - q) with q = 4^-g, which cannot overflow
+        q = 0.25 ** max(0.5, 2.0 * tau2 / (1.0 + lt * tau2) - 2 * n - 1)
+        out.append(shift * q / (1.0 - q))
+    return out

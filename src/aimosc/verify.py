@@ -9,6 +9,7 @@ from argparse import Namespace
 from fractions import Fraction
 from itertools import pairwise
 
+# not lazy: aim_core compiled inside the checks would add to the grids' peak
 from . import aim_core, cli, fh_oscillator, sl_oracle
 from .fh_oscillator import SpectrumEntry
 
@@ -120,7 +121,7 @@ def solve_oracle(cfg: Namespace, grids: list, width: float,
     omega = 1, bisected to width, in units of omega.  With H/h = r, the
     order-2 stencil's levels E_h and E_H extrapolate to P = E_h + (E_h -
     E_H) / (r^2 - 1), whose h^4 error est_h is |P - P_H| / (r^4 - 1), P_H
-    the same point one grid down.  est_T is `_truncation`'s.
+    the same point one grid down.  est_T is `sl_oracle.truncation_errors`'s.
 
     The coarsest grid is bisected without hints.  Each finer grid counts
     hints first, from Q = e + (E_H - e) / r^2, the Richardson point of its
@@ -176,49 +177,10 @@ def solve_oracle(cfg: Namespace, grids: list, width: float,
     # E units from here: the estimates and the width times omega
     est_h = [omega * abs(p - q) / (r ** 4 - 1.0)
              for p, q in zip(extra, extra_mid)]
-    est_t = [omega * e for e in _truncation(float(cfg.lam_tilde),
-                                            *grids[0][:2], fine, width)]
+    est_t = [omega * e for e in sl_oracle.truncation_errors(
+        float(cfg.lam_tilde), *grids[0][:2], fine, width)]
     res = [2.0 * (a + b) + omega * width for a, b in zip(est_h, est_t)]
     return extra, est_h, est_t, res
-
-
-def _truncation(lt: float, grid: sl_oracle.Grid, op: sl_oracle.TridiagOp,
-                fine: tuple[float, ...], width: float) -> list[float]:
-    """est_T for each level n of op, fine[n] its value: the shift D of the
-    level when the wall moves in from T to T/4 at the same h, over 4^g - 1.
-    Near a wall at tau the error falls as tau^(-g(tau)) with g(tau) = 2
-    tau^2 / (1 + lt tau^2) - 2n - 1, the log-slope of the weight (1 + lt
-    tau^2)^(-1/lt) tau^(2n + 1) of a state with tail tau^(n - 1/lt), which
-    rises with tau to g = 2/lt - 2n - 1 > 1 for every strictly bound n
-    (e^(-tau^2) tau^(2n + 1) at lt = 0).  Taken at T/4 it is the least g
-    between the walls, so D / (4^g - 1) bounds the error at T; it is the
-    tail's own g wherever lt tau^2 >> 1 at T/4, as on the default grid.
-    Where g < 1/2 there is no tail yet, and D is taken raw.
-
-    The wall at T/4 cuts the leading rows out of each parity block, those
-    below x = asinh(T / 4): the same stencil, whose last row only gains
-    slack, so the block's slack cut holds for it.  By Cauchy interlacing
-    the cut block's level k = n // 2 lies at or above the block's, so a
-    count at fine[n] + width that finds k + 1 levels bounds D by the width;
-    only where it does not is the cut block bisected."""
-    tau2 = (0.25 * grid.T) ** 2  # tau^2 at the wall T/4
-    drop = round(0.5 * (grid.N + 1) * (1.0 - math.asinh(0.25 * grid.T)
-                                       / math.asinh(grid.T)))
-    cut = [sl_oracle.Block(b.diag[:b.n - drop], b.b2[:b.n - drop], b.pivmin,
-                           b.slack_min[:b.n - drop], b.span)
-           for b in op.parity_blocks]
-    out = []
-    for n, e in enumerate(fine):
-        block, k = cut[n % 2], n // 2
-        shift = width
-        if sl_oracle.eigen_count_below(block, e + width, k + 1) <= k:
-            lo, hi = sl_oracle._bisect(block, k + 1, width,
-                                       fine[n % 2:n + 1:2])[k]
-            shift = 0.5 * (lo + hi) - e
-        # D / (4^g - 1) = D q / (1 - q) with q = 4^-g, which cannot overflow
-        q = 0.25 ** max(0.5, 2.0 * tau2 / (1.0 + lt * tau2) - 2 * n - 1)
-        out.append(shift * q / (1.0 - q))
-    return out
 
 
 def _check_residuals(covered: list[int], lt: Fraction) -> dict:

@@ -109,9 +109,9 @@ def test_stencil_without_the_weight_g_is_caught(capsys, monkeypatch, lt):
     # the levels of every grid move far off, or a grid cannot order them
     discretize = sl_oracle.discretize
 
-    def unweighted(lam_tilde, grid, points=None):
-        op = discretize(lam_tilde, grid, points)
-        ts, gs = points or sl_oracle.mapped_points(grid)
+    def unweighted(lam_tilde, grid):
+        op = discretize(lam_tilde, grid)
+        ts, gs = sl_oracle.mapped_points(grid)
         lam = float(lam_tilde)
         for i, (t, g) in enumerate(zip(ts[1::2], gs[1::2])):
             v = t * t / (2.0 * (1.0 + lam * t * t))

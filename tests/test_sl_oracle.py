@@ -2,6 +2,7 @@
 import hashlib
 import json
 import math
+import struct
 from argparse import Namespace
 from collections import Counter
 from bisect import bisect_right
@@ -21,7 +22,6 @@ from aimosc.sl_oracle import (
     eigen_count_below,
     lowest_eigenvalues,
     mapped_points,
-    nested_points,
 )
 
 # lambda_tilde of the operator H~, which omega only scales
@@ -182,15 +182,11 @@ class TestDiscretize:
                                       "1f6ecde528afbf2d0e7445c86c9a50a2")
 
     def test_passed_points_are_the_grid_points(self):
-        # discretize builds from the same points whether it maps them
-        # itself or is given them; omega = 3, lambda = 2/3 and T = 9
+        # the map holds the held nodes of the right half and the half-nodes
+        # around them; omega = 3, lambda = 2/3 and T = 9
         for n in (3, 4, 301):
-            g = Grid(T=9.0 * math.sqrt(3.0), N=n)
-            ts, gs = mapped_points(g)
+            ts, gs = mapped_points(Grid(T=9.0 * math.sqrt(3.0), N=n))
             assert len(ts) == len(gs) == 2 * (n - n // 2) + 1
-            given = discretize(F(2, 9), g, (ts, gs))
-            own = discretize(F(2, 9), g)
-            assert given.diag == own.diag and given.offdiag == own.offdiag
 
 
 class TestMappedPointsReuse:
@@ -239,35 +235,36 @@ class TestMappedPointsReuse:
         misses = cached.cache_info().misses
         for argv in runs:
             cli.main(argv)
-        # the even 1000 maps all three of verify's grids, which fit, so its
+        # the 1000 maps all three of verify's grids, which fit, so its
         # second run maps none, and another omega maps nothing new; the
-        # odd 1001 maps itself and hands its points to 500, and its 250 is
-        # the 1000's; so are the spectrum's 500 and 250, and its 125 is new
+        # 1001 maps itself, and its 500 and 250 are the 1000's; so are the
+        # spectrum's 500 and 250, and its 125 is new.  Every grid asks for
+        # its own map
         assert cached.cache_info().misses == misses + 0 + 0 + 1 + 1
         capsys.readouterr()
-        assert len(handed) == 3 + 3 + 3 + 2 + 3
+        assert len(handed) == 3 + 3 + 3 + 3 + 3
         for grid, points in handed:
             assert [a.tobytes() for a in points] == \
                 [a.tobytes() for a in cached.__wrapped__(grid)]
 
 
 class TestNestedGrid:
-    @pytest.mark.parametrize("n", [7, 9, 13, 4001, 7999])
-    def test_coarse_operator_from_fine_points(self, n):
-        # for odd N, H = 2h exactly and the points of grid N // 2 are the
-        # fine points with even j (and one mirror): the operator built from
-        # them equals the one built on its own, entry for entry; T = 4000
-        # is T = 40 at omega 10^4
-        for lt in (F(1, 3), F(1, 10), F(0)):
-            for T in (DEFAULT_T, 40.0, 4000.0):
-                fine = Grid(T=T, N=n)
-                coarse = Grid(T=T, N=n // 2)
-                assert coarse.step() == 2.0 * fine.step()
-                nested = discretize(lt, coarse, nested_points(
-                    mapped_points(fine)))
-                alone = discretize(lt, coarse)
-                assert nested.diag == alone.diag
-                assert nested.offdiag == alone.offdiag
+    @given(st.integers(3, 4999).map(lambda k: 2 * k + 1),
+           st.one_of(st.floats(math.log(1e-3), math.log(1e8)).map(math.exp),
+                     st.just(DEFAULT_T)))
+    @settings(max_examples=60, deadline=None)
+    def test_odd_grid_holds_the_points_of_the_grid_below(self, n, T):
+        # for odd N, (N + 1) = 2 (N // 2 + 1), so H = 2h exactly and the
+        # points of grid N // 2 are the fine points with even j, bit for
+        # bit; for odd N // 2 the first is the mirror (-t, g) of fine j = 2
+        fine, coarse = Grid(T=T, N=n), Grid(T=T, N=n // 2)
+        assert coarse.step() == 2.0 * fine.step()
+        t, g = (p[1::2] for p in mapped_points.__wrapped__(fine))
+        if (n // 2) % 2:
+            t, g = [-t[1], *t], [g[1], *g]
+        want = [struct.pack(f"{len(t)}d", *p) for p in (t, g)]
+        assert [p.tobytes() for p in mapped_points.__wrapped__(coarse)] \
+            == want
 
 
 class TestInertiaCounts:
