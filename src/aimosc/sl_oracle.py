@@ -210,11 +210,8 @@ class UnresolvedLevels(ValueError):
         self.index = index
 
 
-Points = tuple[Sequence[float], Sequence[float]]
-
-
 @lru_cache(maxsize=3)  # the three oracle grids of one --grid-N
-def mapped_points(grid: Grid) -> Points:
+def mapped_points(grid: Grid) -> tuple[Sequence[float], Sequence[float]]:
     """(t, g) = (sinh(x), cosh(x)) at x = j h/2 for j = 2 (N//2) - N .. N:
     the half-nodes and the held nodes of the right half, alternating, the
     half-node left of the centre row first (see `discretize`).  x <
