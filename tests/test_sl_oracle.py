@@ -266,6 +266,27 @@ class TestNestedGrid:
         assert [p.tobytes() for p in mapped_points.__wrapped__(coarse)] \
             == want
 
+    @pytest.mark.parametrize("n", [7, 9, 13, 4001, 7999])
+    def test_coarse_operator_from_fine_points(self, n, monkeypatch):
+        # the operator of grid N // 2 built from the fine points with even
+        # j (and one mirror) equals the one built on its own, entry for
+        # entry; T = 4000 is T = 40 at omega 10^4
+        for T in (DEFAULT_T, 40.0, 4000.0):
+            fine, coarse = Grid(T=T, N=n), Grid(T=T, N=n // 2)
+            assert coarse.step() == 2.0 * fine.step()
+            t, g = (list(p[1::2]) for p in mapped_points.__wrapped__(fine))
+            if (n // 2) % 2:
+                t, g = [-t[1], *t], [g[1], *g]
+            for lt in (F(1, 3), F(1, 10), F(0)):
+                alone = discretize(lt, coarse)
+                with monkeypatch.context() as m:
+                    m.setattr(sl_oracle, "mapped_points",
+                              lambda grid: (t, g) if grid == coarse
+                              else pytest.fail(f"asked for {grid}"))
+                    nested = discretize(lt, coarse)
+                assert nested.diag == alone.diag
+                assert nested.offdiag == alone.offdiag
+
 
 class TestInertiaCounts:
     def setup_method(self):
